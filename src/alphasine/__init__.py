@@ -29,11 +29,10 @@ from .fourier_inv import (
     estimate_f0,
     invert_fourier,
     mollifier_kernel,
-    reconstruct,
-    reconstruct_smoothed,
     solve_xi,
+    synthesize,
 )
-from .grid import SampledFunction, UniformGrid, eval_linear, even_extension_eval
+from .grid import SampledFunction, UniformGrid
 from .quad import QuadSpec, integrate, integrate_kernel_split
 from .sas import SasParams, codifference_forward, f0_from_scale, g_from_codifference
 from .specfun import (
@@ -43,7 +42,6 @@ from .specfun import (
     hyp2f1_unit,
     kummer_m,
     lambda_alpha,
-    log_gamma,
     operator_norm_bound,
     sin_power_integral,
     sine_coeffs,
@@ -53,7 +51,6 @@ from .sphere import (
     PeriodicDensity,
     circle_fourier_coeffs,
     circle_grid,
-    density_example,
     invert_sphere,
     k_sphere,
     k_sphere_grid,
@@ -62,4 +59,21 @@ from .sphere import (
     watson_density,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DirectConfig", "choose_weight_exponent", "h2_inverse", "h_forward",
+    "invert_direct", "mu", "mu_table",
+    "CoefficientUnderflow", "EvenIntegerAlpha", "NoTailSamples", "NonConvergence",
+    "SingularDiagonal",
+    "k_cosine", "t_sine", "t_sine_series",
+    "FourierSamples", "MollifierKind", "TriangularSystem", "bandlimited_eval",
+    "build_rhs", "estimate_f0", "invert_fourier", "mollifier_kernel", "solve_xi",
+    "synthesize",
+    "SampledFunction", "UniformGrid",
+    "QuadSpec", "integrate", "integrate_kernel_split",
+    "SasParams", "codifference_forward", "f0_from_scale", "g_from_codifference",
+    "Alpha", "CoefficientTable", "cosine_coeffs", "hyp2f1_unit", "kummer_m",
+    "lambda_alpha", "operator_norm_bound", "sin_power_integral", "sine_coeffs",
+    "CircleCoeffs", "PeriodicDensity", "circle_fourier_coeffs", "circle_grid",
+    "invert_sphere", "k_sphere", "k_sphere_grid", "shifted_sine_density",
+    "vonmises4_density", "watson_density",
+]

@@ -25,7 +25,7 @@ from .grid import SampledFunction, UniformGrid
 from .quad import QuadSpec
 from .sas import SasParams, f0_from_scale
 from .specfun import cosine_coeffs, lambda_alpha, sine_coeffs
-from .sphere import circle_grid, invert_sphere
+from .sphere import invert_sphere
 
 BUILTINS = {
     "f1": (lambda x: np.exp(-np.asarray(x) ** 2),
@@ -211,12 +211,6 @@ def _flatness(g: SampledFunction, r: float) -> float:
     return float(np.std(tail) / max(abs(np.mean(tail)), 1e-300))
 
 
-def _l2_error(xs: np.ndarray, vals: np.ndarray, truth_path: str) -> float:
-    _, tdata = read_csv(truth_path)
-    truth = np.interp(xs, tdata[:, 0], tdata[:, 1])
-    return float(np.linalg.norm(vals - truth) / max(np.linalg.norm(truth), 1e-300))
-
-
 def cmd_invert(args) -> int:
     method = _need(args, "method", str)
     if not getattr(args, "infile", None):
@@ -248,9 +242,7 @@ def cmd_invert(args) -> int:
         params = {"method": method, "alpha": alpha, "epsilon": epsilon,
                   "c": cfg.weight_exponent}
     elif method == "sphere":
-        header, data = read_csv(args.infile)
-        m = len(data)
-        kf = SampledFunction(circle_grid(m), data[:, 1])
+        kf = sampled_from_csv(args.infile)
         n = int(_need(args, "n", int, 10))
         density = invert_sphere(kf, alpha, n)
         rec = density.values
@@ -263,10 +255,11 @@ def cmd_invert(args) -> int:
     columns = [xs, vals]
     header_row = ["x", "value"]
     if getattr(args, "truth", None):
-        err = _l2_error(xs, vals, args.truth)
-        comments.append(f"l2_error = {err:.6g}")
         _, tdata = read_csv(args.truth)
-        columns.append(np.interp(xs, tdata[:, 0], tdata[:, 1]))
+        truth = np.interp(xs, tdata[:, 0], tdata[:, 1])
+        err = float(np.linalg.norm(vals - truth) / max(np.linalg.norm(truth), 1e-300))
+        comments.append(f"l2_error = {err:.6g}")
+        columns.append(truth)
         header_row.append("truth")
     with _out_stream(args) as out:
         write_csv(out, [_params_comment("invert", params)] + comments, header_row, columns)

@@ -158,6 +158,7 @@ def _mu_nodes(alpha: Alpha, c: float, t_cut: float, omega_max: float):
 
 def _osc_sum(coords: np.ndarray, weights: np.ndarray, omegas: np.ndarray, sign: float) -> np.ndarray:
     """sum_j W_j exp(i sign omega L_j) for each omega, chunked for memory.
+    Columns of a two-dimensional W are summed independently.
 
     For real weights the sum is Hermitian in omega, so a symmetric omega grid
     is evaluated on its nonnegative half and mirrored.
@@ -172,7 +173,7 @@ def _osc_sum(coords: np.ndarray, weights: np.ndarray, omegas: np.ndarray, sign: 
     ):
         half = _osc_sum(coords, weights, omegas[n // 2 :], sign)
         return np.concatenate((np.conj(half[1:][::-1]), half))
-    out = np.empty(n, dtype=complex)
+    out = np.empty((n,) + weights.shape[1:], dtype=complex)
     chunk = max(1, int(3e7 / max(1, len(coords))))
     for i in range(0, n, chunk):
         phase = sign * np.outer(omegas[i : i + chunk], coords)
@@ -199,28 +200,26 @@ def _mu_nodes_cached(alpha_value: float, c: float, t_cut: float, omega_bucket: i
     return coords, weights
 
 
+def _mu_values(alpha_value: float, c: float, t_cut: float, omegas: np.ndarray) -> np.ndarray:
+    """mu at omega = ln x, from the node set of the bucket that covers max |omega|."""
+    bucket = max(1, int(math.ceil(np.max(np.abs(omegas)) / 8.0)))
+    coords, weights = _mu_nodes_cached(alpha_value, c, t_cut, bucket)
+    return _osc_sum(coords, weights, omegas, +1.0) + _mu_mean_tail(
+        Alpha(alpha_value), c, t_cut, omegas
+    )
+
+
 def mu(x: float, cfg: DirectConfig) -> complex:
     """The multiplier at a single point x > 0."""
     if not (x > 0.0):
         raise ValueError(f"x must be positive, got {x}")
-    omega = math.log(x)
-    bucket = max(1, int(math.ceil(abs(omega) / 8.0)))
-    coords, weights = _mu_nodes_cached(cfg.alpha.value, cfg.weight_exponent, cfg.t_cut, bucket)
-    om = np.array([omega])
-    val = _osc_sum(coords, weights, om, +1.0) + _mu_mean_tail(
-        cfg.alpha, cfg.weight_exponent, cfg.t_cut, om
-    )
-    return complex(val[0])
+    om = np.array([math.log(x)])
+    return complex(_mu_values(cfg.alpha.value, cfg.weight_exponent, cfg.t_cut, om)[0])
 
 
 @lru_cache(maxsize=8)
 def _mu_table_values(alpha_value: float, c: float, t_cut: float, grid: UniformGrid) -> np.ndarray:
-    omegas = grid.points()
-    bucket = max(1, int(math.ceil(np.max(np.abs(omegas)) / 8.0)))
-    coords, weights = _mu_nodes_cached(alpha_value, c, t_cut, bucket)
-    vals = _osc_sum(coords, weights, omegas, +1.0) + _mu_mean_tail(
-        Alpha(alpha_value), c, t_cut, omegas
-    )
+    vals = _mu_values(alpha_value, c, t_cut, grid.points())
     vals.setflags(write=False)
     return vals
 
@@ -281,19 +280,22 @@ def _as_w_values(w, cfg: DirectConfig) -> np.ndarray:
     return arr
 
 
-def _h2_values(w_vals: np.ndarray, cfg: DirectConfig, zs: np.ndarray):
-    omegas = cfg.mu_grid.points()
-    trap = np.full(len(omegas), cfg.mu_grid.step)
+def _h2_values(w_vals: np.ndarray, cfg: DirectConfig, zs: np.ndarray) -> np.ndarray:
+    """Real part of H2 w at each z; warns when the imaginary residue exceeds
+    1% of the largest real value, which signals an inconsistent w."""
+    trap = np.full(cfg.mu_grid.count, cfg.mu_grid.step)
     trap[0] = trap[-1] = 0.5 * cfg.mu_grid.step
-    weighted = w_vals * trap
-    zetas = np.log(zs)
-    acc = np.empty(len(zs), dtype=complex)
-    chunk = max(1, int(3e7 / len(omegas)))
-    for i in range(0, len(zs), chunk):
-        phase = np.outer(zetas[i : i + chunk], omegas)
-        acc[i : i + chunk] = (np.cos(phase) + 1j * np.sin(phase)) @ weighted
+    w = w_vals * trap
+    # real and imaginary weights as two real columns: numpy would copy each
+    # cosine and sine block to complex to multiply it by complex weights
+    sums = _osc_sum(cfg.mu_grid.points(), np.column_stack((w.real, w.imag)), np.log(zs), +1.0)
+    acc = sums[:, 0] + 1j * sums[:, 1]
     out = zs ** (-cfg.s_exponent) / (2.0 * math.pi) * acc
-    return np.real(out), np.imag(out)
+    re, im = np.real(out), np.imag(out)
+    scale = np.max(np.abs(re)) if len(re) else 0.0
+    if scale > 0.0 and np.max(np.abs(im)) > 1e-2 * scale:
+        warnings.warn(f"H2 imaginary residue up to {np.max(np.abs(im)):.3e}", stacklevel=3)
+    return re
 
 
 def h2_inverse(w, z: float, cfg: DirectConfig) -> float:
@@ -304,13 +306,7 @@ def h2_inverse(w, z: float, cfg: DirectConfig) -> float:
     """
     if not (z > 0.0):
         raise ValueError(f"z must be positive, got {z}")
-    re, im = _h2_values(_as_w_values(w, cfg), cfg, np.array([z]))
-    if abs(re[0]) > 0.0 and abs(im[0]) > 1e-2 * abs(re[0]):
-        warnings.warn(
-            f"h2_inverse imaginary residue {im[0]:.3e} vs real {re[0]:.3e}",
-            stacklevel=2,
-        )
-    return float(re[0])
+    return float(_h2_values(_as_w_values(w, cfg), cfg, np.array([z]))[0])
 
 
 def invert_direct(g: SampledFunction, cfg: DirectConfig, out_grid: UniformGrid) -> SampledFunction:
@@ -332,10 +328,4 @@ def invert_direct(g: SampledFunction, cfg: DirectConfig, out_grid: UniformGrid) 
     zs = out_grid.points()
     if np.any(zs <= 0.0):
         raise ValueError("output grid must be strictly positive for the direct route")
-    re, im = _h2_values(w, cfg, zs)
-    scale = np.max(np.abs(re)) if len(re) else 0.0
-    if scale > 0.0 and np.max(np.abs(im)) > 1e-2 * scale:
-        warnings.warn(
-            f"invert_direct imaginary residue up to {np.max(np.abs(im)):.3e}", stacklevel=2
-        )
-    return SampledFunction(out_grid, re)
+    return SampledFunction(out_grid, _h2_values(w, cfg, zs))

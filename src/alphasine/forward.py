@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .quad import QuadSpec, call_vec, integrate, integrate_kernel_split
+from .grid import call_vec
+from .quad import QuadSpec, integrate, integrate_kernel_split
 from .specfun import as_alpha, sine_coeffs
 
 
@@ -69,6 +70,6 @@ def t_sine_series(
         )
     c = sine_coeffs(alpha, terms).coeffs
     j = np.arange(1, terms + 1, dtype=float)
-    vals = call_vec(fhat, 2.0 * j * y)
+    vals = np.asarray(call_vec(fhat, 2.0 * j * y), dtype=float)
     head = 0.5 * c[0] * float(fhat(0.0))
     return head + math.fsum((c[1:] * vals).tolist())

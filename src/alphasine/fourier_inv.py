@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoTailSamples, SingularDiagonal
-from .grid import SampledFunction, UniformGrid
+from .grid import SampledFunction, UniformGrid, call_vec
 from .specfun import CoefficientTable, as_alpha, lambda_alpha, sine_coeffs
 
 
@@ -100,15 +100,6 @@ def estimate_f0(g, alpha, r: float, *, sigma: float | None = None) -> float:
     return float(np.mean(2.0 * np.real(g.values[mask]) / c0))
 
 
-def _eval_g(g, y: np.ndarray) -> np.ndarray:
-    if isinstance(g, SampledFunction):
-        return np.real(g.eval(y))
-    out = np.asarray(g(y), dtype=float)
-    if out.shape != y.shape:
-        out = np.array([float(g(v)) for v in y])
-    return out
-
-
 def build_rhs(g, alpha, n: int, r: float, f0: float) -> np.ndarray:
     """eta_n = g(nR/2N) - (c_0/2) f0 for n = 1..N."""
     alpha = as_alpha(alpha)
@@ -116,7 +107,7 @@ def build_rhs(g, alpha, n: int, r: float, f0: float) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     c0 = sine_coeffs(alpha, 1).coeffs[0]
     y = np.arange(1, n + 1) * (r / (2.0 * n))
-    return _eval_g(g, y) - 0.5 * c0 * f0
+    return np.real(call_vec(g.eval if isinstance(g, SampledFunction) else g, y)) - 0.5 * c0 * f0
 
 
 def solve_xi(sys: TriangularSystem, eta) -> np.ndarray:
@@ -187,16 +178,6 @@ def _cosine_sum(fs: FourierSamples, x: np.ndarray, damping: np.ndarray | None) -
     return (fs.r / (2.0 * math.pi * fs.n)) * acc
 
 
-def reconstruct(fs: FourierSamples, x) -> float | np.ndarray:
-    """Inverse transform of the band-limited interpolant, rect-windowed.
-
-    Vanishes identically outside |x| <= pi N / R.
-    """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _window(fs, xs) * _cosine_sum(fs, xs, None)
-    return float(out[0]) if np.isscalar(x) else out
-
-
 def mollifier_kernel(kind: MollifierKind, y) -> float | np.ndarray:
     """Reconstruction kernel psi_gamma(y) = psi(gamma y); psi(0) = 1.
 
@@ -216,39 +197,41 @@ def mollifier_kernel(kind: MollifierKind, y) -> float | np.ndarray:
     return float(out[0]) if np.isscalar(y) else out
 
 
-def reconstruct_smoothed(fs: FourierSamples, kind: MollifierKind, x) -> float | np.ndarray:
-    """reconstruct with every Fourier sample damped by psi_gamma(nR/N)."""
-    damping = mollifier_kernel(kind, np.arange(0, fs.n + 1) * (fs.r / fs.n))
-    damping = np.atleast_1d(damping)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _window(fs, xs) * _cosine_sum(fs, xs, damping)
-    return float(out[0]) if np.isscalar(x) else out
+def synthesize(
+    fs: FourierSamples, x, *, interpolation: str = "sinc", mollifier: MollifierKind | None = None
+) -> float | np.ndarray:
+    """f at x from its Fourier samples, by inverse cosine transform of an
+    interpolant of fhat.
 
-
-def _linear_route(fs: FourierSamples, x: np.ndarray, damping: np.ndarray | None) -> np.ndarray:
-    """Exact inverse cosine transform of the piecewise-linear fhat on [0, R].
-
-    Each linear segment is integrated in closed form, so no quadrature
-    tolerance enters the chain.
+    interpolation "sinc" uses the band-limited (cardinal-series) interpolant,
+    rect-windowed so the result vanishes identically outside |x| <= pi N / R;
+    "linear" integrates the piecewise-linear interpolant on [0, R] exactly,
+    segment by segment, so no quadrature tolerance enters the chain.  With a
+    mollifier every Fourier sample is damped by psi_gamma(nR/N).
     """
-    knots = fs.knots()
-    if damping is not None:
-        knots = knots * damping
+    if interpolation not in ("sinc", "linear"):
+        raise ValueError(f"interpolation must be 'sinc' or 'linear', got {interpolation!r}")
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     t = np.arange(0, fs.n + 1) * (fs.r / fs.n)
-    out = np.empty_like(x)
-    zero = x == 0.0
-    if np.any(zero):
-        out[zero] = np.trapezoid(knots, t) / math.pi
-    nz = ~zero
-    if np.any(nz):
-        xs = x[nz][:, None]
-        t0, t1 = t[:-1][None, :], t[1:][None, :]
-        v0, v1 = knots[:-1][None, :], knots[1:][None, :]
-        slope = (v1 - v0) / (t1 - t0)
-        seg = (v1 * np.sin(xs * t1) - v0 * np.sin(xs * t0)) / xs
-        seg += slope * (np.cos(xs * t1) - np.cos(xs * t0)) / (xs * xs)
-        out[nz] = seg.sum(axis=1) / math.pi
-    return out
+    damping = None if mollifier is None else mollifier_kernel(mollifier, t)
+    if interpolation == "sinc":
+        out = _window(fs, xs) * _cosine_sum(fs, xs, damping)
+    else:
+        knots = fs.knots() if damping is None else fs.knots() * damping
+        out = np.empty_like(xs)
+        zero = xs == 0.0
+        if np.any(zero):
+            out[zero] = np.trapezoid(knots, t) / math.pi
+        nz = ~zero
+        if np.any(nz):
+            xn = xs[nz][:, None]
+            t0, t1 = t[:-1][None, :], t[1:][None, :]
+            v0, v1 = knots[:-1][None, :], knots[1:][None, :]
+            slope = (v1 - v0) / (t1 - t0)
+            seg = (v1 * np.sin(xn * t1) - v0 * np.sin(xn * t0)) / xn
+            seg += slope * (np.cos(xn * t1) - np.cos(xn * t0)) / (xn * xn)
+            out[nz] = seg.sum(axis=1) / math.pi
+    return float(out[0]) if np.isscalar(x) else out
 
 
 def invert_fourier(
@@ -262,30 +245,13 @@ def invert_fourier(
     interpolation: str = "sinc",
     mollifier: MollifierKind | None = None,
 ) -> SampledFunction:
-    """Full chain: estimate f0, build eta, solve for xi, synthesize f.
-
-    interpolation "sinc" uses the rect-windowed cardinal series; "linear"
-    integrates the piecewise-linear interpolant of fhat exactly.
-    """
+    """Full chain: estimate f0, build eta, solve for xi, synthesize f (see
+    synthesize for interpolation and mollifier)."""
     alpha = as_alpha(alpha)
-    if interpolation not in ("sinc", "linear"):
-        raise ValueError(f"interpolation must be 'sinc' or 'linear', got {interpolation!r}")
     f0 = estimate_f0(g, alpha, r) if f0_override is None else float(f0_override)
     eta = build_rhs(g, alpha, n, r, f0)
     sys = TriangularSystem(sine_coeffs(alpha, n), n, r)
     xi = solve_xi(sys, eta)
-    fs = FourierSamples(xi, f0, r, n)
-    xs = out_grid.points()
-    if interpolation == "sinc":
-        if mollifier is None:
-            vals = reconstruct(fs, xs)
-        else:
-            vals = reconstruct_smoothed(fs, mollifier, xs)
-    else:
-        damping = None
-        if mollifier is not None:
-            damping = np.atleast_1d(
-                mollifier_kernel(mollifier, np.arange(0, n + 1) * (r / n))
-            )
-        vals = _linear_route(fs, xs, damping)
-    return SampledFunction(out_grid, np.atleast_1d(vals))
+    vals = synthesize(FourierSamples(xi, f0, r, n), out_grid.points(),
+                      interpolation=interpolation, mollifier=mollifier)
+    return SampledFunction(out_grid, vals)

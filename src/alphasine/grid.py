@@ -70,17 +70,16 @@ class SampledFunction:
 
     @classmethod
     def from_callable(cls, f, grid: UniformGrid) -> "SampledFunction":
-        xs = grid.points()
-        vals = np.asarray(f(xs))
-        if vals.shape != xs.shape:
-            vals = np.array([f(x) for x in xs])
-        return cls(grid, vals)
+        return cls(grid, call_vec(f, grid.points()))
 
 
-def eval_linear(s: SampledFunction, x):
-    return s.eval(x)
-
-
-def even_extension_eval(s: SampledFunction, x):
-    """Evaluate the even extension f(-x) = f(x) of a half-line sample."""
-    return s.eval(np.abs(x))
+def call_vec(f, x: np.ndarray) -> np.ndarray:
+    """f at every point of x: one call on the whole array when f accepts
+    arrays, else a loop over the points.  The values keep f's own dtype."""
+    try:
+        out = np.asarray(f(x))
+        if out.shape == x.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([f(v) for v in x])

@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonConvergence
+from .grid import call_vec
 from .specfun import as_alpha
 
 _HALF_PI = 0.5 * math.pi
@@ -74,21 +75,10 @@ class QuadSpec:
             raise ValueError("tail_cut must be positive")
 
 
-def call_vec(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar callable on an array, falling back to a loop."""
-    try:
-        out = np.asarray(f(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(v)) for v in x])
-
-
 def _gk15_panel(f, a: float, b: float):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fx = call_vec(f, mid + half * _K15_NODES)
+    fx = np.asarray(call_vec(f, mid + half * _K15_NODES), dtype=float)
     ik = half * float(np.dot(_K15_WEIGHTS, fx))
     ig = half * float(np.dot(_G7_WEIGHTS, fx))
     err = abs(ik - ig)
@@ -253,7 +243,7 @@ def _evaluate_pieces(pieces, f, y: float, alpha: float, s_req: float) -> None:
         coarse_list.append(coarse)
         offsets.append(offsets[-1] + len(t))
     t_all = np.concatenate(node_list)
-    fx = call_vec(f, t_all / y) / y
+    fx = np.asarray(call_vec(f, t_all / y), dtype=float) / y
     for i, p in enumerate(pieces):
         contrib = q_list[i] * fx[offsets[i]:offsets[i + 1]]
         fine = float(np.sum(contrib))

@@ -64,13 +64,6 @@ class CoefficientTable:
         return len(self.coeffs)
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not (x > 0.0):
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def leading_coefficient(alpha) -> float:
     """c_0 = Gamma(1+a) / (2^a Gamma(a/2+1)^2)."""
     a = as_alpha(alpha).value

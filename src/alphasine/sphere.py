@@ -32,6 +32,14 @@ def circle_grid(m: int) -> UniformGrid:
     return UniformGrid(-math.pi, 2.0 * math.pi / m, m)
 
 
+def _check_circle_grid(g: UniformGrid) -> None:
+    """Raise unless g has an even count and covers [-pi, pi) uniformly."""
+    if g.count % 2 != 0:
+        raise ValueError("circle grid size must be even")
+    if abs(g.start + math.pi) > 1e-12 or abs(g.step - 2.0 * math.pi / g.count) > 1e-12:
+        raise ValueError("circle grid must cover [-pi, pi) uniformly")
+
+
 @dataclass(frozen=True)
 class PeriodicDensity:
     """Probability density on the circle, sampled on a uniform [-pi, pi) grid.
@@ -45,12 +53,8 @@ class PeriodicDensity:
     clipped_mass: float = 0.0
 
     def __post_init__(self):
-        g = self.values.grid
-        m = g.count
-        if m % 2 != 0:
-            raise ValueError("circle grid size must be even")
-        if abs(g.start + math.pi) > 1e-12 or abs(g.step - 2.0 * math.pi / m) > 1e-12:
-            raise ValueError("density grid must cover [-pi, pi) uniformly")
+        _check_circle_grid(self.values.grid)
+        m = self.values.grid.count
         v = np.real(self.values.values)
         if np.any(v < 0.0):
             raise ValueError("density values must be nonnegative")
@@ -199,8 +203,10 @@ def invert_sphere(kf: SampledFunction, alpha, maxn: int) -> PeriodicDensity:
 
     fhat(2n) = hat(Kf)(2n) / (2 pi ctilde_n) for 1 <= n <= maxn, fhat(0) =
     1/(2 pi), odd coefficients 0.  The synthesized series is clipped at zero
-    and renormalized; the removed mass is reported on the result.
+    and renormalized; the removed mass is reported on the result.  kf must be
+    sampled on circle_grid(M), and the density is returned on that grid.
     """
+    _check_circle_grid(kf.grid)
     alpha = as_alpha(alpha)
     if alpha.is_even_integer():
         raise EvenIntegerAlpha(
@@ -231,7 +237,7 @@ def invert_sphere(kf: SampledFunction, alpha, maxn: int) -> PeriodicDensity:
         raise NonConvergence("reconstructed density clipped to zero everywhere")
     clipped /= total
     return PeriodicDensity(
-        SampledFunction(kf.grid, clipped),
+        SampledFunction(circle_grid(m), clipped),
         certified_pi_periodic=True,
         clipped_mass=clipped_mass,
     )
@@ -267,14 +273,3 @@ def watson_density(mu: float, kappa: float, m: int = 512) -> PeriodicDensity:
     norm = 2.0 * math.pi * kummer_m(0.5, 1.0, kappa)
     vals = np.exp(kappa * np.cos(grid.points() - mu) ** 2) / norm
     return _normalized_density(vals, grid, True)
-
-
-def density_example(name: str, m: int = 512, **params) -> PeriodicDensity:
-    """Dispatcher for the built-in circle densities (used by the CLI)."""
-    if name == "shifted_sine":
-        return shifted_sine_density(params.get("h", 0.0), m)
-    if name == "vonmises4":
-        return vonmises4_density(params.get("h", 0.0), m)
-    if name == "watson":
-        return watson_density(params.get("mu", 0.0), params.get("kappa", 1.0), m)
-    raise ValueError(f"unknown density {name!r}")

@@ -127,6 +127,17 @@ class TestInvert:
                        "--alpha", "2", "--n", "10")
         assert rc == 2
 
+    def test_sphere_input_off_the_circle_grid(self, capsys, tmp_path):
+        # the same transform samples, labelled as covering [-pi/2, 3pi/2)
+        from alphasine.sphere import k_sphere_grid, watson_density
+
+        kf = k_sphere_grid(watson_density(-2.5, 1.0, m=128), 1.5)
+        src = tmp_path / "kf.csv"
+        write_samples(src, kf.xs + 0.5 * math.pi, kf.values)
+        rc, _, err = run(capsys, "invert", "--method", "sphere", "--in", str(src),
+                         "--alpha", "1.5", "--n", "10")
+        assert rc == 2 and "[-pi, pi)" in err
+
 
 class TestNoise:
     def test_zero_sigma_identity(self, capsys, tmp_path, t2f1_csv):

@@ -19,11 +19,9 @@ from alphasine.fourier_inv import (
     estimate_f0,
     invert_fourier,
     mollifier_kernel,
-    reconstruct,
-    reconstruct_smoothed,
     solve_xi,
+    synthesize,
 )
-from alphasine.fourier_inv import _linear_route
 from alphasine.grid import SampledFunction, UniformGrid
 from alphasine.specfun import lambda_alpha, sine_coeffs
 
@@ -139,19 +137,19 @@ class TestReconstruct:
         fs = FourierSamples(np.ones(10), 1.0, 5.0, 10)
         edge = math.pi * 10 / 5.0
         xs = np.array([edge + 1e-9, edge + 1.0, -edge - 2.0])
-        assert np.all(reconstruct(fs, xs) == 0.0)
+        assert np.all(synthesize(fs, xs) == 0.0)
 
     def test_boundary_half_weight(self):
         fs = FourierSamples(np.zeros(10), 4.0, 5.0, 10)
         edge = math.pi * 10 / 5.0
         inside = 5.0 / (2.0 * math.pi * 10) * 4.0
-        assert math.isclose(reconstruct(fs, 0.0), inside, rel_tol=1e-12)
-        assert math.isclose(reconstruct(fs, edge), 0.5 * inside, rel_tol=1e-12)
+        assert math.isclose(synthesize(fs, 0.0), inside, rel_tol=1e-12)
+        assert math.isclose(synthesize(fs, edge), 0.5 * inside, rel_tol=1e-12)
 
     def test_gaussian_value(self):
         xi = fhat1(np.arange(1, 101) * 0.1)
         fs = FourierSamples(xi, float(fhat1(0.0)), 10.0, 100)
-        assert abs(reconstruct(fs, 1.0) - math.exp(-1.0)) < 5e-3
+        assert abs(synthesize(fs, 1.0) - math.exp(-1.0)) < 5e-3
 
 
 class TestMollifier:
@@ -185,11 +183,11 @@ class TestMollifier:
         fs = FourierSamples(rng.standard_normal(20), 1.5, 8.0, 20)
         xs = np.linspace(0.0, 3.0, 50)
         tiny = MollifierKind("gaussian", 1e-9)
-        assert np.max(np.abs(reconstruct_smoothed(fs, tiny, xs) - reconstruct(fs, xs))) < 1e-12
+        assert np.max(np.abs(synthesize(fs, xs, mollifier=tiny) - synthesize(fs, xs))) < 1e-12
 
     def test_zero_samples_give_zero(self):
         fs = FourierSamples(np.zeros(5), 0.0, 4.0, 5)
-        assert reconstruct_smoothed(fs, MollifierKind("triangle", 0.5), 1.0) == 0.0
+        assert synthesize(fs, 1.0, mollifier=MollifierKind("triangle", 0.5)) == 0.0
 
     @given(seed=st.integers(0, 2**31), gamma=st.floats(min_value=0.01, max_value=5.0))
     @settings(max_examples=25, deadline=None)
@@ -198,8 +196,8 @@ class TestMollifier:
         rng = np.random.default_rng(seed)
         fs = FourierSamples(rng.standard_normal(16), float(rng.standard_normal()), 6.0, 16)
         xs = np.linspace(-math.pi * 16 / 6.0, math.pi * 16 / 6.0, 800)
-        smooth = reconstruct_smoothed(fs, MollifierKind("gaussian", gamma), xs)
-        rough = reconstruct(fs, xs)
+        smooth = synthesize(fs, xs, mollifier=MollifierKind("gaussian", gamma))
+        rough = synthesize(fs, xs)
         assert np.max(np.abs(smooth)) <= np.max(np.abs(rough)) + 1e-12
 
 
@@ -216,12 +214,12 @@ class TestLinearRoute:
             return np.interp(t, knots_t, knots_v)
 
         ref, _ = scipy_quad(lambda t: fhat_lin(t) * math.cos(x * t), 0.0, r, limit=400)
-        val = _linear_route(fs, np.array([x]), None)[0]
+        val = synthesize(fs, np.array([x]), interpolation="linear")[0]
         assert math.isclose(val, ref / math.pi, rel_tol=1e-9)
 
     def test_x_zero_is_trapezoid(self):
         fs = FourierSamples(np.ones(4), 1.0, 4.0, 4)
-        val = _linear_route(fs, np.array([0.0]), None)[0]
+        val = synthesize(fs, np.array([0.0]), interpolation="linear")[0]
         assert math.isclose(val, 4.0 / math.pi, rel_tol=1e-12)
 
 
@@ -243,7 +241,7 @@ class TestInvertFourier:
         f0 = estimate_f0(g, 2.0, r)
         xi_direct = f0 - 4.0 * np.real(g.eval(np.arange(1, n + 1) * r / (2.0 * n)))
         fs = FourierSamples(xi_direct, f0, r, n)
-        direct = reconstruct(fs, out.points())
+        direct = synthesize(fs, out.points())
         assert np.max(np.abs(rec.values - direct)) <= 1e-6
 
     def test_linear_interpolation_route(self):

@@ -1,4 +1,4 @@
-"""Sampled-function carrier: interpolation, extrapolation, even extension."""
+"""Sampled-function carrier: interpolation and extrapolation."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphasine.grid import SampledFunction, UniformGrid, eval_linear, even_extension_eval
+from alphasine.grid import SampledFunction, UniformGrid
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -43,14 +43,14 @@ def test_complex_values_allowed():
 
 def test_identity_reproduced():
     s = SampledFunction.from_callable(lambda x: x, UniformGrid(0.0, 0.25, 5))
-    assert eval_linear(s, 0.25) == 0.25
-    assert eval_linear(s, 0.375) == 0.375
+    assert s.eval(0.25) == 0.25
+    assert s.eval(0.375) == 0.375
 
 
 def test_constant_extrapolation():
     s = SampledFunction(UniformGrid(0.0, 1.0, 3), [5.0, 7.0, -2.0])
-    assert eval_linear(s, 99.0) == -2.0
-    assert eval_linear(s, -99.0) == 5.0
+    assert s.eval(99.0) == -2.0
+    assert s.eval(-99.0) == 5.0
 
 
 @given(slope=finite, intercept=finite, x=st.floats(min_value=0.0, max_value=4.0))
@@ -60,20 +60,5 @@ def test_affine_exactness(slope, intercept, x):
         lambda t: slope * t + intercept, UniformGrid(0.0, 0.5, 9)
     )
     assert math.isclose(
-        eval_linear(s, x), slope * x + intercept, rel_tol=1e-12, abs_tol=1e-9
+        s.eval(x), slope * x + intercept, rel_tol=1e-12, abs_tol=1e-9
     )
-
-
-@given(x=st.floats(min_value=-10.0, max_value=10.0))
-@settings(max_examples=60, deadline=None)
-def test_even_extension_symmetry(x):
-    s = SampledFunction.from_callable(lambda t: t * t, UniformGrid(0.0, 0.125, 17))
-    assert even_extension_eval(s, x) == even_extension_eval(s, -x)
-
-
-def test_even_extension_examples():
-    s = SampledFunction.from_callable(lambda t: t * t, UniformGrid(0.0, 0.5, 9))
-    assert even_extension_eval(s, -2.0) == s.eval(2.0)
-    assert even_extension_eval(s, 0.0) == s.values[0]
-    ident = SampledFunction.from_callable(lambda t: t, UniformGrid(0.0, 0.25, 5))
-    assert even_extension_eval(ident, -0.25) == 0.25

@@ -17,7 +17,6 @@ from alphasine.specfun import (
     kummer_m,
     lambda_alpha,
     leading_coefficient,
-    log_gamma,
     operator_norm_bound,
     sin_power_integral,
     sine_coeffs,
@@ -42,26 +41,6 @@ class TestAlpha:
         assert not Alpha(2.0 + 1e-10).is_even_integer()
         assert not Alpha(1.0).is_even_integer()
         assert not Alpha(-0.5).is_even_integer()
-
-
-class TestLogGamma:
-    def test_examples(self):
-        assert log_gamma(1.0) == 0.0
-        assert math.isclose(log_gamma(0.5), math.log(math.sqrt(math.pi)), rel_tol=1e-15)
-        assert math.isclose(log_gamma(5.0), math.log(24.0), rel_tol=1e-15)
-
-    def test_domain(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                log_gamma(bad)
-
-    def test_relative_error_against_mpmath(self):
-        for x in np.geomspace(0.5, 100.0, 40):
-            ref = float(mp.loggamma(mp.mpf(x)))
-            if ref == 0.0:
-                assert abs(log_gamma(x)) < 1e-15
-            else:
-                assert abs(log_gamma(x) - ref) <= 1e-13 * abs(ref) + 1e-16
 
 
 def fourier_coefficient_oracle(alpha: float, j: int) -> float:

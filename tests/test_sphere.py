@@ -13,7 +13,6 @@ from alphasine.sphere import (
     PeriodicDensity,
     circle_fourier_coeffs,
     circle_grid,
-    density_example,
     invert_sphere,
     k_sphere,
     k_sphere_grid,
@@ -207,9 +206,3 @@ class TestDensities:
         x = f.grid.points()
         # renormalization moves the raw |sin|/4 samples by a few 1e-6
         assert np.max(np.abs(f.values.values - np.abs(np.sin(x)) / 4.0)) <= 1e-5
-
-    def test_dispatcher(self):
-        assert density_example("watson", kappa=0.0).grid.count == 512
-        assert density_example("shifted_sine", m=64, h=0.5).grid.count == 64
-        with pytest.raises(ValueError):
-            density_example("cauchy")
