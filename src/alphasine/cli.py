@@ -60,20 +60,34 @@ def write_csv(stream, comments: list[str], header: list[str], columns: list[np.n
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """Header and data rows of a CSV with at least two columns of finite numbers."""
     header: list[str] | None = None
     rows = []
+    line_numbers = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            fields = line.split(",")
             if header is None:
-                header = [c.strip() for c in line.split(",")]
+                if len(fields) < 2:
+                    raise ValueError(f"{path}, line {number}: need at least two columns")
+                header = [c.strip() for c in fields]
                 continue
-            rows.append([float(c) for c in line.split(",")])
+            if len(fields) != len(header):
+                raise ValueError(
+                    f"{path}, line {number}: {len(fields)} fields, the header has {len(header)}"
+                )
+            rows.append(list(map(float, fields)))
+            line_numbers.append(number)
     if header is None or not rows:
         raise ValueError(f"{path}: no data rows")
-    return header, np.array(rows)
+    data = np.array(rows)
+    bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
+    if len(bad):
+        raise ValueError(f"{path}, line {line_numbers[bad[0]]}: value is not finite")
+    return header, data
 
 
 def sampled_from_csv(path: str) -> SampledFunction:

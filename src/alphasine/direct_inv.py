@@ -174,9 +174,9 @@ def _osc_sum(coords: np.ndarray, weights: np.ndarray, omegas: np.ndarray, sign: 
         half = _osc_sum(coords, weights, omegas[n // 2 :], sign)
         return np.concatenate((np.conj(half[1:][::-1]), half))
     out = np.empty((n,) + weights.shape[1:], dtype=complex)
-    chunk = max(1, int(3e7 / max(1, len(coords))))
+    chunk = max(1, int(1e7 / max(1, len(coords))))
     for i in range(0, n, chunk):
-        phase = sign * np.outer(omegas[i : i + chunk], coords)
+        phase = np.outer(sign * omegas[i : i + chunk], coords)
         out[i : i + chunk] = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
     return out
 

@@ -129,28 +129,6 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, -np.log1p(np.exp(-ax)), x - np.log1p(np.exp(-ax)))
 
 
-@lru_cache(maxsize=128)
-def _de_unit(h: float, s_req: float):
-    """Tanh-sinh rule for a unit interval, offsets kept as logs from each end.
-
-    Returns (lnw, ln_frac_lo, ln_frac_hi, coarse_mask); frac_lo is a node's
-    exact distance from the left endpoint as a fraction of the length, frac_hi
-    from the right.  The even-index subset is the embedded h' = 2h rule.
-    """
-    kh_max = math.asinh(2.0 * s_req / math.pi)
-    kmax = max(6, int(math.ceil(kh_max / h)))
-    k = np.arange(-kmax, kmax + 1, dtype=float)
-    kh = k * h
-    s = _HALF_PI * np.sinh(kh)
-    lnw = math.log(h * _HALF_PI) + _log_cosh(kh) - 2.0 * _log_cosh(s)
-    ln_frac_lo = _log_sigmoid(2.0 * s)
-    ln_frac_hi = _log_sigmoid(-2.0 * s)
-    coarse = (np.arange(-kmax, kmax + 1) % 2) == 0
-    for arr in (lnw, ln_frac_lo, ln_frac_hi, coarse):
-        arr.setflags(write=False)
-    return lnw, ln_frac_lo, ln_frac_hi, coarse
-
-
 def _ln_sin(u: np.ndarray, ln_u: np.ndarray) -> np.ndarray:
     """log(sin u) for u in (0, pi) given the exact log of u."""
     out = np.empty_like(u)
@@ -161,95 +139,93 @@ def _ln_sin(u: np.ndarray, ln_u: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Piece:
-    """One integration piece inside a kernel lobe [z_lo, z_hi], z_hi - z_lo = pi.
+@lru_cache(maxsize=64)
+def _lobe_rule(alpha: float, h: float, off_lo: float, off_hi: float):
+    """Tanh-sinh rule on a lobe piece whose edges lie off_lo and off_hi inside
+    the lobe's zeros; it does not depend on where the lobe sits.
 
-    off_lo / off_hi are the piece edges' distances to the bracketing zeros;
-    an edge with offset 0 sits exactly on a zero and node distances to it are
-    generated directly by the tanh-sinh rule, never by float subtraction.
+    Node i is at z_lo + u_lo[i] where use_lo[i], else at z_hi - u_hi[i].  At a
+    zero offset the distances u come straight from the rule, never from float
+    subtraction.  q holds the weights times |sin u|^alpha; the coarse entries
+    form the embedded h' = 2h rule.
     """
-
-    __slots__ = ("z_lo", "z_hi", "off_lo", "off_hi", "h", "value", "error")
-
-    def __init__(self, z_lo, z_hi, off_lo, off_hi, h):
-        self.z_lo = z_lo
-        self.z_hi = z_hi
-        self.off_lo = off_lo
-        self.off_hi = off_hi
-        self.h = h
-        self.value = 0.0
-        self.error = 0.0
-
-    def nodes(self, alpha: float, s_req: float):
-        lnw, ln_lo, ln_hi, coarse = _de_unit(self.h, s_req)
-        length = math.pi - self.off_lo - self.off_hi
-        ln_len = math.log(length)
-        d_lo = np.exp(ln_len + ln_lo)
-        d_hi = np.exp(ln_len + ln_hi)
-        use_lo = d_lo <= 0.5 * length
-        u_from_lo = self.off_lo + d_lo
-        u_from_hi = self.off_hi + d_hi
-        t = np.where(use_lo, self.z_lo + u_from_lo, self.z_hi - u_from_hi)
-        u = np.where(use_lo, u_from_lo, u_from_hi)
-        if self.off_lo == 0.0:
-            ln_u_lo = ln_len + ln_lo
-        else:
-            ln_u_lo = np.log(u_from_lo)
-        if self.off_hi == 0.0:
-            ln_u_hi = ln_len + ln_hi
-        else:
-            ln_u_hi = np.log(u_from_hi)
-        ln_u = np.where(use_lo, ln_u_lo, ln_u_hi)
-        ln_kern = alpha * _ln_sin(u, ln_u)
-        q = np.exp(lnw + math.log(0.5 * length) + ln_kern)
-        return t, q, coarse
+    s_req = max(16.5, 16.5 / (1.0 + alpha))
+    kmax = max(6, int(math.ceil(math.asinh(2.0 * s_req / math.pi) / h)))
+    k = np.arange(-kmax, kmax + 1)
+    kh = k * h
+    s = _HALF_PI * np.sinh(kh)
+    lnw = math.log(h * _HALF_PI) + _log_cosh(kh) - 2.0 * _log_cosh(s)
+    # each node's distance to either end, as a log of the fraction of length
+    ln_lo = _log_sigmoid(2.0 * s)
+    ln_hi = _log_sigmoid(-2.0 * s)
+    length = math.pi - off_lo - off_hi
+    ln_len = math.log(length)
+    d_lo = np.exp(ln_len + ln_lo)
+    d_hi = np.exp(ln_len + ln_hi)
+    use_lo = d_lo <= 0.5 * length
+    u_lo = off_lo + d_lo
+    u_hi = off_hi + d_hi
+    ln_u_lo = ln_len + ln_lo if off_lo == 0.0 else np.log(u_lo)
+    ln_u_hi = ln_len + ln_hi if off_hi == 0.0 else np.log(u_hi)
+    u = np.where(use_lo, u_lo, u_hi)
+    ln_u = np.where(use_lo, ln_u_lo, ln_u_hi)
+    q = np.exp(lnw + math.log(0.5 * length) + alpha * _ln_sin(u, ln_u))
+    coarse = k % 2 == 0
+    for arr in (u_lo, u_hi, use_lo, q, coarse):
+        arr.setflags(write=False)
+    return u_lo, u_hi, use_lo, q, coarse
 
 
-def _kernel_pieces(phase: float, t_max: float, h: float) -> list[_Piece]:
-    """Pieces covering (0, t_max] for a kernel with zeros at k*pi - phase."""
-    pieces: list[_Piece] = []
-    k = 0
-    while True:
-        z_lo = k * math.pi - phase
-        z_hi = (k + 1) * math.pi - phase
-        if z_lo >= t_max:
-            break
-        off_lo = -z_lo if z_lo < 0.0 else 0.0
-        off_hi = z_hi - t_max if z_hi > t_max else 0.0
-        lo_d = off_lo
-        hi_d = math.pi - off_hi
-        if lo_d < hi_d:
-            if lo_d < _HALF_PI < hi_d:
-                pieces.append(_Piece(z_lo, z_hi, lo_d, _HALF_PI, h))
-                pieces.append(_Piece(z_lo, z_hi, _HALF_PI, off_hi, h))
-            else:
-                pieces.append(_Piece(z_lo, z_hi, off_lo, off_hi, h))
-        k += 1
-    return pieces
+def lobe_nodes(alpha: float, h: float, z_lo, z_hi, off_lo: float, off_hi: float):
+    """The same piece of several kernel lobes [z_lo[i], z_hi[i]], z_hi - z_lo = pi.
+
+    Returns (t, q, coarse): t has one row of nodes per lobe; the weights q
+    (kernel power included) and the coarse-rule mask are shared by all rows.
+    """
+    u_lo, u_hi, use_lo, q, coarse = _lobe_rule(alpha, h, off_lo, off_hi)
+    t = np.where(use_lo, z_lo[:, None] + u_lo, z_hi[:, None] - u_hi)
+    return t, q, coarse
 
 
-def _evaluate_pieces(pieces, f, y: float, alpha: float, s_req: float) -> None:
-    """Fill value/error on each piece; f is evaluated in one batch."""
-    if not pieces:
-        return
-    node_list = []
-    q_list = []
-    coarse_list = []
-    offsets = [0]
-    for p in pieces:
-        t, q, coarse = p.nodes(alpha, s_req)
-        node_list.append(t)
-        q_list.append(q)
-        coarse_list.append(coarse)
-        offsets.append(offsets[-1] + len(t))
-    t_all = np.concatenate(node_list)
+def _kernel_pieces(phase: float, t_max: float) -> np.ndarray:
+    """Rows (z_lo, z_hi, off_lo, off_hi) covering (0, t_max] for a kernel with
+    zeros at k*pi - phase: the two halves of each lobe, zero to crest and crest
+    to zero, cut to the interval, with empty pieces dropped."""
+    k = np.arange(math.floor((t_max + phase) / math.pi) + 2)
+    k = k[k * math.pi - phase < t_max]
+    z_lo = k * math.pi - phase
+    z_hi = (k + 1) * math.pi - phase
+    off_lo = np.where(z_lo < 0.0, -z_lo, 0.0)
+    off_hi = np.where(z_hi > t_max, z_hi - t_max, 0.0)
+    halves = np.stack((
+        np.column_stack((z_lo, z_hi, off_lo, np.maximum(off_hi, _HALF_PI))),
+        np.column_stack((z_lo, z_hi, np.maximum(off_lo, _HALF_PI), off_hi)),
+    ), axis=1).reshape(-1, 4)
+    return halves[halves[:, 2] < math.pi - halves[:, 3]]
+
+
+def _piece_sums(f, y: float, alpha: float, pieces: np.ndarray, h: np.ndarray):
+    """Value and embedded error estimate of each piece at step h: one rule per
+    distinct (off_lo, off_hi, h), and f evaluated in one batch."""
+    rules, which = np.unique(np.column_stack((pieces[:, 2:], h)), axis=0, return_inverse=True)
+    groups = [np.flatnonzero(which == g) for g in range(len(rules))]
+    placed = [
+        lobe_nodes(alpha, hg, pieces[rows, 0], pieces[rows, 1], lo, hi)
+        for rows, (lo, hi, hg) in zip(groups, rules)
+    ]
+    t_all = np.concatenate([t.ravel() for t, _, _ in placed])
     fx = np.asarray(call_vec(f, t_all / y), dtype=float) / y
-    for i, p in enumerate(pieces):
-        contrib = q_list[i] * fx[offsets[i]:offsets[i + 1]]
-        fine = float(np.sum(contrib))
-        coarse = 2.0 * float(np.sum(contrib[coarse_list[i]]))
-        p.value = fine
-        p.error = abs(fine - coarse)
+    value = np.empty(len(h))
+    error = np.empty(len(h))
+    start = 0
+    for rows, (t, q, coarse) in zip(groups, placed):
+        contrib = q * fx[start:start + t.size].reshape(t.shape)
+        start += t.size
+        # compress gives a C-ordered copy, so each row sums as a 1-D array would
+        coarse_sum = 2.0 * np.sum(np.compress(coarse, contrib, axis=1), axis=1)
+        value[rows] = np.sum(contrib, axis=1)
+        error[rows] = np.abs(value[rows] - coarse_sum)
+    return value, error
 
 
 def integrate_kernel_split(
@@ -272,25 +248,22 @@ def integrate_kernel_split(
     if kernel not in ("sine", "cosine"):
         raise ValueError(f"kernel must be 'sine' or 'cosine', got {kernel!r}")
     a = alpha.value
-    s_req = max(16.5, 16.5 / (1.0 + a))
     phase = 0.0 if kernel == "sine" else _HALF_PI
-    pieces = _kernel_pieces(phase, y * spec.tail_cut, h=0.2)
-    _evaluate_pieces(pieces, f, y, a, s_req)
-    for _ in range(7):
-        total = sum(p.value for p in pieces)
-        total_err = sum(p.error for p in pieces)
+    pieces = _kernel_pieces(phase, y * spec.tail_cut)
+    if len(pieces) == 0:
+        raise ValueError(f"y * tail_cut = {y * spec.tail_cut:.3g} is too small for a kernel piece")
+    h = np.full(len(pieces), 0.2)
+    value, error = _piece_sums(f, y, a, pieces, h)
+    for halvings in range(8):
+        total = float(np.sum(value))
+        total_err = float(np.sum(error))
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if total_err <= tol:
             return total
-        budget = tol / (2.0 * len(pieces))
-        bad = [p for p in pieces if p.error > budget]
-        for p in bad:
-            p.h *= 0.5
-        _evaluate_pieces(bad, f, y, a, s_req)
-    total = sum(p.value for p in pieces)
-    total_err = sum(p.error for p in pieces)
-    if total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        raise NonConvergence(
-            f"integrate_kernel_split: error {total_err:.3e} above tolerance at y={y}"
-        )
-    return total
+        if halvings == 7:
+            raise NonConvergence(
+                f"integrate_kernel_split: error {total_err:.3e} above tolerance at y={y}"
+            )
+        bad = error > tol / (2.0 * len(pieces))
+        h[bad] *= 0.5
+        value[bad], error[bad] = _piece_sums(f, y, a, pieces[bad], h[bad])

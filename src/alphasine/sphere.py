@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CoefficientUnderflow, EvenIntegerAlpha, NonConvergence
 from .grid import SampledFunction, UniformGrid
-from .quad import _HALF_PI, _Piece
+from .quad import lobe_nodes
 from .specfun import Alpha, as_alpha, cosine_coeffs, kummer_m
 
 MASS_TOL = 1e-8
@@ -120,23 +120,18 @@ def _kernel_coeffs_quad(alpha_value: float, n_keep: int) -> np.ndarray:
     coarse rule agrees to 1e-9.  True values are 2 pi ctilde_{n/2} for even n
     and 0 for odd n; this routine never uses that closed form.
     """
-    a = alpha_value
-    s_req = max(16.5, 16.5 / (1.0 + a))
     n = np.arange(0, n_keep + 1)
+    z_lo = np.array([-0.5 * math.pi, 0.5 * math.pi])
     for h in (0.02, 0.01, 0.005, 0.0025, 0.00125):
-        pieces = [
-            _Piece(-_HALF_PI, _HALF_PI, 0.0, _HALF_PI, h),
-            _Piece(-_HALF_PI, _HALF_PI, _HALF_PI, 0.0, h),
-            _Piece(_HALF_PI, 3.0 * _HALF_PI, 0.0, _HALF_PI, h),
-            _Piece(_HALF_PI, 3.0 * _HALF_PI, _HALF_PI, 0.0, h),
-        ]
+        rising = lobe_nodes(alpha_value, h, z_lo, z_lo + math.pi, 0.0, 0.5 * math.pi)
+        falling = lobe_nodes(alpha_value, h, z_lo, z_lo + math.pi, 0.5 * math.pi, 0.0)
         fine = np.zeros(n_keep + 1, dtype=complex)
         coarse = np.zeros(n_keep + 1, dtype=complex)
-        for p in pieces:
-            t, q, cmask = p.nodes(a, s_req)
-            phases = np.exp(-1j * np.outer(n, t))
-            fine += phases @ q
-            coarse += 2.0 * (phases[:, cmask] @ q[cmask])
+        for lobe in (0, 1):
+            for t, q, cmask in (rising, falling):
+                phases = np.exp(-1j * np.outer(n, t[lobe]))
+                fine += phases @ q
+                coarse += 2.0 * (phases[:, cmask] @ q[cmask])
         if np.max(np.abs(fine - coarse)) <= 1e-9:
             out = fine
             out.setflags(write=False)

@@ -239,3 +239,23 @@ class TestConfigAndErrors:
     def test_missing_input_file(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "noise", "--in", str(tmp_path / "nope.csv"), "--sigma", "0.1")
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--method", "fourier", "--alpha", "2", "--in", "{bad}"],
+        ["forward", "--alpha", "0.5", "--in", "{bad}"],
+        ["noise", "--sigma", "0.1", "--in", "{bad}"],
+        ["sas", "--sigma", "1", "--alpha", "1.5", "--in", "{bad}"],
+        ["invert", "--method", "fourier", "--alpha", "2", "--in", "{good}", "--truth", "{bad}"],
+    ], ids=["invert", "forward", "noise", "sas", "truth"])
+    def test_one_column_csv_is_validation_error(self, capsys, tmp_path, t2f1_csv, argv):
+        bad = tmp_path / "one.csv"
+        bad.write_text("x\n0.5\n1.0\n1.5\n")
+        argv = [a.format(bad=bad, good=t2f1_csv) for a in argv]
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2 and "error:" in err and str(bad) in err
+
+    def test_non_finite_value_is_validation_error(self, capsys, tmp_path):
+        bad = tmp_path / "inf.csv"
+        write_samples(bad, [0.0, 1.0, 2.0], [1.0, math.inf, 3.0])
+        rc, _, err = run(capsys, "noise", "--in", str(bad), "--sigma", "0.1")
+        assert rc == 2 and "line 3" in err

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,35 @@ class TestIntegrate:
         assert abs(combo - (a * fa + b * fb)) <= 2e-10 * (1.0 + abs(a) + abs(b))
 
 
+def _edge_oracle(a, y, tail_cut, kernel):
+    """30-digit integral of |sin(xy)|^a e^{-x} (|cos| for the cosine kernel)
+    over (0, tail_cut].
+
+    Each half-lobe, cut to the interval, is integrated in the distance v to
+    its zero with v = w^(1/(1+a)), which turns v^a dv into dw/(1+a) and leaves
+    a smooth integrand.  mpmath.quad directly in x is badly wrong near a = -1.
+    """
+    with mp.workdps(30):
+        a = mp.mpf(a)
+        half = mp.pi / 2
+        shift = 0 if kernel == "sine" else 1  # the cosine is the sine shifted by pi/2
+        lo = shift * half
+        hi = lo + mp.mpf(y) * tail_cut
+        total = mp.mpf(0)
+        m = shift
+        while m * half < hi:
+            zero, side = (m * half, 1) if m % 2 == 0 else ((m + 1) * half, -1)
+            ends = sorted(abs(u - zero) for u in (max(lo, m * half), min(hi, (m + 1) * half)))
+
+            def g(w):
+                v = w ** (1 / (1 + a))
+                return mp.sinc(v) ** a * mp.exp(-(zero + side * v - lo) / y)
+
+            total += mp.quad(g, [e ** (1 + a) for e in ends])
+            m += 1
+        return float(total / ((1 + a) * y))
+
+
 class TestKernelSplit:
     def test_one_lobe_alpha_two(self):
         y = 2.0
@@ -97,7 +127,27 @@ class TestKernelSplit:
             integrate_kernel_split(f1, 2.0, 0.0)
         with pytest.raises(ValueError):
             integrate_kernel_split(f1, 2.0, 1.0, kernel="tan")
+        with pytest.raises(ValueError):  # y * tail_cut vanishes against pi
+            integrate_kernel_split(f1, 2.0, 1e-20)
 
     def test_scalar_only_callable(self):
         val = integrate_kernel_split(lambda x: math.exp(-float(x) ** 2), 2.0, 1.0)
         assert abs(val - float(t2_f1(1.0))) < 1e-6
+
+    @pytest.mark.parametrize("kernel", ["sine", "cosine"])
+    @pytest.mark.parametrize("a", [-0.99, -0.9, -0.5, 0.5, 1.5, 4.7])
+    @pytest.mark.parametrize("y, tail_cut", [(1.3, 7.0), (0.45, 3.0)])
+    def test_edge_pieces_against_mpmath(self, kernel, a, y, tail_cut):
+        # the cosine's first lobe starts half a lobe before 0, and neither cut
+        # is aligned to the lobes, so both ends are pieces with offsets
+        val = integrate_kernel_split(
+            lambda x: np.exp(-x), a, y, QuadSpec(tail_cut=tail_cut), kernel
+        )
+        assert math.isclose(val, _edge_oracle(a, y, tail_cut, kernel), rel_tol=1e-10)
+
+    def test_refinement_exhausted(self):
+        # a step inside a lobe defeats the tanh-sinh rule, so seven halvings
+        # cannot reach a 1e-13 tolerance
+        spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-13, tail_cut=4.0)
+        with pytest.raises(NonConvergence, match="integrate_kernel_split"):
+            integrate_kernel_split(lambda x: (np.asarray(x) < 1.2345).astype(float), 1.5, 1.0, spec)
