@@ -10,7 +10,6 @@ floats round-trip losslessly.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from contextlib import contextmanager
 
@@ -19,22 +18,15 @@ import numpy as np
 from . import __version__
 from .direct_inv import DirectConfig, invert_direct
 from .errors import NonConvergence
+from .examples import BUILTINS
 from .forward import t_sine, t_sine_series
 from .fourier_inv import MollifierKind, invert_fourier
 from .grid import SampledFunction, UniformGrid
 from .quad import QuadSpec
-from .sas import SasParams, f0_from_scale
-from .specfun import cosine_coeffs, lambda_alpha, sine_coeffs
+from .sas import SasParams, f0_from_scale, g_from_codifference
+# lambda_alpha is unused here; perfbench traces it under this name
+from .specfun import cosine_coeffs, lambda_alpha, sine_coeffs  # noqa: F401
 from .sphere import invert_sphere
-
-BUILTINS = {
-    "f1": (lambda x: np.exp(-np.asarray(x) ** 2),
-           lambda t: math.sqrt(math.pi) * np.exp(-np.asarray(t) ** 2 / 4.0)),
-    "f2": (lambda x: np.asarray(x) ** 2 * np.exp(-np.abs(x)),
-           lambda t: 4.0 * (1.0 - 3.0 * np.asarray(t) ** 2) / (1.0 + np.asarray(t) ** 2) ** 3),
-    "f3": (lambda x: (1.0 + np.asarray(x) ** 2) ** -2.0,
-           lambda t: math.pi / 2.0 * (1.0 + np.abs(t)) * np.exp(-np.abs(t))),
-}
 
 
 def gaussian_noise(seed: int, count: int) -> np.ndarray:
@@ -113,45 +105,41 @@ def parse_grid(text: str) -> UniformGrid:
 
 
 def read_config(path: str) -> dict[str, str]:
+    """Option name (with '-', as on the command line) -> value of each
+    `key = value` line."""
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"config line without '=': {line!r}")
+                raise ValueError(f"{path}, line {number}: config line without '='")
             key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
+            out[key.strip().replace("_", "-")] = value.strip()
     return out
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill every still-unset option from the config file; flags win."""
-    if not getattr(args, "config", None):
-        return
-    cfg = read_config(args.config)
-    for key, raw in cfg.items():
-        if key == "in":  # the flag --in parses into args.infile
-            key = "infile"
-        if not hasattr(args, key):
-            raise ValueError(f"config key {key!r} is not an option of this command")
-        if getattr(args, key) is None:
-            setattr(args, key, raw)
-
-
-def _need(args, name: str, conv, default=None):
-    raw = getattr(args, name, None)
-    if raw is None:
-        if default is None:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
-        return default
-    return conv(raw) if isinstance(raw, str) else raw
+def _expand_config(argv: list[str]) -> list[str]:
+    """argv with the lines of its --config file inserted as --key=value flags
+    right after the command name.  argparse then checks them like flags, the
+    user's own flags come later and win, and the '=' form keeps a value such
+    as -3:3:7 from being read as an option."""
+    path = None
+    for arg, following in zip(argv, argv[1:] + [None]):
+        if arg == "--config":
+            path = following
+        elif arg.startswith("--config="):
+            path = arg.partition("=")[2]
+    if path is None:
+        return argv
+    flags = [f"--{key}={value}" for key, value in read_config(path).items()]
+    return argv[:1] + flags + argv[1:]
 
 
 @contextmanager
 def _out_stream(args):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
     else:
@@ -164,55 +152,43 @@ def _params_comment(cmd: str, pairs: dict) -> str:
 
 
 def cmd_coeffs(args) -> int:
-    alpha = _need(args, "alpha", float)
-    count = int(_need(args, "count", int, 10))
-    kind = _need(args, "kind", str, "sine")
-    table = sine_coeffs(alpha, count) if kind == "sine" else cosine_coeffs(alpha, count)
-    j = np.arange(count + 1, dtype=float)
+    coeffs = sine_coeffs if args.kind == "sine" else cosine_coeffs
+    table = coeffs(args.alpha, args.count)
+    j = np.arange(args.count + 1, dtype=float)
+    params = {"alpha": args.alpha, "count": args.count, "kind": args.kind}
     with _out_stream(args) as out:
-        write_csv(out, [_params_comment("coeffs", {"alpha": alpha, "count": count, "kind": kind})],
-                  ["j", "c_j"], [j, table.coeffs])
+        write_csv(out, [_params_comment("coeffs", params)], ["j", "c_j"], [j, table.coeffs])
     return 0
 
 
 def cmd_forward(args) -> int:
-    alpha = _need(args, "alpha", float)
-    method = _need(args, "method", str, "quad")
-    grid = parse_grid(_need(args, "grid", str, "0:20:401"))
-    tail_cut = float(_need(args, "tail_cut", float, 30.0))
-    terms = int(_need(args, "terms", int, 10_000))
-    spec = QuadSpec(tail_cut=tail_cut)
-    name = getattr(args, "f", None)
-    if name is not None:
-        if name not in BUILTINS:
-            raise ValueError(f"unknown builtin {name!r}; choose from {sorted(BUILTINS)}")
-        f, fhat = BUILTINS[name]
-    elif getattr(args, "infile", None):
+    ys = parse_grid(args.grid).points()
+    spec = QuadSpec(tail_cut=args.tail_cut)
+    if args.f is not None:
+        f, fhat = BUILTINS[args.f]
+        name = args.f
+    elif args.infile:
         samples = sampled_from_csv(args.infile)
-        f, fhat = samples.eval, None
-        name = args.infile
+        f, fhat, name = samples.eval, None, args.infile
         # sampled inputs carry interpolation error well above 1e-6, so a
         # tighter quadrature tolerance is unreachable past the kinks of the
         # interpolant, and the tail ends at the data
         spec = QuadSpec(abs_tol=1e-6, rel_tol=1e-6,
-                        tail_cut=min(tail_cut, samples.grid.last))
+                        tail_cut=min(args.tail_cut, samples.grid.last))
     else:
         raise ValueError("need --f or --in")
-    ys = grid.points()
-    if method == "quad":
-        vals = np.array([t_sine(f, alpha, y, spec) for y in ys])
-    elif method == "series":
+    if args.method == "quad":
+        vals = np.array([t_sine(f, args.alpha, y, spec) for y in ys])
+    else:
         if fhat is None:
             raise ValueError("method=series needs a builtin f with a known Fourier transform")
         vals = np.array([
-            t_sine_series(fhat, alpha, y, terms, fhat_decays=True) if y > 0.0
-            else t_sine(f, alpha, y, spec)
+            t_sine_series(fhat, args.alpha, y, args.terms, fhat_decays=True) if y > 0.0
+            else t_sine(f, args.alpha, y, spec)
             for y in ys
         ])
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    params = {"alpha": alpha, "f": name, "method": method, "grid": args.grid or "0:20:401",
-              "tail_cut": tail_cut}
+    params = {"alpha": args.alpha, "f": name, "method": args.method, "grid": args.grid,
+              "tail_cut": args.tail_cut}
     with _out_stream(args) as out:
         write_csv(out, [_params_comment("forward", params)], ["y", "value"], [ys, vals])
     return 0
@@ -226,49 +202,33 @@ def _flatness(g: SampledFunction, r: float) -> float:
 
 
 def cmd_invert(args) -> int:
-    method = _need(args, "method", str)
-    if not getattr(args, "infile", None):
-        raise ValueError("need --in with transform samples")
-    alpha = _need(args, "alpha", float)
+    g = sampled_from_csv(args.infile)
     comments = []
-    if method == "fourier":
-        g = sampled_from_csv(args.infile)
-        n = int(_need(args, "n", int, 100))
-        r = float(_need(args, "r", float, 10.0))
-        out_grid = parse_grid(_need(args, "grid", str, "0:5:501"))
-        interp = _need(args, "interp", str, "sinc")
-        moll = None
-        if getattr(args, "mollifier", None):
-            moll = MollifierKind(args.mollifier, float(_need(args, "gamma", float, 0.5)))
-        f0 = getattr(args, "f0", None)
-        f0 = float(f0) if f0 is not None else None
-        rec = invert_fourier(g, alpha, n, r, out_grid,
-                             f0_override=f0, interpolation=interp, mollifier=moll)
-        comments.append(f"tail_flatness = {_flatness(g, r):.6g}")
-        params = {"method": method, "alpha": alpha, "n": n, "r": r, "interp": interp,
-                  "mollifier": getattr(args, "mollifier", None) or "none"}
-    elif method == "direct":
-        g = sampled_from_csv(args.infile)
-        epsilon = float(_need(args, "epsilon", float, 0.025))
-        out_grid = parse_grid(_need(args, "grid", str, "0.2:3:281"))
-        cfg = DirectConfig(alpha=alpha, epsilon=epsilon)
+    params = {"method": args.method, "alpha": args.alpha}
+    if args.method == "fourier":
+        n = 100 if args.n is None else args.n
+        out_grid = parse_grid("0:5:501" if args.grid is None else args.grid)
+        moll = MollifierKind(args.mollifier, args.gamma) if args.mollifier else None
+        rec = invert_fourier(g, args.alpha, n, args.r, out_grid,
+                             f0_override=args.f0, interpolation=args.interp, mollifier=moll)
+        comments.append(f"tail_flatness = {_flatness(g, args.r):.6g}")
+        params.update(n=n, r=args.r, interp=args.interp, mollifier=args.mollifier or "none")
+    elif args.method == "direct":
+        out_grid = parse_grid("0.2:3:281" if args.grid is None else args.grid)
+        cfg = DirectConfig(alpha=args.alpha, epsilon=args.epsilon)
         rec = invert_direct(g, cfg, out_grid)
-        params = {"method": method, "alpha": alpha, "epsilon": epsilon,
-                  "c": cfg.weight_exponent}
-    elif method == "sphere":
-        kf = sampled_from_csv(args.infile)
-        n = int(_need(args, "n", int, 10))
-        density = invert_sphere(kf, alpha, n)
+        params.update(epsilon=args.epsilon, c=cfg.weight_exponent)
+    else:
+        n = 10 if args.n is None else args.n
+        density = invert_sphere(g, args.alpha, n)
         rec = density.values
         comments.append(f"clipped_mass = {density.clipped_mass:.6g}")
-        params = {"method": method, "alpha": alpha, "n": n}
-    else:
-        raise ValueError(f"unknown inversion method {method!r}")
+        params["n"] = n
     xs = rec.xs
     vals = np.real(rec.values)
     columns = [xs, vals]
     header_row = ["x", "value"]
-    if getattr(args, "truth", None):
+    if args.truth:
         _, tdata = read_csv(args.truth)
         truth = np.interp(xs, tdata[:, 0], tdata[:, 1])
         err = float(np.linalg.norm(vals - truth) / max(np.linalg.norm(truth), 1e-300))
@@ -283,104 +243,102 @@ def cmd_invert(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    if not getattr(args, "infile", None):
-        raise ValueError("need --in")
-    sigma = float(_need(args, "sigma", float, 0.1))
-    seed = int(_need(args, "seed", int, 0))
-    header, data = read_csv(args.infile)
+    _, data = read_csv(args.infile)
     vals = data[:, 1]
-    if sigma != 0.0:
-        vals = vals + sigma * gaussian_noise(seed, len(vals))
-    params = {"sigma": sigma, "seed": seed, "in": args.infile}
+    if args.sigma != 0.0:
+        vals = vals + args.sigma * gaussian_noise(args.seed, len(vals))
+    params = {"sigma": args.sigma, "seed": args.seed, "in": args.infile}
     with _out_stream(args) as out:
         write_csv(out, [_params_comment("noise", params)], ["x", "value"], [data[:, 0], vals])
     return 0
 
 
 def cmd_sas(args) -> int:
-    if not getattr(args, "infile", None):
-        raise ValueError("need --in with codifference samples (t, tau)")
-    sigma = float(_need(args, "sigma", float))
-    alpha = _need(args, "alpha", float)
-    p = SasParams(sigma, alpha)
+    p = SasParams(args.sigma, args.alpha)
     _, data = read_csv(args.infile)
-    t_in = data[:, 0]
-    if np.any(t_in <= 0.0):
-        raise ValueError("codifference abscissae must be positive")
-    tau_vals = data[:, 1]
     # emit g on the halved abscissae so tau(2t) uses the samples exactly
-    a = p.alpha.value
-    g_vals = (2.0 * sigma**a - tau_vals) / (2.0 ** (a + 1.0) * lambda_alpha(p.alpha))
-    f0 = f0_from_scale(p)
-    params = {"sigma": sigma, "alpha": a, "in": args.infile}
+    t = data[:, 0] / 2.0
+    g_vals = g_from_codifference(data[:, 1], p, t)
+    params = {"sigma": args.sigma, "alpha": p.alpha.value, "in": args.infile}
     with _out_stream(args) as out:
-        write_csv(out, [_params_comment("sas", params), f"f0 = {_fmt(f0)}"],
-                  ["t", "g"], [t_in / 2.0, g_vals])
+        write_csv(out, [_params_comment("sas", params), f"f0 = {_fmt(f0_from_scale(p))}"],
+                  ["t", "g"], [t, g_vals])
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exact option names only, defaults shown by --help, and a parse error
+    raised as ValueError so that main() returns exit code 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False,
+                         formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The one declaration of every option: type, choices, default, required."""
+    parser = _Parser(
         prog="alphasine",
         description="Forward and inverse |sin|^a / |cos|^a kernel transforms.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key = value file; explicit flags win")
-        p.add_argument("--in", dest="infile", help="input CSV")
-        p.add_argument("--out", help="output CSV (default stdout)")
-        p.add_argument("--alpha", type=float)
+    def command(name, func, summary, *, need_in, need_alpha=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="file of key = value lines, read as flags; "
+                                        "explicit flags win")
+        p.add_argument("--in", dest="infile", required=need_in, help="input CSV")
+        p.add_argument("--out", help="output CSV; stdout if not given")
+        p.add_argument("--alpha", type=float, required=need_alpha)
+        return p
 
-    p = sub.add_parser("coeffs", help="kernel expansion coefficients c_j")
-    common(p)
-    p.add_argument("--count", type=int)
-    p.add_argument("--kind", choices=["sine", "cosine"])
-    p.set_defaults(func=cmd_coeffs)
+    p = command("coeffs", cmd_coeffs, "kernel expansion coefficients c_j", need_in=False)
+    p.add_argument("--count", type=int, default=10, help="last index j")
+    p.add_argument("--kind", choices=["sine", "cosine"], default="sine", help="kernel")
 
-    p = sub.add_parser("forward", help="sample the forward transform")
-    common(p)
-    p.add_argument("--f", choices=sorted(BUILTINS))
-    p.add_argument("--method", choices=["quad", "series"])
-    p.add_argument("--grid", help="start:stop:count for the y samples")
-    p.add_argument("--tail-cut", dest="tail_cut", type=float)
-    p.add_argument("--terms", type=int)
-    p.set_defaults(func=cmd_forward)
+    p = command("forward", cmd_forward, "sample the forward transform", need_in=False)
+    p.add_argument("--f", choices=sorted(BUILTINS), help="builtin f, instead of --in")
+    p.add_argument("--method", choices=["quad", "series"], default="quad", help="route")
+    p.add_argument("--grid", default="0:20:401", help="start:stop:count for the y samples")
+    p.add_argument("--tail-cut", dest="tail_cut", type=float, default=30.0,
+                   help="upper end of the x integral")
+    p.add_argument("--terms", type=int, default=10_000, help="series terms")
 
-    p = sub.add_parser("invert", help="run one of the inverters")
-    common(p)
-    p.add_argument("--method", choices=["fourier", "direct", "sphere"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--gamma", type=float)
+    p = command("invert", cmd_invert, "run one of the inverters", need_in=True)
+    p.add_argument("--method", choices=["fourier", "direct", "sphere"], required=True)
+    p.add_argument("--n", type=int, help="fourier: sample count N; sphere: last harmonic; "
+                                         "the default depends on --method")
+    p.add_argument("--r", type=float, default=10.0, help="fourier: last sample abscissa R")
+    p.add_argument("--epsilon", type=float, default=0.025, help="direct: cutoff of |mu|")
+    p.add_argument("--gamma", type=float, default=0.5, help="fourier: mollifier scale")
     p.add_argument("--mollifier", choices=["triangle", "gaussian"])
-    p.add_argument("--interp", choices=["sinc", "linear"])
+    p.add_argument("--interp", choices=["sinc", "linear"], default="sinc",
+                   help="fourier: synthesis")
     p.add_argument("--f0", type=float)
-    p.add_argument("--grid", help="start:stop:count for the output")
+    p.add_argument("--grid", help="start:stop:count for the output; "
+                                  "the default depends on --method")
     p.add_argument("--truth", help="CSV with the true f for the error diagnostic")
-    p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("noise", help="add reproducible Gaussian noise to a CSV")
-    common(p)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_noise)
+    p = command("noise", cmd_noise, "add reproducible Gaussian noise to a CSV",
+                need_in=True, need_alpha=False)
+    p.add_argument("--sigma", type=float, default=0.1, help="noise standard deviation")
+    p.add_argument("--seed", type=int, default=0, help="Philox key")
 
-    p = sub.add_parser("sas", help="codifference samples to transform samples g")
-    common(p)
-    p.add_argument("--sigma", type=float)
-    p.set_defaults(func=cmd_sas)
+    p = command("sas", cmd_sas, "codifference samples to transform samples g", need_in=True)
+    p.add_argument("--sigma", type=float, required=True)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _merge_config(args)
+        args = build_parser().parse_args(_expand_config(argv))
         return args.func(args)
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)

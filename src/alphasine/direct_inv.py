@@ -23,7 +23,6 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import SampledFunction, UniformGrid
-from .quad import QuadSpec
 from .specfun import Alpha, as_alpha, leading_coefficient
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -59,7 +58,6 @@ class DirectConfig:
     epsilon: float = 0.025
     mu_grid: UniformGrid | None = None
     t_cut: float | None = None
-    quad: QuadSpec = QuadSpec()
 
     def __post_init__(self):
         alpha = as_alpha(self.alpha)
@@ -234,7 +232,7 @@ def mu_table(cfg: DirectConfig) -> SampledFunction:
     return SampledFunction(cfg.mu_grid, _mu_table_cached(cfg))
 
 
-def _h_u_grid(g: SampledFunction, cfg: DirectConfig):
+def _h_u_grid(g: SampledFunction):
     """Uniform u = ln(y) grid for the H integral plus the constant-tail data.
 
     g(1/y) is constant for y below 1/x_last (constant extrapolation); that
@@ -251,7 +249,7 @@ def _h_u_grid(g: SampledFunction, cfg: DirectConfig):
 
 def _h_values(g: SampledFunction, cfg: DirectConfig, omegas: np.ndarray) -> np.ndarray:
     p = 0.5 * (cfg.weight_exponent - 1.0)
-    u, du, u_const = _h_u_grid(g, cfg)
+    u, du, u_const = _h_u_grid(g)
     gv = np.real(g.eval(np.exp(-u)))
     big = np.exp(p * u) * gv
     trap = np.full(len(u), du)

@@ -156,24 +156,22 @@ def _kernel_coeffs_full(alpha: Alpha, m: int) -> np.ndarray:
     return khat
 
 
+def _transform_coeffs(f: PeriodicDensity, alpha) -> np.ndarray:
+    """fhat * khat on the fft layout of the density's grid."""
+    fhat = _fft_coeffs(np.real(f.values.values))
+    return fhat * _kernel_coeffs_full(as_alpha(alpha), f.grid.count)
+
+
 def k_sphere(f: PeriodicDensity, alpha, y: float) -> float:
     """Circular transform of a density at angle y."""
-    alpha = as_alpha(alpha)
     m = f.grid.count
-    fhat = _fft_coeffs(np.real(f.values.values))
-    khat = _kernel_coeffs_full(alpha, m)
     orders = np.fft.fftfreq(m, d=1.0 / m).astype(int)
-    total = np.sum(fhat * khat * np.exp(1j * orders * y))
-    return float(np.real(total))
+    return float(np.real(np.sum(_transform_coeffs(f, alpha) * np.exp(1j * orders * y))))
 
 
 def k_sphere_grid(f: PeriodicDensity, alpha) -> SampledFunction:
     """Circular transform sampled on the density's own grid."""
-    alpha = as_alpha(alpha)
-    m = f.grid.count
-    fhat = _fft_coeffs(np.real(f.values.values))
-    khat = _kernel_coeffs_full(alpha, m)
-    return SampledFunction(f.grid, _synth_on_grid(fhat * khat))
+    return SampledFunction(f.grid, _synth_on_grid(_transform_coeffs(f, alpha)))
 
 
 def circle_fourier_coeffs(u: SampledFunction, maxn: int) -> CircleCoeffs:

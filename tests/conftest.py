@@ -1,41 +1,16 @@
-"""Shared fixtures: the three reference densities on the half-line, their
-Fourier transforms, the closed forms of their |sin|^2 transforms, and the
-closed-form partial sums of the sine coefficients."""
+"""Shared fixtures: the three reference densities on the half-line and their
+Fourier transforms (from `alphasine.examples`), the closed forms of their
+|sin|^2 transforms, and the closed-form partial sums of the sine
+coefficients."""
 
 import math
 
 import numpy as np
 import pytest
 
+from alphasine.examples import f1, f2, f3, fhat1, fhat2, fhat3
 from alphasine.grid import SampledFunction, UniformGrid
 from alphasine.quad import QuadSpec
-
-
-def f1(x):
-    return np.exp(-np.asarray(x, dtype=float) ** 2)
-
-
-def f2(x):
-    x = np.asarray(x, dtype=float)
-    return x * x * np.exp(-np.abs(x))
-
-
-def f3(x):
-    return (1.0 + np.asarray(x, dtype=float) ** 2) ** -2.0
-
-
-def fhat1(t):
-    return math.sqrt(math.pi) * np.exp(-np.asarray(t, dtype=float) ** 2 / 4.0)
-
-
-def fhat2(t):
-    t = np.asarray(t, dtype=float)
-    return 4.0 * (1.0 - 3.0 * t * t) / (1.0 + t * t) ** 3
-
-
-def fhat3(t):
-    t = np.abs(np.asarray(t, dtype=float))
-    return math.pi / 2.0 * (1.0 + t) * np.exp(-t)
 
 
 def t2_f1(y):

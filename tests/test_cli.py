@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from alphasine.cli import gaussian_noise, main, read_csv, sampled_from_csv
+from alphasine.cli import gaussian_noise, main, read_config, read_csv, sampled_from_csv
 from alphasine.errors import NonConvergence
 
 from conftest import t2_f1
@@ -219,6 +219,30 @@ class TestConfigAndErrors:
         cfgfile.write_text("frobnicate = 1\n")
         rc, _, err = run(capsys, "coeffs", "--config", str(cfgfile), "--alpha", "2", "--count", "1")
         assert rc == 2 and "frobnicate" in err
+
+    def test_config_value_checked_like_a_flag(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("alpha = 2\ncount = 1\nkind = sinus\n")
+        rc, out, err = run(capsys, "coeffs", "--config", str(cfgfile))
+        assert rc == 2 and "sinus" in err and out == ""
+
+    def test_bad_flag_value_returns_exit_code(self, capsys):
+        rc, _, err = run(capsys, "coeffs", "--alpha", "x")
+        assert rc == 2 and err.startswith("error:") and "--alpha" in err
+
+    def test_config_value_that_looks_like_an_option(self, capsys, tmp_path, t2f1_csv):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"method = fourier\nin = {t2f1_csv}\nalpha = 2\ngrid = -3:3:7\n")
+        rc, out, _ = run(capsys, "invert", "--config", str(cfgfile))
+        assert rc == 0
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 7 and float(rows[0].split(",")[0]) == -3.0
+
+    def test_config_line_without_equals_names_file_and_line(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("# comment\nalpha = 2\ncount 1\n")
+        with pytest.raises(ValueError, match=r"run\.cfg, line 3"):
+            read_config(str(cfgfile))
 
     def test_nonuniform_csv_rejected(self, tmp_path):
         src = tmp_path / "bad.csv"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from alphasine.forward import t_sine
@@ -31,10 +32,10 @@ def test_f0_from_scale_values():
 def test_constant_codifference_gives_zero():
     p = SasParams(1.4, Alpha(1.2))
     tau = lambda t: 2.0 * 1.4**1.2
-    for t in (0.5, 1.0, 7.0):
-        assert abs(g_from_codifference(tau, p, t)) < 1e-14
-    with pytest.raises(ValueError):
-        g_from_codifference(tau, p, 0.0)
+    assert np.all(np.abs(g_from_codifference(tau, p, np.array([0.5, 1.0, 7.0]))) < 1e-14)
+    for t in (0.0, np.array([1.0, 0.0])):
+        with pytest.raises(ValueError):
+            g_from_codifference(tau, p, t)
 
 
 def test_codifference_at_zero(quad_spec):
