@@ -40,7 +40,6 @@ from .specfun import (
     CoefficientTable,
     cosine_coeffs,
     hyp2f1_unit,
-    kummer_m,
     lambda_alpha,
     operator_norm_bound,
     sin_power_integral,
@@ -71,8 +70,8 @@ __all__ = [
     "SampledFunction", "UniformGrid",
     "QuadSpec", "integrate", "integrate_kernel_split",
     "SasParams", "codifference_forward", "f0_from_scale", "g_from_codifference",
-    "Alpha", "CoefficientTable", "cosine_coeffs", "hyp2f1_unit", "kummer_m",
-    "lambda_alpha", "operator_norm_bound", "sin_power_integral", "sine_coeffs",
+    "Alpha", "CoefficientTable", "cosine_coeffs", "hyp2f1_unit", "lambda_alpha",
+    "operator_norm_bound", "sin_power_integral", "sine_coeffs",
     "CircleCoeffs", "PeriodicDensity", "circle_fourier_coeffs", "circle_grid",
     "invert_sphere", "k_sphere", "k_sphere_grid", "shifted_sine_density",
     "vonmises4_density", "watson_density",

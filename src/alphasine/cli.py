@@ -287,21 +287,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, *, need_in, need_alpha=True):
+    def command(name, func, summary, *, infile, alpha=True):
+        """infile: "required", "optional" or None for no --in; alpha: takes --alpha."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         p.add_argument("--config", help="file of key = value lines, read as flags; "
                                         "explicit flags win")
-        p.add_argument("--in", dest="infile", required=need_in, help="input CSV")
+        if infile:
+            p.add_argument("--in", dest="infile", required=infile == "required", help="input CSV")
         p.add_argument("--out", help="output CSV; stdout if not given")
-        p.add_argument("--alpha", type=float, required=need_alpha)
+        if alpha:
+            p.add_argument("--alpha", type=float, required=True)
         return p
 
-    p = command("coeffs", cmd_coeffs, "kernel expansion coefficients c_j", need_in=False)
+    p = command("coeffs", cmd_coeffs, "kernel expansion coefficients c_j", infile=None)
     p.add_argument("--count", type=int, default=10, help="last index j")
     p.add_argument("--kind", choices=["sine", "cosine"], default="sine", help="kernel")
 
-    p = command("forward", cmd_forward, "sample the forward transform", need_in=False)
+    p = command("forward", cmd_forward, "sample the forward transform", infile="optional")
     p.add_argument("--f", choices=sorted(BUILTINS), help="builtin f, instead of --in")
     p.add_argument("--method", choices=["quad", "series"], default="quad", help="route")
     p.add_argument("--grid", default="0:20:401", help="start:stop:count for the y samples")
@@ -309,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="upper end of the x integral")
     p.add_argument("--terms", type=int, default=10_000, help="series terms")
 
-    p = command("invert", cmd_invert, "run one of the inverters", need_in=True)
+    p = command("invert", cmd_invert, "run one of the inverters", infile="required")
     p.add_argument("--method", choices=["fourier", "direct", "sphere"], required=True)
     p.add_argument("--n", type=int, help="fourier: sample count N; sphere: last harmonic; "
                                          "the default depends on --method")
@@ -325,11 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", help="CSV with the true f for the error diagnostic")
 
     p = command("noise", cmd_noise, "add reproducible Gaussian noise to a CSV",
-                need_in=True, need_alpha=False)
+                infile="required", alpha=False)
     p.add_argument("--sigma", type=float, default=0.1, help="noise standard deviation")
     p.add_argument("--seed", type=int, default=0, help="Philox key")
 
-    p = command("sas", cmd_sas, "codifference samples to transform samples g", need_in=True)
+    p = command("sas", cmd_sas, "codifference samples to transform samples g",
+                infile="required")
     p.add_argument("--sigma", type=float, required=True)
 
     return parser

@@ -7,10 +7,11 @@ integrals with linear phase:
   H g(x) = int_0^inf y^{(c-3)/2 - i ln x} g(1/y) dy
   H2 w(z) = (z^{-(c+1)/2} / 2 pi) int_0^inf w(x) x^{i ln z - 1} dx
 
-and the estimate is H2 [ (1/mu) 1{|mu| > eps} H g ].  mu is tabulated once on
-a log-uniform grid; the tail of its integrand beyond the truncation point is
-replaced by the analytic integral of the kernel's mean level c_0 t^{-(c+1)/2}
-(the oscillatory residue falls off like t_cut^{-(c+1)/2}).
+and the estimate is H2 [ (1/mu) 1{|mu| > eps} H g ].  mu is the Mellin
+transform of |sin t|^a at z = 1 - s + i ln x, s = (c+1)/2.  The cosine series
+|sin t|^a = c_0 + 2 sum c_j cos 2jt, integrated termwise in the strip
+-2 < Re z < 0 where the constant drops out, gives it in closed form:
+mu = pi 2^{-z} sum_{j>=1} c_j j^{-z} / (Gamma(1-z) sin(pi z / 2)).
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import SampledFunction, UniformGrid
-from .specfun import Alpha, as_alpha, leading_coefficient
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+from .specfun import Alpha, _log_gamma, as_alpha, sine_coeffs
 
 _MU_GRID_DEFAULT = UniformGrid(-24.0, 48.0 / 6144.0, 6145)
-_PHASE_PER_PANEL = 2.5
+# coefficients summed directly in mu; the rest is the Euler-Maclaurin tail
+_MU_TERMS = 400
 
 
 def choose_weight_exponent(alpha) -> float:
@@ -43,21 +43,14 @@ def choose_weight_exponent(alpha) -> float:
     return 2.0 * a - 1.0 if a < 2.0 else 3.0
 
 
-def _default_t_cut(alpha: Alpha, c: float) -> float:
-    s = 0.5 * (c + 1.0)
-    tol = 1e-7 if alpha.is_even_integer() else 1e-6
-    t = (0.5 / tol) ** (1.0 / s)
-    t = min(t, 1e6)
-    return math.pi * max(4.0, math.ceil(t / math.pi))
-
-
 @dataclass(frozen=True)
 class DirectConfig:
     alpha: Alpha
     weight_exponent: float | None = None
     epsilon: float = 0.025
     mu_grid: UniformGrid | None = None
-    t_cut: float | None = None
+    # inert: only keys the mu table cache, which a caller may shift to force a fresh table
+    t_cut: float = 0.0
 
     def __post_init__(self):
         alpha = as_alpha(self.alpha)
@@ -76,82 +69,10 @@ class DirectConfig:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.mu_grid is None:
             object.__setattr__(self, "mu_grid", _MU_GRID_DEFAULT)
-        if self.t_cut is None:
-            object.__setattr__(self, "t_cut", _default_t_cut(alpha, c))
 
     @property
     def s_exponent(self) -> float:
         return 0.5 * (self.weight_exponent + 1.0)
-
-
-def _gl_panel_nodes(edges: np.ndarray):
-    """Gauss-Legendre nodes/weights on consecutive panels given their edges."""
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    weights = half[:, None] * _GL_WEIGHTS[None, :]
-    return nodes.ravel(), weights.ravel()
-
-
-def _lobe_delta_pattern(alpha: Alpha, omega_span: float):
-    """Node offsets and weights within one kernel lobe (0, pi), kernel included.
-
-    For fractional a the pattern grades dyadically toward both zeros; panels
-    are additionally split so the phase ln(t) omega never sweeps more than a
-    few radians per panel (omega_span is the worst case for the lobe batch).
-    """
-    if alpha.is_even_integer():
-        base = np.array([0.0, math.pi / 2.0, math.pi])
-    else:
-        levels = math.pi / 2.0 * 0.5 ** np.arange(6, 0, -1)
-        base = np.concatenate(([0.0], levels, math.pi - levels[::-1], [math.pi]))
-    splits = max(1, int(math.ceil(omega_span / _PHASE_PER_PANEL)))
-    if splits > 1:
-        refined = [
-            np.linspace(base[i], base[i + 1], splits + 1)[:-1] for i in range(len(base) - 1)
-        ]
-        base = np.concatenate(refined + [[math.pi]])
-    delta, w = _gl_panel_nodes(base)
-    kern = np.abs(np.sin(delta)) ** alpha.value
-    return delta, w * kern
-
-
-def _mu_nodes(alpha: Alpha, c: float, t_cut: float, omega_max: float):
-    """Phase coordinates ln(t) and real weights so that
-    mu(omega) ~ sum W exp(i omega L) + analytic mean tail."""
-    a = alpha.value
-    s = 0.5 * (c + 1.0)
-    coords = []
-    weights = []
-    # head (0, pi] in u = ln t; the integrand magnitude decays like
-    # exp((a + 1 - s) u) toward -inf, which is positive since c <= 2a - 1
-    decay = a + 1.0 - s
-    u_min = math.log(1e-16) / decay
-    u_max = math.log(math.pi)
-    width = min(0.5, 3.0 / max(1.0, omega_max))
-    n_panels = int(math.ceil((u_max - u_min) / width))
-    u, wu = _gl_panel_nodes(np.linspace(u_min, u_max, n_panels + 1))
-    t_head = np.exp(u)
-    coords.append(u)
-    weights.append(wu * np.abs(np.sin(t_head)) ** a * np.exp((1.0 - s) * u))
-    # lobes [k pi, (k+1) pi]
-    m = int(round(t_cut / math.pi))
-    k_split_max = min(m - 1, max(2, int(math.ceil(omega_max / _PHASE_PER_PANEL))))
-    for k in range(1, k_split_max + 1):
-        span = omega_max * math.log((k + 1.0) / k)
-        delta, wk = _lobe_delta_pattern(alpha, span)
-        t = k * math.pi + delta
-        coords.append(np.log(t))
-        weights.append(wk * t ** (-s))
-    if m - 1 > k_split_max:
-        delta, wk = _lobe_delta_pattern(alpha, omega_max * math.log((k_split_max + 2.0) / (k_split_max + 1.0)))
-        ks = np.arange(k_split_max + 1, m, dtype=float)
-        t = ks[:, None] * math.pi + delta[None, :]
-        coords.append(np.log(t).ravel())
-        weights.append((wk[None, :] * t ** (-s)).ravel())
-    return np.concatenate(coords), np.concatenate(weights)
 
 
 def _osc_sum(coords: np.ndarray, weights: np.ndarray, omegas: np.ndarray, sign: float) -> np.ndarray:
@@ -179,32 +100,42 @@ def _osc_sum(coords: np.ndarray, weights: np.ndarray, omegas: np.ndarray, sign: 
     return out
 
 
-def _mu_mean_tail(alpha: Alpha, c: float, t_cut: float, omegas: np.ndarray) -> np.ndarray:
+def _log_sin(w: np.ndarray) -> np.ndarray:
+    """A log of sin(w), finite at any Im w: sin w = (i/2) e^{-iw} (1 - e^{2iw}),
+    with |e^{2iw}| <= 1 when Im w >= 0, and sin(conj w) = conj(sin w)."""
+    flip = w.imag < 0.0
+    v = np.where(flip, np.conj(w), w)
+    out = -1j * v + complex(-math.log(2.0), 0.5 * math.pi) + np.log(-np.expm1(2j * v))
+    return np.where(flip, np.conj(out), out)
+
+
+def _power_tail(p: np.ndarray, n: int) -> np.ndarray:
+    """sum_{j > n} j^{-p} for Re p > 1, by Euler-Maclaurin at n."""
+    return float(n) ** -p * (n / (p - 1.0) - 0.5 + p / (12.0 * n)
+                             - p * (p + 1.0) * (p + 2.0) / (720.0 * n**3))
+
+
+def _mu_values(a: float, c: float, omegas: np.ndarray) -> np.ndarray:
+    """mu at omega = ln x by the closed form.
+
+    The sum takes j <= _MU_TERMS directly (only j <= a/2 at even a).  Beyond,
+    c_j = K j^{-1-a} (1 + b / j^2 + O(j^-4)) with K = -Gamma(a+1) sin(pi a/2)
+    / (pi 2^a) and b = a(1+a)(2+a)/24, summed in closed form.  The factors
+    Gamma(1-z) and sin(pi z/2) each leave the float range past |omega| = 452,
+    so their product is formed in log space.
+    """
     s = 0.5 * (c + 1.0)
-    c0 = leading_coefficient(alpha)
-    return (
-        c0
-        * t_cut ** (1.0 - s)
-        * np.exp(1j * omegas * math.log(t_cut))
-        / (s - 1.0 - 1j * omegas)
-    )
-
-
-@lru_cache(maxsize=8)
-def _mu_nodes_cached(alpha_value: float, c: float, t_cut: float, omega_bucket: int):
-    coords, weights = _mu_nodes(Alpha(alpha_value), c, t_cut, 8.0 * omega_bucket)
-    coords.setflags(write=False)
-    weights.setflags(write=False)
-    return coords, weights
-
-
-def _mu_values(alpha_value: float, c: float, t_cut: float, omegas: np.ndarray) -> np.ndarray:
-    """mu at omega = ln x, from the node set of the bucket that covers max |omega|."""
-    bucket = max(1, int(math.ceil(np.max(np.abs(omegas)) / 8.0)))
-    coords, weights = _mu_nodes_cached(alpha_value, c, t_cut, bucket)
-    return _osc_sum(coords, weights, omegas, +1.0) + _mu_mean_tail(
-        Alpha(alpha_value), c, t_cut, omegas
-    )
+    coeffs = sine_coeffs(a, _MU_TERMS).coeffs
+    j = np.flatnonzero(coeffs[1:]) + 1
+    total = _osc_sum(np.log(j), coeffs[j] * j ** (s - 1.0), omegas, -1.0)
+    if not Alpha(a).is_even_integer():
+        k = -math.exp(math.lgamma(a + 1.0) - a * math.log(2.0)) * math.sin(0.5 * math.pi * a) / math.pi
+        p = (2.0 + a - s) + 1j * omegas
+        b = a * (1.0 + a) * (2.0 + a) / 24.0
+        total += k * (_power_tail(p, _MU_TERMS) + b * _power_tail(p + 2.0, _MU_TERMS))
+    z = (1.0 - s) + 1j * omegas
+    log_scale = -z * math.log(2.0) - _log_gamma(1.0 - z) - _log_sin(0.5 * math.pi * z)
+    return math.pi * np.exp(log_scale) * total
 
 
 def mu(x: float, cfg: DirectConfig) -> complex:
@@ -212,12 +143,12 @@ def mu(x: float, cfg: DirectConfig) -> complex:
     if not (x > 0.0):
         raise ValueError(f"x must be positive, got {x}")
     om = np.array([math.log(x)])
-    return complex(_mu_values(cfg.alpha.value, cfg.weight_exponent, cfg.t_cut, om)[0])
+    return complex(_mu_values(cfg.alpha.value, cfg.weight_exponent, om)[0])
 
 
 @lru_cache(maxsize=8)
 def _mu_table_values(alpha_value: float, c: float, t_cut: float, grid: UniformGrid) -> np.ndarray:
-    vals = _mu_values(alpha_value, c, t_cut, grid.points())
+    vals = _mu_values(alpha_value, c, grid.points())
     vals.setflags(write=False)
     return vals
 

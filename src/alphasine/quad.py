@@ -1,9 +1,10 @@
 """Numerical integration: adaptive Gauss-Kronrod and kernel-zero-aware lobe rules.
 
 The |sin(xy)|^a and |cos(xy)|^a kernels vanish like |u|^a at their zeros, so
-each lobe between consecutive zeros is integrated with a tanh-sinh rule whose
-nodes are placed in zero-relative coordinates; the distance of a node to the
-adjacent kernel zero is therefore exact, never a difference of large floats.
+each half-lobe between a zero and a crest is integrated with a tanh-sinh rule
+whose nodes are placed from the piece's own ends; a node's distance u to the
+nearer kernel zero comes from the rule, never from a difference of large
+floats, so even a piece far shorter than pi keeps its digits.
 Weights and kernel powers combine in log space, which keeps the rule finite
 arbitrarily close to a = -1.  Every second tanh-sinh node forms the embedded
 coarse rule whose disagreement drives refinement.
@@ -140,12 +141,14 @@ def _ln_sin(u: np.ndarray, ln_u: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _lobe_rule(alpha: float, h: float, off_lo: float, off_hi: float):
-    """Tanh-sinh rule on a lobe piece whose edges lie off_lo and off_hi inside
-    the lobe's zeros; it does not depend on where the lobe sits.
+def _lobe_rule(alpha: float, h: float, length: float, off: float):
+    """Tanh-sinh rule on a half-lobe piece of the given length whose kernel
+    zero lies off beyond one end, its zero end; it does not depend on where
+    the piece sits, nor on which side the zero lies.
 
-    Node i is at z_lo + u_lo[i] where use_lo[i], else at z_hi - u_hi[i].  At a
-    zero offset the distances u come straight from the rule, never from float
+    Node i is d[i] from the zero end where near[i], else d[i] from the other
+    end.  Its distance u to the zero is off plus its distance to the zero end,
+    which for the near nodes comes straight from the rule, never from float
     subtraction.  q holds the weights times |sin u|^alpha; the coarse entries
     form the embedded h' = 2h rule.
     """
@@ -155,63 +158,60 @@ def _lobe_rule(alpha: float, h: float, off_lo: float, off_hi: float):
     kh = k * h
     s = _HALF_PI * np.sinh(kh)
     lnw = math.log(h * _HALF_PI) + _log_cosh(kh) - 2.0 * _log_cosh(s)
-    # each node's distance to either end, as a log of the fraction of length
-    ln_lo = _log_sigmoid(2.0 * s)
-    ln_hi = _log_sigmoid(-2.0 * s)
-    length = math.pi - off_lo - off_hi
-    ln_len = math.log(length)
-    d_lo = np.exp(ln_len + ln_lo)
-    d_hi = np.exp(ln_len + ln_hi)
-    use_lo = d_lo <= 0.5 * length
-    u_lo = off_lo + d_lo
-    u_hi = off_hi + d_hi
-    ln_u_lo = ln_len + ln_lo if off_lo == 0.0 else np.log(u_lo)
-    ln_u_hi = ln_len + ln_hi if off_hi == 0.0 else np.log(u_hi)
-    u = np.where(use_lo, u_lo, u_hi)
-    ln_u = np.where(use_lo, ln_u_lo, ln_u_hi)
+    near = s <= 0.0
+    # each node's distance to the nearer end, in log form exact to the end
+    ln_d = math.log(length) + _log_sigmoid(-2.0 * np.abs(s))
+    d = np.exp(ln_d)
+    u = off + np.where(near, d, length - d)
+    ln_u = np.log(u) if off else np.where(near, ln_d, np.log(length - d))
     q = np.exp(lnw + math.log(0.5 * length) + alpha * _ln_sin(u, ln_u))
     coarse = k % 2 == 0
-    for arr in (u_lo, u_hi, use_lo, q, coarse):
+    for arr in (d, near, q, coarse):
         arr.setflags(write=False)
-    return u_lo, u_hi, use_lo, q, coarse
+    return d, near, q, coarse
 
 
-def lobe_nodes(alpha: float, h: float, z_lo, z_hi, off_lo: float, off_hi: float):
-    """The same piece of several kernel lobes [z_lo[i], z_hi[i]], z_hi - z_lo = pi.
+def lobe_nodes(alpha: float, h: float, zero_end, other_end, length: float, off: float):
+    """The same half-lobe piece (see _lobe_rule) placed between several pairs
+    of ends zero_end[i], other_end[i], each pair the given length apart.
 
-    Returns (t, q, coarse): t has one row of nodes per lobe; the weights q
+    Returns (t, q, coarse): t has one row of nodes per piece; the weights q
     (kernel power included) and the coarse-rule mask are shared by all rows.
     """
-    u_lo, u_hi, use_lo, q, coarse = _lobe_rule(alpha, h, off_lo, off_hi)
-    t = np.where(use_lo, z_lo[:, None] + u_lo, z_hi[:, None] - u_hi)
+    d, near, q, coarse = _lobe_rule(alpha, h, length, off)
+    toward = np.sign(other_end - zero_end)[:, None] * d
+    t = np.where(near, zero_end[:, None] + toward, other_end[:, None] - toward)
     return t, q, coarse
 
 
 def _kernel_pieces(phase: float, t_max: float) -> np.ndarray:
-    """Rows (z_lo, z_hi, off_lo, off_hi) covering (0, t_max] for a kernel with
-    zeros at k*pi - phase: the two halves of each lobe, zero to crest and crest
-    to zero, cut to the interval, with empty pieces dropped."""
+    """Rows (zero_end, other_end, length, off) covering (0, t_max] for a
+    kernel with zeros at k*pi - phase: the rising (zero to crest) and falling
+    (crest to zero) half of each lobe, cut to the interval, with empty pieces
+    dropped.  A length is pi/2 or is measured from 0 or t_max, never between
+    zeros; off is nonzero only where t_max cuts a falling half."""
     k = np.arange(math.floor((t_max + phase) / math.pi) + 2)
-    k = k[k * math.pi - phase < t_max]
-    z_lo = k * math.pi - phase
-    z_hi = (k + 1) * math.pi - phase
-    off_lo = np.where(z_lo < 0.0, -z_lo, 0.0)
-    off_hi = np.where(z_hi > t_max, z_hi - t_max, 0.0)
-    halves = np.stack((
-        np.column_stack((z_lo, z_hi, off_lo, np.maximum(off_hi, _HALF_PI))),
-        np.column_stack((z_lo, z_hi, np.maximum(off_lo, _HALF_PI), off_hi)),
-    ), axis=1).reshape(-1, 4)
-    return halves[halves[:, 2] < math.pi - halves[:, 3]]
+    zero = k * math.pi - phase
+    crest = k * math.pi + (_HALF_PI - phase)
+    next_zero = (k + 1) * math.pi - phase
+    rising = np.column_stack((zero, np.minimum(crest, t_max),
+                              np.where(crest <= t_max, _HALF_PI, t_max - zero),
+                              np.zeros(len(k))))
+    falling = np.column_stack((np.minimum(next_zero, t_max), crest,
+                               np.where(next_zero <= t_max, _HALF_PI, t_max - crest),
+                               np.maximum(next_zero - t_max, 0.0)))
+    rows = np.stack((rising, falling), axis=1).reshape(-1, 4)
+    return rows[(rows[:, 2] > 0.0) & (rows[:, 0] >= 0.0)]
 
 
 def _piece_sums(f, y: float, alpha: float, pieces: np.ndarray, h: np.ndarray):
     """Value and embedded error estimate of each piece at step h: one rule per
-    distinct (off_lo, off_hi, h), and f evaluated in one batch."""
+    distinct (length, off, h), and f evaluated in one batch."""
     rules, which = np.unique(np.column_stack((pieces[:, 2:], h)), axis=0, return_inverse=True)
     groups = [np.flatnonzero(which == g) for g in range(len(rules))]
     placed = [
-        lobe_nodes(alpha, hg, pieces[rows, 0], pieces[rows, 1], lo, hi)
-        for rows, (lo, hi, hg) in zip(groups, rules)
+        lobe_nodes(alpha, hg, pieces[rows, 0], pieces[rows, 1], length, off)
+        for rows, (length, off, hg) in zip(groups, rules)
     ]
     t_all = np.concatenate([t.ravel() for t, _, _ in placed])
     fx = np.asarray(call_vec(f, t_all / y), dtype=float) / y

@@ -173,13 +173,24 @@ def hyp2f1_unit(a: float, b: float, c: float) -> float:
     return _hyp_series((a, b), (c,), 1.0, SERIES_RTOL)
 
 
-def kummer_m(a: float, b: float, z: float) -> float:
-    """Confluent hypergeometric M(a, b, z) by direct series."""
-    if b <= 0.0 and abs(b - round(b)) <= EVEN_INT_TOL:
-        raise ValueError(f"b must not be a non-positive integer, got {b}")
-    if z == 0.0:
-        return 1.0
-    return _hyp_series((a,), (b,), z, 1e-12)
+# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of log Gamma
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+
+
+def _log_gamma(w: np.ndarray) -> np.ndarray:
+    """log Gamma(w) for complex w with Re w > 0, on the branch continuous from
+    the positive axis: the Stirling series at v = w + n with Re v >= 10, minus
+    the logs of w, w + 1, ..., w + n - 1."""
+    w = np.asarray(w, dtype=complex)
+    n = max(0, math.ceil(10.0 - float(np.min(w.real))))
+    shift = sum(np.log(w + k) for k in range(n))
+    v = w + n
+    inv2 = 1.0 / (v * v)
+    series = 0.0
+    for coef in reversed(_STIRLING):
+        series = series * inv2 + coef
+    return (v - 0.5) * np.log(v) - v + 0.5 * math.log(2.0 * math.pi) + series / v - shift
 
 
 def _hyp3f2_tail_accelerated(alpha: float) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CoefficientUnderflow, EvenIntegerAlpha, NonConvergence
 from .grid import SampledFunction, UniformGrid
 from .quad import lobe_nodes
-from .specfun import Alpha, as_alpha, cosine_coeffs, kummer_m
+from .specfun import Alpha, as_alpha, cosine_coeffs
 
 MASS_TOL = 1e-8
 PI_PERIODIC_TOL = 1e-8
@@ -121,17 +121,17 @@ def _kernel_coeffs_quad(alpha_value: float, n_keep: int) -> np.ndarray:
     and 0 for odd n; this routine never uses that closed form.
     """
     n = np.arange(0, n_keep + 1)
-    z_lo = np.array([-0.5 * math.pi, 0.5 * math.pi])
+    # the four half-lobes of [-pi/2, 3pi/2): each one's zero and crest
+    zero_end = np.array([-0.5, 0.5, 0.5, 1.5]) * math.pi
+    crest = np.array([0.0, 0.0, 1.0, 1.0]) * math.pi
     for h in (0.02, 0.01, 0.005, 0.0025, 0.00125):
-        rising = lobe_nodes(alpha_value, h, z_lo, z_lo + math.pi, 0.0, 0.5 * math.pi)
-        falling = lobe_nodes(alpha_value, h, z_lo, z_lo + math.pi, 0.5 * math.pi, 0.0)
+        t, q, cmask = lobe_nodes(alpha_value, h, zero_end, crest, 0.5 * math.pi, 0.0)
         fine = np.zeros(n_keep + 1, dtype=complex)
         coarse = np.zeros(n_keep + 1, dtype=complex)
-        for lobe in (0, 1):
-            for t, q, cmask in (rising, falling):
-                phases = np.exp(-1j * np.outer(n, t[lobe]))
-                fine += phases @ q
-                coarse += 2.0 * (phases[:, cmask] @ q[cmask])
+        for row in t:
+            phases = np.exp(-1j * np.outer(n, row))
+            fine += phases @ q
+            coarse += 2.0 * (phases[:, cmask] @ q[cmask])
         if np.max(np.abs(fine - coarse)) <= 1e-9:
             out = fine
             out.setflags(write=False)
@@ -255,14 +255,12 @@ def vonmises4_density(h: float, m: int = 512) -> PeriodicDensity:
 
 
 def watson_density(mu: float, kappa: float, m: int = 512) -> PeriodicDensity:
-    """Axial density exp(kappa cos^2(x - mu)) / (2 pi M(1/2, 1, kappa)).
-
-    The 1/(2 pi) angular factor makes the density integrate to 1 on [-pi, pi];
-    kappa = 0 gives the uniform density.
+    """Axial density exp(kappa cos^2(x - mu)) / (2 pi M(1/2, 1, kappa)), with
+    M(1/2, 1, kappa) = e^{kappa/2} I_0(kappa/2); the grid sum supplies the
+    normalization.  kappa = 0 gives the uniform density.
     """
     if kappa < 0.0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     grid = circle_grid(m)
-    norm = 2.0 * math.pi * kummer_m(0.5, 1.0, kappa)
-    vals = np.exp(kappa * np.cos(grid.points() - mu) ** 2) / norm
+    vals = np.exp(kappa * np.cos(grid.points() - mu) ** 2)
     return _normalized_density(vals, grid, True)

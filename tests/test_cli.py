@@ -278,6 +278,15 @@ class TestConfigAndErrors:
         rc, _, err = run(capsys, *argv)
         assert rc == 2 and "error:" in err and str(bad) in err
 
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--alpha", "1", "--in", "{missing}"],
+        ["noise", "--alpha", "7", "--in", "{good}", "--sigma", "0.1"],
+    ], ids=["coeffs-in", "noise-alpha"])
+    def test_option_the_command_does_not_use(self, capsys, tmp_path, t2f1_csv, argv):
+        argv = [a.format(missing=tmp_path / "nope.csv", good=t2f1_csv) for a in argv]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and "unrecognized arguments" in err and out == ""
+
     def test_non_finite_value_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "inf.csv"
         write_samples(bad, [0.0, 1.0, 2.0], [1.0, math.inf, 3.0])

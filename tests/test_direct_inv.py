@@ -1,11 +1,15 @@
 """Direct-route operators; the full reconstruction lives in the slow suite."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
+from alphasine import direct_inv
 from alphasine.direct_inv import (
     DirectConfig,
     choose_weight_exponent,
@@ -16,8 +20,10 @@ from alphasine.direct_inv import (
     mu_table,
 )
 from alphasine.grid import SampledFunction, UniformGrid
+from alphasine.specfun import Alpha
 
 from conftest import sample, t2_f1
+from mu_lobe_oracle import lobe_mu
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +97,45 @@ class TestMu:
         tab = mu_table(small_cfg)
         v = tab.values
         assert np.max(np.abs(v - np.conj(v[::-1]))) < 1e-8
+
+
+class TestMuClosedForm:
+    @pytest.mark.parametrize("a", [1.5, 2.5, 4.7])
+    def test_against_lobe_table(self, a):
+        cfg = DirectConfig(alpha=a)
+        om = np.linspace(-20.0, 20.0, 41)
+        got = np.array([mu(math.exp(w), cfg) for w in om])
+        ref = lobe_mu(a, cfg.weight_exponent, om)
+        assert np.max(np.abs(got - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+    def test_against_lobe_table_alpha_two(self, cfg):
+        ref = lobe_mu(2.0, cfg.weight_exponent, cfg.mu_grid.points())
+        assert np.max(np.abs(mu_table(cfg).values - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        a=st.floats(min_value=1.0, max_value=6.0, exclude_min=True).filter(
+            lambda a: not Alpha(a).is_even_integer()
+        ),
+        w=st.floats(min_value=-30.0, max_value=30.0),
+    )
+    def test_hermitian_and_series_converged(self, a, w):
+        # errors are measured against |mu(1)|, the table's largest value:
+        # mu(e^w) itself nears zero at some w for a above 5
+        c = choose_weight_exponent(a)
+        om = np.array([w, -w, 0.0])
+        vals = direct_inv._mu_values(a, c, om)
+        scale = abs(vals[2])
+        assert abs(vals[1] - np.conj(vals[0])) <= 1e-13 * scale
+        with mock.patch.object(direct_inv, "_MU_TERMS", 3000):
+            longer = direct_inv._mu_values(a, c, om)
+        assert np.max(np.abs(longer - vals)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("a", [2.0, 2.5])
+    def test_finite_far_out(self, a):
+        cfg = DirectConfig(alpha=a)
+        for x in (1e300, 1e-300):
+            assert np.isfinite(mu(x, cfg))
 
 
 class TestH:

@@ -55,6 +55,13 @@ class TestKCosine:
     def test_moment_at_zero(self, quad_spec):
         assert math.isclose(k_cosine(f2, 2.0, 0.0, quad_spec), 2.0, rel_tol=1e-9)
 
+    @pytest.mark.parametrize("a", [1.5, -0.5])
+    @pytest.mark.parametrize("y", [1e-8, 1e-12, 1e-17])
+    def test_tiny_y(self, a, y):
+        # one piece, far shorter than pi: the kernel is 1 to within a y^2
+        val = k_cosine(lambda x: np.exp(-x), a, y)
+        assert abs(val - (1.0 - math.exp(-30.0))) <= 1e-12
+
     def test_complementarity(self, quad_spec):
         total = integrate(f1, 0.0, quad_spec.tail_cut, quad_spec)
         for y in (0.4, 1.0, 2.5):

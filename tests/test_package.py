@@ -5,7 +5,7 @@ import types
 import alphasine
 
 REMOVED = ("reconstruct", "reconstruct_smoothed", "log_gamma", "eval_linear",
-           "even_extension_eval", "density_example")
+           "even_extension_eval", "density_example", "kummer_m")
 
 
 def test_public_names():

@@ -12,9 +12,9 @@ from scipy.special import psi
 
 from alphasine.specfun import (
     Alpha,
+    _log_gamma,
     cosine_coeffs,
     hyp2f1_unit,
-    kummer_m,
     lambda_alpha,
     leading_coefficient,
     operator_norm_bound,
@@ -235,15 +235,16 @@ class TestHyp2f1Unit:
         assert math.isclose(val, ref, rel_tol=1e-9)
 
 
-class TestKummer:
-    def test_trivials(self):
-        assert kummer_m(0.7, 1.3, 0.0) == 1.0
-        for z in (-2.0, 0.5, 3.0):
-            assert math.isclose(kummer_m(1.0, 1.0, z), math.exp(z), rel_tol=1e-12)
-
-    def test_watson_normalization_identity(self):
-        val, _ = scipy_quad(lambda t: math.exp(math.cos(t) ** 2), 0.0, math.pi)
-        assert math.isclose(kummer_m(0.5, 1.0, 1.0), val / math.pi, rel_tol=1e-10)
+class TestComplexLogGamma:
+    def test_against_mpmath(self):
+        # log Gamma vanishes at 1 and 2, so the error is measured against
+        # max(1, |log Gamma|): mu uses exp(log Gamma), whose relative error
+        # is the absolute error of the log
+        z = (np.linspace(1.0, 3.0, 21)[:, None] + 1j * np.linspace(-30.0, 30.0, 61)[None, :]).ravel()
+        got = _log_gamma(z)
+        with mp.workdps(30):
+            ref = np.array([complex(mp.loggamma(mp.mpc(v.real, v.imag))) for v in z])
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14
 
 
 class TestOperatorNormBound:

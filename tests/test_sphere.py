@@ -7,7 +7,7 @@ import pytest
 
 from alphasine.errors import CoefficientUnderflow, EvenIntegerAlpha
 from alphasine.grid import SampledFunction, UniformGrid
-from alphasine.specfun import cosine_coeffs, kummer_m, sin_power_integral
+from alphasine.specfun import cosine_coeffs, sin_power_integral
 from alphasine.sphere import (
     CircleCoeffs,
     PeriodicDensity,
@@ -192,7 +192,8 @@ class TestDensities:
     def test_watson_matches_kummer_normalization(self):
         f = watson_density(-2.5, 1.0, m=512)
         x = f.grid.points()
-        expect = np.exp(np.cos(x + 2.5) ** 2) / (2.0 * math.pi * kummer_m(0.5, 1.0, 1.0))
+        # M(1/2, 1, kappa) = e^{kappa/2} I_0(kappa/2)
+        expect = np.exp(np.cos(x + 2.5) ** 2) / (2.0 * math.pi * math.exp(0.5) * np.i0(0.5))
         assert np.max(np.abs(f.values.values - expect)) <= 1e-12
 
     def test_vonmises4_against_bessel_normalization(self):
