@@ -7,7 +7,8 @@ integrals with linear phase:
   H g(x) = int_0^inf y^{(c-3)/2 - i ln x} g(1/y) dy
   H2 w(z) = (z^{-(c+1)/2} / 2 pi) int_0^inf w(x) x^{i ln z - 1} dx
 
-and the estimate is H2 [ (1/mu) 1{|mu| > eps} H g ].  mu is the Mellin
+and the estimate is H2 [ (1/mu) 1{|mu| > eps} H g ].  On the uniform mu grid
+H g is a chirp-z transform of the uniform u = ln y samples.  mu is the Mellin
 transform of |sin t|^a at z = 1 - s + i ln x, s = (c+1)/2.  The cosine series
 |sin t|^a = c_0 + 2 sum c_j cos 2jt, integrated termwise in the strip
 -2 < Re z < 0 where the constant drops out, gives it in closed form:
@@ -80,7 +81,8 @@ def _osc_sum(coords: np.ndarray, weights: np.ndarray, omegas: np.ndarray, sign: 
     Columns of a two-dimensional W are summed independently.
 
     For real weights the sum is Hermitian in omega, so a symmetric omega grid
-    is evaluated on its nonnegative half and mirrored.
+    is evaluated on its nonnegative half and mirrored; of the callers, only
+    mu's coefficient sum (and the tests' lobe oracle) passes such a grid.
     """
     n = len(omegas)
     if (
@@ -98,6 +100,42 @@ def _osc_sum(coords: np.ndarray, weights: np.ndarray, omegas: np.ndarray, sign: 
         phase = np.outer(sign * omegas[i : i + chunk], coords)
         out[i : i + chunk] = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
     return out
+
+
+def _turns(beta: float, sq: np.ndarray) -> np.ndarray:
+    """exp(2 pi i beta sq) for integers sq >= 0 (int64).
+
+    beta sq reaches hundreds of turns on the mu grid, and far more when one
+    grid is much longer than the other.  beta's leading bits times sq is exact
+    in float64, so its whole turns drop out exactly and only a fraction of a
+    turn is ever rounded.
+    """
+    bits = 52 - int(sq.max()).bit_length()
+    mant, e = math.frexp(beta)
+    hi = math.ldexp(round(math.ldexp(mant, bits)), e - bits)
+    head = hi * sq
+    return np.exp(2j * math.pi * ((head - np.round(head)) + (beta - hi) * sq))
+
+
+def _chirp_sum(weights: np.ndarray, u0: float, du: float, om0: float, dom: float,
+               count: int, sign: float) -> np.ndarray:
+    """sum_j W_j exp(i sign (om0 + k dom)(u0 + j du)) for k < count.
+
+    Both grids are uniform, so this is a chirp-z transform: Bluestein's
+    kj = (k^2 + j^2 - (k - j)^2) / 2 makes it one linear convolution, taken
+    with three FFTs.  Its chirps come from `_turns`, so their large phases
+    cost no digits.
+    """
+    n = len(weights)
+    size = 1 << (n + count - 2).bit_length()
+    beta = sign * dom * du / (4.0 * math.pi)
+    j = np.arange(n, dtype=np.int64)
+    k = np.arange(count, dtype=np.int64)
+    m = np.arange(1 - n, count, dtype=np.int64)
+    x = weights * np.exp(1j * sign * om0 * du * j) * _turns(beta, j * j)
+    chirp = np.conj(_turns(beta, m * m))
+    conv = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(chirp, size))[n - 1 : n - 1 + count]
+    return np.exp(1j * sign * u0 * (om0 + dom * k)) * _turns(beta, k * k) * conv
 
 
 def _log_sin(w: np.ndarray) -> np.ndarray:
@@ -163,39 +201,46 @@ def mu_table(cfg: DirectConfig) -> SampledFunction:
     return SampledFunction(cfg.mu_grid, _mu_table_cached(cfg))
 
 
-def _h_u_grid(g: SampledFunction):
-    """Uniform u = ln(y) grid for the H integral plus the constant-tail data.
+def _h_integrand(g: SampledFunction, cfg: DirectConfig):
+    """The H integrand on a uniform u = ln(y) grid, trapezoid weights folded
+    in: returns (u, du, weights).
 
-    g(1/y) is constant for y below 1/x_last (constant extrapolation); that
-    region integrates in closed form.
+    g(1/y) is constant for y below 1/x_last (constant extrapolation), so the
+    grid starts at u = -ln(x_last); `_h_tail` adds the region below in closed
+    form.
     """
-    x_last = g.grid.last
-    u_const = -math.log(x_last)
+    p = 0.5 * (cfg.weight_exponent - 1.0)
+    u_const = -math.log(g.grid.last)
     u_hi = 20.0
     du = 1.0 / 1024.0
     n = int(math.ceil((u_hi - u_const) / du)) + 1
     u = u_const + du * np.arange(n)
-    return u, du, u_const
-
-
-def _h_values(g: SampledFunction, cfg: DirectConfig, omegas: np.ndarray) -> np.ndarray:
-    p = 0.5 * (cfg.weight_exponent - 1.0)
-    u, du, u_const = _h_u_grid(g)
-    gv = np.real(g.eval(np.exp(-u)))
-    big = np.exp(p * u) * gv
-    trap = np.full(len(u), du)
+    trap = np.full(n, du)
     trap[0] = trap[-1] = 0.5 * du
-    vals = _osc_sum(u, big * trap, omegas, -1.0)
+    return u, du, np.exp(p * u) * np.real(g.eval(np.exp(-u))) * trap
+
+
+def _h_tail(g: SampledFunction, cfg: DirectConfig, u_const: float, omegas: np.ndarray) -> np.ndarray:
+    """The H integral over u < u_const, where g(1/y) is its last sample."""
+    p = 0.5 * (cfg.weight_exponent - 1.0)
     g_last = float(np.real(g.values[-1]))
-    vals += g_last * np.exp((p - 1j * omegas) * u_const) / (p - 1j * omegas)
-    return vals
+    return g_last * np.exp((p - 1j * omegas) * u_const) / (p - 1j * omegas)
+
+
+def _h_values(g: SampledFunction, cfg: DirectConfig, grid: UniformGrid) -> np.ndarray:
+    """H g at omega = ln x on the uniform grid, by one chirp-z transform."""
+    u, du, weights = _h_integrand(g, cfg)
+    vals = _chirp_sum(weights, u[0], du, grid.start, grid.step, grid.count, -1.0)
+    return vals + _h_tail(g, cfg, u[0], grid.points())
 
 
 def h_forward(g: SampledFunction, x: float, cfg: DirectConfig) -> complex:
     """H g at a single x > 0; g is linearly interpolated, constant beyond."""
     if not (x > 0.0):
         raise ValueError(f"x must be positive, got {x}")
-    return complex(_h_values(g, cfg, np.array([math.log(x)]))[0])
+    u, _, weights = _h_integrand(g, cfg)
+    om = np.array([math.log(x)])
+    return complex((_osc_sum(u, weights, om, -1.0) + _h_tail(g, cfg, u[0], om))[0])
 
 
 def _as_w_values(w, cfg: DirectConfig) -> np.ndarray:
@@ -215,9 +260,13 @@ def _h2_values(w_vals: np.ndarray, cfg: DirectConfig, zs: np.ndarray) -> np.ndar
     trap = np.full(cfg.mu_grid.count, cfg.mu_grid.step)
     trap[0] = trap[-1] = 0.5 * cfg.mu_grid.step
     w = w_vals * trap
+    # w vanishes outside the cutoff set, one contiguous span: sum only over it
+    nonzero = np.flatnonzero(w)
+    span = slice(nonzero[0], nonzero[-1] + 1) if len(nonzero) else slice(0, 0)
     # real and imaginary weights as two real columns: numpy would copy each
     # cosine and sine block to complex to multiply it by complex weights
-    sums = _osc_sum(cfg.mu_grid.points(), np.column_stack((w.real, w.imag)), np.log(zs), +1.0)
+    sums = _osc_sum(cfg.mu_grid.points()[span], np.column_stack((w.real, w.imag))[span],
+                    np.log(zs), +1.0)
     acc = sums[:, 0] + 1j * sums[:, 1]
     out = zs ** (-cfg.s_exponent) / (2.0 * math.pi) * acc
     re, im = np.real(out), np.imag(out)
@@ -252,7 +301,7 @@ def invert_direct(g: SampledFunction, cfg: DirectConfig, out_grid: UniformGrid) 
         warnings.warn(
             "|mu| exceeds eps at the tabulation boundary; widen mu_grid", stacklevel=2
         )
-    hg = _h_values(g, cfg, cfg.mu_grid.points())
+    hg = _h_values(g, cfg, cfg.mu_grid)
     w = np.where(keep, hg / np.where(keep, mu_vals, 1.0), 0.0)
     zs = out_grid.points()
     if np.any(zs <= 0.0):

@@ -1,7 +1,6 @@
 """Acceptance suite: every criterion at its stated tolerance and budget.
 
-Each test prints one `ACCEPTANCE n: ...` line (visible with pytest -s; the
-slow direct-inversion criterion runs only under `pytest -m slow`).
+Each test prints one `ACCEPTANCE n: ...` line (visible with pytest -s).
 
 The coefficient-sum clause of criterion 2 at alpha = 0.5 checks the partial
 sum S_J = sum_{j<=1e6} c_j + c_0/2 against its exact closed form R_J (the
@@ -14,7 +13,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from alphasine.cli import gaussian_noise
 from alphasine.direct_inv import DirectConfig, invert_direct, mu
@@ -265,7 +263,6 @@ def test_criterion_7_noisy_smoothing():
     assert elapsed <= budget
 
 
-@pytest.mark.slow
 def test_criterion_8_direct_inversion():
     budget, start = 1800.0, time.perf_counter()
     cfg = DirectConfig(alpha=2.0, epsilon=0.025)

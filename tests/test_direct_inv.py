@@ -1,11 +1,11 @@
-"""Direct-route operators; the full reconstruction lives in the slow suite."""
+"""Direct-route operators; the full reconstruction is acceptance criterion 8."""
 
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
@@ -164,10 +164,51 @@ class TestH:
         assert abs(val.imag) < 1e-12
 
 
+class TestChirpSum:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 4000),
+        count=st.integers(1, 2000),
+        u_ends=st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0)),
+        om_ends=st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0)),
+        sign=st.sampled_from([-1.0, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one grid far longer than the other: the chirp phases reach 3e5 and 1e6 turns
+    @example(n=3, count=2000, u_ends=(-30.0, 30.0), om_ends=(-30.0, 30.0), sign=1.0, seed=0)
+    @example(n=4000, count=2, u_ends=(-30.0, 30.0), om_ends=(-30.0, 30.0), sign=-1.0, seed=1)
+    def test_matches_dense_sum(self, n, count, u_ends, om_ends, sign, seed):
+        # both sums round the phase omega u, so the bound scales with its size
+        # and with sum |W|, not with the (possibly cancelling) result
+        u0, u1 = sorted(u_ends)
+        om0, om1 = sorted(om_ends)
+        du = max(u1 - u0, 1e-3) / max(n - 1, 1)
+        dom = max(om1 - om0, 1e-3) / max(count - 1, 1)
+        rng = np.random.default_rng(seed)
+        weights = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-5.0, 5.0, n))
+        u = u0 + du * np.arange(n)
+        om = om0 + dom * np.arange(count)
+        got = direct_inv._chirp_sum(weights, u0, du, om0, dom, count, sign)
+        ref = direct_inv._osc_sum(u, weights, om, sign)
+        eps = np.finfo(float).eps
+        bound = 32.0 * eps * max(1.0, np.max(np.abs(om)) * np.max(np.abs(u))) * np.sum(np.abs(weights))
+        assert np.max(np.abs(got - ref)) <= bound
+
+    def test_h_on_mu_grid_matches_dense_sum(self, cfg):
+        g = sample(t2_f1, 0.0, 20.0, 20001)
+        om = cfg.mu_grid.points()
+        u, _, weights = direct_inv._h_integrand(g, cfg)
+        ref = direct_inv._osc_sum(u, weights, om, -1.0) + direct_inv._h_tail(g, cfg, u[0], om)
+        got = direct_inv._h_values(g, cfg, cfg.mu_grid)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestH2:
     def test_zero(self, small_cfg):
         w = np.zeros(small_cfg.mu_grid.count, dtype=complex)
         assert h2_inverse(w, 1.3, small_cfg) == 0.0
+        got = direct_inv._h2_values(w, small_cfg, np.linspace(0.2, 3.0, 15))
+        assert np.array_equal(got, np.zeros(15))
 
     def test_scaling(self, small_cfg):
         # Hermitian w (the physical case) keeps the output real
@@ -186,6 +227,23 @@ class TestH2:
         w[-50:] = 1.0
         with pytest.warns(UserWarning, match="imaginary"):
             h2_inverse(w, 0.7, small_cfg)
+
+    def test_trims_zero_ends(self, small_cfg):
+        # zero runs at both ends of a Hermitian w, as the cutoff leaves them,
+        # are skipped
+        grid = small_cfg.mu_grid
+        mid = grid.count // 2
+        rng = np.random.default_rng(11)
+        half = rng.standard_normal(150) + 1j * rng.standard_normal(150)
+        w = np.zeros(grid.count, dtype=complex)
+        w[mid - 150 : mid + 151] = np.concatenate((np.conj(half[::-1]), [1.0], half))
+        zs = np.linspace(0.2, 3.0, 15)
+        got = direct_inv._h2_values(w, small_cfg, zs)
+        trap = np.full(grid.count, grid.step)
+        trap[0] = trap[-1] = 0.5 * grid.step
+        full = direct_inv._osc_sum(grid.points(), w * trap, np.log(zs), +1.0)
+        ref = np.real(zs ** (-small_cfg.s_exponent) / (2.0 * math.pi) * full)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_rejects_wrong_length(self, small_cfg):
         with pytest.raises(ValueError):
