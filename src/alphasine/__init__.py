@@ -23,8 +23,6 @@ from .forward import k_cosine, t_sine, t_sine_series
 from .fourier_inv import (
     FourierSamples,
     MollifierKind,
-    TriangularSystem,
-    bandlimited_eval,
     build_rhs,
     estimate_f0,
     invert_fourier,
@@ -34,12 +32,11 @@ from .fourier_inv import (
 )
 from .grid import SampledFunction, UniformGrid
 from .quad import QuadSpec, integrate, integrate_kernel_split
-from .sas import SasParams, codifference_forward, f0_from_scale, g_from_codifference
+from .sas import SasParams, f0_from_scale, g_from_codifference
 from .specfun import (
     Alpha,
     CoefficientTable,
     cosine_coeffs,
-    hyp2f1_unit,
     lambda_alpha,
     operator_norm_bound,
     sin_power_integral,
@@ -51,7 +48,6 @@ from .sphere import (
     circle_fourier_coeffs,
     circle_grid,
     invert_sphere,
-    k_sphere,
     k_sphere_grid,
     shifted_sine_density,
     vonmises4_density,
@@ -64,15 +60,14 @@ __all__ = [
     "CoefficientUnderflow", "EvenIntegerAlpha", "NoTailSamples", "NonConvergence",
     "SingularDiagonal",
     "k_cosine", "t_sine", "t_sine_series",
-    "FourierSamples", "MollifierKind", "TriangularSystem", "bandlimited_eval",
-    "build_rhs", "estimate_f0", "invert_fourier", "mollifier_kernel", "solve_xi",
-    "synthesize",
+    "FourierSamples", "MollifierKind", "build_rhs", "estimate_f0", "invert_fourier",
+    "mollifier_kernel", "solve_xi", "synthesize",
     "SampledFunction", "UniformGrid",
     "QuadSpec", "integrate", "integrate_kernel_split",
-    "SasParams", "codifference_forward", "f0_from_scale", "g_from_codifference",
-    "Alpha", "CoefficientTable", "cosine_coeffs", "hyp2f1_unit", "lambda_alpha",
-    "operator_norm_bound", "sin_power_integral", "sine_coeffs",
+    "SasParams", "f0_from_scale", "g_from_codifference",
+    "Alpha", "CoefficientTable", "cosine_coeffs", "lambda_alpha", "operator_norm_bound",
+    "sin_power_integral", "sine_coeffs",
     "CircleCoeffs", "PeriodicDensity", "circle_fourier_coeffs", "circle_grid",
-    "invert_sphere", "k_sphere", "k_sphere_grid", "shifted_sine_density",
+    "invert_sphere", "k_sphere_grid", "shifted_sine_density",
     "vonmises4_density", "watson_density",
 ]

@@ -71,7 +71,11 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
                 raise ValueError(
                     f"{path}, line {number}: {len(fields)} fields, the header has {len(header)}"
                 )
-            rows.append(list(map(float, fields)))
+            try:
+                values = list(map(float, fields))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from None
+            rows.append(values)
             line_numbers.append(number)
     if header is None or not rows:
         raise ValueError(f"{path}: no data rows")

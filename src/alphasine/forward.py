@@ -27,7 +27,7 @@ def t_sine(f, alpha, y: float, spec: QuadSpec | None = None) -> float:
             return 0.0
         if abs(alpha.value) <= 1e-12:
             # kernel is identically 1
-            return integrate(f, 0.0, spec.tail_cut, spec)
+            return integrate(f, spec)
         raise ValueError("t_sine is undefined at y = 0 for -1 < alpha < 0")
     return integrate_kernel_split(f, alpha, y, spec, kernel="sine")
 
@@ -39,7 +39,7 @@ def k_cosine(f, alpha, y: float, spec: QuadSpec | None = None) -> float:
     if y < 0.0:
         raise ValueError(f"y must be >= 0, got {y}")
     if y == 0.0:
-        return integrate(f, 0.0, spec.tail_cut, spec)
+        return integrate(f, spec)
     return integrate_kernel_split(f, alpha, y, spec, kernel="cosine")
 
 

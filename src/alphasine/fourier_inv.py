@@ -25,25 +25,6 @@ from .specfun import CoefficientTable, as_alpha, lambda_alpha, sine_coeffs
 
 
 @dataclass(frozen=True)
-class TriangularSystem:
-    """The system eta = C xi with C_{i,j} = c_k when j = k i (divisor pattern)."""
-
-    coeffs: CoefficientTable
-    n: int
-    r: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (self.r > 0.0):
-            raise ValueError(f"r must be positive, got {self.r}")
-        if len(self.coeffs) < self.n + 1:
-            raise ValueError(
-                f"need coefficients up to index {self.n}, got {len(self.coeffs) - 1}"
-            )
-
-
-@dataclass(frozen=True)
 class FourierSamples:
     """fhat at the points nR/N for n = 1..N plus the value f0 = fhat(0).
 
@@ -110,17 +91,18 @@ def build_rhs(g, alpha, n: int, r: float, f0: float) -> np.ndarray:
     return np.real(call_vec(g.eval if isinstance(g, SampledFunction) else g, y)) - 0.5 * c0 * f0
 
 
-def solve_xi(sys: TriangularSystem, eta) -> np.ndarray:
-    """Back substitution in decreasing n, using the divisor sparsity.
+def solve_xi(coeffs: CoefficientTable, eta) -> np.ndarray:
+    """Back substitution in decreasing n of eta = C xi, where C_{n,kn} = c_k
+    (the divisor pattern) for n = 1..N = len(eta).
 
     xi_n = (eta_n - sum_{k>=2, kn<=N} c_k xi_{kn}) / c_1; total work
     O(N log N).
     """
     eta = np.asarray(eta, dtype=float)
-    n = sys.n
-    if len(eta) != n:
-        raise ValueError(f"expected {n} rhs entries, got {len(eta)}")
-    c = sys.coeffs.coeffs
+    n = len(eta)
+    if len(coeffs) < n + 1:
+        raise ValueError(f"need coefficients up to index {n}, got {len(coeffs) - 1}")
+    c = coeffs.coeffs
     if abs(c[1]) < 1e-14:
         raise SingularDiagonal(
             "c_1 vanishes (alpha = 0): the system carries no information about fhat"
@@ -134,30 +116,6 @@ def solve_xi(sys: TriangularSystem, eta) -> np.ndarray:
             acc -= float(np.dot(c[2 : kmax + 1], xi[idx]))
         xi[row - 1] = acc / c[1]
     return xi
-
-
-def dense_system_matrix(sys: TriangularSystem) -> np.ndarray:
-    """The full N x N matrix, for cross-checks against the sparse solve."""
-    c = sys.coeffs.coeffs
-    m = np.zeros((sys.n, sys.n))
-    for i in range(1, sys.n + 1):
-        for k in range(1, sys.n // i + 1):
-            m[i - 1, k * i - 1] = c[k]
-    return m
-
-
-def _fhat_symmetric(fs: FourierSamples) -> np.ndarray:
-    """fhat at nR/N for n = -N..N by even extension."""
-    return np.concatenate((fs.xi[::-1], [fs.f0], fs.xi))
-
-
-def bandlimited_eval(fs: FourierSamples, y) -> float | np.ndarray:
-    """Cardinal-series interpolation of fhat from its equidistant samples."""
-    vals = _fhat_symmetric(fs)
-    narr = np.arange(-fs.n, fs.n + 1)
-    t = np.atleast_1d(np.asarray(y, dtype=float)) * fs.n / fs.r
-    out = np.sinc(t[:, None] - narr[None, :]) @ vals
-    return float(out[0]) if np.isscalar(y) else out
 
 
 def _rect(t: np.ndarray) -> np.ndarray:
@@ -248,10 +206,11 @@ def invert_fourier(
     """Full chain: estimate f0, build eta, solve for xi, synthesize f (see
     synthesize for interpolation and mollifier)."""
     alpha = as_alpha(alpha)
+    if not (r > 0.0):
+        raise ValueError(f"r must be positive, got {r}")
     f0 = estimate_f0(g, alpha, r) if f0_override is None else float(f0_override)
     eta = build_rhs(g, alpha, n, r, f0)
-    sys = TriangularSystem(sine_coeffs(alpha, n), n, r)
-    xi = solve_xi(sys, eta)
+    xi = solve_xi(sine_coeffs(alpha, n), eta)
     vals = synthesize(FourierSamples(xi, f0, r, n), out_grid.points(),
                       interpolation=interpolation, mollifier=mollifier)
     return SampledFunction(out_grid, vals)

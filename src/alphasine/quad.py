@@ -1,4 +1,4 @@
-"""Numerical integration: adaptive Gauss-Kronrod and kernel-zero-aware lobe rules.
+"""Numerical integration by kernel-zero-aware lobe rules.
 
 The |sin(xy)|^a and |cos(xy)|^a kernels vanish like |u|^a at their zeros, so
 each half-lobe between a zero and a crest is integrated with a tanh-sinh rule
@@ -12,7 +12,6 @@ coarse rule whose disagreement drives refinement.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,99 +24,18 @@ from .specfun import as_alpha
 
 _HALF_PI = 0.5 * math.pi
 
-# 7-15 Gauss-Kronrod pair: Kronrod abscissae (positive half), Kronrod weights,
-# Gauss weights for the embedded 7-point rule.
-_XGK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.0,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-])
-
-_K15_NODES = np.concatenate((-_XGK[:7], [0.0], _XGK[6::-1]))
-_K15_WEIGHTS = np.concatenate((_WGK[:7], [_WGK[7]], _WGK[6::-1]))
-_G7_WEIGHTS = np.zeros(15)
-_G7_WEIGHTS[1:14:2] = np.concatenate((_WG[:3], [_WG[3]], _WG[2::-1]))
-
 
 @dataclass(frozen=True)
 class QuadSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
     tail_cut: float = 30.0
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 8:
-            raise ValueError("max_subdivisions must be >= 8")
         if not (self.tail_cut > 0.0):
             raise ValueError("tail_cut must be positive")
-
-
-def _gk15_panel(f, a: float, b: float):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fx = np.asarray(call_vec(f, mid + half * _K15_NODES), dtype=float)
-    ik = half * float(np.dot(_K15_WEIGHTS, fx))
-    ig = half * float(np.dot(_G7_WEIGHTS, fx))
-    err = abs(ik - ig)
-    # QUADPACK scaling: compare against the spread of the integrand so the
-    # estimate stays meaningful on singular panels.
-    resasc = half * float(np.dot(_K15_WEIGHTS, np.abs(fx - ik / (b - a))))
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return ik, err
-
-
-def integrate(f, a: float, b: float, spec: QuadSpec | None = None) -> float:
-    """Adaptive bisection with the embedded G7/K15 pair.
-
-    Endpoint singularities are admissible since Kronrod nodes are interior;
-    raises NonConvergence once max_subdivisions panels fail to meet tolerance.
-    """
-    spec = spec or QuadSpec()
-    if not (a < b):
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    val, err = _gk15_panel(f, a, b)
-    heap = [(-err, a, b, val)]
-    total = val
-    total_err = err
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if len(heap) >= spec.max_subdivisions:
-            raise NonConvergence(
-                f"integrate: {len(heap)} panels, error {total_err:.3e} above tolerance"
-            )
-        neg_err, lo, hi, val = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15_panel(f, lo, mid)
-        v2, e2 = _gk15_panel(f, mid, hi)
-        total += v1 + v2 - val
-        total_err += e1 + e2 + neg_err
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-    return total
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:
@@ -267,3 +185,9 @@ def integrate_kernel_split(
         bad = error > tol / (2.0 * len(pieces))
         h[bad] *= 0.5
         value[bad], error[bad] = _piece_sums(f, y, a, pieces[bad], h[bad])
+
+
+def integrate(f, spec: QuadSpec | None = None) -> float:
+    """Integral of f over (0, tail_cut]: the lobe rule at a = 0, where the
+    kernel |sin|^0 is 1."""
+    return integrate_kernel_split(f, 0.0, 1.0, spec)

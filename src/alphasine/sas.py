@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import t_sine
-from .quad import QuadSpec, integrate
 from .specfun import Alpha, as_alpha, lambda_alpha
 
 
@@ -47,16 +45,3 @@ def g_from_codifference(tau, p: SasParams, t: float | np.ndarray) -> np.ndarray:
     a = p.alpha.value
     return (2.0 * p.sigma**a - tau_2t) / (2.0 ** (a + 1.0) * lambda_alpha(p.alpha))
 
-
-def codifference_forward(f, p: SasParams, t: float, spec: QuadSpec | None = None) -> float:
-    """Codifference of the process whose spectral density is the even
-    extension of f; the scale is recomputed from f as sigma^a = lambda_a
-    integral of f over the line.  Test utility for the inverse route."""
-    spec = spec or QuadSpec()
-    a = p.alpha.value
-    lam = lambda_alpha(p.alpha)
-    sigma_a = lam * 2.0 * integrate(f, 0.0, spec.tail_cut, spec)
-    if t == 0.0:
-        return 2.0 * sigma_a
-    transform = 2.0 * t_sine(f, p.alpha, abs(t) / 2.0, spec)
-    return 2.0 * sigma_a - 2.0**a * lam * transform

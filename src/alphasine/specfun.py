@@ -13,11 +13,6 @@ import numpy as np
 
 EVEN_INT_TOL = 1e-12
 
-# Stopping rule for direct hypergeometric summation: a term must stay below
-# this fraction of the accumulated sum for 3 consecutive terms.
-SERIES_RTOL = 1e-15
-SERIES_MAX_TERMS = 10_000_000
-
 
 @dataclass(frozen=True)
 class Alpha:
@@ -43,19 +38,13 @@ def as_alpha(a) -> Alpha:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Coefficients c_0..c_J of the cosine expansion of (1/2)|sin(x/2)|^a.
-
-    kind is "sine" for the |sin| kernel and "cosine" for |cos|, whose
-    coefficients differ by the alternating sign (-1)^j.
-    """
+    """Coefficients c_0..c_J of the cosine expansion of (1/2)|sin(x/2)|^a,
+    or of the |cos| kernel, whose coefficients carry the extra sign (-1)^j."""
 
     alpha: Alpha
     coeffs: np.ndarray
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in ("sine", "cosine"):
-            raise ValueError(f"kind must be 'sine' or 'cosine', got {self.kind!r}")
         arr = np.asarray(self.coeffs, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -89,21 +78,21 @@ def sine_coeffs(alpha, count: int) -> CoefficientTable:
         c = np.zeros(count + 1)
         for j in range(0, min(k, count) + 1):
             c[j] = (-1) ** j * math.comb(2 * k, k - j) / 4.0**k
-        return CoefficientTable(alpha, c, "sine")
+        return CoefficientTable(alpha, c)
     c = np.empty(count + 1)
     c[0] = leading_coefficient(alpha)
     c[1] = -c[0] * a / (a + 2.0)
     if count >= 2:
         j = np.arange(1, count, dtype=float)
         c[2:] = c[1] * np.cumprod((j - 0.5 * a) / (j + 1.0 + 0.5 * a))
-    return CoefficientTable(alpha, c, "sine")
+    return CoefficientTable(alpha, c)
 
 
 def cosine_coeffs(alpha, count: int) -> CoefficientTable:
     """Coefficients for the |cos| kernel: the sine coefficients with sign (-1)^j."""
     table = sine_coeffs(alpha, count)
     signs = np.where(np.arange(len(table)) % 2 == 0, 1.0, -1.0)
-    return CoefficientTable(table.alpha, signs * table.coeffs, "cosine")
+    return CoefficientTable(table.alpha, signs * table.coeffs)
 
 
 def sin_power_integral(alpha) -> float:
@@ -115,62 +104,6 @@ def sin_power_integral(alpha) -> float:
 def lambda_alpha(alpha) -> float:
     """Mean of |cos x|^a over a full period, C_a / pi."""
     return sin_power_integral(alpha) / math.pi
-
-
-def _hyp_series(num: tuple, den: tuple, z: float, rtol: float) -> float:
-    """Direct summation of a pFq series with the shared stopping rule.
-
-    Stops once the running term stays below rtol times the accumulated sum for
-    3 consecutive terms; raises after SERIES_MAX_TERMS.
-    """
-    total = 1.0
-    term = 1.0
-    small = 0
-    for k in range(SERIES_MAX_TERMS):
-        ratio = 1.0
-        for a in num:
-            ratio *= a + k
-        for b in den:
-            ratio /= b + k
-        ratio /= k + 1.0
-        term *= ratio * z
-        total += term
-        if abs(term) <= rtol * abs(total):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise ValueError("hypergeometric series did not settle within the term budget")
-
-
-def _nonpositive_int(x: float) -> bool:
-    return x <= 0.0 and abs(x - round(x)) <= EVEN_INT_TOL
-
-
-def hyp2f1_unit(a: float, b: float, c: float) -> float:
-    """Gauss hypergeometric 2F1[a, b; c; 1].
-
-    A nonpositive-integer a or b terminates the series, which is then summed
-    outright (e.g. a = 0 gives 1 for any b, c).  Otherwise c - a - b > 0 is
-    required; the closed gamma quotient is used when every gamma argument is
-    positive, with direct series summation as the fallback.
-    """
-    if c <= 0.0 and abs(c - round(c)) <= EVEN_INT_TOL:
-        raise ValueError(f"c must not be a non-positive integer, got {c}")
-    if _nonpositive_int(a) or _nonpositive_int(b):
-        m = int(-round(a)) if _nonpositive_int(a) else int(-round(b))
-        total = term = 1.0
-        for k in range(m):
-            term *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
-            total += term
-        return total
-    if not (c - a - b > 0.0):
-        raise ValueError(f"hyp2f1_unit requires c - a - b > 0, got {c - a - b}")
-    args = (c, c - a - b, c - a, c - b)
-    if all(x > 0.0 for x in args):
-        return math.exp(math.lgamma(c) + math.lgamma(c - a - b) - math.lgamma(c - a) - math.lgamma(c - b))
-    return _hyp_series((a, b), (c,), 1.0, SERIES_RTOL)
 
 
 # B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of log Gamma

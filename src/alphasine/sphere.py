@@ -162,13 +162,6 @@ def _transform_coeffs(f: PeriodicDensity, alpha) -> np.ndarray:
     return fhat * _kernel_coeffs_full(as_alpha(alpha), f.grid.count)
 
 
-def k_sphere(f: PeriodicDensity, alpha, y: float) -> float:
-    """Circular transform of a density at angle y."""
-    m = f.grid.count
-    orders = np.fft.fftfreq(m, d=1.0 / m).astype(int)
-    return float(np.real(np.sum(_transform_coeffs(f, alpha) * np.exp(1j * orders * y))))
-
-
 def k_sphere_grid(f: PeriodicDensity, alpha) -> SampledFunction:
     """Circular transform sampled on the density's own grid."""
     return SampledFunction(f.grid, _synth_on_grid(_transform_coeffs(f, alpha)))

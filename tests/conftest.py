@@ -1,7 +1,8 @@
 """Shared fixtures: the three reference densities on the half-line and their
 Fourier transforms (from `alphasine.examples`), the closed forms of their
-|sin|^2 transforms, and the closed-form partial sums of the sine
-coefficients."""
+|sin|^2 transforms, the closed-form partial sums of the sine coefficients,
+the dense form of the triangular system, and the codifference of a process
+with a given spectral density."""
 
 import math
 
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 
 from alphasine.examples import f1, f2, f3, fhat1, fhat2, fhat3
+from alphasine.forward import t_sine
 from alphasine.grid import SampledFunction, UniformGrid
-from alphasine.quad import QuadSpec
+from alphasine.quad import QuadSpec, integrate
+from alphasine.sas import SasParams
+from alphasine.specfun import CoefficientTable, lambda_alpha
 
 
 def t2_f1(y):
@@ -27,6 +31,10 @@ def t2_f3(y):
     y = np.abs(np.asarray(y, dtype=float))
     return math.pi / 8.0 * (1.0 - np.exp(-2.0 * y) * (1.0 + 2.0 * y))
 
+
+# integrals of f1 and f2 over (0, 30], the default tail_cut
+F1_MASS = math.sqrt(math.pi) / 2.0 * math.erf(30.0)
+F2_MASS = 2.0 - 962.0 * math.exp(-30.0)
 
 EXAMPLES = {
     "f1": (f1, fhat1, t2_f1),
@@ -79,3 +87,28 @@ def sine_partial_sum(a: float, count: int) -> float:
     )
     sign = _gamma_sign(1.0 - half) * _gamma_sign(count + 1.0 - half)
     return 0.5 * sign * math.exp(log_mag)
+
+
+def dense_system_matrix(coeffs: CoefficientTable, n: int) -> np.ndarray:
+    """The full N x N matrix C_{i,ki} = c_k, for cross-checks against the
+    sparse solve."""
+    c = coeffs.coeffs
+    m = np.zeros((n, n))
+    for i in range(1, n + 1):
+        for k in range(1, n // i + 1):
+            m[i - 1, k * i - 1] = c[k]
+    return m
+
+
+def codifference_forward(f, p: SasParams, t: float, spec: QuadSpec | None = None) -> float:
+    """Codifference of the process whose spectral density is the even
+    extension of f; the scale is recomputed from f as sigma^a = lambda_a
+    integral of f over the line."""
+    spec = spec or QuadSpec()
+    a = p.alpha.value
+    lam = lambda_alpha(p.alpha)
+    sigma_a = lam * 2.0 * integrate(f, spec)
+    if t == 0.0:
+        return 2.0 * sigma_a
+    transform = 2.0 * t_sine(f, p.alpha, abs(t) / 2.0, spec)
+    return 2.0 * sigma_a - 2.0**a * lam * transform

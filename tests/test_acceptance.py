@@ -18,16 +18,10 @@ from alphasine.cli import gaussian_noise
 from alphasine.direct_inv import DirectConfig, invert_direct, mu
 from alphasine.errors import EvenIntegerAlpha
 from alphasine.forward import t_sine
-from alphasine.fourier_inv import (
-    MollifierKind,
-    TriangularSystem,
-    dense_system_matrix,
-    invert_fourier,
-    solve_xi,
-)
+from alphasine.fourier_inv import MollifierKind, invert_fourier, solve_xi
 from alphasine.grid import SampledFunction, UniformGrid
 from alphasine.quad import QuadSpec
-from alphasine.sas import SasParams, codifference_forward, f0_from_scale, g_from_codifference
+from alphasine.sas import SasParams, f0_from_scale, g_from_codifference
 from alphasine.specfun import Alpha, cosine_coeffs, lambda_alpha, sine_coeffs
 from alphasine.sphere import (
     circle_fourier_coeffs,
@@ -37,9 +31,20 @@ from alphasine.sphere import (
     vonmises4_density,
     watson_density,
 )
-from alphasine.quad import integrate
 
-from conftest import EXAMPLES, f1, rel_l2, sample, sine_partial_sum, t2_f1, t2_f2, t2_f3
+from conftest import (
+    EXAMPLES,
+    F1_MASS,
+    codifference_forward,
+    dense_system_matrix,
+    f1,
+    rel_l2,
+    sample,
+    sine_partial_sum,
+    t2_f1,
+    t2_f2,
+    t2_f3,
+)
 
 OUT_GRID = UniformGrid(0.0, 0.01, 301)  # [0, 3]
 
@@ -150,7 +155,7 @@ def test_criterion_3_alpha_two_exactness():
     coeffs_ok = sine_coeffs(2.0, 3).coeffs.tolist() == [0.5, -0.25, 0.0, 0.0]
     rng = np.random.default_rng(23)
     eta = rng.standard_normal(64)
-    xi = solve_xi(TriangularSystem(sine_coeffs(2.0, 64), 64, 10.0), eta)
+    xi = solve_xi(sine_coeffs(2.0, 64), eta)
     solve_ok = np.array_equal(xi, -4.0 * eta)
     g = sample(t2_f1, 0.0, 20.0, 1601)
     rec = invert_fourier(g, 2.0, 100, 10.0, OUT_GRID)
@@ -170,9 +175,9 @@ def test_criterion_4_triangular_solve_oracle():
         for n in (8, 64, 256):
             rng = np.random.default_rng(abs(hash((alpha, n))) % 2**32)
             xi_true = rng.standard_normal(n)
-            sys_ = TriangularSystem(sine_coeffs(alpha, n), n, 10.0)
-            eta = dense_system_matrix(sys_) @ xi_true
-            err = np.max(np.abs(solve_xi(sys_, eta) - xi_true)) / np.max(np.abs(xi_true))
+            coeffs = sine_coeffs(alpha, n)
+            eta = dense_system_matrix(coeffs, n) @ xi_true
+            err = np.max(np.abs(solve_xi(coeffs, eta) - xi_true)) / np.max(np.abs(xi_true))
             worst = max(worst, float(err))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed <= budget
@@ -347,7 +352,7 @@ def test_criterion_10_sas_bridge():
     f0_check = abs(f0_from_scale(SasParams(1.0, Alpha(1.0))) - math.pi / 2.0)
     alpha = Alpha(1.5)
     spec = QuadSpec()
-    sigma_a = lambda_alpha(alpha) * 2.0 * integrate(f1, 0.0, spec.tail_cut, spec)
+    sigma_a = lambda_alpha(alpha) * 2.0 * F1_MASS
     p = SasParams(sigma_a ** (1.0 / alpha.value), alpha)
 
     def tau(t):

@@ -292,3 +292,10 @@ class TestConfigAndErrors:
         write_samples(bad, [0.0, 1.0, 2.0], [1.0, math.inf, 3.0])
         rc, _, err = run(capsys, "noise", "--in", str(bad), "--sigma", "0.1")
         assert rc == 2 and "line 3" in err
+
+    def test_non_numeric_value_names_file_and_line(self, capsys, tmp_path):
+        bad = tmp_path / "abc.csv"
+        bad.write_text("x,value\n0,1\n# comment\n1,abc\n2,3\n", encoding="utf-8")
+        rc, out, err = run(capsys, "noise", "--in", str(bad), "--sigma", "0.1")
+        assert rc == 2 and out == ""
+        assert f"{bad}, line 4: could not convert string to float: 'abc'" in err

@@ -14,7 +14,6 @@ from alphasine.specfun import (
     Alpha,
     _log_gamma,
     cosine_coeffs,
-    hyp2f1_unit,
     lambda_alpha,
     leading_coefficient,
     operator_norm_bound,
@@ -212,27 +211,11 @@ class TestIntegralConstants:
 
 
 class TestHyp2f1Unit:
-    def test_trivial_a_zero(self):
-        assert hyp2f1_unit(0.0, 3.7, 1.0) == 1.0
-
-    def test_gauss_arithmetic(self):
-        assert math.isclose(hyp2f1_unit(1.0, 1.0, 3.0), 2.0, rel_tol=1e-14)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            hyp2f1_unit(1.0, 2.0, 3.0)
-
     def test_kernel_constant_identity(self):
-        # 2F1[-a/4, -a/4 + 1/2; 1; 1] = 2^{a/2} c_0(a)
+        # Gauss's theorem: 2F1[-a/4, -a/4 + 1/2; 1; 1] = 2^{a/2} c_0(a)
         for a in (0.5, 1.0, 2.0, 3.0):
-            lhs = hyp2f1_unit(-a / 4.0, -a / 4.0 + 0.5, 1.0)
+            lhs = float(mp.hyp2f1(-a / 4.0, -a / 4.0 + 0.5, 1.0, 1.0))
             assert math.isclose(lhs, 2.0 ** (a / 2.0) * leading_coefficient(a), rel_tol=1e-12)
-
-    def test_series_fallback_against_mpmath(self):
-        # c - a = -0.5 forces the series branch
-        val = hyp2f1_unit(1.5, -2.3, 1.0)
-        ref = float(mp.hyp2f1(1.5, -2.3, 1.0, 1.0))
-        assert math.isclose(val, ref, rel_tol=1e-9)
 
 
 class TestComplexLogGamma:

@@ -14,7 +14,6 @@ from alphasine.sphere import (
     circle_fourier_coeffs,
     circle_grid,
     invert_sphere,
-    k_sphere,
     k_sphere_grid,
     shifted_sine_density,
     vonmises4_density,
@@ -62,20 +61,8 @@ class TestKSphere:
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.5, 2.0])
     def test_uniform_density(self, alpha):
         uni = watson_density(0.0, 0.0)
-        for y in (0.0, 0.7, -2.0):
-            assert math.isclose(
-                k_sphere(uni, alpha, y), sin_power_integral(alpha) / math.pi, rel_tol=1e-12
-            )
-
-    def test_uniform_alpha_two_value(self):
-        uni = watson_density(0.0, 0.0)
-        assert math.isclose(k_sphere(uni, 2.0, 0.3), 0.5, rel_tol=1e-12)
-
-    def test_pointwise_matches_grid(self):
-        f = DENSITIES["watson"]
-        kf = k_sphere_grid(f, 1.5)
-        for i in (0, 17, 200, 511):
-            assert math.isclose(k_sphere(f, 1.5, kf.xs[i]), kf.values[i], rel_tol=1e-10)
+        kf = k_sphere_grid(uni, alpha)
+        assert np.allclose(kf.values, sin_power_integral(alpha) / math.pi, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5, 5.0])
     @pytest.mark.parametrize("name", ["watson", "vonmises4"])
