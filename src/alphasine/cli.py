@@ -124,21 +124,47 @@ def read_config(path: str) -> dict[str, str]:
     return out
 
 
+def _last_flag(argv: list[str], flag: str) -> str | None:
+    """Value of the last `flag v` or `flag=v` in argv, None if there is none."""
+    value = None
+    for arg, following in zip(argv, argv[1:] + [None]):
+        if arg == flag:
+            value = following
+        elif arg.startswith(flag + "="):
+            value = arg.partition("=")[2]
+    return value
+
+
 def _expand_config(argv: list[str]) -> list[str]:
     """argv with the lines of its --config file inserted as --key=value flags
     right after the command name.  argparse then checks them like flags, the
     user's own flags come later and win, and the '=' form keeps a value such
     as -3:3:7 from being read as an option."""
-    path = None
-    for arg, following in zip(argv, argv[1:] + [None]):
-        if arg == "--config":
-            path = following
-        elif arg.startswith("--config="):
-            path = arg.partition("=")[2]
+    path = _last_flag(argv, "--config")
     if path is None:
         return argv
     flags = [f"--{key}={value}" for key, value in read_config(path).items()]
     return argv[:1] + flags + argv[1:]
+
+
+def _method_first(argv: list[str]) -> list[str]:
+    """`invert ... --method M ...` as `invert M ...`: argparse picks a
+    subcommand by a word, not by the value of an option.  The last --method
+    wins, so a flag overrides a config line."""
+    if argv[:1] != ["invert"]:
+        return argv
+    method = _last_flag(argv, "--method")
+    if method is None:  # argparse then reports the missing --method, or prints the help
+        return argv[:1] + [arg for arg in argv[1:] if arg in ("-h", "--help")]
+    flag_at = {i for i, arg in enumerate(argv) if arg == "--method"}
+    rest = [arg for i, arg in enumerate(argv) if i > 0 and i not in flag_at
+            and i - 1 not in flag_at and not arg.startswith("--method=")]
+    return ["invert", method] + rest
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv as main() parses it: config lines become flags, then --method a subcommand."""
+    return build_parser().parse_args(_method_first(_expand_config(argv)))
 
 
 @contextmanager
@@ -171,7 +197,7 @@ def cmd_forward(args) -> int:
     if args.f is not None:
         f, fhat = BUILTINS[args.f]
         name = args.f
-    elif args.infile:
+    else:
         samples = sampled_from_csv(args.infile)
         f, fhat, name = samples.eval, None, args.infile
         # sampled inputs carry interpolation error well above 1e-6, so a
@@ -179,8 +205,6 @@ def cmd_forward(args) -> int:
         # interpolant, and the tail ends at the data
         spec = QuadSpec(abs_tol=1e-6, rel_tol=1e-6,
                         tail_cut=min(args.tail_cut, samples.grid.last))
-    else:
-        raise ValueError("need --f or --in")
     if args.method == "quad":
         vals = np.array([t_sine(f, args.alpha, y, spec) for y in ys])
     else:
@@ -210,24 +234,20 @@ def cmd_invert(args) -> int:
     comments = []
     params = {"method": args.method, "alpha": args.alpha}
     if args.method == "fourier":
-        n = 100 if args.n is None else args.n
-        out_grid = parse_grid("0:5:501" if args.grid is None else args.grid)
         moll = MollifierKind(args.mollifier, args.gamma) if args.mollifier else None
-        rec = invert_fourier(g, args.alpha, n, args.r, out_grid,
+        rec = invert_fourier(g, args.alpha, args.n, args.r, parse_grid(args.grid),
                              f0_override=args.f0, interpolation=args.interp, mollifier=moll)
         comments.append(f"tail_flatness = {_flatness(g, args.r):.6g}")
-        params.update(n=n, r=args.r, interp=args.interp, mollifier=args.mollifier or "none")
+        params.update(n=args.n, r=args.r, interp=args.interp, mollifier=args.mollifier or "none")
     elif args.method == "direct":
-        out_grid = parse_grid("0.2:3:281" if args.grid is None else args.grid)
         cfg = DirectConfig(alpha=args.alpha, epsilon=args.epsilon)
-        rec = invert_direct(g, cfg, out_grid)
+        rec = invert_direct(g, cfg, parse_grid(args.grid))
         params.update(epsilon=args.epsilon, c=cfg.weight_exponent)
     else:
-        n = 10 if args.n is None else args.n
-        density = invert_sphere(g, args.alpha, n)
+        density = invert_sphere(g, args.alpha, args.n)
         rec = density.values
         comments.append(f"clipped_mass = {density.clipped_mass:.6g}")
-        params["n"] = n
+        params["n"] = args.n
     xs = rec.xs
     vals = np.real(rec.values)
     columns = [xs, vals]
@@ -291,53 +311,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, *, infile, alpha=True):
-        """infile: "required", "optional" or None for no --in; alpha: takes --alpha."""
-        p = sub.add_parser(name, help=summary)
+    def command(name, func, summary, *, infile=True, alpha=True, within=sub):
+        """infile, alpha: takes a required --in, --alpha; within: the subcommands it joins."""
+        p = within.add_parser(name, help=summary)
         p.set_defaults(func=func)
         p.add_argument("--config", help="file of key = value lines, read as flags; "
                                         "explicit flags win")
         if infile:
-            p.add_argument("--in", dest="infile", required=infile == "required", help="input CSV")
+            p.add_argument("--in", dest="infile", required=True, help="input CSV")
         p.add_argument("--out", help="output CSV; stdout if not given")
         if alpha:
             p.add_argument("--alpha", type=float, required=True)
         return p
 
-    p = command("coeffs", cmd_coeffs, "kernel expansion coefficients c_j", infile=None)
+    p = command("coeffs", cmd_coeffs, "kernel expansion coefficients c_j", infile=False)
     p.add_argument("--count", type=int, default=10, help="last index j")
     p.add_argument("--kind", choices=["sine", "cosine"], default="sine", help="kernel")
 
-    p = command("forward", cmd_forward, "sample the forward transform", infile="optional")
-    p.add_argument("--f", choices=sorted(BUILTINS), help="builtin f, instead of --in")
+    p = command("forward", cmd_forward, "sample the forward transform", infile=False)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--f", choices=sorted(BUILTINS), help="builtin f")
+    source.add_argument("--in", dest="infile", help="input CSV of samples of f")
     p.add_argument("--method", choices=["quad", "series"], default="quad", help="route")
     p.add_argument("--grid", default="0:20:401", help="start:stop:count for the y samples")
     p.add_argument("--tail-cut", dest="tail_cut", type=float, default=30.0,
                    help="upper end of the x integral")
     p.add_argument("--terms", type=int, default=10_000, help="series terms")
 
-    p = command("invert", cmd_invert, "run one of the inverters", infile="required")
-    p.add_argument("--method", choices=["fourier", "direct", "sphere"], required=True)
-    p.add_argument("--n", type=int, help="fourier: sample count N; sphere: last harmonic; "
-                                         "the default depends on --method")
-    p.add_argument("--r", type=float, default=10.0, help="fourier: last sample abscissa R")
-    p.add_argument("--epsilon", type=float, default=0.025, help="direct: cutoff of |mu|")
-    p.add_argument("--gamma", type=float, default=0.5, help="fourier: mollifier scale")
-    p.add_argument("--mollifier", choices=["triangle", "gaussian"])
-    p.add_argument("--interp", choices=["sinc", "linear"], default="sinc",
-                   help="fourier: synthesis")
-    p.add_argument("--f0", type=float)
-    p.add_argument("--grid", help="start:stop:count for the output; "
-                                  "the default depends on --method")
-    p.add_argument("--truth", help="CSV with the true f for the error diagnostic")
+    invert = sub.add_parser("invert", help="run one of the inverters, chosen by --method")
+    methods = invert.add_subparsers(dest="method", required=True,
+                                    metavar="--method {fourier,direct,sphere}")
 
-    p = command("noise", cmd_noise, "add reproducible Gaussian noise to a CSV",
-                infile="required", alpha=False)
+    def method(name, summary):
+        p = command(name, cmd_invert, summary, within=methods)
+        p.add_argument("--truth", help="CSV with the true f for the error diagnostic")
+        return p
+
+    p = method("fourier", "Fourier-side triangular solve, all a > -1")
+    p.add_argument("--n", type=int, default=100, help="sample count N")
+    p.add_argument("--r", type=float, default=10.0, help="last sample abscissa R")
+    p.add_argument("--interp", choices=["sinc", "linear"], default="sinc", help="synthesis")
+    p.add_argument("--mollifier", choices=["triangle", "gaussian"])
+    p.add_argument("--gamma", type=float, default=0.5, help="mollifier scale")
+    p.add_argument("--f0", type=float, help="F f(0); estimated from the tail if not given")
+    p.add_argument("--grid", default="0:5:501", help="start:stop:count for the output")
+
+    p = method("direct", "direct route in log coordinates, a > 1")
+    p.add_argument("--epsilon", type=float, default=0.025, help="cutoff of |mu|")
+    p.add_argument("--grid", default="0.2:3:281", help="start:stop:count for the output")
+
+    p = method("sphere", "circle densities")
+    p.add_argument("--n", type=int, default=10, help="last harmonic")
+
+    p = command("noise", cmd_noise, "add reproducible Gaussian noise to a CSV", alpha=False)
     p.add_argument("--sigma", type=float, default=0.1, help="noise standard deviation")
     p.add_argument("--seed", type=int, default=0, help="Philox key")
 
-    p = command("sas", cmd_sas, "codifference samples to transform samples g",
-                infile="required")
+    p = command("sas", cmd_sas, "codifference samples to transform samples g")
     p.add_argument("--sigma", type=float, required=True)
 
     return parser
@@ -346,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_expand_config(argv))
+        args = parse_args(argv)
         return args.func(args)
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NoTailSamples, SingularDiagonal
 from .grid import SampledFunction, UniformGrid, call_vec
-from .specfun import CoefficientTable, as_alpha, lambda_alpha, sine_coeffs
+from .specfun import CoefficientTable, as_alpha, sine_coeffs
 
 
 @dataclass(frozen=True)
@@ -61,19 +61,15 @@ class MollifierKind:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 
 
-def estimate_f0(g, alpha, r: float, *, sigma: float | None = None) -> float:
+def estimate_f0(g, alpha, r: float) -> float:
     """Estimate F f(0) as the mean of 2 g(y)/c_0 over samples y > R.
 
-    When the scale parameter of a stable process is known, sigma overrides the
-    tail average with sigma^a / lambda_a.
+    When the scale parameter of a stable process is known, sas.f0_from_scale
+    gives F f(0) instead.
     """
     alpha = as_alpha(alpha)
-    if sigma is not None:
-        if not (sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        return sigma**alpha.value / lambda_alpha(alpha)
     if not isinstance(g, SampledFunction):
-        raise TypeError("estimate_f0 needs a SampledFunction (or pass sigma)")
+        raise TypeError("estimate_f0 needs a SampledFunction")
     mask = g.xs > r
     if not np.any(mask):
         raise NoTailSamples(f"no samples beyond R = {r}")

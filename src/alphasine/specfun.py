@@ -45,7 +45,8 @@ class CoefficientTable:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=float)
+        # a copy, so that freezing it leaves the caller's array writable
+        arr = np.array(self.coeffs, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 

@@ -1,11 +1,20 @@
 """Command-line front end: CSV round trips, determinism, exit codes."""
 
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from alphasine.cli import gaussian_noise, main, read_config, read_csv, sampled_from_csv
+from alphasine.cli import (
+    gaussian_noise,
+    main,
+    parse_args,
+    read_config,
+    read_csv,
+    sampled_from_csv,
+)
 from alphasine.errors import NonConvergence
 
 from conftest import t2_f1
@@ -83,7 +92,11 @@ class TestForward:
 
     def test_missing_function_is_validation_error(self, capsys):
         rc, _, err = run(capsys, "forward", "--alpha", "2")
-        assert rc == 2 and "need --f or --in" in err
+        assert rc == 2 and "one of the arguments --f --in is required" in err
+
+    def test_builtin_and_csv_function_exclude_each_other(self, capsys, t2f1_csv):
+        rc, out, err = run(capsys, "forward", "--f", "f1", "--in", t2f1_csv, "--alpha", "2")
+        assert rc == 2 and "not allowed with argument --f" in err and out == ""
 
 
 class TestInvert:
@@ -137,6 +150,56 @@ class TestInvert:
         rc, _, err = run(capsys, "invert", "--method", "sphere", "--in", str(src),
                          "--alpha", "1.5", "--n", "10")
         assert rc == 2 and "[-pi, pi)" in err
+
+
+    @pytest.mark.parametrize("method, flags", [
+        ("fourier", ["--epsilon", "0.5"]),
+        ("direct", ["--n", "10"]),
+        ("direct", ["--r", "3"]),
+        ("direct", ["--mollifier", "triangle"]),
+        ("sphere", ["--grid", "0:1:3"]),
+        ("sphere", ["--epsilon", "0.5"]),
+        ("sphere", ["--mollifier", "triangle", "--r", "3", "--epsilon", "0.5"]),
+    ])
+    def test_flag_of_another_method(self, capsys, t2f1_csv, method, flags):
+        rc, out, err = run(capsys, "invert", "--method", method, "--in", t2f1_csv,
+                           "--alpha", "2", *flags)
+        assert rc == 2 and "unrecognized arguments: " + " ".join(flags) in err and out == ""
+
+    def test_config_line_of_another_method(self, capsys, tmp_path, t2f1_csv):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"method = fourier\nin = {t2f1_csv}\nalpha = 2\nepsilon = 0.5\n")
+        rc, out, err = run(capsys, "invert", "--config", str(cfgfile))
+        assert rc == 2 and "unrecognized arguments: --epsilon=0.5" in err and out == ""
+
+    def test_method_with_equals_sign(self, capsys, tmp_path):
+        from alphasine.sphere import k_sphere_grid, watson_density
+
+        kf = k_sphere_grid(watson_density(-2.5, 1.0, m=128), 1.5)
+        src = tmp_path / "kf.csv"
+        write_samples(src, kf.xs, kf.values)
+        spaced = run(capsys, "invert", "--method", "sphere", "--in", str(src), "--alpha", "1.5")
+        joined = run(capsys, "invert", "--method=sphere", "--in", str(src), "--alpha", "1.5")
+        assert spaced[0] == 0 and joined == spaced
+
+    def test_method_flag_overrides_config(self, capsys, tmp_path, t2f1_csv):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"method = direct\nin = {t2f1_csv}\nalpha = 2\n")
+        flagged = run(capsys, "invert", "--config", str(cfgfile), "--method", "fourier",
+                      "--grid", "0:3:7")
+        plain = run(capsys, "invert", "--method", "fourier", "--in", t2f1_csv, "--alpha", "2",
+                    "--grid", "0:3:7")
+        assert flagged[0] == 0 and "method=fourier" in flagged[1] and flagged == plain
+
+    def test_missing_method(self, capsys, t2f1_csv):
+        rc, out, err = run(capsys, "invert", "--in", t2f1_csv, "--alpha", "2")
+        assert rc == 2 and "--method" in err and out == ""
+
+    def test_method_help_lists_its_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["invert", "--method", "fourier", "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and "(default: 100)" in out and "--epsilon" not in out
 
 
 class TestNoise:
@@ -299,3 +362,18 @@ class TestConfigAndErrors:
         rc, out, err = run(capsys, "noise", "--in", str(bad), "--sigma", "0.1")
         assert rc == 2 and out == ""
         assert f"{bad}, line 4: could not convert string to float: 'abc'" in err
+
+
+def readme_commands():
+    """The alphasine commands of the README's CLI examples, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI examples", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("alphasine ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        parse_args(argv)

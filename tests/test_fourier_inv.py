@@ -20,7 +20,7 @@ from alphasine.fourier_inv import (
     synthesize,
 )
 from alphasine.grid import SampledFunction, UniformGrid
-from alphasine.specfun import lambda_alpha, sine_coeffs
+from alphasine.specfun import sine_coeffs
 
 from conftest import dense_system_matrix, fhat1, rel_l2, sample, t2_f1
 
@@ -34,16 +34,6 @@ class TestEstimateF0:
     def test_closed_form_tail(self):
         g = sample(t2_f1, 0.0, 20.0, 1601)
         assert abs(estimate_f0(g, 2.0, 10.0) - math.sqrt(math.pi)) < 1e-3
-
-    def test_sigma_override(self):
-        assert math.isclose(
-            estimate_f0(None, 1.0, 10.0, sigma=1.0), math.pi / 2.0, rel_tol=1e-13
-        )
-        assert math.isclose(
-            estimate_f0(None, 1.5, 10.0, sigma=1.3),
-            1.3**1.5 / lambda_alpha(1.5),
-            rel_tol=1e-13,
-        )
 
     def test_no_tail(self):
         g = sample(t2_f1, 0.0, 5.0, 11)

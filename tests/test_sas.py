@@ -28,6 +28,13 @@ def test_f0_from_scale_values():
     assert math.isclose(f0_from_scale(SasParams(1.0, Alpha(1.999999))), 2.0, rel_tol=1e-5)
 
 
+def test_f0_from_scale_is_sigma_power_over_lambda():
+    assert math.isclose(f0_from_scale(SasParams(1.0, 1.0)), math.pi / 2.0, rel_tol=1e-13)
+    assert math.isclose(
+        f0_from_scale(SasParams(1.3, 1.5)), 1.3**1.5 / lambda_alpha(1.5), rel_tol=1e-13
+    )
+
+
 def test_constant_codifference_gives_zero():
     p = SasParams(1.4, Alpha(1.2))
     tau = lambda t: 2.0 * 1.4**1.2

@@ -12,6 +12,7 @@ from scipy.special import psi
 
 from alphasine.specfun import (
     Alpha,
+    CoefficientTable,
     _log_gamma,
     cosine_coeffs,
     lambda_alpha,
@@ -154,6 +155,15 @@ class TestSineCoeffs:
         j = np.arange(10**3, 10**5 + 1)
         slope = np.polyfit(np.log(j), np.log(c[10**3:]), 1)[0]
         assert abs(slope + (alpha + 1.0)) < 0.05
+
+
+class TestCoefficientTable:
+    def test_caller_array_stays_writable(self):
+        a = np.array([1.0, 0.5])
+        table = CoefficientTable(Alpha(1.0), a)
+        a[0] = 2.0
+        assert table.coeffs.tolist() == [1.0, 0.5]
+        assert not table.coeffs.flags.writeable
 
 
 class TestCosineCoeffs:
