@@ -28,6 +28,14 @@ from .sas import SasParams, f0_from_scale, g_from_codifference
 from .specfun import cosine_coeffs, lambda_alpha, sine_coeffs  # noqa: F401
 from .sphere import invert_sphere
 
+# defaults of the two options that are valid only beside another one: the
+# parser leaves them unset, so giving them where they do not apply is an error
+_TERMS = 10_000
+_GAMMA = 0.5
+# CSV rows converted at once: one pass per block, without holding the
+# strings of a whole file
+_CSV_BLOCK = 1024
+
 
 def gaussian_noise(seed: int, count: int) -> np.ndarray:
     """Counter-based standard normals: draw i comes from Philox keyed (seed, i),
@@ -52,37 +60,58 @@ def write_csv(stream, comments: list[str], header: list[str], columns: list[np.n
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
-    """Header and data rows of a CSV with at least two columns of finite numbers."""
+    """Header and data rows of a CSV with at least two columns of finite numbers.
+
+    Rows are converted _CSV_BLOCK at a time, the fields of a block joined and
+    parsed in one pass; an error names the first line at fault, in file order."""
     header: list[str] | None = None
-    rows = []
-    line_numbers = []
+    blocks: list[np.ndarray] = []
+    block: list[str] = []
+    numbers: list[int] = []
+
+    def flush():
+        if not block:
+            return
+        fields = ",".join(block).split(",")
+        try:
+            blocks.append(np.array(list(map(float, fields))).reshape(len(block), len(header)))
+        except ValueError:
+            first = len(numbers) - len(block)
+            for i, field in enumerate(fields):
+                try:
+                    float(field)
+                except ValueError as exc:
+                    number = numbers[first + i // len(header)]
+                    raise ValueError(f"{path}, line {number}: {exc}") from None
+        block.clear()
+
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = line.split(",")
             if header is None:
-                if len(fields) < 2:
+                header = [c.strip() for c in line.split(",")]
+                if len(header) < 2:
                     raise ValueError(f"{path}, line {number}: need at least two columns")
-                header = [c.strip() for c in fields]
                 continue
-            if len(fields) != len(header):
+            if line.count(",") != len(header) - 1:
+                flush()  # a bad number on an earlier line is the first fault
                 raise ValueError(
-                    f"{path}, line {number}: {len(fields)} fields, the header has {len(header)}"
+                    f"{path}, line {number}: {line.count(',') + 1} fields, "
+                    f"the header has {len(header)}"
                 )
-            try:
-                values = list(map(float, fields))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {number}: {exc}") from None
-            rows.append(values)
-            line_numbers.append(number)
-    if header is None or not rows:
+            block.append(line)
+            numbers.append(number)
+            if len(block) == _CSV_BLOCK:
+                flush()
+    flush()
+    if not numbers:
         raise ValueError(f"{path}: no data rows")
-    data = np.array(rows)
+    data = np.concatenate(blocks)
     bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
     if len(bad):
-        raise ValueError(f"{path}, line {line_numbers[bad[0]]}: value is not finite")
+        raise ValueError(f"{path}, line {numbers[bad[0]]}: value is not finite")
     return header, data
 
 
@@ -205,18 +234,21 @@ def cmd_forward(args) -> int:
         # interpolant, and the tail ends at the data
         spec = QuadSpec(abs_tol=1e-6, rel_tol=1e-6,
                         tail_cut=min(args.tail_cut, samples.grid.last))
+    params = {"alpha": args.alpha, "f": name, "method": args.method, "grid": args.grid,
+              "tail_cut": args.tail_cut}
     if args.method == "quad":
-        vals = np.array([t_sine(f, args.alpha, y, spec) for y in ys])
+        if args.terms is not None:
+            raise ValueError("--terms applies to --method series only")
+        vals = t_sine(f, args.alpha, ys, spec)
     else:
         if fhat is None:
             raise ValueError("method=series needs a builtin f with a known Fourier transform")
+        params["terms"] = terms = _TERMS if args.terms is None else args.terms
         vals = np.array([
-            t_sine_series(fhat, args.alpha, y, args.terms, fhat_decays=True) if y > 0.0
+            t_sine_series(fhat, args.alpha, y, terms, fhat_decays=True) if y > 0.0
             else t_sine(f, args.alpha, y, spec)
             for y in ys
         ])
-    params = {"alpha": args.alpha, "f": name, "method": args.method, "grid": args.grid,
-              "tail_cut": args.tail_cut}
     with _out_stream(args) as out:
         write_csv(out, [_params_comment("forward", params)], ["y", "value"], [ys, vals])
     return 0
@@ -234,7 +266,12 @@ def cmd_invert(args) -> int:
     comments = []
     params = {"method": args.method, "alpha": args.alpha}
     if args.method == "fourier":
-        moll = MollifierKind(args.mollifier, args.gamma) if args.mollifier else None
+        moll = None
+        if args.mollifier:
+            moll = MollifierKind(args.mollifier, _GAMMA if args.gamma is None else args.gamma)
+            params["gamma"] = moll.gamma
+        elif args.gamma is not None:
+            raise ValueError("--gamma is the scale of a mollifier and needs --mollifier")
         rec = invert_fourier(g, args.alpha, args.n, args.r, parse_grid(args.grid),
                              f0_override=args.f0, interpolation=args.interp, mollifier=moll)
         comments.append(f"tail_flatness = {_flatness(g, args.r):.6g}")
@@ -290,13 +327,20 @@ def cmd_sas(args) -> int:
     return 0
 
 
+class _DefaultsShown(argparse.ArgumentDefaultsHelpFormatter):
+    """--help shows each option's default; an option left unset by default
+    says in its help text what applies instead."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 class _Parser(argparse.ArgumentParser):
     """Exact option names only, defaults shown by --help, and a parse error
     raised as ValueError so that main() returns exit code 2."""
 
     def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False,
-                         formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+        super().__init__(allow_abbrev=False, formatter_class=_DefaultsShown, **kwargs)
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -336,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0:20:401", help="start:stop:count for the y samples")
     p.add_argument("--tail-cut", dest="tail_cut", type=float, default=30.0,
                    help="upper end of the x integral")
-    p.add_argument("--terms", type=int, default=10_000, help="series terms")
+    p.add_argument("--terms", type=int,
+                   help=f"series terms, {_TERMS} if not given; --method series only")
 
     invert = sub.add_parser("invert", help="run one of the inverters, chosen by --method")
     methods = invert.add_subparsers(dest="method", required=True,
@@ -352,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=10.0, help="last sample abscissa R")
     p.add_argument("--interp", choices=["sinc", "linear"], default="sinc", help="synthesis")
     p.add_argument("--mollifier", choices=["triangle", "gaussian"])
-    p.add_argument("--gamma", type=float, default=0.5, help="mollifier scale")
+    p.add_argument("--gamma", type=float,
+                   help=f"mollifier scale, {_GAMMA} if not given; needs --mollifier")
     p.add_argument("--f0", type=float, help="F f(0); estimated from the tail if not given")
     p.add_argument("--grid", default="0:5:501", help="start:stop:count for the output")
 

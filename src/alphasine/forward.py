@@ -16,31 +16,41 @@ from .quad import QuadSpec, integrate, integrate_kernel_split
 from .specfun import as_alpha, sine_coeffs
 
 
-def t_sine(f, alpha, y: float, spec: QuadSpec | None = None) -> float:
-    """The |sin(xy)|^a transform of f at y >= 0."""
+def _on_half_line(f, alpha, y, spec, kernel: str, at_zero):
+    """The kernel transform at a scalar y (a float) or at each entry of an
+    array of y (an array of its shape); at_zero() gives the value at y = 0."""
+    ys = np.asarray(y, dtype=float)
+    if np.any(ys < 0.0):
+        raise ValueError(f"y must be >= 0, got {ys[ys < 0.0][0]}")
+    out = np.empty(ys.shape)
+    zero = ys == 0.0
+    if zero.any():
+        out[zero] = at_zero()
+    out[~zero] = integrate_kernel_split(f, alpha, ys[~zero], spec, kernel=kernel)
+    return float(out) if ys.ndim == 0 else out
+
+
+def t_sine(f, alpha, y, spec: QuadSpec | None = None):
+    """The |sin(xy)|^a transform of f at y >= 0, a scalar or an array."""
     spec = spec or QuadSpec()
     alpha = as_alpha(alpha)
-    if y < 0.0:
-        raise ValueError(f"y must be >= 0, got {y}")
-    if y == 0.0:
+
+    def at_zero() -> float:
         if alpha.value > 0.0:
             return 0.0
         if abs(alpha.value) <= 1e-12:
             # kernel is identically 1
             return integrate(f, spec)
         raise ValueError("t_sine is undefined at y = 0 for -1 < alpha < 0")
-    return integrate_kernel_split(f, alpha, y, spec, kernel="sine")
+
+    return _on_half_line(f, alpha, y, spec, "sine", at_zero)
 
 
-def k_cosine(f, alpha, y: float, spec: QuadSpec | None = None) -> float:
-    """The |cos(xy)|^a transform of f at y >= 0; at y = 0 the kernel is 1."""
+def k_cosine(f, alpha, y, spec: QuadSpec | None = None):
+    """The |cos(xy)|^a transform of f at y >= 0, a scalar or an array; at
+    y = 0 the kernel is 1."""
     spec = spec or QuadSpec()
-    alpha = as_alpha(alpha)
-    if y < 0.0:
-        raise ValueError(f"y must be >= 0, got {y}")
-    if y == 0.0:
-        return integrate(f, spec)
-    return integrate_kernel_split(f, alpha, y, spec, kernel="cosine")
+    return _on_half_line(f, alpha, y, spec, "cosine", lambda: integrate(f, spec))
 
 
 def t_sine_series(

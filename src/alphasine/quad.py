@@ -8,6 +8,10 @@ floats, so even a piece far shorter than pi keeps its digits.
 Weights and kernel powers combine in log space, which keeps the rule finite
 arbitrarily close to a = -1.  Every second tanh-sinh node forms the embedded
 coarse rule whose disagreement drives refinement.
+
+A curve, an array of y, is integrated in one pass: the pieces of every y go
+into one table, the interior half-lobes of all of them share one rule per
+step, and each y keeps its own stopping rule.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from .grid import call_vec
 from .specfun import as_alpha
 
 _HALF_PI = 0.5 * math.pi
+# y refined together, and nodes placed and evaluated at once: these bound the
+# memory of a long curve without changing any value
+_Y_BLOCK = 32
+_CHUNK_NODES = 16384
 
 
 @dataclass(frozen=True)
@@ -58,57 +66,82 @@ def _ln_sin(u: np.ndarray, ln_u: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _lobe_rule(alpha: float, h: float, length: float, off: float):
-    """Tanh-sinh rule on a half-lobe piece of the given length whose kernel
-    zero lies off beyond one end, its zero end; it does not depend on where
-    the piece sits, nor on which side the zero lies.
-
-    Node i is d[i] from the zero end where near[i], else d[i] from the other
-    end.  Its distance u to the zero is off plus its distance to the zero end,
-    which for the near nodes comes straight from the rule, never from float
-    subtraction.  q holds the weights times |sin u|^alpha; the coarse entries
-    form the embedded h' = 2h rule.
-    """
+def _kmax(alpha: float, h: float) -> int:
+    """Half the node count of the rule at step h: the tanh-sinh sum runs to
+    where the weights have fallen below double precision."""
     s_req = max(16.5, 16.5 / (1.0 + alpha))
-    kmax = max(6, int(math.ceil(math.asinh(2.0 * s_req / math.pi) / h)))
+    return max(6, int(math.ceil(math.asinh(2.0 * s_req / math.pi) / h)))
+
+
+def _rules(alpha: float, h: float, length: np.ndarray, off: np.ndarray):
+    """Tanh-sinh rules on half-lobe pieces, one row per piece: length[i] is
+    the piece's length and off[i] how far its kernel zero lies beyond its zero
+    end (both columns).  A rule does not depend on where the piece sits, nor
+    on which side the zero lies.
+
+    Node j of row i is d[i, j] from the zero end where near[j], else d[i, j]
+    from the other end.  Its distance u to the zero is off plus its distance
+    to the zero end, which for the near nodes comes straight from the rule,
+    never from float subtraction.  q holds the weights times |sin u|^alpha;
+    the coarse entries form the embedded h' = 2h rule.
+    """
+    kmax = _kmax(alpha, h)
     k = np.arange(-kmax, kmax + 1)
     kh = k * h
     s = _HALF_PI * np.sinh(kh)
     lnw = math.log(h * _HALF_PI) + _log_cosh(kh) - 2.0 * _log_cosh(s)
     near = s <= 0.0
     # each node's distance to the nearer end, in log form exact to the end
-    ln_d = math.log(length) + _log_sigmoid(-2.0 * np.abs(s))
+    ln_d = np.log(length) + _log_sigmoid(-2.0 * np.abs(s))
     d = np.exp(ln_d)
     u = off + np.where(near, d, length - d)
-    ln_u = np.log(u) if off else np.where(near, ln_d, np.log(length - d))
-    q = np.exp(lnw + math.log(0.5 * length) + alpha * _ln_sin(u, ln_u))
-    coarse = k % 2 == 0
+    ln_u = np.where(near, ln_d, np.log(length - d))
+    cut = off[:, 0] > 0.0
+    ln_u[cut] = np.log(u[cut])
+    q = np.exp(lnw + np.log(0.5 * length) + alpha * _ln_sin(u, ln_u))
+    return d, near, q, k % 2 == 0
+
+
+@lru_cache(maxsize=64)
+def _lobe_rule(alpha: float, h: float, length: float, off: float):
+    """The rule of one piece (see _rules), kept for reuse: d, near, q, coarse
+    as 1-D read-only arrays."""
+    d, near, q, coarse = _rules(alpha, h, np.array([[length]]), np.array([[off]]))
+    d, q = d[0], q[0]
     for arr in (d, near, q, coarse):
         arr.setflags(write=False)
     return d, near, q, coarse
 
 
+def _place(d, near, zero_end, other_end):
+    """Nodes of the pieces between zero_end[i] and other_end[i], one row each,
+    from their distances d to the ends (see _rules)."""
+    toward = np.sign(other_end - zero_end)[:, None] * d
+    return np.where(near, zero_end[:, None] + toward, other_end[:, None] - toward)
+
+
 def lobe_nodes(alpha: float, h: float, zero_end, other_end, length: float, off: float):
-    """The same half-lobe piece (see _lobe_rule) placed between several pairs
+    """The same half-lobe piece (see _rules) placed between several pairs
     of ends zero_end[i], other_end[i], each pair the given length apart.
 
     Returns (t, q, coarse): t has one row of nodes per piece; the weights q
     (kernel power included) and the coarse-rule mask are shared by all rows.
     """
     d, near, q, coarse = _lobe_rule(alpha, h, length, off)
-    toward = np.sign(other_end - zero_end)[:, None] * d
-    t = np.where(near, zero_end[:, None] + toward, other_end[:, None] - toward)
-    return t, q, coarse
+    return _place(d, near, zero_end, other_end), q, coarse
 
 
-def _kernel_pieces(phase: float, t_max: float) -> np.ndarray:
-    """Rows (zero_end, other_end, length, off) covering (0, t_max] for a
-    kernel with zeros at k*pi - phase: the rising (zero to crest) and falling
-    (crest to zero) half of each lobe, cut to the interval, with empty pieces
-    dropped.  A length is pi/2 or is measured from 0 or t_max, never between
-    zeros; off is nonzero only where t_max cuts a falling half."""
-    k = np.arange(math.floor((t_max + phase) / math.pi) + 2)
+def _kernel_pieces(phase: float, t_max: np.ndarray):
+    """Rows (zero_end, other_end, length, off) covering (0, t_max[i]] for a
+    kernel with zeros at k*pi - phase, and the index i each row belongs to:
+    the rising (zero to crest) and falling (crest to zero) half of each lobe,
+    cut to the interval, with empty pieces dropped.  A length is pi/2 or is
+    measured from 0 or t_max, never between zeros; off is nonzero only where
+    t_max cuts a falling half."""
+    counts = np.floor((t_max + phase) / math.pi).astype(int) + 2
+    owner = np.repeat(np.arange(len(t_max)), counts)
+    k = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    t_max = t_max[owner]
     zero = k * math.pi - phase
     crest = k * math.pi + (_HALF_PI - phase)
     next_zero = (k + 1) * math.pi - phase
@@ -119,72 +152,98 @@ def _kernel_pieces(phase: float, t_max: float) -> np.ndarray:
                                np.where(next_zero <= t_max, _HALF_PI, t_max - crest),
                                np.maximum(next_zero - t_max, 0.0)))
     rows = np.stack((rising, falling), axis=1).reshape(-1, 4)
-    return rows[(rows[:, 2] > 0.0) & (rows[:, 0] >= 0.0)]
+    owner = np.repeat(owner, 2)
+    keep = (rows[:, 2] > 0.0) & (rows[:, 0] >= 0.0)
+    return rows[keep], owner[keep]
 
 
-def _piece_sums(f, y: float, alpha: float, pieces: np.ndarray, h: np.ndarray):
-    """Value and embedded error estimate of each piece at step h: one rule per
-    distinct (length, off, h), and f evaluated in one batch."""
-    rules, which = np.unique(np.column_stack((pieces[:, 2:], h)), axis=0, return_inverse=True)
-    groups = [np.flatnonzero(which == g) for g in range(len(rules))]
-    placed = [
-        lobe_nodes(alpha, hg, pieces[rows, 0], pieces[rows, 1], length, off)
-        for rows, (length, off, hg) in zip(groups, rules)
-    ]
-    t_all = np.concatenate([t.ravel() for t, _, _ in placed])
-    fx = np.asarray(call_vec(f, t_all / y), dtype=float) / y
+def _piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray, h: np.ndarray):
+    """Value and embedded error estimate of each piece at its step h, where
+    the integrand at node t is f(t / scale) / scale.  At each step the
+    interior half-lobes (length pi/2, off 0) share one cached rule, and the
+    cut tail pieces get theirs row by row; nodes are placed and f evaluated
+    in chunks of at most _CHUNK_NODES."""
     value = np.empty(len(h))
     error = np.empty(len(h))
-    start = 0
-    for rows, (t, q, coarse) in zip(groups, placed):
-        contrib = q * fx[start:start + t.size].reshape(t.shape)
-        start += t.size
-        # compress gives a C-ordered copy, so each row sums as a 1-D array would
-        coarse_sum = 2.0 * np.sum(np.compress(coarse, contrib, axis=1), axis=1)
-        value[rows] = np.sum(contrib, axis=1)
-        error[rows] = np.abs(value[rows] - coarse_sum)
+    interior = (pieces[:, 2] == _HALF_PI) & (pieces[:, 3] == 0.0)
+    for step in np.unique(h):
+        per_chunk = max(1, _CHUNK_NODES // (2 * _kmax(alpha, step) + 1))
+        for shared in (True, False):
+            rows = np.flatnonzero((h == step) & (interior == shared))
+            for lo in range(0, len(rows), per_chunk):
+                sel = rows[lo:lo + per_chunk]
+                p = pieces[sel]
+                d, near, q, coarse = (_lobe_rule(alpha, step, _HALF_PI, 0.0) if shared
+                                      else _rules(alpha, step, p[:, 2:3], p[:, 3:4]))
+                y = scale[sel, None]
+                x = _place(d, near, p[:, 0], p[:, 1]) / y
+                fx = np.asarray(call_vec(f, x.ravel()), dtype=float).reshape(x.shape) / y
+                contrib = q * fx
+                # compress gives a C-ordered copy, so each row sums as a 1-D array would
+                coarse_sum = 2.0 * np.sum(np.compress(coarse, contrib, axis=1), axis=1)
+                value[sel] = np.sum(contrib, axis=1)
+                error[sel] = np.abs(value[sel] - coarse_sum)
     return value, error
+
+
+def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np.ndarray:
+    """The integral at each of ys, refined together.  Each y keeps its own
+    stopping rule: a piece is refined while its y has not met its tolerance
+    and its error exceeds the y's share of it."""
+    pieces, owner = _kernel_pieces(phase, ys * spec.tail_cut)
+    counts = np.bincount(owner, minlength=len(ys))
+    if not counts.all():
+        t_max = ys[counts == 0][0] * spec.tail_cut
+        raise ValueError(f"y * tail_cut = {t_max:.3g} is too small for a kernel piece")
+    starts = np.cumsum(counts) - counts
+    h = np.full(len(pieces), 0.2)
+    value, error = _piece_sums(f, alpha, pieces, ys[owner], h)
+    for halvings in range(8):
+        total = np.add.reduceat(value, starts)
+        total_err = np.add.reduceat(error, starts)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        open_ = ~(total_err <= tol)
+        if not open_.any():
+            return total
+        if halvings == 7:
+            i = np.flatnonzero(open_)[0]
+            raise NonConvergence(
+                f"integrate_kernel_split: error {total_err[i]:.3e} above tolerance at y={ys[i]}"
+            )
+        bad = open_[owner] & (error > (tol / (2.0 * counts))[owner])
+        h[bad] *= 0.5
+        value[bad], error[bad] = _piece_sums(f, alpha, pieces[bad], ys[owner[bad]], h[bad])
 
 
 def integrate_kernel_split(
     f,
     alpha,
-    y: float,
+    y,
     spec: QuadSpec | None = None,
     kernel: str = "sine",
-) -> float:
-    """Integral of |sin(xy)|^a f(x) (or |cos(xy)|^a f(x)) over (0, tail_cut].
+):
+    """Integral of |sin(xy)|^a f(x) (or |cos(xy)|^a f(x)) over (0, tail_cut],
+    at a scalar y (a float) or at each entry of an array of y (an array of
+    its shape).
 
     Splits at the kernel zeros x = k pi / y (shifted by pi/(2y) for the
     cosine), integrates every half-lobe with the tanh-sinh rule, and refines
-    pieces whose embedded error estimate exceeds the budget.
+    pieces whose embedded error estimate exceeds the budget of their y.  The
+    y run in blocks of _Y_BLOCK, which bounds the memory a long curve takes.
     """
     spec = spec or QuadSpec()
     alpha = as_alpha(alpha)
-    if not (y > 0.0):
-        raise ValueError(f"y must be positive, got {y}")
+    ys = np.asarray(y, dtype=float)
+    flat = ys.reshape(-1)
+    if not np.all(flat > 0.0):
+        raise ValueError(f"y must be positive, got {flat[~(flat > 0.0)][0]}")
     if kernel not in ("sine", "cosine"):
         raise ValueError(f"kernel must be 'sine' or 'cosine', got {kernel!r}")
-    a = alpha.value
     phase = 0.0 if kernel == "sine" else _HALF_PI
-    pieces = _kernel_pieces(phase, y * spec.tail_cut)
-    if len(pieces) == 0:
-        raise ValueError(f"y * tail_cut = {y * spec.tail_cut:.3g} is too small for a kernel piece")
-    h = np.full(len(pieces), 0.2)
-    value, error = _piece_sums(f, y, a, pieces, h)
-    for halvings in range(8):
-        total = float(np.sum(value))
-        total_err = float(np.sum(error))
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if total_err <= tol:
-            return total
-        if halvings == 7:
-            raise NonConvergence(
-                f"integrate_kernel_split: error {total_err:.3e} above tolerance at y={y}"
-            )
-        bad = error > tol / (2.0 * len(pieces))
-        h[bad] *= 0.5
-        value[bad], error[bad] = _piece_sums(f, y, a, pieces[bad], h[bad])
+    total = np.empty(len(flat))
+    for lo in range(0, len(flat), _Y_BLOCK):
+        total[lo:lo + _Y_BLOCK] = _totals(f, alpha.value, flat[lo:lo + _Y_BLOCK], phase, spec)
+    return float(total[0]) if ys.ndim == 0 else total.reshape(ys.shape)
 
 
 def integrate(f, spec: QuadSpec | None = None) -> float:

@@ -98,6 +98,17 @@ class TestForward:
         rc, out, err = run(capsys, "forward", "--f", "f1", "--in", t2f1_csv, "--alpha", "2")
         assert rc == 2 and "not allowed with argument --f" in err and out == ""
 
+    def test_terms_recorded_under_series_only(self, capsys):
+        base = ["forward", "--f", "f1", "--alpha", "1.5", "--grid", "0:1:3"]
+        rc, out, _ = run(capsys, *base, "--method", "series")
+        assert rc == 0 and "terms=10000" in out.splitlines()[0]
+        rc, out, _ = run(capsys, *base, "--method", "series", "--terms", "50")
+        assert rc == 0 and "terms=50" in out.splitlines()[0]
+        rc, out, _ = run(capsys, *base)
+        assert rc == 0 and "terms" not in out.splitlines()[0]
+        rc, out, err = run(capsys, *base, "--terms", "5")
+        assert rc == 2 and "--terms" in err and out == ""
+
 
 class TestInvert:
     def test_fourier_round_trip(self, capsys, tmp_path, t2f1_csv):
@@ -195,11 +206,24 @@ class TestInvert:
         rc, out, err = run(capsys, "invert", "--in", t2f1_csv, "--alpha", "2")
         assert rc == 2 and "--method" in err and out == ""
 
+    def test_gamma_needs_a_mollifier(self, capsys, t2f1_csv):
+        base = ["invert", "--method", "fourier", "--in", t2f1_csv, "--alpha", "2",
+                "--grid", "0:3:7"]
+        rc, out, err = run(capsys, *base, "--gamma", "0.9")
+        assert rc == 2 and "--gamma" in err and out == ""
+        rc, out, _ = run(capsys, *base, "--mollifier", "triangle")
+        assert rc == 0 and "gamma=0.5 " in out.splitlines()[0]
+        rc, out, _ = run(capsys, *base, "--mollifier", "gaussian", "--gamma", "0.9")
+        assert rc == 0 and "gamma=0.9 " in out.splitlines()[0]
+        rc, out, _ = run(capsys, *base)
+        assert rc == 0 and "gamma" not in out.splitlines()[0]
+
     def test_method_help_lists_its_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["invert", "--method", "fourier", "--help"])
         out = capsys.readouterr().out
         assert exc.value.code == 0 and "(default: 100)" in out and "--epsilon" not in out
+        assert "(default: None)" not in out
 
 
 class TestNoise:
@@ -239,7 +263,7 @@ class TestSas:
 
         sigma, alpha = 1.3, 1.5
         ts = np.linspace(0.2, 8.0, 40)
-        transform = np.array([t_sine(lambda x: np.exp(-x * x), alpha, t / 2.0) for t in ts])
+        transform = t_sine(lambda x: np.exp(-x * x), alpha, ts / 2.0)
         tau = 2.0 * sigma**alpha - 2.0 ** (alpha + 1.0) * lambda_alpha(alpha) * transform
         src = tmp_path / "tau.csv"
         write_samples(src, ts, tau, header="t,tau")
@@ -362,6 +386,30 @@ class TestConfigAndErrors:
         rc, out, err = run(capsys, "noise", "--in", str(bad), "--sigma", "0.1")
         assert rc == 2 and out == ""
         assert f"{bad}, line 4: could not convert string to float: 'abc'" in err
+
+    @pytest.mark.parametrize("text, suffix", [
+        ("x,value\n0,1\n1,2,3\n2,abc\n", ", line 3: 3 fields, the header has 2"),
+        ("x,value\n0,1\n1,abc\n2,3,4\n", ", line 3: could not convert string to float: 'abc'"),
+        ("x,value\n0,inf\n1,2,3\n", ", line 3: 3 fields, the header has 2"),
+        ("x,value\n1\n", ", line 2: 1 fields, the header has 2"),
+        ("x,value\n0,\n", ", line 2: could not convert string to float: ''"),
+        ("# only\nx,value\n\n", ": no data rows"),
+        ("", ": no data rows"),
+        ("x\n", ", line 1: need at least two columns"),
+    ], ids=["width-first", "number-first", "width-before-finite", "short", "empty-field",
+            "header-only", "empty", "one-column"])
+    def test_csv_error_names_first_fault(self, tmp_path, text, suffix):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_csv(str(bad))
+        assert str(exc.value) == f"{bad}{suffix}"
+
+    def test_csv_rows_parse_as_floats(self, tmp_path):
+        src = tmp_path / "ok.csv"
+        src.write_text("# c\r\nx , y\r\n\r\n 0.5 ,-1e-3\r\n2,3\r\n", encoding="utf-8")
+        header, data = read_csv(str(src))
+        assert header == ["x", "y"] and data.tolist() == [[0.5, -1e-3], [2.0, 3.0]]
 
 
 def readme_commands():

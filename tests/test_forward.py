@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from alphasine.forward import k_cosine, t_sine, t_sine_series
-from alphasine.quad import QuadSpec
+from alphasine.quad import QuadSpec, _kernel_pieces, integrate
 
 from conftest import EXAMPLES, F1_MASS, F2_MASS, f1, f2, fhat1, fhat2, t2_f1, t2_f3
+from kernel_split_oracle import kernel_split_at
+
+# the forward workload's grid 0.05:20:400 and two tiny y, whose only piece is a cut one
+CURVE_Y = np.concatenate((0.05 * np.arange(1, 401), [1e-12, 1e-8]))
 
 
 class TestTSine:
@@ -64,6 +68,46 @@ class TestKCosine:
         for y in (0.4, 1.0, 2.5):
             s = t_sine(f1, 2.0, y, quad_spec) + k_cosine(f1, 2.0, y, quad_spec)
             assert abs(s - F1_MASS) < 1e-9
+
+
+class TestArrayY:
+    @pytest.mark.parametrize("transform", [t_sine, k_cosine])
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3"])
+    def test_matches_scalar_calls(self, name, transform):
+        # one call over the curve against per-y calls, and against the per-y
+        # engine it replaced, at every 9th y (all blocks of y are hit) and the
+        # tiny ones; at tail_cut 7 the cut falls inside a falling half-lobe
+        # for some y, which leaves a gap to its zero
+        fn = EXAMPLES[name][0]
+        kernel = "sine" if transform is t_sine else "cosine"
+        some = np.r_[0:400:9, 400, 401]
+        for tail_cut in (30.0, 7.0):
+            spec = QuadSpec(tail_cut=tail_cut)
+            for a in (-0.9, -0.5, 0.0, 1.5, 2.0, 4.7):
+                curve = transform(fn, a, CURVE_Y, spec)
+                assert curve.shape == CURVE_Y.shape
+                for y, value in zip(CURVE_Y[some], curve[some]):
+                    for single in (transform(fn, a, float(y), spec),
+                                   kernel_split_at(fn, a, y, spec, kernel)):
+                        assert abs(value - single) <= 1e-14 * abs(single)
+        assert np.max(_kernel_pieces(0.0, 7.0 * CURVE_Y)[0][:, 3]) > 0.0
+
+    def test_zero_inside_an_array(self, quad_spec):
+        ys = np.array([0.0, 0.5, 0.0, 2.0])
+        inner = t_sine(f1, 1.5, ys[[1, 3]], quad_spec)
+        assert np.array_equal(t_sine(f1, 1.5, ys, quad_spec), [0.0, inner[0], 0.0, inner[1]])
+        mass = integrate(f1, quad_spec)
+        assert np.array_equal(t_sine(f1, 0.0, ys, quad_spec)[[0, 2]], [mass, mass])
+        assert np.array_equal(k_cosine(f1, -0.5, ys, quad_spec)[[0, 2]], [mass, mass])
+        with pytest.raises(ValueError, match="undefined at y = 0"):
+            t_sine(f1, -0.5, ys, quad_spec)
+        with pytest.raises(ValueError, match="got -1.0"):
+            t_sine(f1, 1.5, np.array([0.5, -1.0]), quad_spec)
+
+    def test_scalar_gives_float(self, quad_spec):
+        assert isinstance(t_sine(f1, 1.5, 1.0, quad_spec), float)
+        assert isinstance(k_cosine(f1, 1.5, np.float64(0.0), quad_spec), float)
+        assert t_sine(f1, 1.5, np.array([]), quad_spec).shape == (0,)
 
 
 class TestSeries:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from alphasine.errors import NonConvergence
-from alphasine.quad import QuadSpec, integrate, integrate_kernel_split
+from alphasine.quad import QuadSpec, _lobe_rule, integrate, integrate_kernel_split
 from alphasine.specfun import sin_power_integral
 
 from conftest import F1_MASS, F2_MASS, f1, f2, f3, sample, t2_f1
@@ -127,3 +127,38 @@ class TestKernelSplit:
         spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-13, tail_cut=4.0)
         with pytest.raises(NonConvergence, match="integrate_kernel_split"):
             integrate_kernel_split(lambda x: (np.asarray(x) < 1.2345).astype(float), 1.5, 1.0, spec)
+
+
+class TestArrayY:
+    def test_one_y_that_cannot_converge_is_named(self):
+        # the step of f at x = pi sits on a piece end at y = 0.5, 1 and 2
+        # (t = pi/2, pi, 2 pi) but inside a lobe at y = 1.3
+        spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-13, tail_cut=4.0)
+        step = lambda x: (np.asarray(x) < math.pi).astype(float)
+        ys = np.array([0.5, 1.0, 2.0])
+        assert np.all(np.isfinite(integrate_kernel_split(step, 1.5, ys, spec)))
+        with pytest.raises(NonConvergence, match=r"at y=1\.3$"):
+            integrate_kernel_split(step, 1.5, np.insert(ys, 2, 1.3), spec)
+
+    def test_each_y_stops_on_its_own_tolerance(self):
+        # a kink inside a lobe makes the error estimate tight, so the value
+        # depends on when refinement stops; the two totals differ by 60x, and
+        # a y that has converged is not refined further while the other is
+        spec = QuadSpec(abs_tol=1e-14, rel_tol=1e-5, tail_cut=6.0)
+        kink = lambda x: np.abs(np.asarray(x) - 1.2345) * np.exp(-x)
+        ys = np.array([0.02, 0.9])
+        single = [integrate_kernel_split(kink, 1.5, float(y), spec) for y in ys]
+        assert np.array_equal(integrate_kernel_split(kink, 1.5, ys, spec), single)
+
+    def test_rule_cache_misses_per_step_not_per_y(self):
+        # interior half-lobes of every y share one rule per step; the cut
+        # tail pieces are computed row by row and never enter the cache
+        _lobe_rule.cache_clear()
+        integrate_kernel_split(f3, -0.9, 0.05 * np.arange(1, 401))
+        assert _lobe_rule.cache_info().misses <= 8
+
+    def test_rejects_bad_y_in_an_array(self):
+        with pytest.raises(ValueError, match="got 0.0"):
+            integrate_kernel_split(f1, 2.0, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="got nan"):
+            integrate_kernel_split(f1, 2.0, np.array([math.nan]))
