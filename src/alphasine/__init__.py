@@ -42,17 +42,7 @@ from .specfun import (
     sin_power_integral,
     sine_coeffs,
 )
-from .sphere import (
-    CircleCoeffs,
-    PeriodicDensity,
-    circle_fourier_coeffs,
-    circle_grid,
-    invert_sphere,
-    k_sphere_grid,
-    shifted_sine_density,
-    vonmises4_density,
-    watson_density,
-)
+from .sphere import PeriodicDensity, circle_grid, invert_sphere, k_sphere_grid
 
 __all__ = [
     "DirectConfig", "choose_weight_exponent", "h2_inverse", "h_forward",
@@ -67,7 +57,5 @@ __all__ = [
     "SasParams", "f0_from_scale", "g_from_codifference",
     "Alpha", "CoefficientTable", "cosine_coeffs", "lambda_alpha", "operator_norm_bound",
     "sin_power_integral", "sine_coeffs",
-    "CircleCoeffs", "PeriodicDensity", "circle_fourier_coeffs", "circle_grid",
-    "invert_sphere", "k_sphere_grid", "shifted_sine_density",
-    "vonmises4_density", "watson_density",
+    "PeriodicDensity", "circle_grid", "invert_sphere", "k_sphere_grid",
 ]

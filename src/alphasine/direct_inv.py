@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import SampledFunction, UniformGrid
+from .oscsum import _chirp_sum, _osc_sum
 from .specfun import Alpha, _log_gamma, as_alpha, sine_coeffs
 
 _MU_GRID_DEFAULT = UniformGrid(-24.0, 48.0 / 6144.0, 6145)
@@ -47,7 +48,6 @@ def choose_weight_exponent(alpha) -> float:
 @dataclass(frozen=True)
 class DirectConfig:
     alpha: Alpha
-    weight_exponent: float | None = None
     epsilon: float = 0.025
     mu_grid: UniformGrid | None = None
     # inert: only keys the mu table cache, which a caller may shift to force a fresh table
@@ -58,84 +58,19 @@ class DirectConfig:
         object.__setattr__(self, "alpha", alpha)
         if alpha.value <= 1.0:
             raise ValueError(f"direct inversion requires alpha > 1, got {alpha.value}")
-        c = self.weight_exponent
-        if c is None:
-            c = choose_weight_exponent(alpha)
-        if not (1.0 < c <= 2.0 * alpha.value - 1.0):
-            raise ValueError(
-                f"weight exponent must lie in (1, 2 alpha - 1], got c={c} for alpha={alpha.value}"
-            )
-        object.__setattr__(self, "weight_exponent", float(c))
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.mu_grid is None:
             object.__setattr__(self, "mu_grid", _MU_GRID_DEFAULT)
 
     @property
+    def weight_exponent(self) -> float:
+        """c, fixed by alpha: see choose_weight_exponent."""
+        return choose_weight_exponent(self.alpha)
+
+    @property
     def s_exponent(self) -> float:
         return 0.5 * (self.weight_exponent + 1.0)
-
-
-def _osc_sum(coords: np.ndarray, weights: np.ndarray, omegas: np.ndarray, sign: float) -> np.ndarray:
-    """sum_j W_j exp(i sign omega L_j) for each omega, chunked for memory.
-    Columns of a two-dimensional W are summed independently.
-
-    For real weights the sum is Hermitian in omega, so a symmetric omega grid
-    is evaluated on its nonnegative half and mirrored; of the callers, only
-    mu's coefficient sum (and the tests' lobe oracle) passes such a grid.
-    """
-    n = len(omegas)
-    if (
-        n >= 3
-        and n % 2 == 1
-        and not np.iscomplexobj(weights)
-        and abs(omegas[0] + omegas[-1]) < 1e-12
-        and abs(omegas[n // 2]) < 1e-15
-    ):
-        half = _osc_sum(coords, weights, omegas[n // 2 :], sign)
-        return np.concatenate((np.conj(half[1:][::-1]), half))
-    out = np.empty((n,) + weights.shape[1:], dtype=complex)
-    chunk = max(1, int(1e7 / max(1, len(coords))))
-    for i in range(0, n, chunk):
-        phase = np.outer(sign * omegas[i : i + chunk], coords)
-        out[i : i + chunk] = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
-    return out
-
-
-def _turns(beta: float, sq: np.ndarray) -> np.ndarray:
-    """exp(2 pi i beta sq) for integers sq >= 0 (int64).
-
-    beta sq reaches hundreds of turns on the mu grid, and far more when one
-    grid is much longer than the other.  beta's leading bits times sq is exact
-    in float64, so its whole turns drop out exactly and only a fraction of a
-    turn is ever rounded.
-    """
-    bits = 52 - int(sq.max()).bit_length()
-    mant, e = math.frexp(beta)
-    hi = math.ldexp(round(math.ldexp(mant, bits)), e - bits)
-    head = hi * sq
-    return np.exp(2j * math.pi * ((head - np.round(head)) + (beta - hi) * sq))
-
-
-def _chirp_sum(weights: np.ndarray, u0: float, du: float, om0: float, dom: float,
-               count: int, sign: float) -> np.ndarray:
-    """sum_j W_j exp(i sign (om0 + k dom)(u0 + j du)) for k < count.
-
-    Both grids are uniform, so this is a chirp-z transform: Bluestein's
-    kj = (k^2 + j^2 - (k - j)^2) / 2 makes it one linear convolution, taken
-    with three FFTs.  Its chirps come from `_turns`, so their large phases
-    cost no digits.
-    """
-    n = len(weights)
-    size = 1 << (n + count - 2).bit_length()
-    beta = sign * dom * du / (4.0 * math.pi)
-    j = np.arange(n, dtype=np.int64)
-    k = np.arange(count, dtype=np.int64)
-    m = np.arange(1 - n, count, dtype=np.int64)
-    x = weights * np.exp(1j * sign * om0 * du * j) * _turns(beta, j * j)
-    chirp = np.conj(_turns(beta, m * m))
-    conv = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(chirp, size))[n - 1 : n - 1 + count]
-    return np.exp(1j * sign * u0 * (om0 + dom * k)) * _turns(beta, k * k) * conv
 
 
 def _log_sin(w: np.ndarray) -> np.ndarray:
@@ -160,12 +95,16 @@ def _mu_values(a: float, c: float, omegas: np.ndarray) -> np.ndarray:
     c_j = K j^{-1-a} (1 + b / j^2 + O(j^-4)) with K = -Gamma(a+1) sin(pi a/2)
     / (pi 2^a) and b = a(1+a)(2+a)/24, summed in closed form.  The factors
     Gamma(1-z) and sin(pi z/2) each leave the float range past |omega| = 452,
-    so their product is formed in log space.
+    so their product is formed in log space.  The coefficient sum is real
+    at each j, so it is summed once at each |omega| and conjugated for
+    omega < 0.
     """
     s = 0.5 * (c + 1.0)
     coeffs = sine_coeffs(a, _MU_TERMS).coeffs
     j = np.flatnonzero(coeffs[1:]) + 1
-    total = _osc_sum(np.log(j), coeffs[j] * j ** (s - 1.0), omegas, -1.0)
+    mags, at = np.unique(np.abs(omegas), return_inverse=True)
+    total = _osc_sum(np.log(j), coeffs[j] * j ** (s - 1.0), mags, -1.0)[at]
+    total = np.where(omegas < 0.0, np.conj(total), total)
     if not Alpha(a).is_even_integer():
         k = -math.exp(math.lgamma(a + 1.0) - a * math.log(2.0)) * math.sin(0.5 * math.pi * a) / math.pi
         p = (2.0 + a - s) + 1j * omegas

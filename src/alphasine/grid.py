@@ -26,9 +26,6 @@ class UniformGrid:
         object.__setattr__(self, "step", float(self.step))
         object.__setattr__(self, "count", int(self.count))
 
-    def abscissa(self, i: int) -> float:
-        return self.start + i * self.step
-
     @property
     def last(self) -> float:
         return self.start + (self.count - 1) * self.step

@@ -35,7 +35,8 @@ _CHUNK_NODES = 16384
 
 @dataclass(frozen=True)
 class QuadSpec:
-    abs_tol: float = 1e-10
+    # a floor only: the relative tolerance scales with the integrand's mass
+    abs_tol: float = 1e-300
     rel_tol: float = 1e-10
     tail_cut: float = 30.0
 
@@ -189,7 +190,10 @@ def _piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray, h: np.nd
 def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np.ndarray:
     """The integral at each of ys, refined together.  Each y keeps its own
     stopping rule: a piece is refined while its y has not met its tolerance
-    and its error exceeds the y's share of it."""
+    and its error exceeds the y's share of it.  A y's tolerance is rel_tol
+    times its integrand's L1 mass, sum |piece value|, so a tiny integral,
+    as at small y and large a, keeps its relative digits; abs_tol is a
+    floor."""
     pieces, owner = _kernel_pieces(phase, ys * spec.tail_cut)
     counts = np.bincount(owner, minlength=len(ys))
     if not counts.all():
@@ -201,7 +205,8 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
     for halvings in range(8):
         total = np.add.reduceat(value, starts)
         total_err = np.add.reduceat(error, starts)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        mass = np.add.reduceat(np.abs(value), starts)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * mass)
         open_ = ~(total_err <= tol)
         if not open_.any():
             return total

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import CoefficientUnderflow, EvenIntegerAlpha, NonConvergence
 from .grid import SampledFunction, UniformGrid
+from .oscsum import _osc_sum
 from .quad import lobe_nodes
 from .specfun import Alpha, as_alpha, cosine_coeffs
 
@@ -71,34 +72,6 @@ class PeriodicDensity:
         return self.values.grid
 
 
-@dataclass(frozen=True)
-class CircleCoeffs:
-    """Complex Fourier coefficients indexed n = -N..N."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=complex)
-        if len(arr) % 2 != 1:
-            raise ValueError("coefficient array must have odd length (index -N..N)")
-        nmax = len(arr) // 2
-        sym = arr[::-1].conj()
-        if np.max(np.abs(arr - sym)) > 1e-10 * max(1.0, np.max(np.abs(arr))):
-            raise ValueError("coefficients violate conjugate symmetry")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
-
-    @property
-    def max_order(self) -> int:
-        return len(self.coefficients) // 2
-
-    def get(self, n: int) -> complex:
-        if abs(n) > self.max_order:
-            raise IndexError(f"order {n} beyond max {self.max_order}")
-        return complex(self.coefficients[n + self.max_order])
-
-
 def _fft_coeffs(values: np.ndarray) -> np.ndarray:
     """Trapezoid Fourier coefficients in fft layout for a [-pi, pi) grid."""
     m = len(values)
@@ -126,16 +99,13 @@ def _kernel_coeffs_quad(alpha_value: float, n_keep: int) -> np.ndarray:
     crest = np.array([0.0, 0.0, 1.0, 1.0]) * math.pi
     for h in (0.02, 0.01, 0.005, 0.0025, 0.00125):
         t, q, cmask = lobe_nodes(alpha_value, h, zero_end, crest, 0.5 * math.pi, 0.0)
-        fine = np.zeros(n_keep + 1, dtype=complex)
-        coarse = np.zeros(n_keep + 1, dtype=complex)
-        for row in t:
-            phases = np.exp(-1j * np.outer(n, row))
-            fine += phases @ q
-            coarse += 2.0 * (phases[:, cmask] @ q[cmask])
+        # the fine rule and its embedded coarse rule as two weight columns,
+        # repeated for each half-lobe's row of nodes
+        weights = np.tile(np.column_stack((q, 2.0 * q * cmask)), (len(t), 1))
+        fine, coarse = _osc_sum(t.ravel(), weights, n, -1.0).T
         if np.max(np.abs(fine - coarse)) <= 1e-9:
-            out = fine
-            out.setflags(write=False)
-            return out
+            fine.setflags(write=False)
+            return fine
     raise NonConvergence("circle kernel coefficients did not converge")
 
 
@@ -167,23 +137,6 @@ def k_sphere_grid(f: PeriodicDensity, alpha) -> SampledFunction:
     return SampledFunction(f.grid, _synth_on_grid(_transform_coeffs(f, alpha)))
 
 
-def circle_fourier_coeffs(u: SampledFunction, maxn: int) -> CircleCoeffs:
-    """Trapezoid-rule coefficients uhat(n) = (1/2pi) int e^{-inx} u(x) dx.
-
-    Spectrally accurate for smooth u; requires M >= 4 maxn + 4 sample points
-    as the anti-aliasing margin.
-    """
-    m = u.grid.count
-    if maxn < 0:
-        raise ValueError("maxn must be >= 0")
-    if m < 4 * maxn + 4:
-        raise ValueError(f"need at least {4 * maxn + 4} grid points for maxn={maxn}, got {m}")
-    fhat = _fft_coeffs(np.real(u.values))
-    pos = fhat[: maxn + 1]
-    neg = np.conj(pos[1:][::-1])
-    return CircleCoeffs(np.concatenate((neg, pos)))
-
-
 def invert_sphere(kf: SampledFunction, alpha, maxn: int) -> PeriodicDensity:
     """Reconstruct a pi-periodic density from samples of its transform.
 
@@ -206,14 +159,18 @@ def invert_sphere(kf: SampledFunction, alpha, maxn: int) -> PeriodicDensity:
         raise CoefficientUnderflow(
             f"|ctilde_n| underflows below 1e-13 for some n <= {maxn}"
         )
-    hat_kf = circle_fourier_coeffs(kf, 2 * maxn)
     m = kf.grid.count
+    if m < 8 * maxn + 4:
+        raise ValueError(f"need at least {8 * maxn + 4} grid points for maxn={2 * maxn}, got {m}")
+    two_n = 2 * np.arange(1, maxn + 1)
     fhat = np.zeros(m, dtype=complex)
     fhat[0] = 1.0 / (2.0 * math.pi)
-    for n in range(1, maxn + 1):
-        val = hat_kf.get(2 * n) / (2.0 * math.pi * ct[n])
-        fhat[2 * n] = val
-        fhat[m - 2 * n] = np.conj(val)
+    hat_kf = _fft_coeffs(np.real(kf.values))[two_n]
+    scale = 2.0 * math.pi * ct[1:]
+    # part by part, as a complex scalar divides by a real one; numpy's complex
+    # division would multiply by a rounded reciprocal
+    fhat[two_n] = hat_kf.real / scale + 1j * (hat_kf.imag / scale)
+    fhat[m - two_n] = np.conj(fhat[two_n])
     raw = _synth_on_grid(fhat)
     clipped = np.maximum(raw, 0.0)
     step_mass = 2.0 * math.pi / m
@@ -227,33 +184,3 @@ def invert_sphere(kf: SampledFunction, alpha, maxn: int) -> PeriodicDensity:
         certified_pi_periodic=True,
         clipped_mass=clipped_mass,
     )
-
-
-def _normalized_density(values: np.ndarray, grid: UniformGrid, certified: bool) -> PeriodicDensity:
-    step_mass = 2.0 * math.pi / grid.count
-    values = values / (step_mass * float(np.sum(values)))
-    return PeriodicDensity(SampledFunction(grid, values), certified_pi_periodic=certified)
-
-
-def shifted_sine_density(h: float, m: int = 512) -> PeriodicDensity:
-    """|sin(x - h)|/4, renormalized so the grid trapezoid mass is exactly 1."""
-    grid = circle_grid(m)
-    return _normalized_density(np.abs(np.sin(grid.points() - h)) / 4.0, grid, True)
-
-
-def vonmises4_density(h: float, m: int = 512) -> PeriodicDensity:
-    """exp(cos(4(x - h))) with numerical normalization."""
-    grid = circle_grid(m)
-    return _normalized_density(np.exp(np.cos(4.0 * (grid.points() - h))), grid, True)
-
-
-def watson_density(mu: float, kappa: float, m: int = 512) -> PeriodicDensity:
-    """Axial density exp(kappa cos^2(x - mu)) / (2 pi M(1/2, 1, kappa)), with
-    M(1/2, 1, kappa) = e^{kappa/2} I_0(kappa/2); the grid sum supplies the
-    normalization.  kappa = 0 gives the uniform density.
-    """
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    grid = circle_grid(m)
-    vals = np.exp(kappa * np.cos(grid.points() - mu) ** 2)
-    return _normalized_density(vals, grid, True)

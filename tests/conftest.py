@@ -1,8 +1,9 @@
 """Shared fixtures: the three reference densities on the half-line and their
 Fourier transforms (from `alphasine.examples`), the closed forms of their
 |sin|^2 transforms, the closed-form partial sums of the sine coefficients,
-the dense form of the triangular system, and the codifference of a process
-with a given spectral density."""
+the dense form of the triangular system, the codifference of a process
+with a given spectral density, and the Fourier coefficients of samples on
+the circle."""
 
 import math
 
@@ -15,6 +16,7 @@ from alphasine.grid import SampledFunction, UniformGrid
 from alphasine.quad import QuadSpec, integrate
 from alphasine.sas import SasParams
 from alphasine.specfun import CoefficientTable, lambda_alpha
+from alphasine.sphere import _fft_coeffs
 
 
 def t2_f1(y):
@@ -112,3 +114,11 @@ def codifference_forward(f, p: SasParams, t: float, spec: QuadSpec | None = None
         return 2.0 * sigma_a
     transform = 2.0 * t_sine(f, p.alpha, abs(t) / 2.0, spec)
     return 2.0 * sigma_a - 2.0**a * lam * transform
+
+
+def circle_fourier_coeffs(u: SampledFunction, maxn: int) -> np.ndarray:
+    """Trapezoid-rule coefficients uhat(n) = (1/2pi) int e^{-inx} u(x) dx of
+    samples on a [-pi, pi) grid, for n = -maxn..maxn: uhat(n) is entry
+    n + maxn.  Spectrally accurate for smooth u."""
+    pos = _fft_coeffs(np.real(u.values))[: maxn + 1]
+    return np.concatenate((np.conj(pos[1:][::-1]), pos))

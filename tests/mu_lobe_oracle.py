@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from alphasine.direct_inv import _osc_sum
+from alphasine.oscsum import _osc_sum
 from alphasine.specfun import Alpha, leading_coefficient
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -115,4 +115,14 @@ def lobe_mu(alpha_value: float, c: float, omegas: np.ndarray) -> np.ndarray:
     t_cut = _default_t_cut(alpha, c)
     bucket = max(1, int(math.ceil(np.max(np.abs(omegas)) / 8.0)))
     coords, weights = _mu_nodes(alpha, c, t_cut, 8.0 * bucket)
-    return _osc_sum(coords, weights, omegas, +1.0) + _mu_mean_tail(alpha, c, t_cut, omegas)
+    return real_weight_sum(coords, weights, omegas, +1.0) + _mu_mean_tail(alpha, c, t_cut, omegas)
+
+
+def real_weight_sum(coords: np.ndarray, weights: np.ndarray, omegas: np.ndarray,
+                    sign: float) -> np.ndarray:
+    """The dense sum for real weights, which is Hermitian in omega: taken at
+    each |omega| once and conjugated for omega < 0, which halves the work on
+    a symmetric omega grid."""
+    mags, at = np.unique(np.abs(omegas), return_inverse=True)
+    sums = _osc_sum(coords, weights, mags, sign)[at]
+    return np.where(omegas < 0.0, np.conj(sums), sums)

@@ -16,6 +16,8 @@ from alphasine.cli import (
     sampled_from_csv,
 )
 from alphasine.errors import NonConvergence
+from alphasine.examples import watson_density
+from alphasine.sphere import k_sphere_grid
 
 from conftest import t2_f1
 
@@ -127,8 +129,6 @@ class TestInvert:
         assert err_l2 <= 1e-4
 
     def test_sphere_round_trip(self, capsys, tmp_path):
-        from alphasine.sphere import k_sphere_grid, watson_density
-
         f = watson_density(-2.5, 1.0, m=128)
         kf = k_sphere_grid(f, 1.5)
         src = tmp_path / "kf.csv"
@@ -141,8 +141,6 @@ class TestInvert:
         assert np.max(np.abs(data[:, 1] - f.values.values)) <= 0.02
 
     def test_even_alpha_is_validation_error(self, capsys, tmp_path):
-        from alphasine.sphere import k_sphere_grid, watson_density
-
         f = watson_density(0.0, 1.0, m=128)
         kf = k_sphere_grid(f, 1.5)
         src = tmp_path / "kf.csv"
@@ -153,14 +151,21 @@ class TestInvert:
 
     def test_sphere_input_off_the_circle_grid(self, capsys, tmp_path):
         # the same transform samples, labelled as covering [-pi/2, 3pi/2)
-        from alphasine.sphere import k_sphere_grid, watson_density
-
         kf = k_sphere_grid(watson_density(-2.5, 1.0, m=128), 1.5)
         src = tmp_path / "kf.csv"
         write_samples(src, kf.xs + 0.5 * math.pi, kf.values)
         rc, _, err = run(capsys, "invert", "--method", "sphere", "--in", str(src),
                          "--alpha", "1.5", "--n", "10")
         assert rc == 2 and "[-pi, pi)" in err
+
+    def test_sphere_grid_too_coarse_for_n(self, capsys, tmp_path):
+        # harmonic 2n = 40 needs 8n + 4 = 164 samples without aliasing
+        kf = k_sphere_grid(watson_density(-2.5, 1.0, m=128), 1.5)
+        src = tmp_path / "kf.csv"
+        write_samples(src, kf.xs, kf.values)
+        rc, out, err = run(capsys, "invert", "--method", "sphere", "--in", str(src),
+                           "--alpha", "1.5", "--n", "20")
+        assert rc == 2 and "need at least 164 grid points" in err and out == ""
 
 
     @pytest.mark.parametrize("method, flags", [
@@ -184,8 +189,6 @@ class TestInvert:
         assert rc == 2 and "unrecognized arguments: --epsilon=0.5" in err and out == ""
 
     def test_method_with_equals_sign(self, capsys, tmp_path):
-        from alphasine.sphere import k_sphere_grid, watson_density
-
         kf = k_sphere_grid(watson_density(-2.5, 1.0, m=128), 1.5)
         src = tmp_path / "kf.csv"
         write_samples(src, kf.xs, kf.values)

@@ -20,10 +20,11 @@ from alphasine.direct_inv import (
     mu_table,
 )
 from alphasine.grid import SampledFunction, UniformGrid
+from alphasine.oscsum import _chirp_sum, _osc_sum
 from alphasine.specfun import Alpha
 
 from conftest import sample, t2_f1
-from mu_lobe_oracle import lobe_mu
+from mu_lobe_oracle import lobe_mu, real_weight_sum
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +64,6 @@ class TestWeightExponent:
             DirectConfig(alpha=2.0, epsilon=0.0)
         with pytest.raises(ValueError):
             DirectConfig(alpha=2.0, epsilon=1.5)
-        with pytest.raises(ValueError):
-            DirectConfig(alpha=2.0, weight_exponent=5.0)
-        with pytest.raises(ValueError):
-            DirectConfig(alpha=1.5, weight_exponent=2.5)
 
 
 class TestMu:
@@ -188,8 +185,8 @@ class TestChirpSum:
         weights = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-5.0, 5.0, n))
         u = u0 + du * np.arange(n)
         om = om0 + dom * np.arange(count)
-        got = direct_inv._chirp_sum(weights, u0, du, om0, dom, count, sign)
-        ref = direct_inv._osc_sum(u, weights, om, sign)
+        got = _chirp_sum(weights, u0, du, om0, dom, count, sign)
+        ref = _osc_sum(u, weights, om, sign)
         eps = np.finfo(float).eps
         bound = 32.0 * eps * max(1.0, np.max(np.abs(om)) * np.max(np.abs(u))) * np.sum(np.abs(weights))
         assert np.max(np.abs(got - ref)) <= bound
@@ -198,7 +195,7 @@ class TestChirpSum:
         g = sample(t2_f1, 0.0, 20.0, 20001)
         om = cfg.mu_grid.points()
         u, _, weights = direct_inv._h_integrand(g, cfg)
-        ref = direct_inv._osc_sum(u, weights, om, -1.0) + direct_inv._h_tail(g, cfg, u[0], om)
+        ref = real_weight_sum(u, weights, om, -1.0) + direct_inv._h_tail(g, cfg, u[0], om)
         got = direct_inv._h_values(g, cfg, cfg.mu_grid)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -241,7 +238,7 @@ class TestH2:
         got = direct_inv._h2_values(w, small_cfg, zs)
         trap = np.full(grid.count, grid.step)
         trap[0] = trap[-1] = 0.5 * grid.step
-        full = direct_inv._osc_sum(grid.points(), w * trap, np.log(zs), +1.0)
+        full = _osc_sum(grid.points(), w * trap, np.log(zs), +1.0)
         ref = np.real(zs ** (-small_cfg.s_exponent) / (2.0 * math.pi) * full)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 

@@ -2,13 +2,14 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from alphasine.forward import k_cosine, t_sine, t_sine_series
 from alphasine.quad import QuadSpec, _kernel_pieces, integrate
 
-from conftest import EXAMPLES, F1_MASS, F2_MASS, f1, f2, fhat1, fhat2, t2_f1, t2_f3
+from conftest import EXAMPLES, F1_MASS, F2_MASS, f1, f2, f3, fhat1, fhat2, t2_f1, t2_f3
 from kernel_split_oracle import kernel_split_at
 
 # the forward workload's grid 0.05:20:400 and two tiny y, whose only piece is a cut one
@@ -40,6 +41,15 @@ class TestTSine:
     def test_negative_alpha_finite(self, quad_spec):
         v = t_sine(f2, -0.5, 1.3, quad_spec)
         assert np.isfinite(v) and v > 0.0
+
+    @pytest.mark.parametrize("y", [0.0037, 0.02])
+    def test_small_y_large_alpha_against_mpmath(self, quad_spec, y):
+        # T f ~ y^a is 7e-10 and 2e-6 here: the tolerance must follow the
+        # integrand's size, not stop at an absolute floor.  x y < pi/2 on
+        # (0, 30], so the 40-digit integrand is smooth past x = 0.
+        with mp.workdps(40):
+            ref = mp.quad(lambda x: mp.sin(x * y) ** 4.7 / (1 + x * x) ** 2, [0, 1, 5, 30])
+        assert math.isclose(t_sine(f3, 4.7, y, quad_spec), float(ref), rel_tol=1e-13)
 
 
 class TestKCosine:

@@ -6,19 +6,12 @@ import numpy as np
 import pytest
 
 from alphasine.errors import CoefficientUnderflow, EvenIntegerAlpha
+from alphasine.examples import shifted_sine_density, vonmises4_density, watson_density
 from alphasine.grid import SampledFunction, UniformGrid
 from alphasine.specfun import cosine_coeffs, sin_power_integral
-from alphasine.sphere import (
-    CircleCoeffs,
-    PeriodicDensity,
-    circle_fourier_coeffs,
-    circle_grid,
-    invert_sphere,
-    k_sphere_grid,
-    shifted_sine_density,
-    vonmises4_density,
-    watson_density,
-)
+from alphasine.sphere import PeriodicDensity, circle_grid, invert_sphere, k_sphere_grid
+
+from conftest import circle_fourier_coeffs
 
 DENSITIES = {
     "shifted_sine": shifted_sine_density(1.0),
@@ -73,8 +66,8 @@ class TestKSphere:
         fh = circle_fourier_coeffs(f.values, 22)
         ct = cosine_coeffs(alpha, 11).coeffs
         for n in range(-10, 11):
-            expect = 2.0 * math.pi * ct[abs(n)] * fh.get(2 * n)
-            assert abs(hk.get(2 * n) - expect) <= 1e-6
+            expect = 2.0 * math.pi * ct[abs(n)] * fh[2 * n + 22]
+            assert abs(hk[2 * n + 22] - expect) <= 1e-6
 
 
 class TestCircleCoeffs:
@@ -84,15 +77,15 @@ class TestCircleCoeffs:
         c = circle_fourier_coeffs(u, 5)
         for n in range(-5, 6):
             expect = 0.5 if abs(n) == 2 else 0.0
-            assert abs(c.get(n) - expect) <= 1e-10
+            assert abs(c[n + 5] - expect) <= 1e-10
 
     def test_constant(self):
         g = circle_grid(64)
         u = SampledFunction(g, np.full(64, 1.0 / (2.0 * math.pi)))
         c = circle_fourier_coeffs(u, 3)
-        assert abs(c.get(0) - 1.0 / (2.0 * math.pi)) <= 1e-14
+        assert abs(c[3] - 1.0 / (2.0 * math.pi)) <= 1e-14
         for n in (1, 2, 3, -1):
-            assert abs(c.get(n)) <= 1e-14
+            assert abs(c[n + 3]) <= 1e-14
 
     def test_kernel_coefficients_cross_module(self):
         # |cos x|^1.5 sampled finely: trapezoid coefficients match the
@@ -102,25 +95,23 @@ class TestCircleCoeffs:
         c = circle_fourier_coeffs(u, 20)
         ct = cosine_coeffs(1.5, 10).coeffs
         for n in range(-10, 11):
-            assert abs(c.get(2 * n) - ct[abs(n)]) <= 1e-10
+            assert abs(c[2 * n + 20] - ct[abs(n)]) <= 1e-10
         for n in (-9, -3, 1, 5, 19):
-            assert abs(c.get(n)) <= 1e-10
+            assert abs(c[n + 20]) <= 1e-10
 
     def test_antialiasing_margin_enforced(self):
+        # inversion to harmonic 2 maxn needs M >= 8 maxn + 4 samples
         g = circle_grid(16)
-        u = SampledFunction(g, np.full(16, 1.0))
-        with pytest.raises(ValueError):
-            circle_fourier_coeffs(u, 4)
-
-    def test_conjugate_symmetry_enforced(self):
-        with pytest.raises(ValueError):
-            CircleCoeffs(np.array([1.0 + 1.0j, 0.0, 1.0 + 0.5j]))
+        kf = SampledFunction(g, np.full(16, 1.0 / (2.0 * math.pi)))
+        invert_sphere(kf, 1.5, 1)
+        with pytest.raises(ValueError, match="need at least 20 grid points"):
+            invert_sphere(kf, 1.5, 2)
 
     @pytest.mark.parametrize("name", list(DENSITIES))
     def test_odd_coefficients_vanish(self, name):
         c = circle_fourier_coeffs(DENSITIES[name].values, 21)
         for n in range(-21, 22, 2):
-            assert abs(c.get(n)) <= 1e-10
+            assert abs(c[n + 21]) <= 1e-10
 
 
 class TestInvertSphere:
