@@ -244,11 +244,10 @@ def cmd_forward(args) -> int:
         if fhat is None:
             raise ValueError("method=series needs a builtin f with a known Fourier transform")
         params["terms"] = terms = _TERMS if args.terms is None else args.terms
-        vals = np.array([
-            t_sine_series(fhat, args.alpha, y, terms, fhat_decays=True) if y > 0.0
-            else t_sine(f, args.alpha, y, spec)
-            for y in ys
-        ])
+        vals = np.empty(len(ys))
+        pos = ys > 0.0
+        vals[pos] = t_sine_series(fhat, args.alpha, ys[pos], terms, fhat_decays=True)
+        vals[~pos] = t_sine(f, args.alpha, ys[~pos], spec)
     with _out_stream(args) as out:
         write_csv(out, [_params_comment("forward", params)], ["y", "value"], [ys, vals])
     return 0

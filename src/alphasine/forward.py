@@ -56,12 +56,14 @@ def k_cosine(f, alpha, y, spec: QuadSpec | None = None):
 def t_sine_series(
     fhat,
     alpha,
-    y: float,
+    y,
     terms: int = 10_000,
     *,
     fhat_decays: bool = False,
-) -> float:
-    """Series form (c_0/2) fhat(0) + sum_j c_j fhat(2jy).
+):
+    """Series form (c_0/2) fhat(0) + sum_j c_j fhat(2jy) at y > 0, a scalar
+    (a float) or an array (an array of its shape); one coefficient table
+    serves every y, and each y's sum is one fsum.
 
     fhat must be the Fourier transform of the even extension of f.  For
     -1 < alpha < 0 the coefficient series diverges, so truncation is only
@@ -71,8 +73,9 @@ def t_sine_series(
     alpha = as_alpha(alpha)
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    if y <= 0.0:
-        raise ValueError(f"y must be positive, got {y}")
+    ys = np.asarray(y, dtype=float)
+    if np.any(ys <= 0.0):
+        raise ValueError(f"y must be positive, got {ys[ys <= 0.0][0]}")
     if alpha.value < 0.0 and not fhat_decays:
         raise ValueError(
             "t_sine_series for -1 < alpha < 0 needs fhat_decays=True "
@@ -80,6 +83,9 @@ def t_sine_series(
         )
     c = sine_coeffs(alpha, terms).coeffs
     j = np.arange(1, terms + 1, dtype=float)
-    vals = np.asarray(call_vec(fhat, 2.0 * j * y), dtype=float)
     head = 0.5 * c[0] * float(fhat(0.0))
-    return head + math.fsum((c[1:] * vals).tolist())
+    out = np.empty(ys.shape)
+    for i, yi in np.ndenumerate(ys):
+        vals = np.asarray(call_vec(fhat, 2.0 * j * float(yi)), dtype=float)
+        out[i] = head + math.fsum((c[1:] * vals).tolist())
+    return float(out) if ys.ndim == 0 else out

@@ -116,9 +116,13 @@ def _lobe_rule(alpha: float, h: float, length: float, off: float):
 
 def _place(d, near, zero_end, other_end):
     """Nodes of the pieces between zero_end[i] and other_end[i], one row each,
-    from their distances d to the ends (see _rules)."""
-    toward = np.sign(other_end - zero_end)[:, None] * d
-    return np.where(near, zero_end[:, None] + toward, other_end[:, None] - toward)
+    from their distances d to the ends (see _rules).  The near nodes are a
+    prefix of every row, so each half is written in place by slicing."""
+    t = np.sign(other_end - zero_end)[:, None] * d
+    cut = np.count_nonzero(near)
+    t[:, :cut] += zero_end[:, None]
+    np.subtract(other_end[:, None], t[:, cut:], out=t[:, cut:])
+    return t
 
 
 def lobe_nodes(alpha: float, h: float, zero_end, other_end, length: float, off: float):

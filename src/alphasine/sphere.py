@@ -161,7 +161,7 @@ def invert_sphere(kf: SampledFunction, alpha, maxn: int) -> PeriodicDensity:
         )
     m = kf.grid.count
     if m < 8 * maxn + 4:
-        raise ValueError(f"need at least {8 * maxn + 4} grid points for maxn={2 * maxn}, got {m}")
+        raise ValueError(f"need at least {8 * maxn + 4} grid points for n={maxn}, got {m}")
     two_n = 2 * np.arange(1, maxn + 1)
     fhat = np.zeros(m, dtype=complex)
     fhat[0] = 1.0 / (2.0 * math.pi)

@@ -8,6 +8,7 @@ import pytest
 
 from alphasine.forward import k_cosine, t_sine, t_sine_series
 from alphasine.quad import QuadSpec, _kernel_pieces, integrate
+from alphasine.specfun import sine_coeffs
 
 from conftest import EXAMPLES, F1_MASS, F2_MASS, f1, f2, f3, fhat1, fhat2, t2_f1, t2_f3
 from kernel_split_oracle import kernel_split_at
@@ -145,8 +146,26 @@ class TestSeries:
         v = t_sine_series(fhat1, -0.5, 1.0, 10**4, fhat_decays=True)
         assert np.isfinite(v)
 
+    @pytest.mark.parametrize("fhat, alpha", [(fhat1, 1.5), (fhat2, -0.5), (fhat1, 2.0)])
+    def test_array_of_y_is_one_fsum_per_y(self, fhat, alpha):
+        # the per-y sum of the scalar route, bit for bit, from one coefficient table
+        ys = np.array([0.05, 1.0, 7.3, 20.0])
+        c = sine_coeffs(alpha, 1000).coeffs
+        j = np.arange(1, 1001, dtype=float)
+        expect = [0.5 * c[0] * float(fhat(0.0)) + math.fsum((c[1:] * fhat(2.0 * j * y)).tolist())
+                  for y in ys]
+        assert np.array_equal(t_sine_series(fhat, alpha, ys, 1000, fhat_decays=True), expect)
+        assert t_sine_series(fhat, alpha, float(ys[2]), 1000, fhat_decays=True) == expect[2]
+        assert t_sine_series(fhat, alpha, ys.reshape(2, 2), 10, fhat_decays=True).shape == (2, 2)
+
+    def test_scalar_gives_float(self):
+        assert isinstance(t_sine_series(fhat1, 1.5, 1.0, 10), float)
+        assert isinstance(t_sine_series(fhat1, 1.5, np.float64(1.0), 10), float)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             t_sine_series(fhat1, 1.0, 0.0, 10)
+        with pytest.raises(ValueError, match="got 0.0"):
+            t_sine_series(fhat1, 1.0, np.array([1.0, 0.0]), 10)
         with pytest.raises(ValueError):
             t_sine_series(fhat1, 1.0, 1.0, 0)

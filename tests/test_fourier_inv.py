@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
@@ -23,6 +24,18 @@ from alphasine.grid import SampledFunction, UniformGrid
 from alphasine.specfun import sine_coeffs
 
 from conftest import dense_system_matrix, fhat1, rel_l2, sample, t2_f1
+from solve_xi_oracle import solve_xi_rows
+
+
+def _block_edges(k: int) -> list[int]:
+    # N around k^2 and k(k+1), where the blocks of one row meet the wide ones
+    return [k * k - 1, k * k, k * k + 1, k * (k + 1) - 1, k * (k + 1), k * (k + 1) + 1]
+
+
+_SOLVE_N = st.one_of(
+    st.integers(min_value=1, max_value=20_000),
+    st.integers(min_value=1, max_value=141).flatmap(lambda k: st.sampled_from(_block_edges(k))),
+).filter(lambda n: 1 <= n <= 20_000)
 
 
 class TestEstimateF0:
@@ -96,6 +109,21 @@ class TestSolveXi:
         )
 
 
+    @given(alpha=st.floats(min_value=-1.0, max_value=5.0, exclude_min=True),
+           n=_SOLVE_N, seed=st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_match_row_loop(self, alpha, n, seed):
+        assume(alpha != 0.0)
+        coeffs = sine_coeffs(alpha, n)
+        eta = np.random.default_rng(seed).standard_normal(n)
+        if abs(coeffs.coeffs[1]) < 1e-14:
+            with pytest.raises(SingularDiagonal):
+                solve_xi(coeffs, eta)
+            return
+        ref = solve_xi_rows(coeffs, eta)
+        assert np.max(np.abs(solve_xi(coeffs, eta) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 class TestReconstruct:
     def test_zero_outside_window(self):
         fs = FourierSamples(np.ones(10), 1.0, 5.0, 10)
@@ -114,6 +142,22 @@ class TestReconstruct:
         xi = fhat1(np.arange(1, 101) * 0.1)
         fs = FourierSamples(xi, float(fhat1(0.0)), 10.0, 100)
         assert abs(synthesize(fs, 1.0) - math.exp(-1.0)) < 5e-3
+
+
+class TestUniformGrid:
+    @pytest.mark.parametrize("mollifier", [None, MollifierKind("triangle", 0.5),
+                                           MollifierKind("gaussian", 2.0)])
+    @pytest.mark.parametrize("n, r", [(1, 2.0), (400, 20.0), (10_000, 10.0)])
+    @pytest.mark.parametrize("grid", [UniformGrid(0.0, 0.01, 301),
+                                      UniformGrid(-40.0, 0.173, 512)])
+    def test_sinc_chirp_matches_dense_sum(self, mollifier, n, r, grid):
+        # the second grid crosses both window edges, +-pi N / R, when N / R is small
+        rng = np.random.default_rng(n)
+        xi = fhat1(np.arange(1, n + 1) * (r / n)) + 0.1 * rng.standard_normal(n)
+        fs = FourierSamples(xi, 1.7, r, n)
+        on_grid = synthesize(fs, grid, mollifier=mollifier)
+        dense = synthesize(fs, grid.points(), mollifier=mollifier)
+        assert np.max(np.abs(on_grid - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 class TestMollifier:
@@ -185,6 +229,29 @@ class TestLinearRoute:
         fs = FourierSamples(np.ones(4), 1.0, 4.0, 4)
         val = synthesize(fs, np.array([0.0]), interpolation="linear")[0]
         assert math.isclose(val, 4.0 / math.pi, rel_tol=1e-12)
+
+
+    @pytest.mark.parametrize("on_grid", [True, False])
+    @pytest.mark.parametrize("seed", [101, 102, 103, 104, 105])
+    def test_noisy_samples_against_mpmath(self, on_grid, seed):
+        # N = 400 noisy samples: large slope jumps, which the summed-by-parts
+        # form divides by x^2; 40-digit segment sums are the reference
+        n, r = 400, 20.0
+        t = np.arange(n + 1) * (r / n)
+        knots = fhat1(t) + 0.1 * np.random.default_rng(seed).standard_normal(n + 1)
+        fs = FourierSamples(knots[1:], knots[0], r, n)
+        grid = UniformGrid(0.0, 0.01, 301)
+        vals = synthesize(fs, grid if on_grid else grid.points(), interpolation="linear")
+        scale = np.max(np.abs(vals))
+        with mp.workdps(40):
+            mt, mv = [mp.mpf(float(v)) for v in t], [mp.mpf(float(v)) for v in knots]
+            for k in (1, 10, 100):  # x = 0.01, 0.1, 1
+                x = mp.mpf(float(grid.points()[k]))
+                ref = mp.fsum((mv[i + 1] * mp.sin(x * mt[i + 1]) - mv[i] * mp.sin(x * mt[i])) / x
+                              + (mv[i + 1] - mv[i]) / (mt[i + 1] - mt[i])
+                              * (mp.cos(x * mt[i + 1]) - mp.cos(x * mt[i])) / (x * x)
+                              for i in range(n)) / mp.pi
+                assert abs(vals[k] - float(ref)) <= 1e-10 * scale
 
 
 class TestInvertFourier:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from alphasine.errors import NonConvergence
-from alphasine.quad import QuadSpec, _lobe_rule, integrate, integrate_kernel_split
+from alphasine.quad import (QuadSpec, _lobe_rule, _place, _rules, integrate,
+                            integrate_kernel_split)
 from alphasine.specfun import sin_power_integral
 
 from conftest import F1_MASS, F2_MASS, f1, f2, f3, sample, t2_f1
@@ -60,6 +61,21 @@ def _edge_oracle(a, y, tail_cut, kernel):
             total += mp.quad(g, [e ** (1 + a) for e in ends])
             m += 1
         return float(total / ((1 + a) * y))
+
+
+def test_place_writes_both_halves_as_a_where_would():
+    # the near nodes are a prefix of every row, so slicing places each node
+    # exactly as choosing between the two full candidate arrays did
+    rng = np.random.default_rng(5)
+    zero_end = rng.uniform(0.0, 50.0, 6)
+    other_end = zero_end + np.where(rng.random(6) < 0.5, 1.3, -1.3)
+    shared = _lobe_rule(1.5, 0.25, 1.3, 0.0)[:2]
+    per_row = _rules(-0.5, 0.25, np.full((6, 1), 1.3), np.full((6, 1), 0.1))[:2]
+    for d, near in (shared, per_row):
+        assert near[: np.count_nonzero(near)].all()
+        toward = np.sign(other_end - zero_end)[:, None] * d
+        expect = np.where(near, zero_end[:, None] + toward, other_end[:, None] - toward)
+        assert np.array_equal(_place(d, near, zero_end, other_end), expect)
 
 
 class TestKernelSplit:
