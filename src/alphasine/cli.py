@@ -19,7 +19,7 @@ from . import __version__
 from .direct_inv import DirectConfig, invert_direct
 from .errors import NonConvergence
 from .examples import BUILTINS
-from .forward import t_sine, t_sine_series
+from .forward import SERIES_TERMS, t_sine, t_sine_series
 from .fourier_inv import MollifierKind, invert_fourier
 from .grid import SampledFunction, UniformGrid
 from .quad import QuadSpec
@@ -28,9 +28,8 @@ from .sas import SasParams, f0_from_scale, g_from_codifference
 from .specfun import cosine_coeffs, lambda_alpha, sine_coeffs  # noqa: F401
 from .sphere import invert_sphere
 
-# defaults of the two options that are valid only beside another one: the
-# parser leaves them unset, so giving them where they do not apply is an error
-_TERMS = 10_000
+# --gamma is valid only beside --mollifier, as --terms only beside --method series:
+# the parser leaves both unset, so giving one where it does not apply is an error
 _GAMMA = 0.5
 # CSV rows converted at once: one pass per block, without holding the
 # strings of a whole file
@@ -243,7 +242,7 @@ def cmd_forward(args) -> int:
     else:
         if fhat is None:
             raise ValueError("method=series needs a builtin f with a known Fourier transform")
-        params["terms"] = terms = _TERMS if args.terms is None else args.terms
+        params["terms"] = terms = SERIES_TERMS if args.terms is None else args.terms
         vals = np.empty(len(ys))
         pos = ys > 0.0
         vals[pos] = t_sine_series(fhat, args.alpha, ys[pos], terms, fhat_decays=True)
@@ -380,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail-cut", dest="tail_cut", type=float, default=30.0,
                    help="upper end of the x integral")
     p.add_argument("--terms", type=int,
-                   help=f"series terms, {_TERMS} if not given; --method series only")
+                   help=f"series terms, {SERIES_TERMS} if not given; --method series only")
 
     invert = sub.add_parser("invert", help="run one of the inverters, chosen by --method")
     methods = invert.add_subparsers(dest="method", required=True,

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import SampledFunction, UniformGrid
-from .oscsum import _chirp_sum, _osc_sum
+from .oscsum import _osc_sum, _uniform_sum
 from .specfun import Alpha, _log_gamma, as_alpha, sine_coeffs
 
 _MU_GRID_DEFAULT = UniformGrid(-24.0, 48.0 / 6144.0, 6145)
@@ -115,12 +115,19 @@ def _mu_values(a: float, c: float, omegas: np.ndarray) -> np.ndarray:
     return math.pi * np.exp(log_scale) * total
 
 
-def mu(x: float, cfg: DirectConfig) -> complex:
-    """The multiplier at a single point x > 0."""
-    if not (x > 0.0):
-        raise ValueError(f"x must be positive, got {x}")
-    om = np.array([math.log(x)])
-    return complex(_mu_values(cfg.alpha.value, cfg.weight_exponent, om)[0])
+def _positive(x, name: str) -> np.ndarray:
+    """x as a float array (0-d for a scalar), after checking every entry is > 0."""
+    xs = np.asarray(x, dtype=float)
+    if not np.all(xs > 0.0):
+        raise ValueError(f"{name} must be positive, got {xs[~(xs > 0.0)].flat[0]}")
+    return xs
+
+
+def mu(x, cfg: DirectConfig):
+    """The multiplier at x > 0: a complex at a scalar x, an array of x's shape at an array."""
+    om = np.log(_positive(x, "x"))
+    vals = _mu_values(cfg.alpha.value, cfg.weight_exponent, om.ravel()).reshape(om.shape)
+    return complex(vals) if om.ndim == 0 else vals
 
 
 @lru_cache(maxsize=8)
@@ -166,31 +173,20 @@ def _h_tail(g: SampledFunction, cfg: DirectConfig, u_const: float, omegas: np.nd
     return g_last * np.exp((p - 1j * omegas) * u_const) / (p - 1j * omegas)
 
 
-def _h_values(g: SampledFunction, cfg: DirectConfig, grid: UniformGrid) -> np.ndarray:
-    """H g at omega = ln x on the uniform grid, by one chirp-z transform."""
+def _h_values(g: SampledFunction, cfg: DirectConfig, at) -> np.ndarray:
+    """H g at each omega = ln x of `at`: a UniformGrid (one chirp-z
+    transform) or an array (the dense sum)."""
     u, du, weights = _h_integrand(g, cfg)
-    vals = _chirp_sum(weights, u[0], du, grid.start, grid.step, grid.count, -1.0)
-    return vals + _h_tail(g, cfg, u[0], grid.points())
+    omegas = at.points() if isinstance(at, UniformGrid) else at
+    return _uniform_sum(weights, u[0], du, at, -1.0) + _h_tail(g, cfg, u[0], omegas)
 
 
-def h_forward(g: SampledFunction, x: float, cfg: DirectConfig) -> complex:
-    """H g at a single x > 0; g is linearly interpolated, constant beyond."""
-    if not (x > 0.0):
-        raise ValueError(f"x must be positive, got {x}")
-    u, _, weights = _h_integrand(g, cfg)
-    om = np.array([math.log(x)])
-    return complex((_osc_sum(u, weights, om, -1.0) + _h_tail(g, cfg, u[0], om))[0])
-
-
-def _as_w_values(w, cfg: DirectConfig) -> np.ndarray:
-    if isinstance(w, SampledFunction):
-        if w.grid != cfg.mu_grid:
-            raise ValueError("w must be sampled on cfg.mu_grid")
-        return np.asarray(w.values, dtype=complex)
-    arr = np.asarray(w, dtype=complex)
-    if len(arr) != cfg.mu_grid.count:
-        raise ValueError(f"expected {cfg.mu_grid.count} values on the mu grid")
-    return arr
+def h_forward(g: SampledFunction, x, cfg: DirectConfig):
+    """H g at x > 0, a complex at a scalar x and an array of x's shape at an
+    array; g is linearly interpolated, constant beyond."""
+    om = np.log(_positive(x, "x"))
+    vals = _h_values(g, cfg, om.ravel()).reshape(om.shape)
+    return complex(vals) if om.ndim == 0 else vals
 
 
 def _h2_values(w_vals: np.ndarray, cfg: DirectConfig, zs: np.ndarray) -> np.ndarray:
@@ -215,15 +211,16 @@ def _h2_values(w_vals: np.ndarray, cfg: DirectConfig, zs: np.ndarray) -> np.ndar
     return re
 
 
-def h2_inverse(w, z: float, cfg: DirectConfig) -> float:
-    """H2 applied to values w on the mu grid, evaluated at z > 0.
-
-    Returns the real part; a warning reports any significant imaginary
-    residue, which signals an inconsistent w.
-    """
-    if not (z > 0.0):
-        raise ValueError(f"z must be positive, got {z}")
-    return float(_h2_values(_as_w_values(w, cfg), cfg, np.array([z]))[0])
+def h2_inverse(w, z, cfg: DirectConfig):
+    """The real part of H2 applied to the values w on the mu grid, at z > 0: a
+    float at a scalar z, an array of z's shape at an array.  A warning reports
+    any significant imaginary residue, which signals an inconsistent w."""
+    zs = _positive(z, "z")
+    w_vals = np.asarray(w)
+    if w_vals.shape != (cfg.mu_grid.count,):
+        raise ValueError(f"expected {cfg.mu_grid.count} values on the mu grid, got shape {w_vals.shape}")
+    vals = _h2_values(w_vals.astype(complex), cfg, zs.ravel()).reshape(zs.shape)
+    return float(vals) if zs.ndim == 0 else vals
 
 
 def invert_direct(g: SampledFunction, cfg: DirectConfig, out_grid: UniformGrid) -> SampledFunction:

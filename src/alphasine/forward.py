@@ -15,6 +15,9 @@ from .grid import call_vec
 from .quad import QuadSpec, integrate, integrate_kernel_split
 from .specfun import as_alpha, sine_coeffs
 
+# coefficients summed by t_sine_series unless the caller asks for another count
+SERIES_TERMS = 10_000
+
 
 def _on_half_line(f, alpha, y, spec, kernel: str, at_zero):
     """The kernel transform at a scalar y (a float) or at each entry of an
@@ -57,7 +60,7 @@ def t_sine_series(
     fhat,
     alpha,
     y,
-    terms: int = 10_000,
+    terms: int = SERIES_TERMS,
     *,
     fhat_decays: bool = False,
 ):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NoTailSamples, SingularDiagonal
 from .grid import SampledFunction, UniformGrid, call_vec
-from .oscsum import _chirp_sum, _osc_sum
+from .oscsum import _uniform_sum
 from .specfun import CoefficientTable, as_alpha, sine_coeffs
 
 # Below this |x| R the linear synthesis sums its segments one by one (see
@@ -41,15 +41,17 @@ class FourierSamples:
     xi: np.ndarray
     f0: float
     r: float
-    n: int
 
     def __post_init__(self):
-        arr = np.asarray(self.xi, dtype=float)
-        if len(arr) != self.n:
-            raise ValueError(f"expected {self.n} xi values, got {len(arr)}")
-        arr = arr.copy()
+        arr = np.array(self.xi, dtype=float)
+        if arr.ndim != 1 or len(arr) < 1:
+            raise ValueError(f"xi must be a non-empty one-dimensional array, got shape {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "xi", arr)
+
+    @property
+    def n(self) -> int:
+        return len(self.xi)
 
     def knots(self) -> np.ndarray:
         """fhat at 0, R/N, ..., R."""
@@ -127,21 +129,10 @@ def solve_xi(coeffs: CoefficientTable, eta) -> np.ndarray:
     return xi
 
 
-def _rect(t: np.ndarray) -> np.ndarray:
-    at = np.abs(t)
-    return np.where(at < 0.5, 1.0, np.where(at == 0.5, 0.5, 0.0))
-
-
 def _window(fs: FourierSamples, x: np.ndarray) -> np.ndarray:
-    return _rect(x * fs.r / (2.0 * math.pi * fs.n))
-
-
-def _cos_sum(weights: np.ndarray, t0: float, dt: float, x) -> np.ndarray:
-    """sum_n W_n cos(x (t0 + n dt)) at each x: the chirp-z sum when x is a
-    UniformGrid, the dense sum at scattered x."""
-    if isinstance(x, UniformGrid):
-        return _chirp_sum(weights, t0, dt, x.start, x.step, x.count, 1.0).real
-    return _osc_sum(t0 + dt * np.arange(len(weights)), weights, x, 1.0).real
+    """rect(x R / (2 pi N)): 1 inside |x| < pi N / R, 1/2 on the edge, 0 beyond."""
+    at = np.abs(x * fs.r / (2.0 * math.pi * fs.n))
+    return np.where(at < 0.5, 1.0, np.where(at == 0.5, 0.5, 0.0))
 
 
 def _linear_segments(knots: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -154,8 +145,11 @@ def _linear_segments(knots: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndar
     t0, t1 = t[:-1][None, :], t[1:][None, :]
     v0, v1 = knots[:-1][None, :], knots[1:][None, :]
     slope = (v1 - v0) / (t1 - t0)
-    seg = (v1 * np.sin(xn * t1) - v0 * np.sin(xn * t0)) / xn
-    seg += slope * (np.cos(xn * t1) - np.cos(xn * t0)) / (xn * xn)
+    # product forms of cos(x t1) - cos(x t0) and v1 sin(x t1) - v0 sin(x t0),
+    # which cancel no digits at small x
+    mid, half = xn * (0.5 * (t0 + t1)), np.sin(xn * (0.5 * (t1 - t0)))
+    seg = ((v1 - v0) * np.sin(xn * t1) + 2.0 * v0 * np.cos(mid) * half) / xn
+    seg -= 2.0 * slope * np.sin(mid) * half / (xn * xn)
     out[~zero] = seg.sum(axis=1) / math.pi
     return out
 
@@ -207,7 +201,7 @@ def synthesize(
     if mollifier is not None:
         knots = knots * mollifier_kernel(mollifier, t)
     if interpolation == "sinc":
-        acc = knots[0] + 2.0 * _cos_sum(knots[1:], dt, dt, at)
+        acc = knots[0] + 2.0 * _uniform_sum(knots[1:], dt, dt, at, 1.0).real
         out = _window(fs, xs) * ((fs.r / (2.0 * math.pi * fs.n)) * acc)
     else:
         slope = np.diff(knots) / dt
@@ -215,7 +209,7 @@ def synthesize(
         small = np.abs(xs) * fs.r < _LINEAR_MIN_XR
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (knots[-1] * np.sin(xs * fs.r) / xs
-                   + _cos_sum(jumps, 0.0, dt, at) / (xs * xs)) / math.pi
+                   + _uniform_sum(jumps, 0.0, dt, at, 1.0).real / (xs * xs)) / math.pi
         out[small] = _linear_segments(knots, t, xs[small])
     return float(out[0]) if np.isscalar(x) else out
 
@@ -239,6 +233,6 @@ def invert_fourier(
     f0 = estimate_f0(g, alpha, r) if f0_override is None else float(f0_override)
     eta = build_rhs(g, alpha, n, r, f0)
     xi = solve_xi(sine_coeffs(alpha, n), eta)
-    vals = synthesize(FourierSamples(xi, f0, r, n), out_grid,
+    vals = synthesize(FourierSamples(xi, f0, r), out_grid,
                       interpolation=interpolation, mollifier=mollifier)
     return SampledFunction(out_grid, vals)

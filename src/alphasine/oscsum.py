@@ -4,7 +4,8 @@
 sine matrix product per chunk of omegas.  `_chirp_sum` takes uniform L and
 omega grids and forms the same sum as one chirp-z transform (Bluestein,
 three FFTs); `_turns` gives its chirps with whole turns dropped exactly, so
-phases of many turns keep their digits.
+phases of many turns keep their digits.  `_uniform_sum` alone picks one for
+uniform nodes: chirp-z at a UniformGrid of omegas, else the dense sum.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .grid import UniformGrid
 
 
 def _osc_sum(coords: np.ndarray, weights: np.ndarray, omegas: np.ndarray, sign: float) -> np.ndarray:
@@ -60,3 +63,11 @@ def _chirp_sum(weights: np.ndarray, u0: float, du: float, om0: float, dom: float
     chirp = np.conj(_turns(beta, m * m))
     conv = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(chirp, size))[n - 1 : n - 1 + count]
     return np.exp(1j * sign * u0 * (om0 + dom * k)) * _turns(beta, k * k) * conv
+
+
+def _uniform_sum(weights: np.ndarray, u0: float, du: float, at, sign: float) -> np.ndarray:
+    """sum_j W_j exp(i sign omega (u0 + j du)) at each omega of `at`: one
+    chirp-z transform at a UniformGrid, the dense sum at an array."""
+    if isinstance(at, UniformGrid):
+        return _chirp_sum(weights, u0, du, at.start, at.step, at.count, sign)
+    return _osc_sum(u0 + du * np.arange(len(weights)), weights, at, sign)

@@ -41,7 +41,6 @@ class CoefficientTable:
     """Coefficients c_0..c_J of the cosine expansion of (1/2)|sin(x/2)|^a,
     or of the |cos| kernel, whose coefficients carry the extra sign (-1)^j."""
 
-    alpha: Alpha
     coeffs: np.ndarray
 
     def __post_init__(self):
@@ -79,21 +78,21 @@ def sine_coeffs(alpha, count: int) -> CoefficientTable:
         c = np.zeros(count + 1)
         for j in range(0, min(k, count) + 1):
             c[j] = (-1) ** j * math.comb(2 * k, k - j) / 4.0**k
-        return CoefficientTable(alpha, c)
+        return CoefficientTable(c)
     c = np.empty(count + 1)
     c[0] = leading_coefficient(alpha)
     c[1] = -c[0] * a / (a + 2.0)
     if count >= 2:
         j = np.arange(1, count, dtype=float)
         c[2:] = c[1] * np.cumprod((j - 0.5 * a) / (j + 1.0 + 0.5 * a))
-    return CoefficientTable(alpha, c)
+    return CoefficientTable(c)
 
 
 def cosine_coeffs(alpha, count: int) -> CoefficientTable:
     """Coefficients for the |cos| kernel: the sine coefficients with sign (-1)^j."""
     table = sine_coeffs(alpha, count)
     signs = np.where(np.arange(len(table)) % 2 == 0, 1.0, -1.0)
-    return CoefficientTable(table.alpha, signs * table.coeffs)
+    return CoefficientTable(signs * table.coeffs)
 
 
 def sin_power_integral(alpha) -> float:
@@ -117,7 +116,7 @@ def _log_gamma(w: np.ndarray) -> np.ndarray:
     the positive axis: the Stirling series at v = w + n with Re v >= 10, minus
     the logs of w, w + 1, ..., w + n - 1."""
     w = np.asarray(w, dtype=complex)
-    n = max(0, math.ceil(10.0 - float(np.min(w.real))))
+    n = max(0, math.ceil(10.0 - float(np.min(w.real, initial=10.0))))
     shift = sum(np.log(w + k) for k in range(n))
     v = w + n
     inv2 = 1.0 / (v * v)
@@ -127,35 +126,30 @@ def _log_gamma(w: np.ndarray) -> np.ndarray:
     return (v - 0.5) * np.log(v) - v + 0.5 * math.log(2.0 * math.pi) + series / v - shift
 
 
-def _hyp3f2_tail_accelerated(alpha: float) -> float:
-    """3F2[1 - a/2, 1, 1; a/2 + 2, 2; 1] for -1 < a < 0.
-
-    Terms behave like k^-(2+a), so plain truncation cannot reach fine relative
-    tolerance for a near -1.  The partial sums are extrapolated with two
-    Richardson stages using the exact remainder exponents 1+a and 2+a.
-    """
-    a = alpha
-    k_base = 1 << 18
-    k = np.arange(0, 4 * k_base, dtype=float)
-    ratios = ((1.0 - 0.5 * a + k) * (1.0 + k)) / ((0.5 * a + 2.0 + k) * (2.0 + k))
-    terms = np.concatenate(([1.0], np.cumprod(ratios)))
-    csum = np.cumsum(terms)
-    s1, s2, s4 = csum[k_base - 1], csum[2 * k_base - 1], csum[4 * k_base - 1]
-    p1 = 1.0 + a
-    p2 = 2.0 + a
-    r1a = s2 + (s2 - s1) / (2.0**p1 - 1.0)
-    r1b = s4 + (s4 - s2) / (2.0**p1 - 1.0)
-    return r1b + (r1b - r1a) / (2.0**p2 - 1.0)
+def _digamma(x: float) -> float:
+    """psi(x) for real x > 0: the recurrence psi(x) = psi(x + 1) - 1/x up to
+    x >= 10, then the asymptotic series ln x - 1/(2x) - sum_k B_2k / (2k x^2k),
+    whose coefficients B_2k / 2k are _STIRLING[k - 1] (2k - 1)."""
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    series = 0.0
+    for k in range(len(_STIRLING), 0, -1):
+        series = series * inv2 + _STIRLING[k - 1] * (2 * k - 1)
+    return math.log(x) - 0.5 / x - series * inv2 - shift
 
 
 def operator_norm_bound(alpha) -> float:
-    """Upper bound for the transform's operator norm in the -1 < a < 0 regime.
-
-    C_a (1/pi + 1) + c_0 (1 - a/(a+2) * 3F2[1-a/2, 1, 1; a/2+2, 2; 1]).
+    """Upper bound for the transform's operator norm at -1 < a < 0,
+    C_a (1/pi + 1) + c_0 (1 - a/(a+2) * 3F2[1-a/2, 1, 1; a/2+2, 2; 1]).  Gauss's
+    reduction makes the 3F2 ((a+2)/(-a)) (psi(1+a/2) - psi(1+a)), so the a/(a+2)
+    cancels and the bound is C_a (1/pi + 1) + c_0 (1 + psi(1+a/2) - psi(1+a)).
     """
     a = as_alpha(alpha).value
     if not (-1.0 < a < 0.0):
         raise ValueError(f"operator_norm_bound is defined for -1 < alpha < 0, got {a}")
-    f32 = _hyp3f2_tail_accelerated(a)
     c0 = leading_coefficient(a)
-    return sin_power_integral(a) * (1.0 / math.pi + 1.0) + c0 * (1.0 - (a / (a + 2.0)) * f32)
+    return (sin_power_integral(a) * (1.0 / math.pi + 1.0)
+            + c0 * (1.0 + _digamma(1.0 + 0.5 * a) - _digamma(1.0 + a)))

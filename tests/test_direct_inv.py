@@ -72,19 +72,17 @@ class TestMu:
         assert abs(mu(1.0, cfg) - math.pi / 2.0) < 1e-6
 
     def test_conjugate_symmetry(self, cfg):
-        for x in (0.3, 2.0, 7.5):
-            assert abs(mu(1.0 / x, cfg) - np.conj(mu(x, cfg))) < 1e-8
+        xs = np.array([0.3, 2.0, 7.5])
+        assert np.max(np.abs(mu(1.0 / xs, cfg) - np.conj(mu(xs, cfg)))) < 1e-8
 
     def test_decay(self, cfg):
         assert abs(mu(1e6, cfg)) < abs(mu(1.0, cfg)) / 10.0
 
     def test_closed_form_alpha_two(self, cfg):
         # |mu(e^w)| = sqrt(pi w tanh(pi w / 2) / 2) / (w sqrt(1 + w^2))
-        for w in (0.5, 2.0, 10.0):
-            expect = math.sqrt(math.pi * w * math.tanh(math.pi * w / 2.0) / 2.0) / (
-                w * math.sqrt(1.0 + w * w)
-            )
-            assert math.isclose(abs(mu(math.exp(w), cfg)), expect, rel_tol=1e-6)
+        w = np.array([0.5, 2.0, 10.0])
+        expect = np.sqrt(math.pi * w * np.tanh(math.pi * w / 2.0) / 2.0) / (w * np.sqrt(1.0 + w * w))
+        assert np.max(np.abs(np.abs(mu(np.exp(w), cfg)) / expect - 1.0)) <= 1e-6
 
     def test_domain(self, cfg):
         with pytest.raises(ValueError):
@@ -101,7 +99,7 @@ class TestMuClosedForm:
     def test_against_lobe_table(self, a):
         cfg = DirectConfig(alpha=a)
         om = np.linspace(-20.0, 20.0, 41)
-        got = np.array([mu(math.exp(w), cfg) for w in om])
+        got = mu(np.exp(om), cfg)
         ref = lobe_mu(a, cfg.weight_exponent, om)
         assert np.max(np.abs(got - ref)) <= 1e-7 * np.max(np.abs(ref))
 
@@ -200,20 +198,24 @@ class TestChirpSum:
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _hermitian_w(cfg, seed):
+    rng = np.random.default_rng(seed)
+    n = cfg.mu_grid.count
+    half = rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2)
+    half *= np.exp(-0.1 * cfg.mu_grid.points()[n // 2 + 1 :] ** 2)
+    return np.concatenate((np.conj(half[::-1]), [1.0 + 0.0j], half))
+
+
 class TestH2:
     def test_zero(self, small_cfg):
         w = np.zeros(small_cfg.mu_grid.count, dtype=complex)
         assert h2_inverse(w, 1.3, small_cfg) == 0.0
-        got = direct_inv._h2_values(w, small_cfg, np.linspace(0.2, 3.0, 15))
+        got = h2_inverse(w, np.linspace(0.2, 3.0, 15), small_cfg)
         assert np.array_equal(got, np.zeros(15))
 
     def test_scaling(self, small_cfg):
         # Hermitian w (the physical case) keeps the output real
-        rng = np.random.default_rng(5)
-        n = small_cfg.mu_grid.count
-        half = rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2)
-        half *= np.exp(-0.1 * small_cfg.mu_grid.points()[n // 2 + 1 :] ** 2)
-        w = np.concatenate((np.conj(half[::-1]), [1.0 + 0.0j], half))
+        w = _hermitian_w(small_cfg, 5)
         a = h2_inverse(w, 0.7, small_cfg)
         b = h2_inverse(3.0 * w, 0.7, small_cfg)
         assert math.isclose(b, 3.0 * a, rel_tol=1e-12)
@@ -235,7 +237,7 @@ class TestH2:
         w = np.zeros(grid.count, dtype=complex)
         w[mid - 150 : mid + 151] = np.concatenate((np.conj(half[::-1]), [1.0], half))
         zs = np.linspace(0.2, 3.0, 15)
-        got = direct_inv._h2_values(w, small_cfg, zs)
+        got = h2_inverse(w, zs, small_cfg)
         trap = np.full(grid.count, grid.step)
         trap[0] = trap[-1] = 0.5 * grid.step
         full = _osc_sum(grid.points(), w * trap, np.log(zs), +1.0)
@@ -247,6 +249,57 @@ class TestH2:
             h2_inverse(np.zeros(7), 1.0, small_cfg)
         with pytest.raises(ValueError):
             h2_inverse(np.zeros(small_cfg.mu_grid.count), 0.0, small_cfg)
+
+    def test_rejects_sampled_function(self, small_cfg):
+        w = SampledFunction(small_cfg.mu_grid, np.zeros(small_cfg.mu_grid.count))
+        with pytest.raises(ValueError):
+            h2_inverse(w, 1.0, small_cfg)
+
+
+class TestArrayOperators:
+    """mu, h_forward and h2_inverse at a scalar and at an array of points.
+
+    An array call sums each point's row inside one BLAS matrix-vector
+    product, whose summation order depends on the number of rows, so it
+    matches the per-point calls to rounding, not bit for bit.
+    """
+
+    @pytest.fixture(scope="class", params=["mu", "h_forward", "h2_inverse"])
+    def op(self, request, small_cfg):
+        g = sample(t2_f1, 0.0, 20.0, 2001)
+        w = _hermitian_w(small_cfg, 5)
+        return {
+            "mu": (lambda x: mu(x, DirectConfig(alpha=2.5)), complex),
+            "h_forward": (lambda x: h_forward(g, x, small_cfg), complex),
+            "h2_inverse": (lambda z: h2_inverse(w, z, small_cfg), float),
+        }[request.param]
+
+    def test_array_matches_scalar_calls(self, op):
+        call, _ = op
+        xs = np.exp(np.linspace(-8.0, 8.0, 33))
+        got = call(xs)
+        ref = np.array([call(float(x)) for x in xs])
+        assert got.shape == xs.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_scalar_gives_python_number(self, op):
+        call, kind = op
+        assert type(call(1.7)) is kind
+        assert type(call(np.float64(1.7))) is kind
+
+    def test_shape_is_kept(self, op):
+        call, _ = op
+        xs = np.array([[0.5, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        got = call(xs)
+        assert got.shape == (2, 3)
+        assert np.max(np.abs(got.ravel() - call(xs.ravel()))) <= 1e-14 * np.max(np.abs(got))
+        assert call(np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_non_positive_entry_rejected(self, op, bad):
+        call, _ = op
+        with pytest.raises(ValueError):
+            call(np.array([0.5, bad, 2.0]))
 
 
 class TestInvertDirect:

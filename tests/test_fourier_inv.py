@@ -126,21 +126,26 @@ class TestSolveXi:
 
 class TestReconstruct:
     def test_zero_outside_window(self):
-        fs = FourierSamples(np.ones(10), 1.0, 5.0, 10)
+        fs = FourierSamples(np.ones(10), 1.0, 5.0)
         edge = math.pi * 10 / 5.0
         xs = np.array([edge + 1e-9, edge + 1.0, -edge - 2.0])
         assert np.all(synthesize(fs, xs) == 0.0)
 
     def test_boundary_half_weight(self):
-        fs = FourierSamples(np.zeros(10), 4.0, 5.0, 10)
+        fs = FourierSamples(np.zeros(10), 4.0, 5.0)
         edge = math.pi * 10 / 5.0
         inside = 5.0 / (2.0 * math.pi * 10) * 4.0
         assert math.isclose(synthesize(fs, 0.0), inside, rel_tol=1e-12)
         assert math.isclose(synthesize(fs, edge), 0.5 * inside, rel_tol=1e-12)
 
+    def test_n_is_the_sample_count(self):
+        assert FourierSamples(np.ones(7), 1.0, 5.0).n == 7
+        with pytest.raises(ValueError):
+            FourierSamples(np.ones((2, 3)), 1.0, 5.0)
+
     def test_gaussian_value(self):
         xi = fhat1(np.arange(1, 101) * 0.1)
-        fs = FourierSamples(xi, float(fhat1(0.0)), 10.0, 100)
+        fs = FourierSamples(xi, float(fhat1(0.0)), 10.0)
         assert abs(synthesize(fs, 1.0) - math.exp(-1.0)) < 5e-3
 
 
@@ -154,7 +159,7 @@ class TestUniformGrid:
         # the second grid crosses both window edges, +-pi N / R, when N / R is small
         rng = np.random.default_rng(n)
         xi = fhat1(np.arange(1, n + 1) * (r / n)) + 0.1 * rng.standard_normal(n)
-        fs = FourierSamples(xi, 1.7, r, n)
+        fs = FourierSamples(xi, 1.7, r)
         on_grid = synthesize(fs, grid, mollifier=mollifier)
         dense = synthesize(fs, grid.points(), mollifier=mollifier)
         assert np.max(np.abs(on_grid - dense)) <= 1e-13 * np.max(np.abs(dense))
@@ -188,13 +193,13 @@ class TestMollifier:
 
     def test_gamma_to_zero_recovers_reconstruct(self):
         rng = np.random.default_rng(3)
-        fs = FourierSamples(rng.standard_normal(20), 1.5, 8.0, 20)
+        fs = FourierSamples(rng.standard_normal(20), 1.5, 8.0)
         xs = np.linspace(0.0, 3.0, 50)
         tiny = MollifierKind("gaussian", 1e-9)
         assert np.max(np.abs(synthesize(fs, xs, mollifier=tiny) - synthesize(fs, xs))) < 1e-12
 
     def test_zero_samples_give_zero(self):
-        fs = FourierSamples(np.zeros(5), 0.0, 4.0, 5)
+        fs = FourierSamples(np.zeros(5), 0.0, 4.0)
         assert synthesize(fs, 1.0, mollifier=MollifierKind("triangle", 0.5)) == 0.0
 
     @given(seed=st.integers(0, 2**31), gamma=st.floats(min_value=0.01, max_value=5.0))
@@ -202,7 +207,7 @@ class TestMollifier:
     def test_gaussian_smoothing_contracts_sup_norm(self, seed, gamma):
         # smoothing is convolution with a nonnegative unit-mass mollifier
         rng = np.random.default_rng(seed)
-        fs = FourierSamples(rng.standard_normal(16), float(rng.standard_normal()), 6.0, 16)
+        fs = FourierSamples(rng.standard_normal(16), float(rng.standard_normal()), 6.0)
         xs = np.linspace(-math.pi * 16 / 6.0, math.pi * 16 / 6.0, 800)
         smooth = synthesize(fs, xs, mollifier=MollifierKind("gaussian", gamma))
         rough = synthesize(fs, xs)
@@ -213,7 +218,7 @@ class TestLinearRoute:
     def test_matches_quadrature_of_interpolant(self):
         rng = np.random.default_rng(11)
         n, r = 12, 6.0
-        fs = FourierSamples(rng.standard_normal(n), 1.7, r, n)
+        fs = FourierSamples(rng.standard_normal(n), 1.7, r)
         knots_t = np.arange(0, n + 1) * (r / n)
         knots_v = fs.knots()
         x = 0.9
@@ -226,32 +231,53 @@ class TestLinearRoute:
         assert math.isclose(val, ref / math.pi, rel_tol=1e-9)
 
     def test_x_zero_is_trapezoid(self):
-        fs = FourierSamples(np.ones(4), 1.0, 4.0, 4)
+        fs = FourierSamples(np.ones(4), 1.0, 4.0)
         val = synthesize(fs, np.array([0.0]), interpolation="linear")[0]
         assert math.isclose(val, 4.0 / math.pi, rel_tol=1e-12)
 
 
-    @pytest.mark.parametrize("on_grid", [True, False])
-    @pytest.mark.parametrize("seed", [101, 102, 103, 104, 105])
-    def test_noisy_samples_against_mpmath(self, on_grid, seed):
+    @staticmethod
+    def _noisy(seed):
         # N = 400 noisy samples: large slope jumps, which the summed-by-parts
-        # form divides by x^2; 40-digit segment sums are the reference
+        # form divides by x^2
         n, r = 400, 20.0
         t = np.arange(n + 1) * (r / n)
         knots = fhat1(t) + 0.1 * np.random.default_rng(seed).standard_normal(n + 1)
-        fs = FourierSamples(knots[1:], knots[0], r, n)
+        return t, knots, FourierSamples(knots[1:], knots[0], r)
+
+    @staticmethod
+    def _mp_reference(t, knots, x):
+        """The segment sums at x, to 40 digits."""
+        with mp.workdps(40):
+            mt, mv = [mp.mpf(float(v)) for v in t], [mp.mpf(float(v)) for v in knots]
+            x = mp.mpf(float(x))
+            return float(mp.fsum((mv[i + 1] * mp.sin(x * mt[i + 1]) - mv[i] * mp.sin(x * mt[i])) / x
+                                 + (mv[i + 1] - mv[i]) / (mt[i + 1] - mt[i])
+                                 * (mp.cos(x * mt[i + 1]) - mp.cos(x * mt[i])) / (x * x)
+                                 for i in range(len(t) - 1)) / mp.pi)
+
+    @pytest.mark.parametrize("on_grid", [True, False])
+    @pytest.mark.parametrize("seed", [101, 102, 103, 104, 105])
+    def test_noisy_samples_against_mpmath(self, on_grid, seed):
+        t, knots, fs = self._noisy(seed)
         grid = UniformGrid(0.0, 0.01, 301)
         vals = synthesize(fs, grid if on_grid else grid.points(), interpolation="linear")
         scale = np.max(np.abs(vals))
-        with mp.workdps(40):
-            mt, mv = [mp.mpf(float(v)) for v in t], [mp.mpf(float(v)) for v in knots]
-            for k in (1, 10, 100):  # x = 0.01, 0.1, 1
-                x = mp.mpf(float(grid.points()[k]))
-                ref = mp.fsum((mv[i + 1] * mp.sin(x * mt[i + 1]) - mv[i] * mp.sin(x * mt[i])) / x
-                              + (mv[i + 1] - mv[i]) / (mt[i + 1] - mt[i])
-                              * (mp.cos(x * mt[i + 1]) - mp.cos(x * mt[i])) / (x * x)
-                              for i in range(n)) / mp.pi
-                assert abs(vals[k] - float(ref)) <= 1e-10 * scale
+        for k in (1, 10, 100):  # x = 0.01, 0.1, 1
+            ref = self._mp_reference(t, knots, grid.points()[k])
+            assert abs(vals[k] - ref) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("seed", [101, 102, 103, 104, 105])
+    def test_small_x_segments_keep_digits(self, seed):
+        # below |x| R = 2 the segments are summed one by one; in product form
+        # they cancel no digits as x -> 0
+        t, knots, fs = self._noisy(seed)
+        grid = UniformGrid(0.0, 0.01, 301)
+        vals = synthesize(fs, grid, interpolation="linear")
+        scale = np.max(np.abs(vals))
+        for k in (1, 2, 5):  # x = 0.01, 0.02, 0.05
+            ref = self._mp_reference(t, knots, grid.points()[k])
+            assert abs(vals[k] - ref) <= 1e-13 * scale
 
 
 class TestInvertFourier:
@@ -271,7 +297,7 @@ class TestInvertFourier:
         rec = invert_fourier(g, 2.0, n, r, out)
         f0 = estimate_f0(g, 2.0, r)
         xi_direct = f0 - 4.0 * np.real(g.eval(np.arange(1, n + 1) * r / (2.0 * n)))
-        fs = FourierSamples(xi_direct, f0, r, n)
+        fs = FourierSamples(xi_direct, f0, r)
         direct = synthesize(fs, out.points())
         assert np.max(np.abs(rec.values - direct)) <= 1e-6
 
