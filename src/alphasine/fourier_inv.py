@@ -24,11 +24,9 @@ from .grid import SampledFunction, UniformGrid, call_vec
 from .oscsum import _uniform_sum
 from .specfun import CoefficientTable, as_alpha, sine_coeffs
 
-# Below this |x| R the linear synthesis sums its segments one by one (see
-# synthesize).  On noisy N = 400 samples, against a 40-digit sum, the
-# summed-by-parts form is off by 1e-10 of max|f| at x R = 0.2 and by under
-# 1e-12 from x R = 2 on.
-_LINEAR_MIN_XR = 2.0
+# (-1)^k / (2k+3)!, k = 0..7: the series of (u - sin u)/u^3 in u^2, which
+# leaves under 1e-17 of its value untaken for |u| < 1
+_HALF_HAT_SERIES = [(-1) ** k / math.factorial(2 * k + 3) for k in range(8)]
 
 
 @dataclass(frozen=True)
@@ -135,22 +133,18 @@ def _window(fs: FourierSamples, x: np.ndarray) -> np.ndarray:
     return np.where(at < 0.5, 1.0, np.where(at == 0.5, 0.5, 0.0))
 
 
-def _linear_segments(knots: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(1/pi) int_0^R L(t) cos(xt) dt for the piecewise-linear L through
-    (t, knots), integrated exactly segment by segment."""
-    out = np.empty_like(x)
-    zero = x == 0.0
-    out[zero] = np.trapezoid(knots, t) / math.pi
-    xn = x[~zero][:, None]
-    t0, t1 = t[:-1][None, :], t[1:][None, :]
-    v0, v1 = knots[:-1][None, :], knots[1:][None, :]
-    slope = (v1 - v0) / (t1 - t0)
-    # product forms of cos(x t1) - cos(x t0) and v1 sin(x t1) - v0 sin(x t0),
-    # which cancel no digits at small x
-    mid, half = xn * (0.5 * (t0 + t1)), np.sin(xn * (0.5 * (t1 - t0)))
-    seg = ((v1 - v0) * np.sin(xn * t1) + 2.0 * v0 * np.cos(mid) * half) / xn
-    seg -= 2.0 * slope * np.sin(mid) * half / (xn * xn)
-    out[~zero] = seg.sum(axis=1) / math.pi
+def _hat_ft(u: np.ndarray) -> np.ndarray:
+    """(sin(u/2) / (u/2))^2 = 2(1 - cos u)/u^2: the Fourier transform of the
+    unit hat, max(0, 1 - |s|), at u; 1 at u = 0."""
+    return np.sinc(u / (2.0 * math.pi)) ** 2
+
+
+def _half_hat_odd(u: np.ndarray) -> np.ndarray:
+    """(u - sin u)/u^3 = u^-2 int_0^1 (1 - s) sin(us) ds; 1/6 at u = 0."""
+    out = np.polynomial.polynomial.polyval(u * u, _HALF_HAT_SERIES)
+    big = np.abs(u) >= 1.0
+    ub = u[big]
+    out[big] = (ub - np.sin(ub)) / (ub * ub * ub)
     return out
 
 
@@ -161,15 +155,7 @@ def mollifier_kernel(kind: MollifierKind, y) -> float | np.ndarray:
     gaussian: exp(-u^2/(4 pi)).
     """
     u = kind.gamma * np.atleast_1d(np.asarray(y, dtype=float))
-    if kind.tag == "gaussian":
-        out = np.exp(-(u * u) / (4.0 * math.pi))
-    else:
-        out = np.empty_like(u)
-        small = np.abs(u) < 0.1
-        u2 = u[small] * u[small]
-        out[small] = 1.0 - u2 / 12.0 + u2 * u2 / 360.0 - u2 * u2 * u2 / 20160.0
-        ub = u[~small]
-        out[~small] = 2.0 * (1.0 - np.cos(ub)) / (ub * ub)
+    out = np.exp(-(u * u) / (4.0 * math.pi)) if kind.tag == "gaussian" else _hat_ft(u)
     return float(out[0]) if np.isscalar(y) else out
 
 
@@ -184,33 +170,34 @@ def synthesize(
     interpolation "sinc" uses the band-limited (cardinal-series) interpolant,
     rect-windowed so the result vanishes identically outside |x| <= pi N / R;
     "linear" integrates the piecewise-linear interpolant on [0, R] exactly,
-    so no quadrature tolerance enters the chain.  Summed by parts, its
-    v sin(xt)/x terms telescope to v_N sin(xR)/x and its slope terms become
-    (1/x^2) sum_n b_n cos(x t_n), b_n the jump in slope at knot n.  That
-    form cancels as x -> 0, so where |x| R < _LINEAR_MIN_XR the segments are
-    summed one by one instead.  With a mollifier every Fourier sample is
-    damped by psi_gamma(nR/N).
+    so no quadrature tolerance enters the chain.  Both rest on the one sum
+    S(x) = sum_{n=1}^N v_n cos(x t_n).  The linear interpolant is a sum of
+    hats of width dt = R/N, whose transform is psi(x dt) = _hat_ft(x dt), so
+
+      f(x) = (dt/pi) [psi(x dt) (v_0/2 + S(x) - (v_N/2) cos(xR))
+                      + v_N sin(xR) x dt phi(x dt)],
+
+    where the last term is the odd part of the half hat at R and
+    phi(u) = (u - sin u)/u^3 = _half_hat_odd(u).  With a mollifier every
+    Fourier sample is damped by psi_gamma(nR/N).
     """
     if interpolation not in ("sinc", "linear"):
         raise ValueError(f"interpolation must be 'sinc' or 'linear', got {interpolation!r}")
     xs = x.points() if isinstance(x, UniformGrid) else np.atleast_1d(np.asarray(x, dtype=float))
     at = x if isinstance(x, UniformGrid) else xs
     dt = fs.r / fs.n
-    t = np.arange(0, fs.n + 1) * dt
     knots = fs.knots()
     if mollifier is not None:
-        knots = knots * mollifier_kernel(mollifier, t)
+        knots = knots * mollifier_kernel(mollifier, np.arange(0, fs.n + 1) * dt)
+    cos_sum = _uniform_sum(knots[1:], dt, dt, at, 1.0).real
     if interpolation == "sinc":
-        acc = knots[0] + 2.0 * _uniform_sum(knots[1:], dt, dt, at, 1.0).real
+        acc = knots[0] + 2.0 * cos_sum
         out = _window(fs, xs) * ((fs.r / (2.0 * math.pi * fs.n)) * acc)
     else:
-        slope = np.diff(knots) / dt
-        jumps = -np.diff(slope, prepend=0.0, append=0.0)
-        small = np.abs(xs) * fs.r < _LINEAR_MIN_XR
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (knots[-1] * np.sin(xs * fs.r) / xs
-                   + _uniform_sum(jumps, 0.0, dt, at, 1.0).real / (xs * xs)) / math.pi
-        out[small] = _linear_segments(knots, t, xs[small])
+        u = xs * dt
+        end = knots[-1] * np.sin(xs * fs.r) * u * _half_hat_odd(u)
+        acc = _hat_ft(u) * (0.5 * knots[0] + cos_sum - 0.5 * knots[-1] * np.cos(xs * fs.r))
+        out = (dt / math.pi) * (acc + end)
     return float(out[0]) if np.isscalar(x) else out
 
 

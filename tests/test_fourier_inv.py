@@ -150,18 +150,24 @@ class TestReconstruct:
 
 
 class TestUniformGrid:
-    @pytest.mark.parametrize("mollifier", [None, MollifierKind("triangle", 0.5),
-                                           MollifierKind("gaussian", 2.0)])
+    # the sinc cases keep the ids they had before the linear route joined
+    @pytest.mark.parametrize("mollifier, interpolation", [
+        pytest.param(m, interp, id=mid if interp == "sinc" else f"{mid}-linear")
+        for interp in ("sinc", "linear")
+        for m, mid in zip([None, MollifierKind("triangle", 0.5), MollifierKind("gaussian", 2.0)],
+                          ["None", "mollifier1", "mollifier2"])
+    ])
     @pytest.mark.parametrize("n, r", [(1, 2.0), (400, 20.0), (10_000, 10.0)])
     @pytest.mark.parametrize("grid", [UniformGrid(0.0, 0.01, 301),
                                       UniformGrid(-40.0, 0.173, 512)])
-    def test_sinc_chirp_matches_dense_sum(self, mollifier, n, r, grid):
+    def test_sinc_chirp_matches_dense_sum(self, interpolation, mollifier, n, r, grid):
         # the second grid crosses both window edges, +-pi N / R, when N / R is small
         rng = np.random.default_rng(n)
         xi = fhat1(np.arange(1, n + 1) * (r / n)) + 0.1 * rng.standard_normal(n)
         fs = FourierSamples(xi, 1.7, r)
-        on_grid = synthesize(fs, grid, mollifier=mollifier)
-        dense = synthesize(fs, grid.points(), mollifier=mollifier)
+        kw = dict(interpolation=interpolation, mollifier=mollifier)
+        on_grid = synthesize(fs, grid, **kw)
+        dense = synthesize(fs, grid.points(), **kw)
         assert np.max(np.abs(on_grid - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
@@ -190,6 +196,14 @@ class TestMollifier:
         lo = mollifier_kernel(k, 9.9e-5)
         hi = mollifier_kernel(k, 1.01e-4)
         assert abs(lo - hi) < 1e-9
+
+    def test_triangle_against_mpmath(self):
+        k = MollifierKind("triangle", 1.0)
+        us = np.concatenate((np.geomspace(1e-8, 100.0, 161), [0.1 - 1e-12, 0.1, 0.1 + 1e-12]))
+        vals = mollifier_kernel(k, us)
+        with mp.workdps(40):
+            ref = [float(2 * (1 - mp.cos(mp.mpf(float(u)))) / mp.mpf(float(u)) ** 2) for u in us]
+        assert np.max(np.abs(vals - np.array(ref))) <= 1e-15
 
     def test_gamma_to_zero_recovers_reconstruct(self):
         rng = np.random.default_rng(3)
@@ -237,12 +251,10 @@ class TestLinearRoute:
 
 
     @staticmethod
-    def _noisy(seed):
-        # N = 400 noisy samples: large slope jumps, which the summed-by-parts
-        # form divides by x^2
-        n, r = 400, 20.0
+    def _noisy(seed, n=400, r=20.0, sigma=0.1):
+        # noisy samples: large jumps in slope from knot to knot
         t = np.arange(n + 1) * (r / n)
-        knots = fhat1(t) + 0.1 * np.random.default_rng(seed).standard_normal(n + 1)
+        knots = fhat1(t) + sigma * np.random.default_rng(seed).standard_normal(n + 1)
         return t, knots, FourierSamples(knots[1:], knots[0], r)
 
     @staticmethod
@@ -269,15 +281,33 @@ class TestLinearRoute:
 
     @pytest.mark.parametrize("seed", [101, 102, 103, 104, 105])
     def test_small_x_segments_keep_digits(self, seed):
-        # below |x| R = 2 the segments are summed one by one; in product form
-        # they cancel no digits as x -> 0
+        # psi(x dt) and the half-hat term cancel no digits as x -> 0
         t, knots, fs = self._noisy(seed)
         grid = UniformGrid(0.0, 0.01, 301)
         vals = synthesize(fs, grid, interpolation="linear")
         scale = np.max(np.abs(vals))
-        for k in (1, 2, 5):  # x = 0.01, 0.02, 0.05
+        for k in (1, 2, 5, 9, 10, 50):  # x = 0.01, 0.02, 0.05, 0.09, 0.1, 0.5
             ref = self._mp_reference(t, knots, grid.points()[k])
             assert abs(vals[k] - ref) <= 1e-13 * scale
+
+    def test_large_n_keeps_digits(self):
+        # N = 1e4 with 0.01 noise on xi: one chirp-z sum over 1e4 knots
+        t, knots, fs = self._noisy(101, n=10_000, sigma=0.01)
+        grid = UniformGrid(0.0, 0.01, 301)
+        vals = synthesize(fs, grid, interpolation="linear")
+        scale = np.max(np.abs(vals))
+        for k in (1, 10, 100):  # x = 0.01, 0.1, 1
+            ref = self._mp_reference(t, knots, grid.points()[k])
+            assert abs(vals[k] - ref) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("x", [0.5, 1.9, 2.0, 2.1, 7.3, -3.0])
+    def test_wide_knots_against_mpmath(self, x):
+        # dt = 0.5, so x dt runs from 0.25 to 3.65, across the switch of the
+        # half-hat term from its series to the closed form at x dt = 1
+        t, knots, fs = self._noisy(17, n=12, r=6.0)
+        val = synthesize(fs, x, interpolation="linear")
+        scale = np.max(np.abs(synthesize(fs, np.linspace(0.0, 3.0, 301), interpolation="linear")))
+        assert abs(val - self._mp_reference(t, knots, x)) <= 1e-13 * scale
 
 
 class TestInvertFourier:
