@@ -120,6 +120,8 @@ def sampled_from_csv(path: str) -> SampledFunction:
     steps = np.diff(x)
     if len(steps) == 0:
         raise ValueError(f"{path}: need at least two samples")
+    if not np.all(steps > 0.0):
+        raise ValueError(f"{path}: abscissae must increase")
     step = float(np.median(steps))
     if np.max(np.abs(steps - step)) > 1e-8 * max(1.0, abs(step)):
         raise ValueError(f"{path}: abscissae are not uniformly spaced")

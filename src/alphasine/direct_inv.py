@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import SampledFunction, UniformGrid
+from .grid import SampledFunction, UniformGrid, _pointwise
 from .oscsum import _osc_sum, _uniform_sum
 from .specfun import Alpha, _log_gamma, as_alpha, sine_coeffs
 
@@ -115,19 +115,10 @@ def _mu_values(a: float, c: float, omegas: np.ndarray) -> np.ndarray:
     return math.pi * np.exp(log_scale) * total
 
 
-def _positive(x, name: str) -> np.ndarray:
-    """x as a float array (0-d for a scalar), after checking every entry is > 0."""
-    xs = np.asarray(x, dtype=float)
-    if not np.all(xs > 0.0):
-        raise ValueError(f"{name} must be positive, got {xs[~(xs > 0.0)].flat[0]}")
-    return xs
-
-
 def mu(x, cfg: DirectConfig):
-    """The multiplier at x > 0: a complex at a scalar x, an array of x's shape at an array."""
-    om = np.log(_positive(x, "x"))
-    vals = _mu_values(cfg.alpha.value, cfg.weight_exponent, om.ravel()).reshape(om.shape)
-    return complex(vals) if om.ndim == 0 else vals
+    """The multiplier at each x > 0 (points as in grid._pointwise)."""
+    return _pointwise(lambda xs: _mu_values(cfg.alpha.value, cfg.weight_exponent, np.log(xs)),
+                      x, "x", "positive")
 
 
 @lru_cache(maxsize=8)
@@ -182,11 +173,9 @@ def _h_values(g: SampledFunction, cfg: DirectConfig, at) -> np.ndarray:
 
 
 def h_forward(g: SampledFunction, x, cfg: DirectConfig):
-    """H g at x > 0, a complex at a scalar x and an array of x's shape at an
-    array; g is linearly interpolated, constant beyond."""
-    om = np.log(_positive(x, "x"))
-    vals = _h_values(g, cfg, om.ravel()).reshape(om.shape)
-    return complex(vals) if om.ndim == 0 else vals
+    """H g at each x > 0 (points as in grid._pointwise); g is linearly
+    interpolated, constant beyond."""
+    return _pointwise(lambda xs: _h_values(g, cfg, np.log(xs)), x, "x", "positive")
 
 
 def _h2_values(w_vals: np.ndarray, cfg: DirectConfig, zs: np.ndarray) -> np.ndarray:
@@ -207,20 +196,20 @@ def _h2_values(w_vals: np.ndarray, cfg: DirectConfig, zs: np.ndarray) -> np.ndar
     re, im = np.real(out), np.imag(out)
     scale = np.max(np.abs(re)) if len(re) else 0.0
     if scale > 0.0 and np.max(np.abs(im)) > 1e-2 * scale:
-        warnings.warn(f"H2 imaginary residue up to {np.max(np.abs(im)):.3e}", stacklevel=3)
+        # h2_inverse and invert_direct both call this through a lambda and
+        # grid._pointwise, so level 5 is their caller
+        warnings.warn(f"H2 imaginary residue up to {np.max(np.abs(im)):.3e}", stacklevel=5)
     return re
 
 
 def h2_inverse(w, z, cfg: DirectConfig):
-    """The real part of H2 applied to the values w on the mu grid, at z > 0: a
-    float at a scalar z, an array of z's shape at an array.  A warning reports
-    any significant imaginary residue, which signals an inconsistent w."""
-    zs = _positive(z, "z")
+    """The real part of H2 applied to the values w on the mu grid, at each
+    z > 0 (points as in grid._pointwise).  A warning reports any significant
+    imaginary residue, which signals an inconsistent w."""
     w_vals = np.asarray(w)
     if w_vals.shape != (cfg.mu_grid.count,):
         raise ValueError(f"expected {cfg.mu_grid.count} values on the mu grid, got shape {w_vals.shape}")
-    vals = _h2_values(w_vals.astype(complex), cfg, zs.ravel()).reshape(zs.shape)
-    return float(vals) if zs.ndim == 0 else vals
+    return _pointwise(lambda zs: _h2_values(w_vals.astype(complex), cfg, zs), z, "z", "positive")
 
 
 def invert_direct(g: SampledFunction, cfg: DirectConfig, out_grid: UniformGrid) -> SampledFunction:
@@ -239,7 +228,5 @@ def invert_direct(g: SampledFunction, cfg: DirectConfig, out_grid: UniformGrid) 
         )
     hg = _h_values(g, cfg, cfg.mu_grid)
     w = np.where(keep, hg / np.where(keep, mu_vals, 1.0), 0.0)
-    zs = out_grid.points()
-    if np.any(zs <= 0.0):
-        raise ValueError("output grid must be strictly positive for the direct route")
-    return SampledFunction(out_grid, _h2_values(w, cfg, zs))
+    vals = _pointwise(lambda zs: _h2_values(w, cfg, zs), out_grid.points(), "output grid", "positive")
+    return SampledFunction(out_grid, vals)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoTailSamples, SingularDiagonal
-from .grid import SampledFunction, UniformGrid, call_vec
+from .grid import SampledFunction, UniformGrid, _pointwise, call_vec
 from .oscsum import _uniform_sum
 from .specfun import CoefficientTable, as_alpha, sine_coeffs
 
@@ -44,6 +44,10 @@ class FourierSamples:
         arr = np.array(self.xi, dtype=float)
         if arr.ndim != 1 or len(arr) < 1:
             raise ValueError(f"xi must be a non-empty one-dimensional array, got shape {arr.shape}")
+        if not (0.0 < self.r < math.inf):
+            raise ValueError(f"r must be finite and positive, got {self.r}")
+        if not math.isfinite(self.f0):
+            raise ValueError(f"f0 must be finite, got {self.f0}")
         arr.setflags(write=False)
         object.__setattr__(self, "xi", arr)
 
@@ -148,23 +152,24 @@ def _half_hat_odd(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def mollifier_kernel(kind: MollifierKind, y) -> float | np.ndarray:
-    """Reconstruction kernel psi_gamma(y) = psi(gamma y); psi(0) = 1.
+def mollifier_kernel(kind: MollifierKind, y):
+    """Reconstruction kernel psi_gamma(y) = psi(gamma y) at each y (points as
+    in grid._pointwise); psi(0) = 1.
 
     triangle: 2(1 - cos u)/u^2 (Fourier transform of the tent mollifier),
     gaussian: exp(-u^2/(4 pi)).
     """
-    u = kind.gamma * np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.exp(-(u * u) / (4.0 * math.pi)) if kind.tag == "gaussian" else _hat_ft(u)
-    return float(out[0]) if np.isscalar(y) else out
+    if kind.tag == "gaussian":
+        return _pointwise(lambda ys: np.exp(-((kind.gamma * ys) ** 2) / (4.0 * math.pi)), y, "y")
+    return _pointwise(lambda ys: _hat_ft(kind.gamma * ys), y, "y")
 
 
 def synthesize(
     fs: FourierSamples, x, *, interpolation: str = "sinc", mollifier: MollifierKind | None = None
-) -> float | np.ndarray:
+):
     """f at x from its Fourier samples, by inverse cosine transform of an
-    interpolant of fhat.  x is a scalar, an array, or a UniformGrid; on a
-    grid every cosine sum is one chirp-z transform (FFT cost), elsewhere it
+    interpolant of fhat.  x is a UniformGrid, where every cosine sum is one
+    chirp-z transform (FFT cost), or points as in grid._pointwise, where it
     is the dense sum.
 
     interpolation "sinc" uses the band-limited (cardinal-series) interpolant,
@@ -183,22 +188,23 @@ def synthesize(
     """
     if interpolation not in ("sinc", "linear"):
         raise ValueError(f"interpolation must be 'sinc' or 'linear', got {interpolation!r}")
-    xs = x.points() if isinstance(x, UniformGrid) else np.atleast_1d(np.asarray(x, dtype=float))
-    at = x if isinstance(x, UniformGrid) else xs
     dt = fs.r / fs.n
     knots = fs.knots()
     if mollifier is not None:
         knots = knots * mollifier_kernel(mollifier, np.arange(0, fs.n + 1) * dt)
-    cos_sum = _uniform_sum(knots[1:], dt, dt, at, 1.0).real
-    if interpolation == "sinc":
-        acc = knots[0] + 2.0 * cos_sum
-        out = _window(fs, xs) * ((fs.r / (2.0 * math.pi * fs.n)) * acc)
-    else:
+
+    def f_at(at) -> np.ndarray:
+        xs = at.points() if isinstance(at, UniformGrid) else at
+        cos_sum = _uniform_sum(knots[1:], dt, dt, at, 1.0).real
+        if interpolation == "sinc":
+            acc = knots[0] + 2.0 * cos_sum
+            return _window(fs, xs) * ((fs.r / (2.0 * math.pi * fs.n)) * acc)
         u = xs * dt
         end = knots[-1] * np.sin(xs * fs.r) * u * _half_hat_odd(u)
         acc = _hat_ft(u) * (0.5 * knots[0] + cos_sum - 0.5 * knots[-1] * np.cos(xs * fs.r))
-        out = (dt / math.pi) * (acc + end)
-    return float(out[0]) if np.isscalar(x) else out
+        return (dt / math.pi) * (acc + end)
+
+    return f_at(x) if isinstance(x, UniformGrid) else _pointwise(f_at, x, "x")
 
 
 def invert_fourier(
@@ -215,8 +221,6 @@ def invert_fourier(
     """Full chain: estimate f0, build eta, solve for xi, synthesize f (see
     synthesize for interpolation and mollifier)."""
     alpha = as_alpha(alpha)
-    if not (r > 0.0):
-        raise ValueError(f"r must be positive, got {r}")
     f0 = estimate_f0(g, alpha, r) if f0_override is None else float(f0_override)
     eta = build_rhs(g, alpha, n, r, f0)
     xi = solve_xi(sine_coeffs(alpha, n), eta)

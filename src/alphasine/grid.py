@@ -1,4 +1,5 @@
-"""Uniform grids and sampled functions with linear interpolation.
+"""Uniform grids, sampled functions with linear interpolation, and how points
+enter a user's f (call_vec) and a function of a point (_pointwise).
 
 Evaluation outside the grid span uses constant extrapolation with the nearest
 endpoint value; both containers are immutable after construction.
@@ -18,6 +19,8 @@ class UniformGrid:
     count: int
 
     def __post_init__(self):
+        if not np.isfinite(self.start):
+            raise ValueError(f"start must be finite, got {self.start}")
         if not (self.step > 0.0) or not np.isfinite(self.step):
             raise ValueError(f"step must be positive, got {self.step}")
         if int(self.count) < 1:
@@ -80,3 +83,21 @@ def call_vec(f, x: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.array([f(v) for v in x])
+
+
+def _pointwise(engine, x, name: str, domain: str = "finite"):
+    """engine at the points x, taken as a float array and flattened for one
+    engine call.  An entry that is NaN, infinite or outside the domain
+    ("finite", "non-negative" or "positive") is refused, naming the first.  A
+    scalar or 0-d x gives a Python float or complex, other x an array of its shape.
+    """
+    xs = np.asarray(x, dtype=float)
+    flat = xs.reshape(-1)
+    ok = np.isfinite(flat)
+    if domain != "finite":
+        ok &= (flat > 0.0) if domain == "positive" else (flat >= 0.0)
+    if not ok.all():
+        must = domain if domain == "finite" else f"finite and {domain}"
+        raise ValueError(f"{name} must be {must}, got {flat[~ok][0]}")
+    out = np.asarray(engine(flat)).reshape(xs.shape)
+    return out if out.shape else out.item()

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonConvergence
-from .grid import call_vec
+from .grid import _pointwise, call_vec
 from .specfun import as_alpha
 
 _HALF_PI = 0.5 * math.pi
@@ -232,8 +232,7 @@ def integrate_kernel_split(
     kernel: str = "sine",
 ):
     """Integral of |sin(xy)|^a f(x) (or |cos(xy)|^a f(x)) over (0, tail_cut],
-    at a scalar y (a float) or at each entry of an array of y (an array of
-    its shape).
+    at each y > 0 (points as in grid._pointwise).
 
     Splits at the kernel zeros x = k pi / y (shifted by pi/(2y) for the
     cosine), integrates every half-lobe with the tanh-sinh rule, and refines
@@ -242,17 +241,17 @@ def integrate_kernel_split(
     """
     spec = spec or QuadSpec()
     alpha = as_alpha(alpha)
-    ys = np.asarray(y, dtype=float)
-    flat = ys.reshape(-1)
-    if not np.all(flat > 0.0):
-        raise ValueError(f"y must be positive, got {flat[~(flat > 0.0)][0]}")
     if kernel not in ("sine", "cosine"):
         raise ValueError(f"kernel must be 'sine' or 'cosine', got {kernel!r}")
     phase = 0.0 if kernel == "sine" else _HALF_PI
-    total = np.empty(len(flat))
-    for lo in range(0, len(flat), _Y_BLOCK):
-        total[lo:lo + _Y_BLOCK] = _totals(f, alpha.value, flat[lo:lo + _Y_BLOCK], phase, spec)
-    return float(total[0]) if ys.ndim == 0 else total.reshape(ys.shape)
+
+    def totals(ys: np.ndarray) -> np.ndarray:
+        out = np.empty(len(ys))
+        for lo in range(0, len(ys), _Y_BLOCK):
+            out[lo:lo + _Y_BLOCK] = _totals(f, alpha.value, ys[lo:lo + _Y_BLOCK], phase, spec)
+        return out
+
+    return _pointwise(totals, y, "y", "positive")
 
 
 def integrate(f, spec: QuadSpec | None = None) -> float:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import _pointwise
 from .specfun import Alpha, as_alpha, lambda_alpha
 
 
@@ -34,14 +35,14 @@ def f0_from_scale(p: SasParams) -> float:
     return p.sigma ** p.alpha.value / lambda_alpha(p.alpha)
 
 
-def g_from_codifference(tau, p: SasParams, t: float | np.ndarray) -> np.ndarray:
-    """g(t) = (2 sigma^a - tau(2t)) / (2^{a+1} lambda_a) at each t > 0; equals
-    the sine transform of the spectral density at t.  tau is the codifference
-    as a callable, or its values at 2t."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(t > 0.0):
-        raise ValueError(f"t must be positive, got {np.min(t)}")
-    tau_2t = np.asarray(tau(2.0 * t) if callable(tau) else tau, dtype=float)
+def g_from_codifference(tau, p: SasParams, t):
+    """g(t) = (2 sigma^a - tau(2t)) / (2^{a+1} lambda_a) at each t > 0 (points
+    as in grid._pointwise); equals the sine transform of the spectral density
+    at t.  tau is the codifference as a callable, or its values at 2t."""
     a = p.alpha.value
-    return (2.0 * p.sigma**a - tau_2t) / (2.0 ** (a + 1.0) * lambda_alpha(p.alpha))
 
+    def g(ts: np.ndarray) -> np.ndarray:
+        tau_2t = np.broadcast_to(np.ravel(tau(2.0 * ts) if callable(tau) else tau), ts.shape)
+        return (2.0 * p.sigma**a - tau_2t) / (2.0 ** (a + 1.0) * lambda_alpha(p.alpha))
+
+    return _pointwise(g, t, "t", "positive")

@@ -153,7 +153,7 @@ def invert_sphere(kf: SampledFunction, alpha, maxn: int) -> PeriodicDensity:
             "vanish beyond alpha/2 and the density cannot be reconstructed"
         )
     if maxn < 1:
-        raise ValueError("maxn must be >= 1")
+        raise ValueError(f"n must be >= 1, got {maxn}")
     ct = cosine_coeffs(alpha, maxn).coeffs
     if np.min(np.abs(ct[1:])) < 1e-13:
         raise CoefficientUnderflow(

@@ -168,6 +168,22 @@ class TestInvert:
         assert rc == 2 and out == ""
         assert "need at least 164 grid points for n=20, got 128" in err
 
+    def test_sphere_n_names_the_flag(self, capsys, tmp_path):
+        kf = k_sphere_grid(watson_density(-2.5, 1.0, m=128), 1.5)
+        src = tmp_path / "kf.csv"
+        write_samples(src, kf.xs, kf.values)
+        rc, out, err = run(capsys, "invert", "--method", "sphere", "--in", str(src),
+                           "--alpha", "1.5", "--n", "0")
+        assert (rc, out, err) == (2, "", "error: n must be >= 1, got 0\n")
+
+    @pytest.mark.parametrize("xs", [[1.0, 0.5, 0.0], [0.0, 0.0, 0.0]])
+    def test_abscissae_must_increase(self, capsys, tmp_path, xs):
+        src = tmp_path / "desc.csv"
+        write_samples(src, xs, [1.0, 2.0, 3.0])
+        rc, out, err = run(capsys, "invert", "--method", "fourier", "--in", str(src),
+                           "--alpha", "1.5")
+        assert (rc, out, err) == (2, "", f"error: {src}: abscissae must increase\n")
+
 
     @pytest.mark.parametrize("method, flags", [
         ("fourier", ["--epsilon", "0.5"]),

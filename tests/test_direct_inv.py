@@ -1,6 +1,9 @@
-"""Direct-route operators; the full reconstruction is acceptance criterion 8."""
+"""Direct-route operators, and the point convention that they share with
+every other function of a point; the full reconstruction is acceptance
+criterion 8."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -19,11 +22,15 @@ from alphasine.direct_inv import (
     mu,
     mu_table,
 )
+from alphasine.forward import k_cosine, t_sine, t_sine_series
+from alphasine.fourier_inv import FourierSamples, MollifierKind, mollifier_kernel, synthesize
 from alphasine.grid import SampledFunction, UniformGrid
 from alphasine.oscsum import _chirp_sum, _osc_sum
+from alphasine.quad import QuadSpec, integrate_kernel_split
+from alphasine.sas import SasParams, g_from_codifference
 from alphasine.specfun import Alpha
 
-from conftest import sample, t2_f1
+from conftest import f1, fhat1, sample, t2_f1
 from mu_lobe_oracle import lobe_mu, real_weight_sum
 
 
@@ -224,8 +231,10 @@ class TestH2:
         # a one-sided w has a genuine imaginary part: the diagnostic fires
         w = np.zeros(small_cfg.mu_grid.count, dtype=complex)
         w[-50:] = 1.0
-        with pytest.warns(UserWarning, match="imaginary"):
+        with pytest.warns(UserWarning, match="imaginary") as caught:
             h2_inverse(w, 0.7, small_cfg)
+        # the warning names the caller, not a frame inside the package
+        assert caught[0].filename == __file__
 
     def test_trims_zero_ends(self, small_cfg):
         # zero runs at both ends of a Hermitian w, as the cutoff leaves them,
@@ -256,50 +265,86 @@ class TestH2:
             h2_inverse(w, 1.0, small_cfg)
 
 
-class TestArrayOperators:
-    """mu, h_forward and h2_inverse at a scalar and at an array of points.
+# every function of a point, its domain and the type of its value at a scalar
+POINTWISE = {
+    "integrate_kernel_split": ("positive", float),
+    "t_sine": ("non-negative", float),
+    "k_cosine": ("non-negative", float),
+    "t_sine_series": ("positive", float),
+    "mu": ("positive", complex),
+    "h_forward": ("positive", complex),
+    "h2_inverse": ("positive", float),
+    "synthesize": ("finite", float),
+    "mollifier_kernel": ("finite", float),
+    "g_from_codifference": ("positive", float),
+}
+OUT_OF_DOMAIN = {"positive": [0.0, -1.0], "non-negative": [-1.0], "finite": []}
+BAD_ENTRIES = [(name, bad) for name, (domain, _) in POINTWISE.items()
+               for bad in OUT_OF_DOMAIN[domain] + [math.nan, math.inf, -math.inf]]
 
-    An array call sums each point's row inside one BLAS matrix-vector
-    product, whose summation order depends on the number of rows, so it
-    matches the per-point calls to rounding, not bit for bit.
+
+class TestArrayOperators:
+    """The point convention of every function of a point (grid._pointwise):
+    a Python number at a scalar, an array of x's shape at an array, and an
+    error naming the first entry that is not finite or not in the domain.
+
+    An array call of mu, h_forward or h2_inverse sums each point's row inside
+    one BLAS matrix-vector product, whose summation order depends on the
+    number of rows, so it matches the per-point calls to rounding, not bit
+    for bit.
     """
 
-    @pytest.fixture(scope="class", params=["mu", "h_forward", "h2_inverse"])
-    def op(self, request, small_cfg):
+    @pytest.fixture(scope="class")
+    def ops(self, small_cfg):
         g = sample(t2_f1, 0.0, 20.0, 2001)
         w = _hermitian_w(small_cfg, 5)
+        spec = QuadSpec()
+        fs = FourierSamples(np.exp(-0.1 * np.arange(1, 41)), 1.0, 4.0)
+        p = SasParams(1.0, Alpha(1.5))
         return {
-            "mu": (lambda x: mu(x, DirectConfig(alpha=2.5)), complex),
-            "h_forward": (lambda x: h_forward(g, x, small_cfg), complex),
-            "h2_inverse": (lambda z: h2_inverse(w, z, small_cfg), float),
-        }[request.param]
+            "integrate_kernel_split": lambda y: integrate_kernel_split(f1, 1.5, y, spec),
+            "t_sine": lambda y: t_sine(f1, 1.5, y, spec),
+            "k_cosine": lambda y: k_cosine(f1, 1.5, y, spec),
+            "t_sine_series": lambda y: t_sine_series(fhat1, 1.5, y, 10),
+            "mu": lambda x: mu(x, DirectConfig(alpha=2.5)),
+            "h_forward": lambda x: h_forward(g, x, small_cfg),
+            "h2_inverse": lambda z: h2_inverse(w, z, small_cfg),
+            "synthesize": lambda x: synthesize(fs, x),
+            "mollifier_kernel": lambda y: mollifier_kernel(MollifierKind("gaussian", 1.0), y),
+            "g_from_codifference": lambda t: g_from_codifference(lambda s: np.exp(-s), p, t),
+        }
 
-    def test_array_matches_scalar_calls(self, op):
-        call, _ = op
+    @pytest.mark.parametrize("name", ["mu", "h_forward", "h2_inverse"])
+    def test_array_matches_scalar_calls(self, ops, name):
+        call = ops[name]
         xs = np.exp(np.linspace(-8.0, 8.0, 33))
         got = call(xs)
         ref = np.array([call(float(x)) for x in xs])
         assert got.shape == xs.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    def test_scalar_gives_python_number(self, op):
-        call, kind = op
-        assert type(call(1.7)) is kind
-        assert type(call(np.float64(1.7))) is kind
+    @pytest.mark.parametrize("name", POINTWISE)
+    def test_scalar_gives_python_number(self, ops, name):
+        call, (domain, kind) = ops[name], POINTWISE[name]
+        edge = () if domain == "positive" else (np.float64(0.0),)
+        for x in (1.7, np.float64(1.7), np.array(1.7)) + edge:
+            assert type(call(x)) is kind
 
-    def test_shape_is_kept(self, op):
-        call, _ = op
+    @pytest.mark.parametrize("name", POINTWISE)
+    def test_shape_is_kept(self, ops, name):
+        call = ops[name]
         xs = np.array([[0.5, 1.0, 2.0], [3.0, 4.0, 5.0]])
         got = call(xs)
         assert got.shape == (2, 3)
         assert np.max(np.abs(got.ravel() - call(xs.ravel()))) <= 1e-14 * np.max(np.abs(got))
         assert call(np.empty(0)).shape == (0,)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
-    def test_non_positive_entry_rejected(self, op, bad):
-        call, _ = op
-        with pytest.raises(ValueError):
-            call(np.array([0.5, bad, 2.0]))
+    @pytest.mark.parametrize("name, bad", BAD_ENTRIES, ids=[f"{n}-{b}" for n, b in BAD_ENTRIES])
+    def test_non_positive_entry_rejected(self, ops, name, bad):
+        """Any entry outside the domain, NaN or infinite; for the functions
+        of x > 0 that is every entry that is not positive."""
+        with pytest.raises(ValueError, match=re.escape(f"got {bad}") + "$"):
+            ops[name](np.array([0.5, bad, 2.0]))
 
 
 class TestInvertDirect:

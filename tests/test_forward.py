@@ -115,11 +115,6 @@ class TestArrayY:
         with pytest.raises(ValueError, match="got -1.0"):
             t_sine(f1, 1.5, np.array([0.5, -1.0]), quad_spec)
 
-    def test_scalar_gives_float(self, quad_spec):
-        assert isinstance(t_sine(f1, 1.5, 1.0, quad_spec), float)
-        assert isinstance(k_cosine(f1, 1.5, np.float64(0.0), quad_spec), float)
-        assert t_sine(f1, 1.5, np.array([]), quad_spec).shape == (0,)
-
 
 class TestSeries:
     def test_alpha_two_exact(self):
@@ -157,10 +152,6 @@ class TestSeries:
         assert np.array_equal(t_sine_series(fhat, alpha, ys, 1000, fhat_decays=True), expect)
         assert t_sine_series(fhat, alpha, float(ys[2]), 1000, fhat_decays=True) == expect[2]
         assert t_sine_series(fhat, alpha, ys.reshape(2, 2), 10, fhat_decays=True).shape == (2, 2)
-
-    def test_scalar_gives_float(self):
-        assert isinstance(t_sine_series(fhat1, 1.5, 1.0, 10), float)
-        assert isinstance(t_sine_series(fhat1, 1.5, np.float64(1.0), 10), float)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Fourier-approximation inversion: system solve, synthesis, smoothing."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -142,6 +143,18 @@ class TestReconstruct:
         assert FourierSamples(np.ones(7), 1.0, 5.0).n == 7
         with pytest.raises(ValueError):
             FourierSamples(np.ones((2, 3)), 1.0, 5.0)
+
+    @pytest.mark.parametrize("f0, r, message", [
+        (1.0, -1.0, "r must be finite and positive, got -1.0"),
+        (1.0, 0.0, "r must be finite and positive, got 0.0"),
+        (1.0, math.inf, "r must be finite and positive, got inf"),
+        (1.0, math.nan, "r must be finite and positive, got nan"),
+        (math.nan, 1.0, "f0 must be finite, got nan"),
+        (-math.inf, 1.0, "f0 must be finite, got -inf"),
+    ], ids=["r<0", "r=0", "r=inf", "r=nan", "f0=nan", "f0=-inf"])
+    def test_band_and_plateau_checked(self, f0, r, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FourierSamples(np.ones(4), f0, r)
 
     def test_gaussian_value(self):
         xi = fhat1(np.arange(1, 101) * 0.1)

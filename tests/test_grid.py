@@ -21,6 +21,12 @@ def test_grid_validation():
         UniformGrid(0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+def test_grid_start_must_be_finite(start):
+    with pytest.raises(ValueError, match=f"start must be finite, got {start}"):
+        UniformGrid(start, 1.0, 3)
+
+
 def test_grid_abscissae():
     g = UniformGrid(1.0, 0.5, 5)
     assert np.allclose(g.points(), [1.0, 1.5, 2.0, 2.5, 3.0])
