@@ -317,6 +317,9 @@ def cmd_noise(args) -> int:
 def cmd_sas(args) -> int:
     p = SasParams(args.sigma, args.alpha)
     _, data = read_csv(args.infile)
+    bad = data[:, 0] <= 0.0
+    if bad.any():
+        raise ValueError(f"{args.infile}: t must be positive, got {data[bad, 0][0]}")
     # emit g on the halved abscissae so tau(2t) uses the samples exactly
     t = data[:, 0] / 2.0
     g_vals = g_from_codifference(data[:, 1], p, t)

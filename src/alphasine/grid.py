@@ -68,10 +68,6 @@ class SampledFunction:
         """Piecewise-linear inside the span, nearest endpoint value outside."""
         return np.interp(x, self.xs, self.values)
 
-    @classmethod
-    def from_callable(cls, f, grid: UniformGrid) -> "SampledFunction":
-        return cls(grid, call_vec(f, grid.points()))
-
 
 def call_vec(f, x: np.ndarray) -> np.ndarray:
     """f at every point of x: one call on the whole array when f accepts

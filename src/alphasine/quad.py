@@ -1,17 +1,25 @@
 """Numerical integration by kernel-zero-aware lobe rules.
 
 The |sin(xy)|^a and |cos(xy)|^a kernels vanish like |u|^a at their zeros, so
-each half-lobe between a zero and a crest is integrated with a tanh-sinh rule
-whose nodes are placed from the piece's own ends; a node's distance u to the
-nearer kernel zero comes from the rule, never from a difference of large
-floats, so even a piece far shorter than pi keeps its digits.
-Weights and kernel powers combine in log space, which keeps the rule finite
-arbitrarily close to a = -1.  Every second tanh-sinh node forms the embedded
-coarse rule whose disagreement drives refinement.
+the integral is split into half-lobes, each between a zero and a crest.  On
+an interior half-lobe the kernel is the fixed weight sin(u)^a on [0, pi/2],
+u the distance to the zero, so the singular end lives in the weight of a
+Gauss rule (as in QUADPACK's QAWS) and f only has to be smooth on the lobe:
+the 16-point rule gives the value, and its difference from the 10-point rule
+the error estimate.  Both rules are built once per a from the tanh-sinh
+rule below.
+
+A piece the Gauss pair cannot settle, and every piece cut at tail_cut,
+takes a tanh-sinh rule whose nodes are placed from the piece's own ends; a
+node's distance u to the nearer kernel zero comes from the rule, never from
+a difference of large floats, so even a piece far shorter than pi keeps its
+digits.  Weights and kernel powers combine in log space, which keeps the rule
+finite arbitrarily close to a = -1.  Every second tanh-sinh node forms the
+embedded coarse rule whose disagreement drives the halving of its step.
 
 A curve, an array of y, is integrated in one pass: the pieces of every y go
 into one table, the interior half-lobes of all of them share one rule per
-step, and each y keeps its own stopping rule.
+pass, and each y keeps its own stopping rule.
 """
 
 from __future__ import annotations
@@ -27,6 +35,14 @@ from .grid import _pointwise, call_vec
 from .specfun import as_alpha
 
 _HALF_PI = 0.5 * math.pi
+# the Gauss pair that takes every interior half-lobe first: G16 is the value
+# and |G16 - G10| its error estimate
+_GAUSS_N = (16, 10)
+# a piece's step h: inf marks the Gauss pass, after which a piece over its
+# share takes tanh-sinh at _H_FIRST, then halves its step down to _H_LAST
+_GAUSS = math.inf
+_H_FIRST = 0.2
+_H_LAST = _H_FIRST / 2**7
 # y refined together, and nodes placed and evaluated at once: these bound the
 # memory of a long curve without changing any value
 _Y_BLOCK = 32
@@ -114,6 +130,36 @@ def _lobe_rule(alpha: float, h: float, length: float, off: float):
     return d, near, q, coarse
 
 
+@lru_cache(maxsize=64)
+def _gauss_rule(alpha: float, n: int):
+    """The n-point Gauss rule for the weight sin(u)^alpha on [0, pi/2]: nodes
+    u and weights w, read-only.
+
+    The discretized Stieltjes procedure (Gautschi 1982) takes the recurrence
+    of the weight's orthonormal polynomials in x = 4u/pi - 1 from a fine
+    tanh-sinh rule as the discrete measure; the eigenvalues of the Jacobi
+    matrix are the nodes and mu_0 times the squared first components of its
+    eigenvectors the weights (Golub & Welsch 1969).
+    """
+    # step 0.1, which the fallback uses too: finer rules end nearer the
+    # truncation point of _kmax and lose up to 1e-13 in the high moments
+    d, near, q, _ = _lobe_rule(alpha, _H_FIRST / 2, _HALF_PI, 0.0)
+    x = np.where(near, d, _HALF_PI - d) / (0.5 * _HALF_PI) - 1.0
+    mu0 = math.fsum(q)
+    diag, off = np.empty(n), np.empty(n)
+    p_prev, p, b = np.zeros_like(x), np.full_like(x, mu0**-0.5), 0.0
+    for k in range(n):
+        diag[k] = np.sum(q * x * p * p)
+        r = (x - diag[k]) * p - b * p_prev
+        b = off[k] = math.sqrt(np.sum(q * r * r))
+        p_prev, p = p, r / b
+    theta, v = np.linalg.eigh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    u, w = (theta + 1.0) * (0.5 * _HALF_PI), mu0 * v[0] ** 2
+    for arr in (u, w):
+        arr.setflags(write=False)
+    return u, w
+
+
 def _place(d, near, zero_end, other_end):
     """Nodes of the pieces between zero_end[i] and other_end[i], one row each,
     from their distances d to the ends (see _rules).  The near nodes are a
@@ -162,16 +208,47 @@ def _kernel_pieces(phase: float, t_max: np.ndarray):
     return rows[keep], owner[keep]
 
 
+def _interior(pieces: np.ndarray) -> np.ndarray:
+    """Which rows of a piece table are whole half-lobes: length pi/2, off 0."""
+    return (pieces[:, 2] == _HALF_PI) & (pieces[:, 3] == 0.0)
+
+
+def _gauss_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray):
+    """G16 and |G16 - G10| (see _gauss_rule) on interior half-lobes, where the
+    integrand at node t is f(t / scale) / scale.  A node lies its u from the
+    piece's zero end, toward the other end.  The nodes of a chunk of pieces
+    form one array, a column per piece, so each column sums in the same order
+    in any chunk."""
+    (u16, w16), (u10, w10) = (_gauss_rule(alpha, n) for n in _GAUSS_N)
+    u, w = np.concatenate((u16, u10))[:, None], np.concatenate((w16, w10))[:, None]
+    value = np.empty(len(pieces))
+    error = np.empty(len(pieces))
+    per_chunk = max(1, _CHUNK_NODES // len(u))
+    for lo in range(0, len(pieces), per_chunk):
+        p, y = pieces[lo:lo + per_chunk], scale[lo:lo + per_chunk]
+        x = u * (np.sign(p[:, 1] - p[:, 0]) / y) + p[:, 0] / y
+        contrib = w * np.asarray(call_vec(f, x.ravel()), dtype=float).reshape(x.shape)
+        g16 = np.sum(contrib[:len(u16)], axis=0)
+        value[lo:lo + per_chunk] = g16 / y
+        error[lo:lo + per_chunk] = np.abs(g16 - np.sum(contrib[len(u16):], axis=0)) / y
+    return value, error
+
+
 def _piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray, h: np.ndarray):
     """Value and embedded error estimate of each piece at its step h, where
-    the integrand at node t is f(t / scale) / scale.  At each step the
-    interior half-lobes (length pi/2, off 0) share one cached rule, and the
-    cut tail pieces get theirs row by row; nodes are placed and f evaluated
-    in chunks of at most _CHUNK_NODES."""
+    the integrand at node t is f(t / scale) / scale.  Interior half-lobes at
+    h = _GAUSS take the Gauss pair (see _gauss_sums).  At a tanh-sinh step
+    the interior half-lobes share one cached rule, and the cut tail pieces
+    get theirs row by row.  Nodes are placed and f evaluated in chunks of at
+    most _CHUNK_NODES."""
     value = np.empty(len(h))
     error = np.empty(len(h))
-    interior = (pieces[:, 2] == _HALF_PI) & (pieces[:, 3] == 0.0)
+    interior = _interior(pieces)
     for step in np.unique(h):
+        if step == _GAUSS:
+            rows = np.flatnonzero(h == step)
+            value[rows], error[rows] = _gauss_sums(f, alpha, pieces[rows], scale[rows])
+            continue
         per_chunk = max(1, _CHUNK_NODES // (2 * _kmax(alpha, step) + 1))
         for shared in (True, False):
             rows = np.flatnonzero((h == step) & (interior == shared))
@@ -197,16 +274,19 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
     and its error exceeds the y's share of it.  A y's tolerance is rel_tol
     times its integrand's L1 mass, sum |piece value|, so a tiny integral,
     as at small y and large a, keeps its relative digits; abs_tol is a
-    floor."""
+    floor.  Interior half-lobes start with the Gauss pass and cut tail
+    pieces at tanh-sinh step _H_FIRST; a refined piece moves from the Gauss
+    pass to _H_FIRST, or halves its step, down to _H_LAST."""
     pieces, owner = _kernel_pieces(phase, ys * spec.tail_cut)
     counts = np.bincount(owner, minlength=len(ys))
     if not counts.all():
         t_max = ys[counts == 0][0] * spec.tail_cut
         raise ValueError(f"y * tail_cut = {t_max:.3g} is too small for a kernel piece")
     starts = np.cumsum(counts) - counts
-    h = np.full(len(pieces), 0.2)
+    h = np.where(_interior(pieces), _GAUSS, _H_FIRST)
     value, error = _piece_sums(f, alpha, pieces, ys[owner], h)
-    for halvings in range(8):
+    # the Gauss pass, then the eight tanh-sinh steps _H_FIRST .. _H_LAST
+    for rounds in range(9):
         total = np.add.reduceat(value, starts)
         total_err = np.add.reduceat(error, starts)
         mass = np.add.reduceat(np.abs(value), starts)
@@ -214,13 +294,13 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
         open_ = ~(total_err <= tol)
         if not open_.any():
             return total
-        if halvings == 7:
+        if rounds == 8:
             i = np.flatnonzero(open_)[0]
             raise NonConvergence(
                 f"integrate_kernel_split: error {total_err[i]:.3e} above tolerance at y={ys[i]}"
             )
-        bad = open_[owner] & (error > (tol / (2.0 * counts))[owner])
-        h[bad] *= 0.5
+        bad = open_[owner] & (error > (tol / (2.0 * counts))[owner]) & (h > _H_LAST)
+        h[bad] = np.minimum(0.5 * h[bad], _H_FIRST)
         value[bad], error[bad] = _piece_sums(f, alpha, pieces[bad], ys[owner[bad]], h[bad])
 
 
@@ -235,9 +315,12 @@ def integrate_kernel_split(
     at each y > 0 (points as in grid._pointwise).
 
     Splits at the kernel zeros x = k pi / y (shifted by pi/(2y) for the
-    cosine), integrates every half-lobe with the tanh-sinh rule, and refines
-    pieces whose embedded error estimate exceeds the budget of their y.  The
-    y run in blocks of _Y_BLOCK, which bounds the memory a long curve takes.
+    cosine), integrates each interior half-lobe with the Gauss pair for the
+    sin(u)^a weight and each piece cut at tail_cut with the tanh-sinh rule,
+    and refines pieces whose error estimate exceeds the budget of their y:
+    from the Gauss pair to tanh-sinh, then by halving the tanh-sinh step.
+    The y run in blocks of _Y_BLOCK, which bounds the memory a long curve
+    takes.
     """
     spec = spec or QuadSpec()
     alpha = as_alpha(alpha)

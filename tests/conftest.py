@@ -12,7 +12,7 @@ import pytest
 
 from alphasine.examples import f1, f2, f3, fhat1, fhat2, fhat3
 from alphasine.forward import t_sine
-from alphasine.grid import SampledFunction, UniformGrid
+from alphasine.grid import SampledFunction, UniformGrid, call_vec
 from alphasine.quad import QuadSpec, integrate
 from alphasine.sas import SasParams
 from alphasine.specfun import CoefficientTable, lambda_alpha
@@ -51,7 +51,8 @@ def quad_spec():
 
 
 def sample(fn, start, stop, count) -> SampledFunction:
-    return SampledFunction.from_callable(fn, UniformGrid.from_span(start, stop, count))
+    grid = UniformGrid.from_span(start, stop, count)
+    return SampledFunction(grid, call_vec(fn, grid.points()))
 
 
 def rel_l2(approx: np.ndarray, truth: np.ndarray) -> float:

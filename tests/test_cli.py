@@ -307,6 +307,13 @@ class TestSas:
         _, data = read_csv(str(out_path))
         assert np.max(np.abs(data[:, 1])) <= 1e-15
 
+    @pytest.mark.parametrize("t0, shown", [(0.0, "0.0"), (-1.0, "-1.0")])
+    def test_non_positive_t_names_the_file(self, capsys, tmp_path, t0, shown):
+        src = tmp_path / "tau0.csv"
+        write_samples(src, [t0, 1.0, 2.0], [2.0, 1.5, 1.0], header="t,tau")
+        rc, out, err = run(capsys, "sas", "--in", str(src), "--sigma", "1", "--alpha", "1.5")
+        assert (rc, out, err) == (2, "", f"error: {src}: t must be positive, got {shown}\n")
+
 
 class TestConfigAndErrors:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphasine.grid import SampledFunction, UniformGrid
+from alphasine.grid import SampledFunction, UniformGrid, call_vec
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -47,7 +47,8 @@ def test_complex_values_allowed():
 
 
 def test_identity_reproduced():
-    s = SampledFunction.from_callable(lambda x: x, UniformGrid(0.0, 0.25, 5))
+    g = UniformGrid(0.0, 0.25, 5)
+    s = SampledFunction(g, call_vec(lambda x: x, g.points()))
     assert s.eval(0.25) == 0.25
     assert s.eval(0.375) == 0.375
 
@@ -61,9 +62,8 @@ def test_constant_extrapolation():
 @given(slope=finite, intercept=finite, x=st.floats(min_value=0.0, max_value=4.0))
 @settings(max_examples=60, deadline=None)
 def test_affine_exactness(slope, intercept, x):
-    s = SampledFunction.from_callable(
-        lambda t: slope * t + intercept, UniformGrid(0.0, 0.5, 9)
-    )
+    g = UniformGrid(0.0, 0.5, 9)
+    s = SampledFunction(g, call_vec(lambda t: slope * t + intercept, g.points()))
     assert math.isclose(
         s.eval(x), slope * x + intercept, rel_tol=1e-12, abs_tol=1e-9
     )

@@ -6,9 +6,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alphasine.errors import NonConvergence
-from alphasine.quad import (QuadSpec, _lobe_rule, _place, _rules, integrate,
+from alphasine.quad import (_GAUSS_N, QuadSpec, _gauss_rule, _gauss_sums, _interior,
+                            _kernel_pieces, _lobe_rule, _place, _rules, integrate,
                             integrate_kernel_split)
 from alphasine.specfun import sin_power_integral
 
@@ -34,13 +37,15 @@ def test_integrate_closed_forms():
     assert abs(val - np.trapezoid(samples.values, samples.xs)) <= 1e-6
 
 
-def _edge_oracle(a, y, tail_cut, kernel):
-    """30-digit integral of |sin(xy)|^a e^{-x} (|cos| for the cosine kernel)
-    over (0, tail_cut].
+def _edge_oracle(a, y, tail_cut, kernel, f=lambda x: mp.exp(-x), kinks=()):
+    """30-digit integral of |sin(xy)|^a f(x) (|cos| for the cosine kernel)
+    over (0, tail_cut], for an mpmath function f (e^{-x} by default) that is
+    smooth but at the points kinks.
 
     Each half-lobe, cut to the interval, is integrated in the distance v to
     its zero with v = w^(1/(1+a)), which turns v^a dv into dw/(1+a) and leaves
-    a smooth integrand.  mpmath.quad directly in x is badly wrong near a = -1.
+    a smooth integrand, split at the kinks.  mpmath.quad directly in x is
+    badly wrong near a = -1.
     """
     with mp.workdps(30):
         a = mp.mpf(a)
@@ -53,14 +58,50 @@ def _edge_oracle(a, y, tail_cut, kernel):
         while m * half < hi:
             zero, side = (m * half, 1) if m % 2 == 0 else ((m + 1) * half, -1)
             ends = sorted(abs(u - zero) for u in (max(lo, m * half), min(hi, (m + 1) * half)))
+            inner = [abs(lo + c * y - zero) for c in kinks]
+            ends = [ends[0], *sorted(v for v in inner if ends[0] < v < ends[1]), ends[1]]
 
             def g(w):
                 v = w ** (1 / (1 + a))
-                return mp.sinc(v) ** a * mp.exp(-(zero + side * v - lo) / y)
+                return mp.sinc(v) ** a * f((zero + side * v - lo) / y)
 
             total += mp.quad(g, [e ** (1 + a) for e in ends])
             m += 1
         return float(total / ((1 + a) * y))
+
+
+def _weighted_moment(a, k):
+    """20-digit integral of sin(u)^a u^k over [0, pi/2].  Below u = 1/2 the
+    substitution u = v^(1/(1+a)) turns u^a du into dv/(1+a), so mpmath sees
+    no singularity; a plain mp.quad misses the mass by 45% at a = -0.99."""
+    with mp.workdps(20):
+        a = mp.mpf(a)
+        e = 1 / (1 + a)
+        half = mp.mpf(1) / 2
+        near = mp.quad(lambda v: mp.sinc(v**e) ** a * v ** (e * k), [0, half ** (1 + a)]) * e
+        return float(near + mp.quad(lambda u: mp.sin(u) ** a * u**k, [half, mp.pi / 2]))
+
+
+@given(a=st.floats(min_value=-0.99, max_value=5.0))
+@example(a=-0.99)
+@example(a=-0.9)
+@example(a=1.5)
+@settings(max_examples=6, deadline=None)
+def test_gauss_rule_moments(a):
+    # an n-point Gauss rule integrates u^k exactly for k < 2n; the mass
+    # is B(1/2, (a+1)/2)/2 in closed form.  Below a = -0.99 the tanh-sinh
+    # measure the rule is built from loses digits in its log-space weights
+    # (the moments drift to 4e-13 at a = -0.999), as the tanh-sinh rule does
+    moments = [_weighted_moment(a, k) for k in range(2 * max(_GAUSS_N))]
+    with mp.workdps(30):
+        mass = float(mp.beta(0.5, (a + 1) / 2) / 2)
+    for n in _GAUSS_N:
+        u, w = _gauss_rule(a, n)
+        assert len(u) == n and np.all(np.diff(u) > 0.0) and u[0] > 0.0 and u[-1] < 0.5 * math.pi
+        assert np.all(w > 0.0)
+        assert math.isclose(math.fsum(w), mass, rel_tol=1e-13)
+        for k in range(2 * n):
+            assert math.isclose(np.dot(w, u**k), moments[k], rel_tol=1e-13), (n, k)
 
 
 def test_place_writes_both_halves_as_a_where_would():
@@ -137,6 +178,38 @@ class TestKernelSplit:
         )
         assert math.isclose(val, _edge_oracle(a, y, tail_cut, kernel), rel_tol=1e-10)
 
+    @given(a=st.floats(min_value=-0.99, max_value=5.0),
+           y=st.floats(min_value=0.3, max_value=3.0),
+           tail_cut=st.floats(min_value=2.0, max_value=10.0),
+           kernel=st.sampled_from(["sine", "cosine"]))
+    @settings(max_examples=12, deadline=None)
+    def test_random_alpha_against_mpmath(self, a, y, tail_cut, kernel):
+        # interior half-lobes through the Gauss pass (or its fallback where a
+        # lobe is wide against e^{-x}), cut pieces through tanh-sinh
+        val = integrate_kernel_split(
+            lambda x: np.exp(-x), a, y, QuadSpec(tail_cut=tail_cut), kernel
+        )
+        assert math.isclose(val, _edge_oracle(a, y, tail_cut, kernel), rel_tol=1e-10)
+
+    @pytest.mark.parametrize("a", [-0.5, 1.5])
+    @pytest.mark.parametrize("y", [1.0, 2.5])
+    def test_kink_inside_an_interior_lobe_falls_back(self, a, y):
+        # the kink of |x - c| e^{-x} lies inside an interior half-lobe, as the
+        # kinks of a sampled f's linear interpolant do; |G16 - G10| exceeds
+        # the piece's share of the tolerance, so the piece must go on to
+        # tanh-sinh, whose halving reaches about 1e-6 on a kink
+        c = 1.2345
+        kink = lambda x: np.abs(x - c) * np.exp(-x)
+        spec = QuadSpec(rel_tol=1e-6, tail_cut=6.0)
+        exact = _edge_oracle(a, y, 6.0, "sine", lambda x: abs(x - c) * mp.exp(-x), (c,))
+        pieces, _ = _kernel_pieces(0.0, np.array([6.0 * y]))
+        ends = np.sort(pieces[:, :2], axis=1)
+        at = np.flatnonzero(_interior(pieces) & (ends[:, 0] < c * y) & (c * y < ends[:, 1]))
+        _, gauss_err = _gauss_sums(kink, a, pieces[at], np.array([y]))
+        assert gauss_err[0] > spec.rel_tol * exact / (2 * len(pieces))
+        val = integrate_kernel_split(kink, a, y, spec)
+        assert math.isclose(val, exact, rel_tol=spec.rel_tol)
+
     def test_refinement_exhausted(self):
         # a step inside a lobe defeats the tanh-sinh rule, so seven halvings
         # cannot reach a 1e-13 tolerance
@@ -167,11 +240,29 @@ class TestArrayY:
         assert np.array_equal(integrate_kernel_split(kink, 1.5, ys, spec), single)
 
     def test_rule_cache_misses_per_step_not_per_y(self):
-        # interior half-lobes of every y share one rule per step; the cut
-        # tail pieces are computed row by row and never enter the cache
+        # interior half-lobes of every y share one Gauss pair, built once per
+        # (a, n), and one tanh-sinh rule per step; the Gauss rules come from
+        # the rule at step 0.1, which the fallback uses too (with 0.2 and 0.05
+        # on this curve); the cut tail pieces never enter the cache
         _lobe_rule.cache_clear()
-        integrate_kernel_split(f3, -0.9, 0.05 * np.arange(1, 401))
-        assert _lobe_rule.cache_info().misses <= 8
+        _gauss_rule.cache_clear()
+        ys = 0.05 * np.arange(1, 401)
+        for _ in range(2):
+            integrate_kernel_split(f3, -0.9, ys)
+        assert _gauss_rule.cache_info().misses == len(_GAUSS_N)
+        assert _lobe_rule.cache_info().misses <= 3
+
+    def test_gauss_pass_halves_f_evaluations(self):
+        # f3 at a = -0.9 over the forward_invert curve: tanh-sinh alone took
+        # 7,672,895 evaluations of f; 26 per interior half-lobe need under half
+        seen = []
+
+        def counted(x):
+            seen.append(np.size(x))
+            return f3(x)
+
+        integrate_kernel_split(counted, -0.9, 0.05 * np.arange(1, 401))
+        assert sum(seen) <= 3.9e6
 
     def test_rejects_bad_y_in_an_array(self):
         with pytest.raises(ValueError, match="got 0.0"):
