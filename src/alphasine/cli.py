@@ -10,7 +10,11 @@ floats round-trip losslessly.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
+import io
+import math
 import sys
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -38,28 +42,68 @@ _CSV_BLOCK = 1024
 
 def gaussian_noise(seed: int, count: int) -> np.ndarray:
     """Counter-based standard normals: draw i comes from Philox keyed (seed, i),
-    so any subset can be generated independently and deterministically."""
+    so any subset can be generated independently and deterministically.
+
+    One generator serves every draw: setting its state to the fresh state of
+    key (seed, i) (counter zero, buffer empty) is the same as building a new
+    Philox with that key, without the seeding that the key then overwrites."""
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = state["state"]["key"]
     out = np.empty(count)
     for i in range(count):
-        bitgen = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
-        out[i] = np.random.Generator(bitgen).standard_normal()
+        key[1] = i
+        bitgen.state = state
+        out[i] = gen.standard_normal()
     return out
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_csv(stream, comments: list[str], header: list[str], columns: list[np.ndarray]) -> None:
-    for line in comments:
-        stream.write(f"# {line}\n")
-    stream.write(",".join(header) + "\n")
-    for row in zip(*columns):
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+    """One write of the whole file.  Values go through .tolist(), because a
+    Python float formats faster than, and exactly as, an np.float64."""
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    stream.write("".join([f"# {line}\n" for line in comments] + [",".join(header) + "\n"]
+                         + [row.format(*r) for r in rows]))
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Header and data rows of a CSV with at least two columns of finite numbers.
+
+    The rows after the header are parsed in one np.loadtxt pass.  loadtxt
+    refuses some files that the row parser reads (a whitespace-only or '#'
+    line after the header, a field such as "1_0" or a non-ASCII digit), so
+    its result is kept only when it has rows, the header's width and finite
+    values; any other file is read again by _read_csv_blocks, which decides
+    every error and its message."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    header, data = None, None
+    # loadtxt strips the ASCII separators 0x1c-0x1f around a number, float() does not
+    if not any(c in raw for c in b"\x1c\x1d\x1e\x1f"):
+        try:
+            text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+            for line in iter(text.readline, ""):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    header = [c.strip() for c in line.split(",")]
+                    break
+            if header is not None and len(header) >= 2:
+                with warnings.catch_warnings():
+                    # a header-only file; the fallback reports it as "no data rows"
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                            UserWarning)
+                    data = np.loadtxt(text, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            pass  # the row parser reads the file again and names the fault
+    if data is not None and len(data) and data.shape[1] == len(header) and np.isfinite(data).all():
+        return header, data
+    return _read_csv_blocks(path)
+
+
+def _read_csv_blocks(path: str) -> tuple[list[str], np.ndarray]:
+    """read_csv row by row: every input float() reads, and every error.
 
     Rows are converted _CSV_BLOCK at a time, the fields of a block joined and
     parsed in one pass; an error names the first line at fault, in file order."""
@@ -304,6 +348,10 @@ def cmd_invert(args) -> int:
 
 
 def cmd_noise(args) -> int:
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed must be in [0, 2**64), got {args.seed}")
+    if not (math.isfinite(args.sigma) and args.sigma >= 0.0):
+        raise ValueError(f"--sigma must be finite and non-negative, got {args.sigma}")
     _, data = read_csv(args.infile)
     vals = data[:, 1]
     if args.sigma != 0.0:
@@ -325,7 +373,7 @@ def cmd_sas(args) -> int:
     g_vals = g_from_codifference(data[:, 1], p, t)
     params = {"sigma": args.sigma, "alpha": p.alpha.value, "in": args.infile}
     with _out_stream(args) as out:
-        write_csv(out, [_params_comment("sas", params), f"f0 = {_fmt(f0_from_scale(p))}"],
+        write_csv(out, [_params_comment("sas", params), f"f0 = {f0_from_scale(p):.17g}"],
                   ["t", "g"], [t, g_vals])
     return 0
 
@@ -349,8 +397,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one declaration of every option: type, choices, default, required."""
+    """The one declaration of every option: type, choices, default, required.
+
+    Built once per process: parsing leaves the parser as it was, so every
+    main() call in one process shares it."""
     parser = _Parser(
         prog="alphasine",
         description="Forward and inverse |sin|^a / |cos|^a kernel transforms.",

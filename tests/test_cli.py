@@ -2,12 +2,19 @@
 
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import alphasine.cli as cli_mod
 from alphasine.cli import (
+    _method_first,
+    _read_csv_blocks,
+    build_parser,
     gaussian_noise,
     main,
     parse_args,
@@ -20,6 +27,7 @@ from alphasine.examples import watson_density
 from alphasine.sphere import k_sphere_grid
 
 from conftest import t2_f1
+from noise_oracle import gaussian_noise_per_draw
 
 
 def write_samples(path, xs, vals, header="x,value"):
@@ -269,11 +277,39 @@ class TestNoise:
             draws = 0.1 * gaussian_noise(seed, 400)
             assert 0.08 <= float(np.std(draws, ddof=1)) <= 0.12
 
-    def test_per_index_keying(self):
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 300), m=st.integers(0, 299))
+    @example(seed=9, n=10, m=4)
+    def test_per_index_keying(self, seed, n, m):
         # draw i is a pure function of (seed, i): prefixes agree
-        a = gaussian_noise(9, 10)
-        b = gaussian_noise(9, 4)
-        assert np.array_equal(a[:4], b)
+        m = min(m, n - 1)
+        assert np.array_equal(gaussian_noise(seed, n)[:m].view(np.int64),
+                              gaussian_noise(seed, m).view(np.int64))
+
+    @pytest.mark.parametrize("seed", [0, 1, 101, 2**63, 2**64 - 1])
+    def test_matches_per_draw_generators(self, seed):
+        reference = gaussian_noise_per_draw(seed, 100_000)
+        for count in (0, 1, 400, 100_000):
+            draws = gaussian_noise(seed, count)
+            assert np.array_equal(draws.view(np.int64), reference[:count].view(np.int64))
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_the_key_range(self, capsys, tmp_path, t2f1_csv, seed):
+        out_path = tmp_path / "n.csv"
+        rc, out, err = run(capsys, "noise", "--in", t2f1_csv, "--seed", seed,
+                           "--out", str(out_path))
+        assert (rc, out, err) == (2, "", f"error: --seed must be in [0, 2**64), got {seed}\n")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "-0.1"])
+    def test_sigma_not_finite_and_non_negative(self, capsys, tmp_path, t2f1_csv, sigma):
+        out_path = tmp_path / "n.csv"
+        rc, out, err = run(capsys, "noise", "--in", t2f1_csv, f"--sigma={sigma}",
+                           "--out", str(out_path))
+        shown = float(sigma)
+        assert (rc, out, err) == (
+            2, "", f"error: --sigma must be finite and non-negative, got {shown}\n")
+        assert not out_path.exists()
 
 
 class TestSas:
@@ -438,6 +474,87 @@ class TestConfigAndErrors:
         header, data = read_csv(str(src))
         assert header == ["x", "y"] and data.tolist() == [[0.5, -1e-3], [2.0, 3.0]]
 
+    @pytest.mark.parametrize("text", ["x,value\n", "# a\nx,value\n# b\n\n", "# only\n"])
+    def test_no_data_rows_without_a_warning(self, tmp_path, text):
+        src = tmp_path / "empty.csv"
+        src.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as exc:
+                read_csv(str(src))
+        assert str(exc.value) == f"{src}: no data rows" and caught == []
+
+    def test_plain_file_is_one_numpy_pass(self, monkeypatch, tmp_path):
+        src = tmp_path / "ok.csv"
+        write_samples(src, [0.0, 0.5, 1.0], [1.0, -2.5, 1e-300])
+
+        def row_parser(path):
+            raise AssertionError("read row by row")
+
+        monkeypatch.setattr(cli_mod, "_read_csv_blocks", row_parser)
+        header, data = read_csv(str(src))
+        assert header == ["x", "value"] and data.tolist() == [[0.0, 1.0], [0.5, -2.5],
+                                                              [1.0, 1e-300]]
+
+
+# fields float() reads that loadtxt refuses or reads otherwise, fields
+# neither reads, and padding either may strip; the readers must agree on all
+_ODD_FIELDS = ["1_0", " 1.5 ", "nan", "-inf", "1e400", "", "0x10", "\u0661", "2 # c",
+               "\t4\x0b", "1\xa0", "\x1d2", "3\x1f", "+.5", "1e", "--1"]
+_FILLER = st.sampled_from(["", "   ", "# note", "\t", "#"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """Mostly well-formed files, so that many take the loadtxt pass: an odd
+    field is drawn one time in twenty, a filler line after the header or a
+    ragged row one time in eight."""
+    def rare(n=8):
+        return draw(st.integers(0, n - 1)) == 0
+
+    def field():
+        if rare(20):
+            return draw(st.sampled_from(_ODD_FIELDS))
+        return repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+
+    width = draw(st.sampled_from([1, 2, 2, 3]))
+    lines = draw(st.lists(_FILLER, max_size=2))
+    lines.append(",".join(["x", "value", "truth"][:width]))
+    for _ in range(draw(st.integers(0, 4))):
+        if rare():
+            lines.append(draw(_FILLER))
+        ragged = draw(st.sampled_from([-1, 1])) if rare() else 0
+        lines.append(",".join(field() for _ in range(max(width + ragged, 1))))
+    if rare():
+        lines.append(draw(_FILLER))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+def _read_outcome(reader, path):
+    try:
+        header, data = reader(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return header, data.shape, data.view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_csv_texts())
+@example(text="x,value\n")
+@example(text="# a\n\n# b")
+@example(text="x,value\n0,1\n   \n2,3")
+@example(text="x,value\n0,1\n# mid\n2,3\n")
+@example(text="x,value\r\n1_0,2\r\n")
+@example(text="x,value\n0,1\n1,2,3")
+@example(text="x,value\n0,1")
+@example(text="x,value\n0\x1d,1\n")
+def test_numpy_pass_agrees_with_row_parser(tmp_path, text):
+    src = tmp_path / "gen.csv"
+    src.write_bytes(text.encode("utf-8"))
+    assert _read_outcome(read_csv, str(src)) == _read_outcome(_read_csv_blocks, str(src))
+
 
 def readme_commands():
     """The alphasine commands of the README's CLI examples, continuations joined."""
@@ -445,6 +562,41 @@ def readme_commands():
     block = text.split("## CLI examples", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("alphasine ")]
+
+
+class TestParserPerProcess:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_are_independent(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("alpha = 2\ncount = 1\nkind = cosine\n")
+        rc, out, _ = run(capsys, "coeffs", "--config", str(cfgfile))
+        assert rc == 0 and "kind=cosine" in out.splitlines()[0]
+        rc, out, _ = run(capsys, "coeffs", "--alpha", "2", "--count", "1")
+        assert rc == 0 and out.splitlines()[0] == "# alphasine coeffs alpha=2.0 count=1 kind=sine"
+        base = ["forward", "--f", "f1", "--alpha", "1.5", "--grid", "0:1:3"]
+        rc, out, _ = run(capsys, *base, "--method", "series", "--terms", "50",
+                         "--tail-cut", "12")
+        assert rc == 0 and "terms=50" in out.splitlines()[0]
+        rc, out, _ = run(capsys, *base)
+        first = out.splitlines()[0]
+        assert rc == 0 and "terms" not in first and "method=quad" in first
+        assert "tail_cut=30.0" in first
+
+    @pytest.mark.parametrize("argv", [
+        [], ["coeffs"], ["forward"], ["invert"], ["invert", "--method", "fourier"],
+        ["invert", "--method", "direct"], ["invert", "--method", "sphere"], ["noise"], ["sas"],
+    ])
+    def test_help_matches_a_fresh_parser(self, capsys, argv):
+        run(capsys, "coeffs", "--alpha", "2", "--count", "1", "--kind", "cosine")
+        helps = []
+        for parser in (build_parser(), build_parser.__wrapped__()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(_method_first(argv + ["--help"]))
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] and "usage: alphasine" in helps[0]
 
 
 def test_readme_commands_parse():
