@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .direct_inv import (
     DirectConfig,
-    choose_weight_exponent,
     h2_inverse,
     h_forward,
     invert_direct,
@@ -45,8 +44,7 @@ from .specfun import (
 from .sphere import PeriodicDensity, circle_grid, invert_sphere, k_sphere_grid
 
 __all__ = [
-    "DirectConfig", "choose_weight_exponent", "h2_inverse", "h_forward",
-    "invert_direct", "mu", "mu_table",
+    "DirectConfig", "h2_inverse", "h_forward", "invert_direct", "mu", "mu_table",
     "CoefficientUnderflow", "EvenIntegerAlpha", "NoTailSamples", "NonConvergence",
     "SingularDiagonal",
     "k_cosine", "t_sine", "t_sine_series",

@@ -35,9 +35,6 @@ from .sphere import invert_sphere
 # --gamma is valid only beside --mollifier, as --terms only beside --method series:
 # the parser leaves both unset, so giving one where it does not apply is an error
 _GAMMA = 0.5
-# CSV rows converted at once: one pass per block, without holding the
-# strings of a whole file
-_CSV_BLOCK = 1024
 
 
 def gaussian_noise(seed: int, count: int) -> np.ndarray:
@@ -75,8 +72,8 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
     refuses some files that the row parser reads (a whitespace-only or '#'
     line after the header, a field such as "1_0" or a non-ASCII digit), so
     its result is kept only when it has rows, the header's width and finite
-    values; any other file is read again by _read_csv_blocks, which decides
-    every error and its message."""
+    values; any other file is read again by _read_csv_rows, in one pass of
+    its own, which decides every error and its message."""
     with open(path, "rb") as fh:
         raw = fh.read()
     header, data = None, None
@@ -99,35 +96,20 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
             pass  # the row parser reads the file again and names the fault
     if data is not None and len(data) and data.shape[1] == len(header) and np.isfinite(data).all():
         return header, data
-    return _read_csv_blocks(path)
+    return _read_csv_rows(path)
 
 
-def _read_csv_blocks(path: str) -> tuple[list[str], np.ndarray]:
+def _read_csv_rows(path: str) -> tuple[list[str], np.ndarray]:
     """read_csv row by row: every input float() reads, and every error.
 
-    Rows are converted _CSV_BLOCK at a time, the fields of a block joined and
-    parsed in one pass; an error names the first line at fault, in file order."""
+    One pass keeps the header and the rows before the first ragged one, with
+    their line numbers; then all their fields are parsed at once.  The error
+    raised is the first of: a field float() refuses, the ragged row, no data
+    rows, a value that is not finite; each names the first line at fault."""
     header: list[str] | None = None
-    blocks: list[np.ndarray] = []
-    block: list[str] = []
+    rows: list[str] = []
     numbers: list[int] = []
-
-    def flush():
-        if not block:
-            return
-        fields = ",".join(block).split(",")
-        try:
-            blocks.append(np.array(list(map(float, fields))).reshape(len(block), len(header)))
-        except ValueError:
-            first = len(numbers) - len(block)
-            for i, field in enumerate(fields):
-                try:
-                    float(field)
-                except ValueError as exc:
-                    number = numbers[first + i // len(header)]
-                    raise ValueError(f"{path}, line {number}: {exc}") from None
-        block.clear()
-
+    ragged = None
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
@@ -137,35 +119,47 @@ def _read_csv_blocks(path: str) -> tuple[list[str], np.ndarray]:
                 header = [c.strip() for c in line.split(",")]
                 if len(header) < 2:
                     raise ValueError(f"{path}, line {number}: need at least two columns")
-                continue
-            if line.count(",") != len(header) - 1:
-                flush()  # a bad number on an earlier line is the first fault
-                raise ValueError(
-                    f"{path}, line {number}: {line.count(',') + 1} fields, "
-                    f"the header has {len(header)}"
-                )
-            block.append(line)
-            numbers.append(number)
-            if len(block) == _CSV_BLOCK:
-                flush()
-    flush()
-    if not numbers:
+            elif line.count(",") != len(header) - 1:
+                ragged = (f"{path}, line {number}: {line.count(',') + 1} fields, "
+                          f"the header has {len(header)}")
+                break
+            else:
+                rows.append(line)
+                numbers.append(number)
+    fields = ",".join(rows).split(",") if rows else []
+    try:
+        values = list(map(float, fields))
+    except ValueError:
+        for i, field in enumerate(fields):
+            try:
+                float(field)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {numbers[i // len(header)]}: {exc}") from None
+    if ragged is not None:
+        raise ValueError(ragged)
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    data = np.concatenate(blocks)
+    data = np.array(values).reshape(len(rows), len(header))
     bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
     if len(bad):
         raise ValueError(f"{path}, line {numbers[bad[0]]}: value is not finite")
     return header, data
 
 
+def _increasing(path: str, x: np.ndarray) -> np.ndarray:
+    """The steps of the abscissae x read from path, all of them positive."""
+    steps = np.diff(x)
+    if not np.all(steps > 0.0):
+        raise ValueError(f"{path}: abscissae must increase")
+    return steps
+
+
 def sampled_from_csv(path: str) -> SampledFunction:
     _, data = read_csv(path)
     x = data[:, 0]
-    steps = np.diff(x)
-    if len(steps) == 0:
+    if len(x) < 2:
         raise ValueError(f"{path}: need at least two samples")
-    if not np.all(steps > 0.0):
-        raise ValueError(f"{path}: abscissae must increase")
+    steps = _increasing(path, x)
     step = float(np.median(steps))
     if np.max(np.abs(steps - step)) > 1e-8 * max(1.0, abs(step)):
         raise ValueError(f"{path}: abscissae are not uniformly spaced")
@@ -335,6 +329,7 @@ def cmd_invert(args) -> int:
     header_row = ["x", "value"]
     if args.truth:
         _, tdata = read_csv(args.truth)
+        _increasing(args.truth, tdata[:, 0])
         truth = np.interp(xs, tdata[:, 0], tdata[:, 1])
         err = float(np.linalg.norm(vals - truth) / max(np.linalg.norm(truth), 1e-300))
         comments.append(f"l2_error = {err:.6g}")

@@ -33,18 +33,6 @@ _MU_GRID_DEFAULT = UniformGrid(-24.0, 48.0 / 6144.0, 6145)
 _MU_TERMS = 400
 
 
-def choose_weight_exponent(alpha) -> float:
-    """Weight exponent c: as large as allowed (2a - 1) below a = 2, else 3.
-
-    Larger c speeds up the decay of the mu integrand, but exponents above 3
-    make the H integral numerically unwieldy.
-    """
-    a = as_alpha(alpha).value
-    if a <= 1.0:
-        raise ValueError(f"the direct route requires alpha > 1, got {a}")
-    return 2.0 * a - 1.0 if a < 2.0 else 3.0
-
-
 @dataclass(frozen=True)
 class DirectConfig:
     alpha: Alpha
@@ -65,8 +53,13 @@ class DirectConfig:
 
     @property
     def weight_exponent(self) -> float:
-        """c, fixed by alpha: see choose_weight_exponent."""
-        return choose_weight_exponent(self.alpha)
+        """Weight exponent c: as large as allowed (2a - 1) below a = 2, else 3.
+
+        Larger c speeds up the decay of the mu integrand, but exponents above
+        3 make the H integral numerically unwieldy.
+        """
+        a = self.alpha.value
+        return 2.0 * a - 1.0 if a < 2.0 else 3.0
 
     @property
     def s_exponent(self) -> float:

@@ -18,8 +18,8 @@ finite arbitrarily close to a = -1.  Every second tanh-sinh node forms the
 embedded coarse rule whose disagreement drives the halving of its step.
 
 A curve, an array of y, is integrated in one pass: the pieces of every y go
-into one table, the interior half-lobes of all of them share one rule per
-pass, and each y keeps its own stopping rule.
+into one table, the interior half-lobes of all of them share one Gauss
+pair, and each y keeps its own stopping rule.
 """
 
 from __future__ import annotations
@@ -237,34 +237,30 @@ def _gauss_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray):
 def _piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray, h: np.ndarray):
     """Value and embedded error estimate of each piece at its step h, where
     the integrand at node t is f(t / scale) / scale.  Interior half-lobes at
-    h = _GAUSS take the Gauss pair (see _gauss_sums).  At a tanh-sinh step
-    the interior half-lobes share one cached rule, and the cut tail pieces
-    get theirs row by row.  Nodes are placed and f evaluated in chunks of at
-    most _CHUNK_NODES."""
+    h = _GAUSS take the Gauss pair (see _gauss_sums).  Every piece at a
+    tanh-sinh step, an interior half-lobe the Gauss pair left open or a cut
+    tail piece, gets its rule row by row from _rules.  Nodes are placed and
+    f evaluated in chunks of at most _CHUNK_NODES."""
     value = np.empty(len(h))
     error = np.empty(len(h))
-    interior = _interior(pieces)
     for step in np.unique(h):
+        rows = np.flatnonzero(h == step)
         if step == _GAUSS:
-            rows = np.flatnonzero(h == step)
             value[rows], error[rows] = _gauss_sums(f, alpha, pieces[rows], scale[rows])
             continue
         per_chunk = max(1, _CHUNK_NODES // (2 * _kmax(alpha, step) + 1))
-        for shared in (True, False):
-            rows = np.flatnonzero((h == step) & (interior == shared))
-            for lo in range(0, len(rows), per_chunk):
-                sel = rows[lo:lo + per_chunk]
-                p = pieces[sel]
-                d, near, q, coarse = (_lobe_rule(alpha, step, _HALF_PI, 0.0) if shared
-                                      else _rules(alpha, step, p[:, 2:3], p[:, 3:4]))
-                y = scale[sel, None]
-                x = _place(d, near, p[:, 0], p[:, 1]) / y
-                fx = np.asarray(call_vec(f, x.ravel()), dtype=float).reshape(x.shape) / y
-                contrib = q * fx
-                # compress gives a C-ordered copy, so each row sums as a 1-D array would
-                coarse_sum = 2.0 * np.sum(np.compress(coarse, contrib, axis=1), axis=1)
-                value[sel] = np.sum(contrib, axis=1)
-                error[sel] = np.abs(value[sel] - coarse_sum)
+        for lo in range(0, len(rows), per_chunk):
+            sel = rows[lo:lo + per_chunk]
+            p = pieces[sel]
+            d, near, q, coarse = _rules(alpha, step, p[:, 2:3], p[:, 3:4])
+            y = scale[sel, None]
+            x = _place(d, near, p[:, 0], p[:, 1]) / y
+            fx = np.asarray(call_vec(f, x.ravel()), dtype=float).reshape(x.shape) / y
+            contrib = q * fx
+            # compress gives a C-ordered copy, so each row sums as a 1-D array would
+            coarse_sum = 2.0 * np.sum(np.compress(coarse, contrib, axis=1), axis=1)
+            value[sel] = np.sum(contrib, axis=1)
+            error[sel] = np.abs(value[sel] - coarse_sum)
     return value, error
 
 

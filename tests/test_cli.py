@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import alphasine.cli as cli_mod
 from alphasine.cli import (
     _method_first,
-    _read_csv_blocks,
+    _read_csv_rows,
     build_parser,
     gaussian_noise,
     main,
@@ -35,6 +35,14 @@ def write_samples(path, xs, vals, header="x,value"):
         fh.write(f"{header}\n")
         for x, v in zip(xs, vals):
             fh.write(f"{x:.17g},{v:.17g}\n")
+
+
+def _rows_with(bad, field, ragged, count=1500):
+    """A two-column CSV of count data rows, row i on line i + 1: row bad
+    holds field as its value and row ragged has three fields."""
+    rows = [f"{i},{field}" if i == bad else f"{i},{i},{i}" if i == ragged else f"{i},{i}"
+            for i in range(1, count + 1)]
+    return "x,value\n" + "\n".join(rows) + "\n"
 
 
 @pytest.fixture
@@ -135,6 +143,19 @@ class TestInvert:
         assert header == ["x", "value", "truth"]
         err_l2 = np.linalg.norm(data[:, 1] - data[:, 2]) / np.linalg.norm(data[:, 2])
         assert err_l2 <= 1e-4
+
+    @pytest.mark.parametrize("xs", [np.linspace(3.0, 0.0, 301), [0.0, 1.0, 1.0, 2.0]],
+                             ids=["reversed", "repeated"])
+    def test_truth_abscissae_must_increase(self, capsys, tmp_path, t2f1_csv, xs):
+        # np.interp reads abscissae that do not increase without an error
+        truth = tmp_path / "truth.csv"
+        write_samples(truth, xs, np.exp(-np.square(xs)))
+        out_path = tmp_path / "rec.csv"
+        rc, out, err = run(capsys, "invert", "--method", "fourier", "--in", t2f1_csv,
+                           "--alpha", "2", "--grid", "0:3:301", "--truth", str(truth),
+                           "--out", str(out_path))
+        assert (rc, out, err) == (2, "", f"error: {truth}: abscissae must increase\n")
+        assert not out_path.exists()
 
     def test_sphere_round_trip(self, capsys, tmp_path):
         f = watson_density(-2.5, 1.0, m=128)
@@ -459,8 +480,12 @@ class TestConfigAndErrors:
         ("# only\nx,value\n\n", ": no data rows"),
         ("", ": no data rows"),
         ("x\n", ", line 1: need at least two columns"),
+        (_rows_with(5, "abc", 1400), ", line 6: could not convert string to float: 'abc'"),
+        (_rows_with(1300, "abc", 1400), ", line 1301: could not convert string to float: 'abc'"),
+        (_rows_with(1400, "abc", 5), ", line 6: 3 fields, the header has 2"),
     ], ids=["width-first", "number-first", "width-before-finite", "short", "empty-field",
-            "header-only", "empty", "one-column"])
+            "header-only", "empty", "one-column", "number-then-width-far",
+            "number-then-width-near", "width-then-number-far"])
     def test_csv_error_names_first_fault(self, tmp_path, text, suffix):
         bad = tmp_path / "bad.csv"
         bad.write_text(text, encoding="utf-8")
@@ -491,7 +516,7 @@ class TestConfigAndErrors:
         def row_parser(path):
             raise AssertionError("read row by row")
 
-        monkeypatch.setattr(cli_mod, "_read_csv_blocks", row_parser)
+        monkeypatch.setattr(cli_mod, "_read_csv_rows", row_parser)
         header, data = read_csv(str(src))
         assert header == ["x", "value"] and data.tolist() == [[0.0, 1.0], [0.5, -2.5],
                                                               [1.0, 1e-300]]
@@ -553,7 +578,7 @@ def _read_outcome(reader, path):
 def test_numpy_pass_agrees_with_row_parser(tmp_path, text):
     src = tmp_path / "gen.csv"
     src.write_bytes(text.encode("utf-8"))
-    assert _read_outcome(read_csv, str(src)) == _read_outcome(_read_csv_blocks, str(src))
+    assert _read_outcome(read_csv, str(src)) == _read_outcome(_read_csv_rows, str(src))
 
 
 def readme_commands():

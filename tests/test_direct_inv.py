@@ -15,7 +15,6 @@ from scipy.integrate import quad as scipy_quad
 from alphasine import direct_inv
 from alphasine.direct_inv import (
     DirectConfig,
-    choose_weight_exponent,
     h2_inverse,
     h_forward,
     invert_direct,
@@ -55,18 +54,14 @@ def g_fine():
 
 class TestWeightExponent:
     def test_rule(self):
-        assert choose_weight_exponent(1.5) == 2.0
-        assert choose_weight_exponent(2.0) == 3.0
-        assert choose_weight_exponent(10.0) == 3.0
-
-    def test_domain(self):
-        for bad in (1.0, 0.5, -0.2):
-            with pytest.raises(ValueError):
-                choose_weight_exponent(bad)
+        assert DirectConfig(alpha=1.5).weight_exponent == 2.0
+        assert DirectConfig(alpha=2.0).weight_exponent == 3.0
+        assert DirectConfig(alpha=10.0).weight_exponent == 3.0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DirectConfig(alpha=1.0)
+        for bad in (1.0, 0.5, -0.2):
+            with pytest.raises(ValueError, match="requires alpha > 1"):
+                DirectConfig(alpha=bad)
         with pytest.raises(ValueError):
             DirectConfig(alpha=2.0, epsilon=0.0)
         with pytest.raises(ValueError):
@@ -124,7 +119,7 @@ class TestMuClosedForm:
     def test_hermitian_and_series_converged(self, a, w):
         # errors are measured against |mu(1)|, the table's largest value:
         # mu(e^w) itself nears zero at some w for a above 5
-        c = choose_weight_exponent(a)
+        c = DirectConfig(alpha=a).weight_exponent
         om = np.array([w, -w, 0.0])
         vals = direct_inv._mu_values(a, c, om)
         scale = abs(vals[2])

@@ -10,7 +10,7 @@ REMOVED = ("reconstruct", "reconstruct_smoothed", "log_gamma", "eval_linear",
            "even_extension_eval", "density_example", "kummer_m", "TriangularSystem",
            "bandlimited_eval", "hyp2f1_unit", "k_sphere", "codifference_forward",
            "CircleCoeffs", "circle_fourier_coeffs", "shifted_sine_density",
-           "vonmises4_density", "watson_density")
+           "vonmises4_density", "watson_density", "choose_weight_exponent")
 
 
 def test_public_names():
