@@ -58,10 +58,14 @@ class TestWeightExponent:
         assert DirectConfig(alpha=2.0).weight_exponent == 3.0
         assert DirectConfig(alpha=10.0).weight_exponent == 3.0
 
-    def test_config_validation(self):
+    def test_domain(self):
         for bad in (1.0, 0.5, -0.2):
             with pytest.raises(ValueError, match="requires alpha > 1"):
                 DirectConfig(alpha=bad)
+
+    def test_config_validation(self):
+        with pytest.raises(ValueError):
+            DirectConfig(alpha=1.0)
         with pytest.raises(ValueError):
             DirectConfig(alpha=2.0, epsilon=0.0)
         with pytest.raises(ValueError):
