@@ -99,33 +99,47 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
     return _read_csv_rows(path)
 
 
+def _content_lines(path: str):
+    """(number, line) of each line of a UTF-8 text file that is neither blank
+    nor a '#' comment, stripped.  A line that is not UTF-8 is refused, by
+    number, when the pass reaches it."""
+    # a byte that is not UTF-8 comes through as a lone surrogate
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}, line {number}: not UTF-8 text ({exc})") from None
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield number, line
+
+
 def _read_csv_rows(path: str) -> tuple[list[str], np.ndarray]:
     """read_csv row by row: every input float() reads, and every error.
 
     One pass keeps the header and the rows before the first ragged one, with
-    their line numbers; then all their fields are parsed at once.  The error
-    raised is the first of: a field float() refuses, the ragged row, no data
+    their line numbers, and refuses a line that is not UTF-8 as it reaches
+    it; then all their fields are parsed at once.  The error raised after the
+    pass is the first of: a field float() refuses, the ragged row, no data
     rows, a value that is not finite; each names the first line at fault."""
     header: list[str] | None = None
     rows: list[str] = []
     numbers: list[int] = []
     ragged = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip() for c in line.split(",")]
-                if len(header) < 2:
-                    raise ValueError(f"{path}, line {number}: need at least two columns")
-            elif line.count(",") != len(header) - 1:
-                ragged = (f"{path}, line {number}: {line.count(',') + 1} fields, "
-                          f"the header has {len(header)}")
-                break
-            else:
-                rows.append(line)
-                numbers.append(number)
+    for number, line in _content_lines(path):
+        if header is None:
+            header = [c.strip() for c in line.split(",")]
+            if len(header) < 2:
+                raise ValueError(f"{path}, line {number}: need at least two columns")
+        elif line.count(",") != len(header) - 1:
+            ragged = (f"{path}, line {number}: {line.count(',') + 1} fields, "
+                      f"the header has {len(header)}")
+            break
+        else:
+            rows.append(line)
+            numbers.append(number)
     fields = ",".join(rows).split(",") if rows else []
     try:
         values = list(map(float, fields))
@@ -180,15 +194,11 @@ def read_config(path: str) -> dict[str, str]:
     """Option name (with '-', as on the command line) -> value of each
     `key = value` line."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}, line {number}: config line without '='")
-            key, _, value = line.partition("=")
-            out[key.strip().replace("_", "-")] = value.strip()
+    for number, line in _content_lines(path):
+        if "=" not in line:
+            raise ValueError(f"{path}, line {number}: config line without '='")
+        key, _, value = line.partition("=")
+        out[key.strip().replace("_", "-")] = value.strip()
     return out
 
 

@@ -96,11 +96,12 @@ def _rules(alpha: float, h: float, length: np.ndarray, off: np.ndarray):
     end (both columns).  A rule does not depend on where the piece sits, nor
     on which side the zero lies.
 
-    Node j of row i is d[i, j] from the zero end where near[j], else d[i, j]
-    from the other end.  Its distance u to the zero is off plus its distance
-    to the zero end, which for the near nodes comes straight from the rule,
-    never from float subtraction.  q holds the weights times |sin u|^alpha;
-    the coarse entries form the embedded h' = 2h rule.
+    Returns (d, near, w), the form every lobe rule takes.  Node j of row i is
+    d[i, j] from the zero end where near[j], else d[i, j] from the other end.
+    Its distance u to the zero is off plus its distance to the zero end, which
+    for the near nodes comes straight from the rule, never from float
+    subtraction.  w[0] holds the weights times |sin u|^alpha, and w[1] the
+    embedded h' = 2h rule: 2 w[0] on every second node, 0 elsewhere.
     """
     kmax = _kmax(alpha, h)
     k = np.arange(-kmax, kmax + 1)
@@ -116,70 +117,56 @@ def _rules(alpha: float, h: float, length: np.ndarray, off: np.ndarray):
     cut = off[:, 0] > 0.0
     ln_u[cut] = np.log(u[cut])
     q = np.exp(lnw + np.log(0.5 * length) + alpha * _ln_sin(u, ln_u))
-    return d, near, q, k % 2 == 0
+    return d, near, np.stack((q, np.where(k % 2 == 0, 2.0 * q, 0.0)))
 
 
 @lru_cache(maxsize=64)
-def _lobe_rule(alpha: float, h: float, length: float, off: float):
-    """The rule of one piece (see _rules), kept for reuse: d, near, q, coarse
-    as 1-D read-only arrays."""
-    d, near, q, coarse = _rules(alpha, h, np.array([[length]]), np.array([[off]]))
-    d, q = d[0], q[0]
-    for arr in (d, near, q, coarse):
-        arr.setflags(write=False)
-    return d, near, q, coarse
-
-
-@lru_cache(maxsize=64)
-def _gauss_rule(alpha: float, n: int):
-    """The n-point Gauss rule for the weight sin(u)^alpha on [0, pi/2]: nodes
-    u and weights w, read-only.
+def _gauss_pair(alpha: float):
+    """G16 and G10 for the weight sin(u)^alpha on [0, pi/2] as one rule
+    (d, near, w) of 26 nodes (see _rules): every node lies its u from the zero
+    end, w[0] is G16 on the first 16 and w[1] G10 on the last 10.  Read-only.
 
     The discretized Stieltjes procedure (Gautschi 1982) takes the recurrence
     of the weight's orthonormal polynomials in x = 4u/pi - 1 from a fine
-    tanh-sinh rule as the discrete measure; the eigenvalues of the Jacobi
-    matrix are the nodes and mu_0 times the squared first components of its
-    eigenvectors the weights (Golub & Welsch 1969).
+    tanh-sinh rule as the discrete measure; the eigenvalues of each leading
+    n x n Jacobi matrix are the nodes of the n-point rule and mu_0 times the
+    squared first components of its eigenvectors the weights (Golub & Welsch
+    1969).
     """
     # step 0.1, which the fallback uses too: finer rules end nearer the
     # truncation point of _kmax and lose up to 1e-13 in the high moments
-    d, near, q, _ = _lobe_rule(alpha, _H_FIRST / 2, _HALF_PI, 0.0)
-    x = np.where(near, d, _HALF_PI - d) / (0.5 * _HALF_PI) - 1.0
+    d, near, w = _rules(alpha, _H_FIRST / 2, np.array([[_HALF_PI]]), np.array([[0.0]]))
+    q = w[0, 0]
+    x = np.where(near, d[0], _HALF_PI - d[0]) / (0.5 * _HALF_PI) - 1.0
     mu0 = math.fsum(q)
-    diag, off = np.empty(n), np.empty(n)
+    diag, off = np.empty((2, max(_GAUSS_N)))
     p_prev, p, b = np.zeros_like(x), np.full_like(x, mu0**-0.5), 0.0
-    for k in range(n):
+    for k in range(len(diag)):
         diag[k] = np.sum(q * x * p * p)
         r = (x - diag[k]) * p - b * p_prev
         b = off[k] = math.sqrt(np.sum(q * r * r))
         p_prev, p = p, r / b
-    theta, v = np.linalg.eigh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
-    u, w = (theta + 1.0) * (0.5 * _HALF_PI), mu0 * v[0] ** 2
-    for arr in (u, w):
+    jacobi = np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
+    d, w = np.empty((1, sum(_GAUSS_N))), np.zeros((2, 1, sum(_GAUSS_N)))
+    for row, (n, at) in enumerate(zip(_GAUSS_N, (0, _GAUSS_N[0]))):
+        theta, v = np.linalg.eigh(jacobi[:n, :n])
+        d[0, at:at + n], w[row, 0, at:at + n] = (theta + 1.0) * (0.5 * _HALF_PI), mu0 * v[0] ** 2
+    near = np.ones(d.shape[1], dtype=bool)
+    for arr in (d, near, w):
         arr.setflags(write=False)
-    return u, w
+    return d, near, w
 
 
-def _place(d, near, zero_end, other_end):
-    """Nodes of the pieces between zero_end[i] and other_end[i], one row each,
-    from their distances d to the ends (see _rules).  The near nodes are a
-    prefix of every row, so each half is written in place by slicing."""
-    t = np.sign(other_end - zero_end)[:, None] * d
+def _place(d, near, zero_end, other_end, scale=1.0):
+    """Nodes of the pieces between zero_end[i] and other_end[i], one row each
+    and divided by scale[i], from their distances d to the ends (see _rules).
+    The near nodes are a prefix of every row, so each half is written in
+    place by slicing."""
+    t = (np.sign(other_end - zero_end) / scale)[:, None] * d
     cut = np.count_nonzero(near)
-    t[:, :cut] += zero_end[:, None]
-    np.subtract(other_end[:, None], t[:, cut:], out=t[:, cut:])
+    t[:, :cut] += (zero_end / scale)[:, None]
+    np.subtract((other_end / scale)[:, None], t[:, cut:], out=t[:, cut:])
     return t
-
-
-def lobe_nodes(alpha: float, h: float, zero_end, other_end, length: float, off: float):
-    """The same half-lobe piece (see _rules) placed between several pairs
-    of ends zero_end[i], other_end[i], each pair the given length apart.
-
-    Returns (t, q, coarse): t has one row of nodes per piece; the weights q
-    (kernel power included) and the coarse-rule mask are shared by all rows.
-    """
-    d, near, q, coarse = _lobe_rule(alpha, h, length, off)
-    return _place(d, near, zero_end, other_end), q, coarse
 
 
 def _kernel_pieces(phase: float, t_max: np.ndarray):
@@ -213,54 +200,29 @@ def _interior(pieces: np.ndarray) -> np.ndarray:
     return (pieces[:, 2] == _HALF_PI) & (pieces[:, 3] == 0.0)
 
 
-def _gauss_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray):
-    """G16 and |G16 - G10| (see _gauss_rule) on interior half-lobes, where the
-    integrand at node t is f(t / scale) / scale.  A node lies its u from the
-    piece's zero end, toward the other end.  The nodes of a chunk of pieces
-    form one array, a column per piece, so each column sums in the same order
-    in any chunk."""
-    (u16, w16), (u10, w10) = (_gauss_rule(alpha, n) for n in _GAUSS_N)
-    u, w = np.concatenate((u16, u10))[:, None], np.concatenate((w16, w10))[:, None]
-    value = np.empty(len(pieces))
-    error = np.empty(len(pieces))
-    per_chunk = max(1, _CHUNK_NODES // len(u))
-    for lo in range(0, len(pieces), per_chunk):
-        p, y = pieces[lo:lo + per_chunk], scale[lo:lo + per_chunk]
-        x = u * (np.sign(p[:, 1] - p[:, 0]) / y) + p[:, 0] / y
-        contrib = w * np.asarray(call_vec(f, x.ravel()), dtype=float).reshape(x.shape)
-        g16 = np.sum(contrib[:len(u16)], axis=0)
-        value[lo:lo + per_chunk] = g16 / y
-        error[lo:lo + per_chunk] = np.abs(g16 - np.sum(contrib[len(u16):], axis=0)) / y
-    return value, error
-
-
 def _piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray, h: np.ndarray):
-    """Value and embedded error estimate of each piece at its step h, where
-    the integrand at node t is f(t / scale) / scale.  Interior half-lobes at
-    h = _GAUSS take the Gauss pair (see _gauss_sums).  Every piece at a
-    tanh-sinh step, an interior half-lobe the Gauss pair left open or a cut
-    tail piece, gets its rule row by row from _rules.  Nodes are placed and
-    f evaluated in chunks of at most _CHUNK_NODES."""
-    value = np.empty(len(h))
-    error = np.empty(len(h))
+    """Value and error estimate of each piece at its step h, where the
+    integrand at node t is f(t / scale) / scale.  Interior half-lobes at
+    h = _GAUSS take the Gauss pair; every piece at a tanh-sinh step, an
+    interior half-lobe the pair left open or a cut tail piece, gets its rule
+    row by row from _rules.  Either rule (d, near, w) gives the value from
+    w[0] and the error from its difference with w[1].  Nodes are placed and f
+    evaluated in chunks of at most _CHUNK_NODES; np.vecdot sums each row on
+    its own, so a piece's sums do not depend on its chunk."""
+    value, error = np.empty((2, len(h)))
     for step in np.unique(h):
         rows = np.flatnonzero(h == step)
-        if step == _GAUSS:
-            value[rows], error[rows] = _gauss_sums(f, alpha, pieces[rows], scale[rows])
-            continue
-        per_chunk = max(1, _CHUNK_NODES // (2 * _kmax(alpha, step) + 1))
+        n = sum(_GAUSS_N) if step == _GAUSS else 2 * _kmax(alpha, step) + 1
+        per_chunk = max(1, _CHUNK_NODES // n)
         for lo in range(0, len(rows), per_chunk):
             sel = rows[lo:lo + per_chunk]
-            p = pieces[sel]
-            d, near, q, coarse = _rules(alpha, step, p[:, 2:3], p[:, 3:4])
-            y = scale[sel, None]
-            x = _place(d, near, p[:, 0], p[:, 1]) / y
-            fx = np.asarray(call_vec(f, x.ravel()), dtype=float).reshape(x.shape) / y
-            contrib = q * fx
-            # compress gives a C-ordered copy, so each row sums as a 1-D array would
-            coarse_sum = 2.0 * np.sum(np.compress(coarse, contrib, axis=1), axis=1)
-            value[sel] = np.sum(contrib, axis=1)
-            error[sel] = np.abs(value[sel] - coarse_sum)
+            p, y = pieces[sel], scale[sel]
+            d, near, w = (_gauss_pair(alpha) if step == _GAUSS
+                          else _rules(alpha, step, p[:, 2:3], p[:, 3:4]))
+            x = _place(d, near, p[:, 0], p[:, 1], y)
+            fx = np.asarray(call_vec(f, x.ravel()), dtype=float).reshape(x.shape)
+            sums = np.vecdot(fx, w) / y
+            value[sel], error[sel] = sums[0], np.abs(sums[0] - sums[1])
     return value, error
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CoefficientUnderflow, EvenIntegerAlpha, NonConvergence
 from .grid import SampledFunction, UniformGrid
 from .oscsum import _osc_sum
-from .quad import lobe_nodes
+from .quad import _place, _rules
 from .specfun import Alpha, as_alpha, cosine_coeffs
 
 MASS_TOL = 1e-8
@@ -98,10 +98,11 @@ def _kernel_coeffs_quad(alpha_value: float, n_keep: int) -> np.ndarray:
     zero_end = np.array([-0.5, 0.5, 0.5, 1.5]) * math.pi
     crest = np.array([0.0, 0.0, 1.0, 1.0]) * math.pi
     for h in (0.02, 0.01, 0.005, 0.0025, 0.00125):
-        t, q, cmask = lobe_nodes(alpha_value, h, zero_end, crest, 0.5 * math.pi, 0.0)
+        d, near, w = _rules(alpha_value, h, np.array([[0.5 * math.pi]]), np.array([[0.0]]))
+        t = _place(d, near, zero_end, crest)
         # the fine rule and its embedded coarse rule as two weight columns,
         # repeated for each half-lobe's row of nodes
-        weights = np.tile(np.column_stack((q, 2.0 * q * cmask)), (len(t), 1))
+        weights = np.tile(w[:, 0].T, (len(t), 1))
         fine, coarse = _osc_sum(t.ravel(), weights, n, -1.0).T
         if np.max(np.abs(fine - coarse)) <= 1e-9:
             fine.setflags(write=False)
@@ -154,14 +155,15 @@ def invert_sphere(kf: SampledFunction, alpha, maxn: int) -> PeriodicDensity:
         )
     if maxn < 1:
         raise ValueError(f"n must be >= 1, got {maxn}")
+    # the grid check is cheap; the coefficient table takes memory in maxn
+    m = kf.grid.count
+    if m < 8 * maxn + 4:
+        raise ValueError(f"need at least {8 * maxn + 4} grid points for n={maxn}, got {m}")
     ct = cosine_coeffs(alpha, maxn).coeffs
     if np.min(np.abs(ct[1:])) < 1e-13:
         raise CoefficientUnderflow(
             f"|ctilde_n| underflows below 1e-13 for some n <= {maxn}"
         )
-    m = kf.grid.count
-    if m < 8 * maxn + 4:
-        raise ValueError(f"need at least {8 * maxn + 4} grid points for n={maxn}, got {m}")
     two_n = 2 * np.arange(1, maxn + 1)
     fhat = np.zeros(m, dtype=complex)
     fhat[0] = 1.0 / (2.0 * math.pi)

@@ -3,9 +3,10 @@ forward transform took an array of y, kept as the reference the batched
 `quad.integrate_kernel_split` is compared with.
 
 Each call splits (0, y * tail_cut] into the kernel's half-lobes, groups the
-pieces by (length, offset of the zero, step) with np.unique, places each
-group's nodes with `quad.lobe_nodes`, and refines the pieces over the error
-budget of this one y.
+pieces by (length, offset of the zero, step) with np.unique, builds one
+tanh-sinh rule per group with `quad._rules` and places it at each piece of
+the group with `quad._place`, and refines the pieces over the error budget
+of this one y.  It takes no Gauss pass.
 """
 
 import math
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from alphasine.grid import call_vec
-from alphasine.quad import QuadSpec, lobe_nodes
+from alphasine.quad import QuadSpec, _place, _rules
 
 _HALF_PI = 0.5 * math.pi
 
@@ -36,20 +37,20 @@ def _kernel_pieces(phase: float, t_max: float) -> np.ndarray:
 def _piece_sums(f, y: float, alpha: float, pieces: np.ndarray, h: np.ndarray):
     rules, which = np.unique(np.column_stack((pieces[:, 2:], h)), axis=0, return_inverse=True)
     groups = [np.flatnonzero(which == g) for g in range(len(rules))]
-    placed = [
-        lobe_nodes(alpha, hg, pieces[rows, 0], pieces[rows, 1], length, off)
-        for rows, (length, off, hg) in zip(groups, rules)
-    ]
+    placed = []
+    for rows, (length, off, hg) in zip(groups, rules):
+        d, near, w = _rules(alpha, hg, np.array([[length]]), np.array([[off]]))
+        placed.append((_place(d, near, pieces[rows, 0], pieces[rows, 1]), w[0, 0], w[1, 0]))
     t_all = np.concatenate([t.ravel() for t, _, _ in placed])
     fx = np.asarray(call_vec(f, t_all / y), dtype=float) / y
     value = np.empty(len(h))
     error = np.empty(len(h))
     start = 0
-    for rows, (t, q, coarse) in zip(groups, placed):
-        contrib = q * fx[start:start + t.size].reshape(t.shape)
+    for rows, (t, q, q_coarse) in zip(groups, placed):
+        fx_rows = fx[start:start + t.size].reshape(t.shape)
         start += t.size
-        coarse_sum = 2.0 * np.sum(np.compress(coarse, contrib, axis=1), axis=1)
-        value[rows] = np.sum(contrib, axis=1)
+        coarse_sum = np.sum(q_coarse * fx_rows, axis=1)
+        value[rows] = np.sum(q * fx_rows, axis=1)
         error[rows] = np.abs(value[rows] - coarse_sum)
     return value, error
 

@@ -415,6 +415,14 @@ class TestConfigAndErrors:
         with pytest.raises(ValueError, match=r"run\.cfg, line 3"):
             read_config(str(cfgfile))
 
+    def test_config_not_utf8_names_the_line(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(b"alpha = 2\n# \xff\ncount = 1\n")
+        rc, out, err = run(capsys, "coeffs", "--config", str(cfgfile))
+        assert (rc, out) == (2, "")
+        assert err == (f"error: {cfgfile}, line 2: not UTF-8 text ('utf-8' codec can't "
+                       "decode byte 0xff in position 2: invalid start byte)\n")
+
     def test_nonuniform_csv_rejected(self, tmp_path):
         src = tmp_path / "bad.csv"
         write_samples(src, [0.0, 1.0, 3.0], [1.0, 2.0, 3.0])
@@ -492,6 +500,27 @@ class TestConfigAndErrors:
         with pytest.raises(ValueError) as exc:
             read_csv(str(bad))
         assert str(exc.value) == f"{bad}{suffix}"
+
+    @pytest.mark.parametrize("command", ["noise", "truth"])
+    @pytest.mark.parametrize("lines, number, detail", [
+        (b"x,value\n0,1\n1,\xff2\n2,3\n", 3,
+         "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+        (b"x,value\n0,1\n# caf\xe9\n1,2\n2,3\n", 3,
+         "'utf-8' codec can't decode byte 0xe9 in position 5: invalid continuation byte"),
+    ], ids=["data-row", "comment"])
+    def test_csv_not_utf8_names_the_line(self, capsys, tmp_path, t2f1_csv, command,
+                                         lines, number, detail):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(lines)
+        out_path = tmp_path / "out.csv"
+        if command == "noise":
+            argv = ["noise", "--in", str(bad), "--sigma", "0.1"]
+        else:
+            argv = ["invert", "--method", "fourier", "--in", t2f1_csv, "--alpha", "2",
+                    "--grid", "0:3:301", "--truth", str(bad)]
+        rc, out, err = run(capsys, *argv, "--out", str(out_path))
+        assert (rc, out) == (2, "") and not out_path.exists()
+        assert err == f"error: {bad}, line {number}: not UTF-8 text ({detail})\n"
 
     def test_csv_rows_parse_as_floats(self, tmp_path):
         src = tmp_path / "ok.csv"

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alphasine.errors import NonConvergence
-from alphasine.quad import (_GAUSS_N, QuadSpec, _gauss_rule, _gauss_sums, _interior,
-                            _kernel_pieces, _lobe_rule, _place, _rules, integrate,
+from alphasine.quad import (_GAUSS, _GAUSS_N, _H_FIRST, QuadSpec, _gauss_pair, _interior,
+                            _kernel_pieces, _piece_sums, _place, _rules, integrate,
                             integrate_kernel_split)
 from alphasine.specfun import sin_power_integral
 
@@ -95,8 +95,11 @@ def test_gauss_rule_moments(a):
     moments = [_weighted_moment(a, k) for k in range(2 * max(_GAUSS_N))]
     with mp.workdps(30):
         mass = float(mp.beta(0.5, (a + 1) / 2) / 2)
-    for n in _GAUSS_N:
-        u, w = _gauss_rule(a, n)
+    d, _, pair = _gauss_pair(a)
+    for n, row in zip(_GAUSS_N, pair[:, 0]):
+        # each rule is the nodes where its row of weights is nonzero
+        cols = np.flatnonzero(row)
+        u, w = d[0, cols], row[cols]
         assert len(u) == n and np.all(np.diff(u) > 0.0) and u[0] > 0.0 and u[-1] < 0.5 * math.pi
         assert np.all(w > 0.0)
         assert math.isclose(math.fsum(w), mass, rel_tol=1e-13)
@@ -106,17 +109,37 @@ def test_gauss_rule_moments(a):
 
 def test_place_writes_both_halves_as_a_where_would():
     # the near nodes are a prefix of every row, so slicing places each node
-    # exactly as choosing between the two full candidate arrays did
+    # exactly as choosing between the two full candidate arrays did; a rule
+    # of one row is shared by every piece, as the Gauss pair (all near) is
     rng = np.random.default_rng(5)
     zero_end = rng.uniform(0.0, 50.0, 6)
     other_end = zero_end + np.where(rng.random(6) < 0.5, 1.3, -1.3)
-    shared = _lobe_rule(1.5, 0.25, 1.3, 0.0)[:2]
+    shared = _rules(1.5, 0.25, np.array([[1.3]]), np.array([[0.0]]))[:2]
     per_row = _rules(-0.5, 0.25, np.full((6, 1), 1.3), np.full((6, 1), 0.1))[:2]
-    for d, near in (shared, per_row):
+    for d, near in (shared, per_row, _gauss_pair(1.5)[:2]):
         assert near[: np.count_nonzero(near)].all()
-        toward = np.sign(other_end - zero_end)[:, None] * d
-        expect = np.where(near, zero_end[:, None] + toward, other_end[:, None] - toward)
-        assert np.array_equal(_place(d, near, zero_end, other_end), expect)
+        for scale in (1.0, rng.uniform(0.05, 20.0, 6)):
+            toward = (np.sign(other_end - zero_end) / scale)[:, None] * d
+            expect = np.where(near, (zero_end / scale)[:, None] + toward,
+                              (other_end / scale)[:, None] - toward)
+            assert np.array_equal(_place(d, near, zero_end, other_end, scale), expect)
+
+
+@pytest.mark.parametrize("step", [_GAUSS, _H_FIRST])
+def test_piece_sums_do_not_depend_on_the_chunk(step):
+    # np.vecdot sums each row on its own, so a piece gets the same bits alone
+    # or among a few as inside a call of thousands of rows, split into many
+    # chunks; a matrix product does not (one row of it takes another path)
+    pieces, owner = _kernel_pieces(0.0, 30.0 * 0.5 * np.arange(1, 41))
+    if step == _GAUSS:
+        pieces, owner = pieces[_interior(pieces)], owner[_interior(pieces)]
+    scale, h = 0.5 * (owner + 1.0), np.full(len(pieces), step)
+    assert len(pieces) > 5000
+    whole = _piece_sums(f3, -0.5, pieces, scale, h)
+    for few in ([3], [1500], [3, 1500, len(pieces) - 2]):
+        part = _piece_sums(f3, -0.5, pieces[few], scale[few], h[few])
+        for all_rows, alone in zip(whole, part):
+            assert np.array_equal(all_rows[few], alone)
 
 
 class TestKernelSplit:
@@ -205,7 +228,8 @@ class TestKernelSplit:
         pieces, _ = _kernel_pieces(0.0, np.array([6.0 * y]))
         ends = np.sort(pieces[:, :2], axis=1)
         at = np.flatnonzero(_interior(pieces) & (ends[:, 0] < c * y) & (c * y < ends[:, 1]))
-        _, gauss_err = _gauss_sums(kink, a, pieces[at], np.array([y]))
+        _, gauss_err = _piece_sums(kink, a, pieces[at], np.full(len(at), y),
+                                   np.full(len(at), _GAUSS))
         assert gauss_err[0] > spec.rel_tol * exact / (2 * len(pieces))
         val = integrate_kernel_split(kink, a, y, spec)
         assert math.isclose(val, exact, rel_tol=spec.rel_tol)
@@ -241,15 +265,13 @@ class TestArrayY:
 
     def test_rule_cache_misses_per_step_not_per_y(self):
         # interior half-lobes of every y share one Gauss pair, built once per
-        # (a, n) from the one cached rule, the measure at step 0.1; every
-        # piece that takes tanh-sinh gets its rule row by row, outside the cache
-        _lobe_rule.cache_clear()
-        _gauss_rule.cache_clear()
+        # a; every piece that takes tanh-sinh gets its rule row by row from
+        # _rules, outside the cache
+        _gauss_pair.cache_clear()
         ys = 0.05 * np.arange(1, 401)
         for _ in range(2):
             integrate_kernel_split(f3, -0.9, ys)
-        assert _gauss_rule.cache_info().misses == len(_GAUSS_N)
-        assert _lobe_rule.cache_info().misses == 1
+        assert _gauss_pair.cache_info().misses == 1
 
     def test_gauss_pass_halves_f_evaluations(self):
         # f3 at a = -0.9 over the forward_invert curve: tanh-sinh alone took

@@ -121,6 +121,18 @@ class TestInvertSphere:
             with pytest.raises(EvenIntegerAlpha):
                 invert_sphere(kf, alpha, 10)
 
+    def test_grid_refused_before_the_coefficient_table(self, monkeypatch):
+        # the table for n = 10^7 takes hundreds of MB, and its underflow
+        # message would hide the grid's; the grid check must come first
+        def no_table(*args):
+            raise AssertionError("cosine_coeffs ran before the grid check")
+
+        monkeypatch.setattr("alphasine.sphere.cosine_coeffs", no_table)
+        kf = SampledFunction(circle_grid(128), np.full(128, 1.0 / (2.0 * math.pi)))
+        with pytest.raises(ValueError) as info:
+            invert_sphere(kf, 1.5, 10**7)
+        assert str(info.value) == "need at least 80000004 grid points for n=10000000, got 128"
+
     def test_coefficient_underflow(self):
         kf = k_sphere_grid(DENSITIES["watson"], 19.5)
         with pytest.raises(CoefficientUnderflow):
