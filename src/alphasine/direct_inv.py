@@ -159,7 +159,7 @@ def _h_tail(g: SampledFunction, cfg: DirectConfig, u_const: float, omegas: np.nd
 
 def _h_values(g: SampledFunction, cfg: DirectConfig, at) -> np.ndarray:
     """H g at each omega = ln x of `at`: a UniformGrid (one chirp-z
-    transform) or an array (the dense sum)."""
+    transform) or an array (the blocked sum)."""
     u, du, weights = _h_integrand(g, cfg)
     omegas = at.points() if isinstance(at, UniformGrid) else at
     return _uniform_sum(weights, u[0], du, at, -1.0) + _h_tail(g, cfg, u[0], omegas)
@@ -174,17 +174,14 @@ def h_forward(g: SampledFunction, x, cfg: DirectConfig):
 def _h2_values(w_vals: np.ndarray, cfg: DirectConfig, zs: np.ndarray) -> np.ndarray:
     """Real part of H2 w at each z; warns when the imaginary residue exceeds
     1% of the largest real value, which signals an inconsistent w."""
-    trap = np.full(cfg.mu_grid.count, cfg.mu_grid.step)
-    trap[0] = trap[-1] = 0.5 * cfg.mu_grid.step
+    grid = cfg.mu_grid
+    trap = np.full(grid.count, grid.step)
+    trap[0] = trap[-1] = 0.5 * grid.step
     w = w_vals * trap
     # w vanishes outside the cutoff set, one contiguous span: sum only over it
     nonzero = np.flatnonzero(w)
     span = slice(nonzero[0], nonzero[-1] + 1) if len(nonzero) else slice(0, 0)
-    # real and imaginary weights as two real columns: numpy would copy each
-    # cosine and sine block to complex to multiply it by complex weights
-    sums = _osc_sum(cfg.mu_grid.points()[span], np.column_stack((w.real, w.imag))[span],
-                    np.log(zs), +1.0)
-    acc = sums[:, 0] + 1j * sums[:, 1]
+    acc = _uniform_sum(w[span], grid.start + span.start * grid.step, grid.step, np.log(zs), +1.0)
     out = zs ** (-cfg.s_exponent) / (2.0 * math.pi) * acc
     re, im = np.real(out), np.imag(out)
     scale = np.max(np.abs(re)) if len(re) else 0.0

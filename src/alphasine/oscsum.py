@@ -1,11 +1,21 @@
 """Oscillatory sums sum_j W_j exp(i sign omega L_j), one per kind of grid.
 
 `_osc_sum` is the dense sum: any nodes L_j, any omegas, one cosine and one
-sine matrix product per chunk of omegas.  `_chirp_sum` takes uniform L and
-omega grids and forms the same sum as one chirp-z transform (Bluestein,
-three FFTs); `_turns` gives its chirps with whole turns dropped exactly, so
-phases of many turns keep their digits.  `_uniform_sum` alone picks one for
-uniform nodes: chirp-z at a UniformGrid of omegas, else the dense sum.
+sine matrix product per chunk of omegas.  It serves the non-uniform nodes:
+mu's ln j and the sphere's tanh-sinh nodes.  Uniform nodes L_j = u0 + j du
+take one of two sums, and `_uniform_sum` alone picks between them:
+
+- at a UniformGrid of omegas, `_chirp_sum` forms the sum as one chirp-z
+  transform (Bluestein, three FFTs); `_turns` gives its chirps with whole
+  turns dropped exactly, so phases of many turns keep their digits;
+- at scattered omegas, `_blocked_sum` splits j = a B + b with B about
+  sqrt(N), so each term is a giant-step phase (a) times a baby-step phase
+  (b).  That is one batched complex matrix product and a row sum, with
+  2 sqrt(N) exponentials per omega against the dense sum's 2N cosines and
+  sines.  It is exact, not an approximation: every phase is one rounded
+  product omega L of the same size as in the dense sum.
+
+Both chunked sums keep their phase tables within `_TABLE_ENTRIES` entries.
 """
 
 from __future__ import annotations
@@ -16,13 +26,17 @@ import numpy as np
 
 from .grid import UniformGrid
 
+# the most phase entries one chunk of omegas may take: omegas times nodes in
+# the dense sum, omegas times baby plus giant steps in the blocked sum
+_TABLE_ENTRIES = 10_000_000
+
 
 def _osc_sum(coords: np.ndarray, weights: np.ndarray, omegas: np.ndarray, sign: float) -> np.ndarray:
     """sum_j W_j exp(i sign omega L_j) for each omega, chunked for memory.
     Columns of a two-dimensional W are summed independently."""
     n = len(omegas)
     out = np.empty((n,) + weights.shape[1:], dtype=complex)
-    chunk = max(1, int(1e7 / max(1, len(coords))))
+    chunk = max(1, _TABLE_ENTRIES // max(1, len(coords)))
     for i in range(0, n, chunk):
         phase = np.outer(sign * omegas[i : i + chunk], coords)
         out[i : i + chunk] = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
@@ -65,9 +79,36 @@ def _chirp_sum(weights: np.ndarray, u0: float, du: float, om0: float, dom: float
     return np.exp(1j * sign * u0 * (om0 + dom * k)) * _turns(beta, k * k) * conv
 
 
+def _blocked_sum(weights: np.ndarray, u0: float, du: float, omegas: np.ndarray,
+                 sign: float) -> np.ndarray:
+    """sum_j W_j exp(i sign omega (u0 + j du)) at each omega, in any order.
+
+    With j = a B + b, B = ceil(sqrt(N)) and W zero-padded to an A x B table,
+    the sum is sum_a G[omega, a] sum_b E[omega, b] W[a, b], where the giant
+    steps are G = exp(i sign omega (u0 + a B du)) and the baby steps are
+    E = exp(i sign omega b du).  Each omega's row is its own (1 x B) @ (B x A)
+    product: a plain matrix product would round a row differently with the
+    number of rows, and the chunks would then change the result.
+    """
+    n = len(weights)
+    b = math.isqrt(n - 1) + 1 if n else 1
+    a = -(-n // b)
+    table = np.zeros(a * b, dtype=complex)
+    table[:n] = weights
+    table = table.reshape(a, b).T
+    out = np.empty(len(omegas), dtype=complex)
+    chunk = max(1, _TABLE_ENTRIES // (a + b))
+    for i in range(0, len(omegas), chunk):
+        om = sign * omegas[i : i + chunk]
+        baby = np.exp(1j * np.outer(om, du * np.arange(b)))
+        giant = np.exp(1j * np.outer(om, u0 + du * (b * np.arange(a))))
+        out[i : i + chunk] = np.sum(giant * (baby[:, None, :] @ table)[:, 0], axis=1)
+    return out
+
+
 def _uniform_sum(weights: np.ndarray, u0: float, du: float, at, sign: float) -> np.ndarray:
     """sum_j W_j exp(i sign omega (u0 + j du)) at each omega of `at`: one
-    chirp-z transform at a UniformGrid, the dense sum at an array."""
+    chirp-z transform at a UniformGrid, the blocked sum at an array."""
     if isinstance(at, UniformGrid):
         return _chirp_sum(weights, u0, du, at.start, at.step, at.count, sign)
-    return _osc_sum(u0 + du * np.arange(len(weights)), weights, at, sign)
+    return _blocked_sum(weights, u0, du, at, sign)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
-from alphasine import direct_inv
+from alphasine import direct_inv, oscsum
 from alphasine.direct_inv import (
     DirectConfig,
     h2_inverse,
@@ -24,7 +24,7 @@ from alphasine.direct_inv import (
 from alphasine.forward import k_cosine, t_sine, t_sine_series
 from alphasine.fourier_inv import FourierSamples, MollifierKind, mollifier_kernel, synthesize
 from alphasine.grid import SampledFunction, UniformGrid
-from alphasine.oscsum import _chirp_sum, _osc_sum
+from alphasine.oscsum import _chirp_sum, _osc_sum, _uniform_sum
 from alphasine.quad import QuadSpec, integrate_kernel_split
 from alphasine.sas import SasParams, g_from_codifference
 from alphasine.specfun import Alpha
@@ -204,6 +204,71 @@ class TestChirpSum:
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+# H2 at the README's direct settings: the cutoff span at eps = 0.025 and the
+# 281 points ln z of 0.2:3:281
+_H2_SPAN_START = -24.0 + 1335 * (48.0 / 6144.0)
+_H2_POINTS = list(np.log(np.linspace(0.2, 3.0, 281)))
+
+
+class TestBlockedSum:
+    """`_uniform_sum` at an array of points (the blocked sum), against the
+    dense sum as an independent oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # empty, one node, a prime and a perfect square pad the table differently
+        n=st.one_of(st.sampled_from([0, 1, 997, 1024]), st.integers(0, 4000)),
+        u0=st.floats(-30.0, 30.0),
+        span=st.floats(1e-3, 60.0),
+        # unsorted, repeated, negative and single points alike
+        points=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=300),
+        cplx=st.booleans(),
+        sign=st.sampled_from([-1.0, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=3475, u0=_H2_SPAN_START, span=3474 * (48.0 / 6144.0), points=_H2_POINTS,
+             cplx=True, sign=1.0, seed=0)
+    @example(n=0, u0=0.0, span=1.0, points=[0.5], cplx=False, sign=1.0, seed=0)
+    @example(n=7, u0=-3.0, span=5.0, points=[2.0, -1.0, 2.0, 2.0, -1.0], cplx=True, sign=-1.0, seed=1)
+    def test_matches_dense_sum(self, n, u0, span, points, cplx, sign, seed):
+        # the same bound as the chirp-z test: both sums round the phase omega u
+        du = span / max(n - 1, 1)
+        rng = np.random.default_rng(seed)
+        weights = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-5.0, 5.0, n))
+        if cplx:
+            weights = weights * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+        om = np.array(points)
+        u = u0 + du * np.arange(n)
+        got = _uniform_sum(weights, u0, du, om, sign)
+        ref = _osc_sum(u, weights, om, sign)
+        assert got.shape == om.shape
+        if n == 0:
+            assert np.array_equal(got, np.zeros(len(om)))
+        eps = np.finfo(float).eps
+        lmax = np.max(np.abs(u), initial=0.0)
+        bound = 32.0 * eps * max(1.0, np.max(np.abs(om)) * lmax) * np.sum(np.abs(weights))
+        assert np.max(np.abs(got - ref)) <= bound
+
+    @pytest.mark.parametrize("n", [1, 1000, 3475])
+    def test_chunks_change_no_bit(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        om = rng.uniform(-3.0, 3.0, 281)
+        whole = _uniform_sum(weights, -13.0, 1.0 / 128.0, om, 1.0)
+        b = math.isqrt(n - 1) + 1
+        # 37 points a chunk: seven full chunks and one of 22
+        monkeypatch.setattr(oscsum, "_TABLE_ENTRIES", 37 * (b + -(-n // b)))
+        chunked = _uniform_sum(weights, -13.0, 1.0 / 128.0, om, 1.0)
+        assert np.array_equal(chunked, whole)
+
+    def test_h_forward_matches_chirp_path(self, cfg):
+        # the chirp-z sum on the mu grid is independent of the blocked sum
+        g = sample(t2_f1, 0.0, 20.0, 20001)
+        ref = direct_inv._h_values(g, cfg, cfg.mu_grid)[::7]
+        got = h_forward(g, np.exp(cfg.mu_grid.points()[::7]), cfg)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def _hermitian_w(cfg, seed):
     rng = np.random.default_rng(seed)
     n = cfg.mu_grid.count
@@ -287,10 +352,11 @@ class TestArrayOperators:
     a Python number at a scalar, an array of x's shape at an array, and an
     error naming the first entry that is not finite or not in the domain.
 
-    An array call of mu, h_forward or h2_inverse sums each point's row inside
-    one BLAS matrix-vector product, whose summation order depends on the
-    number of rows, so it matches the per-point calls to rounding, not bit
-    for bit.
+    An array call of mu sums each point's row inside one BLAS matrix-vector
+    product of the dense sum, whose summation order depends on the number of
+    rows, so it matches the per-point calls to rounding, not bit for bit.
+    h_forward and h2_inverse take the blocked sum, which gives each point
+    its own product, so their array calls match bit for bit.
     """
 
     @pytest.fixture(scope="class")
@@ -321,6 +387,8 @@ class TestArrayOperators:
         ref = np.array([call(float(x)) for x in xs])
         assert got.shape == xs.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        if name != "mu":
+            assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("name", POINTWISE)
     def test_scalar_gives_python_number(self, ops, name):
