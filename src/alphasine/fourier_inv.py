@@ -170,7 +170,7 @@ def synthesize(
     """f at x from its Fourier samples, by inverse cosine transform of an
     interpolant of fhat.  x is a UniformGrid, where every cosine sum is one
     chirp-z transform (FFT cost), or points as in grid._pointwise, where it
-    is the dense sum.
+    is the blocked sum (about 2 sqrt(N) exponentials per point).
 
     interpolation "sinc" uses the band-limited (cardinal-series) interpolant,
     rect-windowed so the result vanishes identically outside |x| <= pi N / R;

@@ -1,15 +1,20 @@
 """Numerical integration by kernel-zero-aware lobe rules.
 
 The |sin(xy)|^a and |cos(xy)|^a kernels vanish like |u|^a at their zeros, so
-the integral is split into half-lobes, each between a zero and a crest.  On
-an interior half-lobe the kernel is the fixed weight sin(u)^a on [0, pi/2],
-u the distance to the zero, so the singular end lives in the weight of a
-Gauss rule (as in QUADPACK's QAWS) and f only has to be smooth on the lobe:
-the 16-point rule gives the value, and its difference from the 10-point rule
-the error estimate.  Both rules are built once per a from the tanh-sinh
-rule below.
+the integral is split at them.  On a whole lobe between two zeros the kernel
+is the fixed weight sin(u)^a on [0, pi], u the distance to the first zero,
+so both singular ends live in the weight of a Gauss rule (as in QUADPACK's
+QAWS) and f only has to be smooth on the lobe: the 16-point rule gives the
+value, and its difference from the 10-point rule the error estimate.  The
+whole lobes of a curve are laid out as a lattice, each node placed from its
+lobe's zero and y alone.  A lobe is kept only when its estimate meets its
+share of the tolerance at quadrature precision, however loose the caller's
+tolerance; a lobe that fails, as one holding a kink of f does, splits into
+its two half-lobes, between a zero and a crest, which take the half-lobe
+Gauss pair for the weight sin(u)^a on [0, pi/2].  Both pairs are built once
+per a from the tanh-sinh rule below.
 
-A piece the Gauss pair cannot settle, and every piece cut at tail_cut,
+A half-lobe the Gauss pair cannot settle, and every piece cut at tail_cut,
 takes a tanh-sinh rule whose nodes are placed from the piece's own ends; a
 node's distance u to the nearer kernel zero comes from the rule, never from
 a difference of large floats, so even a piece far shorter than pi keeps its
@@ -17,9 +22,9 @@ digits.  Weights and kernel powers combine in log space, which keeps the rule
 finite arbitrarily close to a = -1.  Every second tanh-sinh node forms the
 embedded coarse rule whose disagreement drives the halving of its step.
 
-A curve, an array of y, is integrated in one pass: the pieces of every y go
-into one table, the interior half-lobes of all of them share one Gauss
-pair, and each y keeps its own stopping rule.
+A curve, an array of y, is integrated in one pass: the whole lobes of every
+y share one lattice pass, the remaining pieces go into one table, and each y
+keeps its own stopping rule.
 """
 
 from __future__ import annotations
@@ -35,11 +40,15 @@ from .grid import _pointwise, call_vec
 from .specfun import as_alpha
 
 _HALF_PI = 0.5 * math.pi
-# the Gauss pair that takes every interior half-lobe first: G16 is the value
-# and |G16 - G10| its error estimate
+# the Gauss pair for the weight sin(u)^a, on a whole lobe or on a half-lobe:
+# G16 is the value and |G16 - G10| its error estimate
 _GAUSS_N = (16, 10)
-# a piece's step h: inf marks the Gauss pass, after which a piece over its
-# share takes tanh-sinh at _H_FIRST, then halves its step down to _H_LAST
+# a whole lobe is kept only at quadrature precision: its share of the y's
+# tolerance is taken at this relative tolerance when the caller's is looser
+_LOBE_REL_TOL = 1e-10
+# a piece's step h: inf marks the half-lobe Gauss pass, after which a piece
+# over its share takes tanh-sinh at _H_FIRST, then halves its step down to
+# _H_LAST
 _GAUSS = math.inf
 _H_FIRST = 0.2
 _H_LAST = _H_FIRST / 2**7
@@ -121,23 +130,28 @@ def _rules(alpha: float, h: float, length: np.ndarray, off: np.ndarray):
 
 
 @lru_cache(maxsize=64)
-def _gauss_pair(alpha: float):
-    """G16 and G10 for the weight sin(u)^alpha on [0, pi/2] as one rule
-    (d, near, w) of 26 nodes (see _rules): every node lies its u from the zero
-    end, w[0] is G16 on the first 16 and w[1] G10 on the last 10.  Read-only.
+def _gauss_pair(alpha: float, span: float):
+    """G16 and G10 for the weight sin(u)^alpha on [0, span], span pi/2 (a
+    half-lobe, singular at u = 0) or pi (a whole lobe, singular at both
+    ends), as one rule (d, near, w) of 26 nodes (see _rules): every node lies
+    its u from the zero end, w[0] is G16 on the first 16 and w[1] G10 on the
+    last 10.  Read-only.
 
     The discretized Stieltjes procedure (Gautschi 1982) takes the recurrence
-    of the weight's orthonormal polynomials in x = 4u/pi - 1 from a fine
-    tanh-sinh rule as the discrete measure; the eigenvalues of each leading
-    n x n Jacobi matrix are the nodes of the n-point rule and mu_0 times the
-    squared first components of its eigenvectors the weights (Golub & Welsch
-    1969).
+    of the weight's orthonormal polynomials in x = 2u/span - 1 from a fine
+    tanh-sinh rule on [0, pi/2] as the discrete measure, mirrored about the
+    crest for the whole lobe, where the weight is even; the eigenvalues of
+    each leading n x n Jacobi matrix are the nodes of the n-point rule and
+    mu_0 times the squared first components of its eigenvectors the weights
+    (Golub & Welsch 1969).
     """
     # step 0.1, which the fallback uses too: finer rules end nearer the
     # truncation point of _kmax and lose up to 1e-13 in the high moments
     d, near, w = _rules(alpha, _H_FIRST / 2, np.array([[_HALF_PI]]), np.array([[0.0]]))
     q = w[0, 0]
-    x = np.where(near, d[0], _HALF_PI - d[0]) / (0.5 * _HALF_PI) - 1.0
+    x = np.where(near, d[0], _HALF_PI - d[0]) / (0.5 * span) - 1.0
+    if span > _HALF_PI:
+        x, q = np.concatenate((x, -x)), np.concatenate((q, q))
     mu0 = math.fsum(q)
     diag, off = np.empty((2, max(_GAUSS_N)))
     p_prev, p, b = np.zeros_like(x), np.full_like(x, mu0**-0.5), 0.0
@@ -150,7 +164,7 @@ def _gauss_pair(alpha: float):
     d, w = np.empty((1, sum(_GAUSS_N))), np.zeros((2, 1, sum(_GAUSS_N)))
     for row, (n, at) in enumerate(zip(_GAUSS_N, (0, _GAUSS_N[0]))):
         theta, v = np.linalg.eigh(jacobi[:n, :n])
-        d[0, at:at + n], w[row, 0, at:at + n] = (theta + 1.0) * (0.5 * _HALF_PI), mu0 * v[0] ** 2
+        d[0, at:at + n], w[row, 0, at:at + n] = (theta + 1.0) * (0.5 * span), mu0 * v[0] ** 2
     near = np.ones(d.shape[1], dtype=bool)
     for arr in (d, near, w):
         arr.setflags(write=False)
@@ -169,16 +183,23 @@ def _place(d, near, zero_end, other_end, scale=1.0):
     return t
 
 
-def _kernel_pieces(phase: float, t_max: np.ndarray):
-    """Rows (zero_end, other_end, length, off) covering (0, t_max[i]] for a
-    kernel with zeros at k*pi - phase, and the index i each row belongs to:
-    the rising (zero to crest) and falling (crest to zero) half of each lobe,
-    cut to the interval, with empty pieces dropped.  A length is pi/2 or is
-    measured from 0 or t_max, never between zeros; off is nonzero only where
-    t_max cuts a falling half."""
+def _lobes(phase: float, t_max: np.ndarray):
+    """The lobes [k pi - phase, (k + 1) pi - phase] of a kernel with zeros at
+    k*pi - phase that may meet (0, t_max[i]]: the index i each belongs to,
+    and its k."""
     counts = np.floor((t_max + phase) / math.pi).astype(int) + 2
     owner = np.repeat(np.arange(len(t_max)), counts)
     k = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, k
+
+
+def _kernel_pieces(phase: float, t_max: np.ndarray, owner: np.ndarray, k: np.ndarray):
+    """Rows (zero_end, other_end, length, off) covering the lobes k[j] of the
+    y owner[j] (see _lobes), cut to (0, t_max[owner[j]]], and the owner of
+    each row: the rising (zero to crest) and falling (crest to zero) half of
+    each lobe, cut to the interval, with empty pieces dropped.  A length is
+    pi/2 or is measured from 0 or t_max, never between zeros; off is nonzero
+    only where t_max cuts a falling half."""
     t_max = t_max[owner]
     zero = k * math.pi - phase
     crest = k * math.pi + (_HALF_PI - phase)
@@ -190,9 +211,8 @@ def _kernel_pieces(phase: float, t_max: np.ndarray):
                                np.where(next_zero <= t_max, _HALF_PI, t_max - crest),
                                np.maximum(next_zero - t_max, 0.0)))
     rows = np.stack((rising, falling), axis=1).reshape(-1, 4)
-    owner = np.repeat(owner, 2)
     keep = (rows[:, 2] > 0.0) & (rows[:, 0] >= 0.0)
-    return rows[keep], owner[keep]
+    return rows[keep], np.repeat(owner, 2)[keep]
 
 
 def _interior(pieces: np.ndarray) -> np.ndarray:
@@ -200,15 +220,39 @@ def _interior(pieces: np.ndarray) -> np.ndarray:
     return (pieces[:, 2] == _HALF_PI) & (pieces[:, 3] == 0.0)
 
 
+def _rule_sums(f, x: np.ndarray, w: np.ndarray, scale: np.ndarray):
+    """Value and error estimate of each row of nodes x under a rule's
+    weights w (see _rules), where the integrand at node t of row i is
+    f(t) / scale[i].  np.vecdot sums each row on its own, so a row's sums do
+    not depend on the rows evaluated with it."""
+    fx = np.asarray(call_vec(f, x.ravel()), dtype=float).reshape(x.shape)
+    sums = np.vecdot(fx, w) / scale
+    return sums[0], np.abs(sums[0] - sums[1])
+
+
+def _lobe_sums(f, alpha: float, zero: np.ndarray, y: np.ndarray):
+    """Value and error estimate of the whole lobes [zero[i], zero[i] + pi],
+    where the integrand at t is f(t / y[i]) / y[i], by the whole-lobe Gauss
+    pair laid out as a lattice: node j of lobe i is (zero[i] + u_j) / y[i],
+    from the lobe's zero and y alone, with no piece row.  Lobes go in chunks
+    of at most _CHUNK_NODES nodes."""
+    u, _, w = _gauss_pair(alpha, math.pi)
+    value, error = np.empty((2, len(zero)))
+    per_chunk = _CHUNK_NODES // u.shape[1]
+    for lo in range(0, len(zero), per_chunk):
+        at = slice(lo, lo + per_chunk)
+        value[at], error[at] = _rule_sums(f, (zero[at, None] + u) / y[at, None], w, y[at])
+    return value, error
+
+
 def _piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray, h: np.ndarray):
     """Value and error estimate of each piece at its step h, where the
     integrand at node t is f(t / scale) / scale.  Interior half-lobes at
-    h = _GAUSS take the Gauss pair; every piece at a tanh-sinh step, an
-    interior half-lobe the pair left open or a cut tail piece, gets its rule
-    row by row from _rules.  Either rule (d, near, w) gives the value from
-    w[0] and the error from its difference with w[1].  Nodes are placed and f
-    evaluated in chunks of at most _CHUNK_NODES; np.vecdot sums each row on
-    its own, so a piece's sums do not depend on its chunk."""
+    h = _GAUSS take the half-lobe Gauss pair; every piece at a tanh-sinh
+    step, an interior half-lobe the pair left open or a cut tail piece, gets
+    its rule row by row from _rules.  Either rule (d, near, w) gives the
+    value from w[0] and the error from its difference with w[1].  Nodes are
+    placed and f evaluated in chunks of at most _CHUNK_NODES."""
     value, error = np.empty((2, len(h)))
     for step in np.unique(h):
         rows = np.flatnonzero(h == step)
@@ -217,12 +261,9 @@ def _piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray, h: np.nd
         for lo in range(0, len(rows), per_chunk):
             sel = rows[lo:lo + per_chunk]
             p, y = pieces[sel], scale[sel]
-            d, near, w = (_gauss_pair(alpha) if step == _GAUSS
+            d, near, w = (_gauss_pair(alpha, _HALF_PI) if step == _GAUSS
                           else _rules(alpha, step, p[:, 2:3], p[:, 3:4]))
-            x = _place(d, near, p[:, 0], p[:, 1], y)
-            fx = np.asarray(call_vec(f, x.ravel()), dtype=float).reshape(x.shape)
-            sums = np.vecdot(fx, w) / y
-            value[sel], error[sel] = sums[0], np.abs(sums[0] - sums[1])
+            value[sel], error[sel] = _rule_sums(f, _place(d, near, p[:, 0], p[:, 1], y), w, y)
     return value, error
 
 
@@ -230,24 +271,45 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
     """The integral at each of ys, refined together.  Each y keeps its own
     stopping rule: a piece is refined while its y has not met its tolerance
     and its error exceeds the y's share of it.  A y's tolerance is rel_tol
-    times its integrand's L1 mass, sum |piece value|, so a tiny integral,
-    as at small y and large a, keeps its relative digits; abs_tol is a
-    floor.  Interior half-lobes start with the Gauss pass and cut tail
-    pieces at tanh-sinh step _H_FIRST; a refined piece moves from the Gauss
-    pass to _H_FIRST, or halves its step, down to _H_LAST."""
-    pieces, owner = _kernel_pieces(phase, ys * spec.tail_cut)
-    counts = np.bincount(owner, minlength=len(ys))
+    times its integrand's L1 mass, the sum of |value| over its lobes and
+    pieces, so a tiny integral, as at small y and large a, keeps its
+    relative digits; abs_tol is a floor.
+
+    Every whole lobe inside (0, y tail_cut] first takes the whole-lobe Gauss
+    pair, and is kept only at quadrature precision: |G16 - G10| within the
+    share of its two halves of min(rel_tol, _LOBE_REL_TOL) times the mass of
+    the y's lobes.  A kept lobe is final.  A lobe that fails splits into its
+    half-lobes before the first round, so they take the path of every other
+    interior half-lobe: the half-lobe Gauss pass, then tanh-sinh from
+    _H_FIRST.  Cut pieces start at _H_FIRST; a refined piece moves from the
+    Gauss pass to _H_FIRST, or halves its step, down to _H_LAST."""
+    n, t_max = len(ys), ys * spec.tail_cut
+    owner, k = _lobes(phase, t_max)
+    whole = (k * math.pi - phase >= 0.0) & ((k + 1) * math.pi - phase <= t_max[owner])
+    lobe_owner, lobe_k = owner[whole], k[whole]
+    pieces, piece_owner = _kernel_pieces(phase, t_max, owner[~whole], k[~whole])
+    # the pieces every y has in the half-lobe split, two per whole lobe
+    counts = np.bincount(piece_owner, minlength=n) + 2 * np.bincount(lobe_owner, minlength=n)
     if not counts.all():
-        t_max = ys[counts == 0][0] * spec.tail_cut
-        raise ValueError(f"y * tail_cut = {t_max:.3g} is too small for a kernel piece")
-    starts = np.cumsum(counts) - counts
+        t_cut = ys[counts == 0][0] * spec.tail_cut
+        raise ValueError(f"y * tail_cut = {t_cut:.3g} is too small for a kernel piece")
+    lobe_value, lobe_error = _lobe_sums(f, alpha, lobe_k * math.pi - phase, ys[lobe_owner])
+    share = (2.0 * min(spec.rel_tol, _LOBE_REL_TOL) / counts
+             * np.bincount(lobe_owner, np.abs(lobe_value), n))
+    kept = lobe_error <= share[lobe_owner]
+    halves, half_owner = _kernel_pieces(phase, t_max, lobe_owner[~kept], lobe_k[~kept])
+    pieces = np.concatenate((pieces, halves))
+    piece_owner = np.concatenate((piece_owner, half_owner))
+    kept_total, kept_error, kept_mass = (
+        np.bincount(lobe_owner[kept], v[kept], n)
+        for v in (lobe_value, lobe_error, np.abs(lobe_value)))
     h = np.where(_interior(pieces), _GAUSS, _H_FIRST)
-    value, error = _piece_sums(f, alpha, pieces, ys[owner], h)
+    value, error = _piece_sums(f, alpha, pieces, ys[piece_owner], h)
     # the Gauss pass, then the eight tanh-sinh steps _H_FIRST .. _H_LAST
     for rounds in range(9):
-        total = np.add.reduceat(value, starts)
-        total_err = np.add.reduceat(error, starts)
-        mass = np.add.reduceat(np.abs(value), starts)
+        total = kept_total + np.bincount(piece_owner, value, n)
+        total_err = kept_error + np.bincount(piece_owner, error, n)
+        mass = kept_mass + np.bincount(piece_owner, np.abs(value), n)
         tol = np.maximum(spec.abs_tol, spec.rel_tol * mass)
         open_ = ~(total_err <= tol)
         if not open_.any():
@@ -257,9 +319,9 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
             raise NonConvergence(
                 f"integrate_kernel_split: error {total_err[i]:.3e} above tolerance at y={ys[i]}"
             )
-        bad = open_[owner] & (error > (tol / (2.0 * counts))[owner]) & (h > _H_LAST)
+        bad = open_[piece_owner] & (error > (tol / (2.0 * counts))[piece_owner]) & (h > _H_LAST)
         h[bad] = np.minimum(0.5 * h[bad], _H_FIRST)
-        value[bad], error[bad] = _piece_sums(f, alpha, pieces[bad], ys[owner[bad]], h[bad])
+        value[bad], error[bad] = _piece_sums(f, alpha, pieces[bad], ys[piece_owner[bad]], h[bad])
 
 
 def integrate_kernel_split(

@@ -5,10 +5,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alphasine.forward import k_cosine, t_sine, t_sine_series
-from alphasine.quad import QuadSpec, _kernel_pieces, integrate
-from alphasine.specfun import sine_coeffs
+from alphasine.quad import QuadSpec, _kernel_pieces, _lobes, integrate
+from alphasine.specfun import sin_power_integral, sine_coeffs
 
 from conftest import EXAMPLES, F1_MASS, F2_MASS, f1, f2, f3, fhat1, fhat2, t2_f1, t2_f3
 from kernel_split_oracle import kernel_split_at
@@ -101,7 +103,8 @@ class TestArrayY:
                     for single in (transform(fn, a, float(y), spec),
                                    kernel_split_at(fn, a, y, spec, kernel)):
                         assert abs(value - single) <= 1e-14 * abs(single)
-        assert np.max(_kernel_pieces(0.0, 7.0 * CURVE_Y)[0][:, 3]) > 0.0
+        t_max = 7.0 * CURVE_Y
+        assert np.max(_kernel_pieces(0.0, t_max, *_lobes(0.0, t_max))[0][:, 3]) > 0.0
 
     def test_zero_inside_an_array(self, quad_spec):
         ys = np.array([0.0, 0.5, 0.0, 2.0])
@@ -114,6 +117,22 @@ class TestArrayY:
             t_sine(f1, -0.5, ys, quad_spec)
         with pytest.raises(ValueError, match="got -1.0"):
             t_sine(f1, 1.5, np.array([0.5, -1.0]), quad_spec)
+
+
+def _f2_kernel_tail(a, y):
+    """A bound on the integral of |sin(xy)|^a x^2 e^{-x} over (30, inf).
+
+    For a >= 0 the kernel is at most 1, so it is the tail of f2 itself,
+    962 e^{-30}, about 9e-11.  For a < 0 the kernel is unbounded, and the
+    tail is up to 16 times that at a = -0.9 and y = 0.3, where a kernel zero
+    lies at x = 31.4.  Each lobe then holds at most its largest f2 times the
+    lobe's kernel mass C_a / y; f2 falls beyond x = 2, so the lobe that
+    holds 30 and the next take at most f2(30) each, and the others at most
+    the integral of f2 over their own width before them."""
+    tail = 962.0 * math.exp(-30.0)
+    if a >= 0.0:
+        return tail
+    return sin_power_integral(a) * (2.0 * 900.0 * math.exp(-30.0) / y + tail / math.pi)
 
 
 class TestSeries:
@@ -134,6 +153,24 @@ class TestSeries:
             q = t_sine(fn, alpha, y, quad_spec)
             s = t_sine_series(fhat, alpha, y, 10**4)
             assert abs(q - s) <= 1e-4
+
+    @given(a=st.floats(min_value=-0.9, max_value=5.0), y=st.floats(min_value=0.3, max_value=20.0))
+    @example(a=-0.9, y=0.3)
+    @example(a=-0.9, y=20.0)
+    @example(a=5.0, y=0.3)
+    @example(a=1.5, y=2.0)
+    @settings(max_examples=15, deadline=None)
+    def test_matches_series_form(self, a, y):
+        # the series form is an independent route: no quadrature, only the
+        # cosine-expansion coefficients and the closed-form fhat.  It sums
+        # over (0, inf) and the lobe quadrature over (0, 30]; f1's tail beyond
+        # 30 is below 1e-390, f2's is what the kernel weights of x^2 e^{-x}
+        # hold there (its bound below).  1e5 terms leave a series tail below
+        # 1e-13 for fhat2, which decays like t^-4
+        q1, q2 = t_sine(f1, a, y), t_sine(f2, a, y)
+        s1, s2 = (t_sine_series(fhat, a, y, 10**5, fhat_decays=True) for fhat in (fhat1, fhat2))
+        assert abs(q1 - s1) <= 1e-13 * abs(s1)
+        assert abs(q2 - s2) <= _f2_kernel_tail(a, y) + 1e-13 * abs(s2)
 
     def test_negative_alpha_needs_certificate(self):
         with pytest.raises(ValueError):

@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alphasine.errors import NonConvergence
+from alphasine import quad
 from alphasine.quad import (_GAUSS, _GAUSS_N, _H_FIRST, QuadSpec, _gauss_pair, _interior,
-                            _kernel_pieces, _piece_sums, _place, _rules, integrate,
-                            integrate_kernel_split)
+                            _kernel_pieces, _lobe_sums, _lobes, _piece_sums, _place, _rules,
+                            integrate, integrate_kernel_split)
 from alphasine.specfun import sin_power_integral
 
 from conftest import F1_MASS, F2_MASS, f1, f2, f3, sample, t2_f1
@@ -70,16 +71,46 @@ def _edge_oracle(a, y, tail_cut, kernel, f=lambda x: mp.exp(-x), kinks=()):
         return float(total / ((1 + a) * y))
 
 
-def _weighted_moment(a, k):
-    """20-digit integral of sin(u)^a u^k over [0, pi/2].  Below u = 1/2 the
+def _pieces(phase, t_max):
+    """Every half-lobe piece of each y, as the engine split them before whole
+    lobes took their own pass."""
+    return _kernel_pieces(phase, t_max, *_lobes(phase, t_max))
+
+
+def _weighted_moment(a, k, span):
+    """20-digit integral of sin(u)^a u^k over [0, span], span pi/2 or pi; the
+    whole lobe folds onto [0, pi/2] as u^k + (pi - u)^k.  Below u = 1/2 the
     substitution u = v^(1/(1+a)) turns u^a du into dv/(1+a), so mpmath sees
     no singularity; a plain mp.quad misses the mass by 45% at a = -0.99."""
     with mp.workdps(20):
         a = mp.mpf(a)
         e = 1 / (1 + a)
         half = mp.mpf(1) / 2
-        near = mp.quad(lambda v: mp.sinc(v**e) ** a * v ** (e * k), [0, half ** (1 + a)]) * e
-        return float(near + mp.quad(lambda u: mp.sin(u) ** a * u**k, [half, mp.pi / 2]))
+        g = (lambda u: u**k) if span < 2.0 else (lambda u: u**k + (mp.pi - u) ** k)
+        near = mp.quad(lambda v: mp.sinc(v**e) ** a * g(v**e), [0, half ** (1 + a)]) * e
+        return float(near + mp.quad(lambda u: mp.sin(u) ** a * g(u), [half, mp.pi / 2]))
+
+
+def _check_gauss_pair(a, span):
+    # an n-point Gauss rule integrates u^k exactly for k < 2n; the mass over
+    # the whole lobe is B(1/2, (a+1)/2) in closed form, half that over a
+    # half-lobe.  Below a = -0.99 the tanh-sinh measure the rule is built from
+    # loses digits in its log-space weights (the moments drift to 4e-13 at
+    # a = -0.999), as the tanh-sinh rule does
+    moments = [_weighted_moment(a, k, span) for k in range(2 * max(_GAUSS_N))]
+    with mp.workdps(30):
+        mass = float(mp.beta(0.5, (a + 1) / 2) * span / mp.pi)
+    d, _, pair = _gauss_pair(a, span)
+    for n, row in zip(_GAUSS_N, pair[:, 0]):
+        # each rule is the nodes where its row of weights is nonzero
+        cols = np.flatnonzero(row)
+        u, w = d[0, cols], row[cols]
+        assert len(u) == n and np.all(np.diff(u) > 0.0) and u[0] > 0.0 and u[-1] < span
+        assert np.all(w > 0.0)
+        assert math.isclose(math.fsum(w), mass, rel_tol=1e-13)
+        for k in range(2 * n):
+            assert math.isclose(np.dot(w, u**k), moments[k], rel_tol=1e-13), (n, k)
+    return d[0], pair[:, 0]
 
 
 @given(a=st.floats(min_value=-0.99, max_value=5.0))
@@ -88,23 +119,20 @@ def _weighted_moment(a, k):
 @example(a=1.5)
 @settings(max_examples=6, deadline=None)
 def test_gauss_rule_moments(a):
-    # an n-point Gauss rule integrates u^k exactly for k < 2n; the mass
-    # is B(1/2, (a+1)/2)/2 in closed form.  Below a = -0.99 the tanh-sinh
-    # measure the rule is built from loses digits in its log-space weights
-    # (the moments drift to 4e-13 at a = -0.999), as the tanh-sinh rule does
-    moments = [_weighted_moment(a, k) for k in range(2 * max(_GAUSS_N))]
-    with mp.workdps(30):
-        mass = float(mp.beta(0.5, (a + 1) / 2) / 2)
-    d, _, pair = _gauss_pair(a)
-    for n, row in zip(_GAUSS_N, pair[:, 0]):
-        # each rule is the nodes where its row of weights is nonzero
-        cols = np.flatnonzero(row)
-        u, w = d[0, cols], row[cols]
-        assert len(u) == n and np.all(np.diff(u) > 0.0) and u[0] > 0.0 and u[-1] < 0.5 * math.pi
-        assert np.all(w > 0.0)
-        assert math.isclose(math.fsum(w), mass, rel_tol=1e-13)
-        for k in range(2 * n):
-            assert math.isclose(np.dot(w, u**k), moments[k], rel_tol=1e-13), (n, k)
+    _check_gauss_pair(a, 0.5 * math.pi)
+
+
+@given(a=st.floats(min_value=-0.99, max_value=5.0))
+@example(a=-0.99)
+@example(a=-0.9)
+@example(a=-0.5)
+@example(a=1.5)
+@settings(max_examples=6, deadline=None)
+def test_whole_lobe_rule_moments(a):
+    # the weight is even about the crest, so each rule is too, to rounding
+    u, pair = _check_gauss_pair(a, math.pi)
+    for at in (slice(0, _GAUSS_N[0]), slice(_GAUSS_N[0], None)):
+        assert np.max(np.abs(u[at] + u[at][::-1] - math.pi)) <= 8 * np.finfo(float).eps * math.pi
 
 
 def test_place_writes_both_halves_as_a_where_would():
@@ -116,7 +144,7 @@ def test_place_writes_both_halves_as_a_where_would():
     other_end = zero_end + np.where(rng.random(6) < 0.5, 1.3, -1.3)
     shared = _rules(1.5, 0.25, np.array([[1.3]]), np.array([[0.0]]))[:2]
     per_row = _rules(-0.5, 0.25, np.full((6, 1), 1.3), np.full((6, 1), 0.1))[:2]
-    for d, near in (shared, per_row, _gauss_pair(1.5)[:2]):
+    for d, near in (shared, per_row, _gauss_pair(1.5, 0.5 * math.pi)[:2]):
         assert near[: np.count_nonzero(near)].all()
         for scale in (1.0, rng.uniform(0.05, 20.0, 6)):
             toward = (np.sign(other_end - zero_end) / scale)[:, None] * d
@@ -125,20 +153,29 @@ def test_place_writes_both_halves_as_a_where_would():
             assert np.array_equal(_place(d, near, zero_end, other_end, scale), expect)
 
 
-@pytest.mark.parametrize("step", [_GAUSS, _H_FIRST])
+@pytest.mark.parametrize("step", [_GAUSS, _H_FIRST, "lattice"])
 def test_piece_sums_do_not_depend_on_the_chunk(step):
-    # np.vecdot sums each row on its own, so a piece gets the same bits alone
-    # or among a few as inside a call of thousands of rows, split into many
-    # chunks; a matrix product does not (one row of it takes another path)
-    pieces, owner = _kernel_pieces(0.0, 30.0 * 0.5 * np.arange(1, 41))
-    if step == _GAUSS:
-        pieces, owner = pieces[_interior(pieces)], owner[_interior(pieces)]
-    scale, h = 0.5 * (owner + 1.0), np.full(len(pieces), step)
-    assert len(pieces) > 5000
-    whole = _piece_sums(f3, -0.5, pieces, scale, h)
-    for few in ([3], [1500], [3, 1500, len(pieces) - 2]):
-        part = _piece_sums(f3, -0.5, pieces[few], scale[few], h[few])
-        for all_rows, alone in zip(whole, part):
+    # np.vecdot sums each row on its own, so a piece, or a whole lobe on the
+    # lattice, gets the same bits alone or among a few as inside a call of
+    # thousands of rows, split into many chunks; a matrix product does not
+    # (one row of it takes another path)
+    t_max = 30.0 * 0.5 * np.arange(1, 41)
+    if step == "lattice":
+        owner, k = _lobes(0.0, t_max)
+        whole = (k + 1) * math.pi <= t_max[owner]
+        zero, scale = k[whole] * math.pi, 0.5 * (owner[whole] + 1.0)
+        assert len(zero) > 5 * quad._CHUNK_NODES // sum(_GAUSS_N)
+        sums = lambda few: _lobe_sums(f3, -0.5, zero[few], scale[few])
+    else:
+        pieces, owner = _pieces(0.0, t_max)
+        if step == _GAUSS:
+            pieces, owner = pieces[_interior(pieces)], owner[_interior(pieces)]
+        scale, h = 0.5 * (owner + 1.0), np.full(len(pieces), step)
+        assert len(pieces) > 5000
+        sums = lambda few: _piece_sums(f3, -0.5, pieces[few], scale[few], h[few])
+    whole_call = sums(slice(None))
+    for few in ([3], [1500], [3, 1500, len(whole_call[0]) - 2]):
+        for all_rows, alone in zip(whole_call, sums(few)):
             assert np.array_equal(all_rows[few], alone)
 
 
@@ -225,7 +262,7 @@ class TestKernelSplit:
         kink = lambda x: np.abs(x - c) * np.exp(-x)
         spec = QuadSpec(rel_tol=1e-6, tail_cut=6.0)
         exact = _edge_oracle(a, y, 6.0, "sine", lambda x: abs(x - c) * mp.exp(-x), (c,))
-        pieces, _ = _kernel_pieces(0.0, np.array([6.0 * y]))
+        pieces, _ = _pieces(0.0, np.array([6.0 * y]))
         ends = np.sort(pieces[:, :2], axis=1)
         at = np.flatnonzero(_interior(pieces) & (ends[:, 0] < c * y) & (c * y < ends[:, 1]))
         _, gauss_err = _piece_sums(kink, a, pieces[at], np.full(len(at), y),
@@ -240,6 +277,38 @@ class TestKernelSplit:
         spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-13, tail_cut=4.0)
         with pytest.raises(NonConvergence, match="integrate_kernel_split"):
             integrate_kernel_split(lambda x: (np.asarray(x) < 1.2345).astype(float), 1.5, 1.0, spec)
+
+
+    @pytest.mark.parametrize("a, y, c", [(1.5, 1.0, 2.9), (1.5, 2.5, 5.0)])
+    def test_kinked_whole_lobe_is_split(self, a, y, c, monkeypatch):
+        # the lobe holding the kink of |x - c| e^{-x} has |G16 - G10| within
+        # the share the y's own tolerance 1e-6 would give it, but not within
+        # the share at quadrature precision, so it is split into its halves
+        # before the first round instead of being kept with a kinked value
+        kink = lambda x: np.abs(x - c) * np.exp(-x)
+        spec = QuadSpec(rel_tol=1e-6, tail_cut=6.0)
+        t_max = np.array([6.0 * y])
+        owner, k = _lobes(0.0, t_max)
+        zero = k[(k + 1) * math.pi <= t_max[owner]] * math.pi
+        value, error = _lobe_sums(kink, a, zero, np.full(len(zero), y))
+        held = (zero < c * y) & (c * y < zero + math.pi)
+        share = 2.0 * np.sum(np.abs(value)) / len(_pieces(0.0, t_max)[0])
+        assert 1e-10 * share < error[held][0] <= spec.rel_tol * share
+        calls = []
+        piece_sums = quad._piece_sums
+
+        def recorded(f, alpha, pieces, *rest):
+            calls.append(pieces)
+            return piece_sums(f, alpha, pieces, *rest)
+
+        monkeypatch.setattr(quad, "_piece_sums", recorded)
+        val = integrate_kernel_split(kink, a, y, spec)
+        # the first round's pieces hold both halves of the kinked lobe
+        ends = np.sort(calls[0][:, :2], axis=1)
+        lo, hi = zero[held][0], zero[held][0] + math.pi
+        assert np.count_nonzero(_interior(calls[0]) & (lo <= ends[:, 0]) & (ends[:, 1] <= hi)) == 2
+        exact = _edge_oracle(a, y, 6.0, "sine", lambda x: abs(x - c) * mp.exp(-x), (c,))
+        assert math.isclose(val, exact, rel_tol=spec.rel_tol)
 
 
 class TestArrayY:
@@ -264,14 +333,14 @@ class TestArrayY:
         assert np.array_equal(integrate_kernel_split(kink, 1.5, ys, spec), single)
 
     def test_rule_cache_misses_per_step_not_per_y(self):
-        # interior half-lobes of every y share one Gauss pair, built once per
-        # a; every piece that takes tanh-sinh gets its rule row by row from
-        # _rules, outside the cache
+        # the whole lobes of every y share one Gauss pair and the half-lobes
+        # another, each built once per a; every piece that takes tanh-sinh
+        # gets its rule row by row from _rules, outside the cache
         _gauss_pair.cache_clear()
         ys = 0.05 * np.arange(1, 401)
         for _ in range(2):
             integrate_kernel_split(f3, -0.9, ys)
-        assert _gauss_pair.cache_info().misses == 1
+        assert _gauss_pair.cache_info().misses == 2
 
     def test_gauss_pass_halves_f_evaluations(self):
         # f3 at a = -0.9 over the forward_invert curve: tanh-sinh alone took
@@ -284,6 +353,14 @@ class TestArrayY:
 
         integrate_kernel_split(counted, -0.9, 0.05 * np.arange(1, 401))
         assert sum(seen) <= 3.9e6
+
+    def test_whole_lobe_pass_halves_them_again(self):
+        # 26 evaluations per whole lobe where its two half-lobes took 52: the
+        # half-lobe pass took 2,015,884 on this curve
+        seen = []
+        integrate_kernel_split(lambda x: seen.append(np.size(x)) or f3(x), -0.9,
+                               0.05 * np.arange(1, 401))
+        assert sum(seen) <= 1.1e6
 
     def test_rejects_bad_y_in_an_array(self):
         with pytest.raises(ValueError, match="got 0.0"):
