@@ -94,8 +94,9 @@ def _ln_sin(u: np.ndarray, ln_u: np.ndarray) -> np.ndarray:
 
 def _kmax(alpha: float, h: float) -> int:
     """Half the node count of the rule at step h: the tanh-sinh sum runs to
-    where the weights have fallen below double precision."""
-    s_req = max(16.5, 16.5 / (1.0 + alpha))
+    s = 18.5 (18.5 / (1 + a) for a < 0), where the dropped tail of the
+    weights, about e^{-2s(1+a)}, is below 1e-16 of the mass at every step."""
+    s_req = max(18.5, 18.5 / (1.0 + alpha))
     return max(6, int(math.ceil(math.asinh(2.0 * s_req / math.pi) / h)))
 
 
@@ -145,8 +146,7 @@ def _gauss_pair(alpha: float, span: float):
     mu_0 times the squared first components of its eigenvectors the weights
     (Golub & Welsch 1969).
     """
-    # step 0.1, which the fallback uses too: finer rules end nearer the
-    # truncation point of _kmax and lose up to 1e-13 in the high moments
+    # step 0.1, which the fallback uses too
     d, near, w = _rules(alpha, _H_FIRST / 2, np.array([[_HALF_PI]]), np.array([[0.0]]))
     q = w[0, 0]
     x = np.where(near, d[0], _HALF_PI - d[0]) / (0.5 * span) - 1.0
