@@ -335,10 +335,12 @@ def integrate_kernel_split(
     at each y > 0 (points as in grid._pointwise).
 
     Splits at the kernel zeros x = k pi / y (shifted by pi/(2y) for the
-    cosine), integrates each interior half-lobe with the Gauss pair for the
-    sin(u)^a weight and each piece cut at tail_cut with the tanh-sinh rule,
-    and refines pieces whose error estimate exceeds the budget of their y:
-    from the Gauss pair to tanh-sinh, then by halving the tanh-sinh step.
+    cosine), integrates each whole lobe with the Gauss pair for the
+    sin(u)^a weight on [0, pi], each other half-lobe with the pair on
+    [0, pi/2] and each piece cut at tail_cut with the tanh-sinh rule, and
+    refines what its error estimate leaves open: a whole lobe by splitting
+    it into half-lobes, a half-lobe over the budget of its y by moving from
+    the Gauss pair to tanh-sinh, then by halving the tanh-sinh step.
     The y run in blocks of _Y_BLOCK, which bounds the memory a long curve
     takes.
     """

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alphasine.errors import NonConvergence
 from alphasine import quad
+from alphasine.errors import NonConvergence
 from alphasine.quad import (_GAUSS, _GAUSS_N, _H_FIRST, QuadSpec, _gauss_pair, _interior,
                             _kernel_pieces, _lobe_sums, _lobes, _piece_sums, _place, _rules,
                             integrate, integrate_kernel_split)
@@ -288,7 +288,6 @@ class TestKernelSplit:
         spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-13, tail_cut=4.0)
         with pytest.raises(NonConvergence, match="integrate_kernel_split"):
             integrate_kernel_split(lambda x: (np.asarray(x) < 1.2345).astype(float), 1.5, 1.0, spec)
-
 
     @pytest.mark.parametrize("a, y, c", [(1.5, 1.0, 2.9), (1.5, 2.5, 5.0)])
     def test_kinked_whole_lobe_is_split(self, a, y, c, monkeypatch):
