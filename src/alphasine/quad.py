@@ -4,17 +4,18 @@ The |sin(xy)|^a and |cos(xy)|^a kernels vanish like |u|^a at their zeros, so
 the integral is split at them.  On a whole lobe between two zeros the kernel
 is the fixed weight sin(u)^a on [0, pi], u the distance to the first zero,
 so both singular ends live in the weight of a Gauss rule (as in QUADPACK's
-QAWS) and f only has to be smooth on the lobe: the 16-point rule gives the
-value, and its difference from the 10-point rule the error estimate.  The
-whole lobes of a curve are laid out as a lattice, each node placed from its
-lobe's zero and y alone.  A lobe is kept only when its estimate meets its
-share of the tolerance at quadrature precision, however loose the caller's
-tolerance; a lobe that fails, as one holding a kink of f does, splits into
-its two half-lobes, between a zero and a crest, which take the half-lobe
-Gauss pair for the weight sin(u)^a on [0, pi/2].  Both pairs are built once
-per a from the tanh-sinh rule below.
+QAWS) and f only has to be smooth on the lobe: the 16-point rule G16 gives
+the value, and its null rules of degree 15 and 14, on its own 16 nodes, the
+error estimate (Berntsen & Espelid 1991), so a lobe costs 16 evaluations of
+f.  The whole lobes of a curve are laid out as a lattice, each node placed
+from its lobe's zero and y alone.  A lobe is kept only when its estimate
+meets its share of the tolerance at quadrature precision, however loose the
+caller's tolerance; a lobe that fails, as one holding a kink of f does,
+splits into its two half-lobes, between a zero and a crest, which take the
+half-lobe G16 and its null rules for the weight sin(u)^a on [0, pi/2].  Both
+rules are built once per a from the tanh-sinh rule below.
 
-A half-lobe the Gauss pair cannot settle, and every piece cut at tail_cut,
+A half-lobe the Gauss rule cannot settle, and every piece cut at tail_cut,
 takes a tanh-sinh rule whose nodes are placed from the piece's own ends; a
 node's distance u to the nearer kernel zero comes from the rule, never from
 a difference of large floats, so even a piece far shorter than pi keeps its
@@ -22,9 +23,11 @@ digits.  Weights and kernel powers combine in log space, which keeps the rule
 finite arbitrarily close to a = -1.  Every second tanh-sinh node forms the
 embedded coarse rule whose disagreement drives the halving of its step.
 
-A curve, an array of y, is integrated in one pass: the whole lobes of every
-y share one lattice pass, the remaining pieces go into one table, and each y
-keeps its own stopping rule.
+A curve, an array of y, is integrated in blocks of consecutive y that
+together hold at most _LOBE_BLOCK lobes; a y with more lobes than that forms
+a block of its own.  Within a block the whole lobes of every y share one
+lattice pass, the remaining pieces go into one table, and each y keeps its
+own stopping rule, so no value depends on the block.
 """
 
 from __future__ import annotations
@@ -40,9 +43,11 @@ from .grid import _pointwise, call_vec
 from .specfun import as_alpha
 
 _HALF_PI = 0.5 * math.pi
-# the Gauss pair for the weight sin(u)^a, on a whole lobe or on a half-lobe:
-# G16 is the value and |G16 - G10| its error estimate
-_GAUSS_N = (16, 10)
+# the Gauss rule for the weight sin(u)^a, on a whole lobe or on a half-lobe:
+# G16 is the value, and the sum of its null rules of these degrees on its own
+# nodes the error estimate
+_GAUSS_N = 16
+_NULL_DEGREES = (15, 14)
 # a whole lobe is kept only at quadrature precision: its share of the y's
 # tolerance is taken at this relative tolerance when the caller's is looser
 _LOBE_REL_TOL = 1e-10
@@ -52,10 +57,10 @@ _LOBE_REL_TOL = 1e-10
 _GAUSS = math.inf
 _H_FIRST = 0.2
 _H_LAST = _H_FIRST / 2**7
-# y refined together, and nodes placed and evaluated at once: these bound the
-# memory of a long curve without changing any value
-_Y_BLOCK = 32
-_CHUNK_NODES = 16384
+# lobes of the y refined together, and nodes placed and evaluated at once:
+# these bound the memory of a long curve without changing any value
+_LOBE_BLOCK = 8192
+_CHUNK_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -132,19 +137,22 @@ def _rules(alpha: float, h: float, length: np.ndarray, off: np.ndarray):
 
 @lru_cache(maxsize=64)
 def _gauss_pair(alpha: float, span: float):
-    """G16 and G10 for the weight sin(u)^alpha on [0, span], span pi/2 (a
-    half-lobe, singular at u = 0) or pi (a whole lobe, singular at both
-    ends), as one rule (d, near, w) of 26 nodes (see _rules): every node lies
-    its u from the zero end, w[0] is G16 on the first 16 and w[1] G10 on the
-    last 10.  Read-only.
+    """G16 for the weight sin(u)^alpha on [0, span], span pi/2 (a half-lobe,
+    singular at u = 0) or pi (a whole lobe, singular at both ends), with two
+    error-estimate partners on its own nodes, as one rule (d, near, w) of 16
+    nodes (see _rules): every node lies its u from the zero end, w[0] is G16
+    and w[1], w[2] are G16 less its null rules of degree 15 and 14, so they
+    are exact through degree 14 and 13 and miss u^15 and u^14.  Read-only.
 
     The discretized Stieltjes procedure (Gautschi 1982) takes the recurrence
-    of the weight's orthonormal polynomials in x = 2u/span - 1 from a fine
-    tanh-sinh rule on [0, pi/2] as the discrete measure, mirrored about the
-    crest for the whole lobe, where the weight is even; the eigenvalues of
-    each leading n x n Jacobi matrix are the nodes of the n-point rule and
-    mu_0 times the squared first components of its eigenvectors the weights
-    (Golub & Welsch 1969).
+    of the weight's orthonormal polynomials p_r in x = 2u/span - 1 from a
+    fine tanh-sinh rule on [0, pi/2] as the discrete measure, mirrored about
+    the crest for the whole lobe, where the weight is even; the eigenvalues
+    of the 16 x 16 Jacobi matrix are the nodes and mu_0 times the squared
+    first components v_0 of its eigenvectors the weights g (Golub & Welsch
+    1969).  Row r of the eigenvectors is p_r(x) sqrt(g), so mu_0 v_0 v_r =
+    sqrt(mu_0) g p_r(x) sums every polynomial of degree below r to zero but
+    not p_r: the null rule of degree r (Berntsen & Espelid 1991).
     """
     # step 0.1, which the fallback uses too
     d, near, w = _rules(alpha, _H_FIRST / 2, np.array([[_HALF_PI]]), np.array([[0.0]]))
@@ -153,19 +161,19 @@ def _gauss_pair(alpha: float, span: float):
     if span > _HALF_PI:
         x, q = np.concatenate((x, -x)), np.concatenate((q, q))
     mu0 = math.fsum(q)
-    diag, off = np.empty((2, max(_GAUSS_N)))
+    diag, off = np.empty((2, _GAUSS_N))
     p_prev, p, b = np.zeros_like(x), np.full_like(x, mu0**-0.5), 0.0
-    for k in range(len(diag)):
+    for k in range(_GAUSS_N):
         diag[k] = np.sum(q * x * p * p)
         r = (x - diag[k]) * p - b * p_prev
         b = off[k] = math.sqrt(np.sum(q * r * r))
         p_prev, p = p, r / b
     jacobi = np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
-    d, w = np.empty((1, sum(_GAUSS_N))), np.zeros((2, 1, sum(_GAUSS_N)))
-    for row, (n, at) in enumerate(zip(_GAUSS_N, (0, _GAUSS_N[0]))):
-        theta, v = np.linalg.eigh(jacobi[:n, :n])
-        d[0, at:at + n], w[row, 0, at:at + n] = (theta + 1.0) * (0.5 * span), mu0 * v[0] ** 2
-    near = np.ones(d.shape[1], dtype=bool)
+    theta, v = np.linalg.eigh(jacobi)
+    g = mu0 * v[0] ** 2
+    d = ((theta + 1.0) * (0.5 * span))[None, :]
+    w = np.stack([g] + [g - mu0 * v[0] * v[r] for r in _NULL_DEGREES])[:, None, :]
+    near = np.ones(_GAUSS_N, dtype=bool)
     for arr in (d, near, w):
         arr.setflags(write=False)
     return d, near, w
@@ -183,11 +191,17 @@ def _place(d, near, zero_end, other_end, scale=1.0):
     return t
 
 
+def _lobe_counts(phase: float, t_max: np.ndarray) -> np.ndarray:
+    """How many lobes of a kernel with zeros at k*pi - phase may meet
+    (0, t_max[i]], for each i."""
+    return np.floor((t_max + phase) / math.pi).astype(int) + 2
+
+
 def _lobes(phase: float, t_max: np.ndarray):
     """The lobes [k pi - phase, (k + 1) pi - phase] of a kernel with zeros at
     k*pi - phase that may meet (0, t_max[i]]: the index i each belongs to,
     and its k."""
-    counts = np.floor((t_max + phase) / math.pi).astype(int) + 2
+    counts = _lobe_counts(phase, t_max)
     owner = np.repeat(np.arange(len(t_max)), counts)
     k = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
     return owner, k
@@ -223,17 +237,20 @@ def _interior(pieces: np.ndarray) -> np.ndarray:
 def _rule_sums(f, x: np.ndarray, w: np.ndarray, scale: np.ndarray):
     """Value and error estimate of each row of nodes x under a rule's
     weights w (see _rules), where the integrand at node t of row i is
-    f(t) / scale[i].  np.vecdot sums each row on its own, so a row's sums do
-    not depend on the rows evaluated with it."""
+    f(t) / scale[i]: the value is the sum under w[0] and the error the sum
+    of its distances to the sums under the partners w[1:], one for
+    tanh-sinh and two for a Gauss rule (see _gauss_pair).  np.vecdot sums
+    each row on its own, so a row's sums do not depend on the rows evaluated
+    with it."""
     fx = np.asarray(call_vec(f, x.ravel()), dtype=float).reshape(x.shape)
     sums = np.vecdot(fx, w) / scale
-    return sums[0], np.abs(sums[0] - sums[1])
+    return sums[0], np.sum(np.abs(sums[0] - sums[1:]), axis=0)
 
 
 def _lobe_sums(f, alpha: float, zero: np.ndarray, y: np.ndarray):
     """Value and error estimate of the whole lobes [zero[i], zero[i] + pi],
     where the integrand at t is f(t / y[i]) / y[i], by the whole-lobe Gauss
-    pair laid out as a lattice: node j of lobe i is (zero[i] + u_j) / y[i],
+    rule laid out as a lattice: node j of lobe i is (zero[i] + u_j) / y[i],
     from the lobe's zero and y alone, with no piece row.  Lobes go in chunks
     of at most _CHUNK_NODES nodes."""
     u, _, w = _gauss_pair(alpha, math.pi)
@@ -248,15 +265,15 @@ def _lobe_sums(f, alpha: float, zero: np.ndarray, y: np.ndarray):
 def _piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray, h: np.ndarray):
     """Value and error estimate of each piece at its step h, where the
     integrand at node t is f(t / scale) / scale.  Interior half-lobes at
-    h = _GAUSS take the half-lobe Gauss pair; every piece at a tanh-sinh
-    step, an interior half-lobe the pair left open or a cut tail piece, gets
-    its rule row by row from _rules.  Either rule (d, near, w) gives the
-    value from w[0] and the error from its difference with w[1].  Nodes are
-    placed and f evaluated in chunks of at most _CHUNK_NODES."""
+    h = _GAUSS take the half-lobe Gauss rule; every piece at a tanh-sinh
+    step, an interior half-lobe the Gauss rule left open or a cut tail
+    piece, gets its rule row by row from _rules.  Either rule (d, near, w)
+    gives the value and the error through _rule_sums.  Nodes are placed and
+    f evaluated in chunks of at most _CHUNK_NODES."""
     value, error = np.empty((2, len(h)))
     for step in np.unique(h):
         rows = np.flatnonzero(h == step)
-        n = sum(_GAUSS_N) if step == _GAUSS else 2 * _kmax(alpha, step) + 1
+        n = _GAUSS_N if step == _GAUSS else 2 * _kmax(alpha, step) + 1
         per_chunk = max(1, _CHUNK_NODES // n)
         for lo in range(0, len(rows), per_chunk):
             sel = rows[lo:lo + per_chunk]
@@ -265,6 +282,37 @@ def _piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray, h: np.nd
                           else _rules(alpha, step, p[:, 2:3], p[:, 3:4]))
             value[sel], error[sel] = _rule_sums(f, _place(d, near, p[:, 0], p[:, 1], y), w, y)
     return value, error
+
+
+def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
+    """The whole-lobe pass of _totals over its block of ys.  Returns the
+    value, error and L1 mass of the kept lobes summed per y, the pieces left
+    for the rounds (every cut piece and both halves of each lobe that
+    failed) with the y each belongs to, and each y's count of pieces in the
+    half-lobe split.  Every per-lobe array is freed on return, before the
+    rounds."""
+    n, t_max = len(ys), ys * spec.tail_cut
+    owner, k = _lobes(phase, t_max)
+    whole = (k * math.pi - phase >= 0.0) & ((k + 1) * math.pi - phase <= t_max[owner])
+    pieces, piece_owner = _kernel_pieces(phase, t_max, owner[~whole], k[~whole])
+    # only the whole lobes are kept: the lattice pass sets the block's peak
+    # memory
+    lobe_owner, lobe_k = owner[whole], k[whole]
+    del owner, k, whole
+    # the pieces every y has in the half-lobe split, two per whole lobe
+    counts = np.bincount(piece_owner, minlength=n) + 2 * np.bincount(lobe_owner, minlength=n)
+    if not counts.all():
+        t_cut = ys[counts == 0][0] * spec.tail_cut
+        raise ValueError(f"y * tail_cut = {t_cut:.3g} is too small for a kernel piece")
+    lobe_value, lobe_error = _lobe_sums(f, alpha, lobe_k * math.pi - phase, ys[lobe_owner])
+    share = (2.0 * min(spec.rel_tol, _LOBE_REL_TOL) / counts
+             * np.bincount(lobe_owner, np.abs(lobe_value), n))
+    kept = lobe_error <= share[lobe_owner]
+    halves, half_owner = _kernel_pieces(phase, t_max, lobe_owner[~kept], lobe_k[~kept])
+    kept_sums = [np.bincount(lobe_owner[kept], v[kept], n)
+                 for v in (lobe_value, lobe_error, np.abs(lobe_value))]
+    return (*kept_sums, np.concatenate((pieces, halves)),
+            np.concatenate((piece_owner, half_owner)), counts)
 
 
 def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np.ndarray:
@@ -276,33 +324,17 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
     relative digits; abs_tol is a floor.
 
     Every whole lobe inside (0, y tail_cut] first takes the whole-lobe Gauss
-    pair, and is kept only at quadrature precision: |G16 - G10| within the
-    share of its two halves of min(rel_tol, _LOBE_REL_TOL) times the mass of
-    the y's lobes.  A kept lobe is final.  A lobe that fails splits into its
-    half-lobes before the first round, so they take the path of every other
-    interior half-lobe: the half-lobe Gauss pass, then tanh-sinh from
-    _H_FIRST.  Cut pieces start at _H_FIRST; a refined piece moves from the
-    Gauss pass to _H_FIRST, or halves its step, down to _H_LAST."""
-    n, t_max = len(ys), ys * spec.tail_cut
-    owner, k = _lobes(phase, t_max)
-    whole = (k * math.pi - phase >= 0.0) & ((k + 1) * math.pi - phase <= t_max[owner])
-    lobe_owner, lobe_k = owner[whole], k[whole]
-    pieces, piece_owner = _kernel_pieces(phase, t_max, owner[~whole], k[~whole])
-    # the pieces every y has in the half-lobe split, two per whole lobe
-    counts = np.bincount(piece_owner, minlength=n) + 2 * np.bincount(lobe_owner, minlength=n)
-    if not counts.all():
-        t_cut = ys[counts == 0][0] * spec.tail_cut
-        raise ValueError(f"y * tail_cut = {t_cut:.3g} is too small for a kernel piece")
-    lobe_value, lobe_error = _lobe_sums(f, alpha, lobe_k * math.pi - phase, ys[lobe_owner])
-    share = (2.0 * min(spec.rel_tol, _LOBE_REL_TOL) / counts
-             * np.bincount(lobe_owner, np.abs(lobe_value), n))
-    kept = lobe_error <= share[lobe_owner]
-    halves, half_owner = _kernel_pieces(phase, t_max, lobe_owner[~kept], lobe_k[~kept])
-    pieces = np.concatenate((pieces, halves))
-    piece_owner = np.concatenate((piece_owner, half_owner))
-    kept_total, kept_error, kept_mass = (
-        np.bincount(lobe_owner[kept], v[kept], n)
-        for v in (lobe_value, lobe_error, np.abs(lobe_value)))
+    rule (_lobe_pass), and is kept only at quadrature precision: the sum of
+    its two null rules within the share of its two halves of min(rel_tol,
+    _LOBE_REL_TOL) times the mass of the y's lobes.  A kept lobe is final.
+    A lobe that fails splits into its half-lobes before the first round, so
+    they take the path of every other interior half-lobe: the half-lobe
+    Gauss pass, then tanh-sinh from _H_FIRST.  Cut pieces start at _H_FIRST;
+    a refined piece moves from the Gauss pass to _H_FIRST, or halves its
+    step, down to _H_LAST."""
+    n = len(ys)
+    kept_total, kept_error, kept_mass, pieces, piece_owner, counts = _lobe_pass(
+        f, alpha, ys, phase, spec)
     h = np.where(_interior(pieces), _GAUSS, _H_FIRST)
     value, error = _piece_sums(f, alpha, pieces, ys[piece_owner], h)
     # the Gauss pass, then the eight tanh-sinh steps _H_FIRST .. _H_LAST
@@ -335,14 +367,17 @@ def integrate_kernel_split(
     at each y > 0 (points as in grid._pointwise).
 
     Splits at the kernel zeros x = k pi / y (shifted by pi/(2y) for the
-    cosine), integrates each whole lobe with the Gauss pair for the
-    sin(u)^a weight on [0, pi], each other half-lobe with the pair on
+    cosine), integrates each whole lobe with the 16-point Gauss rule for
+    the sin(u)^a weight on [0, pi], each other half-lobe with the one on
     [0, pi/2] and each piece cut at tail_cut with the tanh-sinh rule, and
     refines what its error estimate leaves open: a whole lobe by splitting
     it into half-lobes, a half-lobe over the budget of its y by moving from
-    the Gauss pair to tanh-sinh, then by halving the tanh-sinh step.
-    The y run in blocks of _Y_BLOCK, which bounds the memory a long curve
-    takes.
+    the Gauss rule to tanh-sinh, then by halving the tanh-sinh step.  A
+    Gauss rule's estimate comes from its null rules of degree 15 and 14 on
+    its own nodes, so it costs no evaluations of f beyond the rule's 16.
+    The y run in blocks of consecutive y holding at most _LOBE_BLOCK lobes
+    together, a y with more lobes alone, which bounds the memory a long
+    curve takes; no value depends on the block.
     """
     spec = spec or QuadSpec()
     alpha = as_alpha(alpha)
@@ -352,8 +387,14 @@ def integrate_kernel_split(
 
     def totals(ys: np.ndarray) -> np.ndarray:
         out = np.empty(len(ys))
-        for lo in range(0, len(ys), _Y_BLOCK):
-            out[lo:lo + _Y_BLOCK] = _totals(f, alpha.value, ys[lo:lo + _Y_BLOCK], phase, spec)
+        ends = np.cumsum(_lobe_counts(phase, ys * spec.tail_cut))
+        lo = 0
+        while lo < len(ys):
+            # the y from lo on whose lobes fit in the budget, and at least one
+            start = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, start + _LOBE_BLOCK, side="right")))
+            out[lo:hi] = _totals(f, alpha.value, ys[lo:hi], phase, spec)
+            lo = hi
         return out
 
     return _pointwise(totals, y, "y", "positive")

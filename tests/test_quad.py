@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from alphasine import quad
 from alphasine.errors import NonConvergence
-from alphasine.quad import (_GAUSS, _GAUSS_N, _H_FIRST, QuadSpec, _gauss_pair, _interior,
-                            _kernel_pieces, _lobe_sums, _lobes, _piece_sums, _place, _rules,
-                            integrate, integrate_kernel_split)
+from alphasine.quad import (_GAUSS, _GAUSS_N, _H_FIRST, _NULL_DEGREES, QuadSpec, _gauss_pair,
+                            _interior, _kernel_pieces, _lobe_sums, _lobes, _piece_sums, _place,
+                            _rules, integrate, integrate_kernel_split)
 from alphasine.specfun import sin_power_integral
 
 from conftest import F1_MASS, F2_MASS, f1, f2, f3, sample, t2_f1
@@ -92,25 +92,29 @@ def _weighted_moment(a, k, span):
 
 
 def _check_gauss_pair(a, span):
-    # an n-point Gauss rule integrates u^k exactly for k < 2n; the mass over
-    # the whole lobe is B(1/2, (a+1)/2) in closed form, half that over a
-    # half-lobe.  Below a = -0.99 the tanh-sinh measure the rule is built from
-    # loses digits in its log-space weights (the moments drift to 4e-13 at
-    # a = -0.999), as the tanh-sinh rule does
-    moments = [_weighted_moment(a, k, span) for k in range(2 * max(_GAUSS_N))]
+    # G16 integrates u^k exactly for k < 32; the mass over the whole lobe is
+    # B(1/2, (a+1)/2) in closed form, half that over a half-lobe.  Each
+    # partner, G16 less its null rule of degree r, integrates u^k exactly for
+    # k < r and misses u^r by far more than rounding (6.5e-10 relative at
+    # least, at a = -0.99 on the whole lobe).  Below a = -0.99 the tanh-sinh
+    # measure the rule is built from loses digits in its log-space weights
+    # (the moments drift to 4e-13 at a = -0.999), as the tanh-sinh rule does
+    moments = [_weighted_moment(a, k, span) for k in range(2 * _GAUSS_N)]
     with mp.workdps(30):
         mass = float(mp.beta(0.5, (a + 1) / 2) * span / mp.pi)
-    d, _, pair = _gauss_pair(a, span)
-    for n, row in zip(_GAUSS_N, pair[:, 0]):
-        # each rule is the nodes where its row of weights is nonzero
-        cols = np.flatnonzero(row)
-        u, w = d[0, cols], row[cols]
-        assert len(u) == n and np.all(np.diff(u) > 0.0) and u[0] > 0.0 and u[-1] < span
-        assert np.all(w > 0.0)
-        assert math.isclose(math.fsum(w), mass, rel_tol=1e-13)
-        for k in range(2 * n):
-            assert math.isclose(np.dot(w, u**k), moments[k], rel_tol=1e-13), (n, k)
-    return d[0], pair[:, 0]
+    d, _, rows = _gauss_pair(a, span)
+    u, (w, *partners) = d[0], rows[:, 0]
+    assert len(u) == _GAUSS_N and np.all(np.diff(u) > 0.0) and u[0] > 0.0 and u[-1] < span
+    assert np.all(w > 0.0)
+    assert math.isclose(math.fsum(w), mass, rel_tol=1e-13)
+    for k in range(2 * _GAUSS_N):
+        assert math.isclose(np.dot(w, u**k), moments[k], rel_tol=1e-13), k
+    assert len(partners) == len(_NULL_DEGREES)
+    for r, partner in zip(_NULL_DEGREES, partners):
+        for k in range(r):
+            assert math.isclose(np.dot(partner, u**k), moments[k], rel_tol=1e-13), (r, k)
+        assert not math.isclose(np.dot(partner, u**r), moments[r], rel_tol=1e-11), r
+    return u
 
 
 @given(a=st.floats(min_value=-0.99, max_value=5.0))
@@ -129,10 +133,50 @@ def test_gauss_rule_moments(a):
 @example(a=1.5)
 @settings(max_examples=6, deadline=None)
 def test_whole_lobe_rule_moments(a):
-    # the weight is even about the crest, so each rule is too, to rounding
-    u, pair = _check_gauss_pair(a, math.pi)
-    for at in (slice(0, _GAUSS_N[0]), slice(_GAUSS_N[0], None)):
-        assert np.max(np.abs(u[at] + u[at][::-1] - math.pi)) <= 8 * np.finfo(float).eps * math.pi
+    # the weight is even about the crest, so the rule is too, to rounding
+    u = _check_gauss_pair(a, math.pi)
+    assert np.max(np.abs(u + u[::-1] - math.pi)) <= 8 * np.finfo(float).eps * math.pi
+
+
+# smooth integrands with their derivatives: a Gaussian bump, an oscillating
+# decay and a rational function
+_SMOOTH = {
+    "bump": (lambda x: np.exp(-((x - 1.0) ** 2)),
+             lambda x: -2.0 * (x - 1.0) * np.exp(-((x - 1.0) ** 2))),
+    "cos_exp": (lambda x: np.cos(x) * np.exp(-x / 3.0),
+                lambda x: -(np.sin(x) + np.cos(x) / 3.0) * np.exp(-x / 3.0)),
+    "rational": (lambda x: 1.0 / (1.0 + x * x), lambda x: -2.0 * x / (1.0 + x * x) ** 2),
+}
+
+
+def _fine_lobe_sums(f, a, zero, y):
+    """Integral of |sin(xy)|^a f(x) over each whole lobe [zero, zero + pi]/y
+    by tanh-sinh at step 0.0125 on its two half-lobes."""
+    d, near, w = _rules(a, 0.0125, np.array([[0.5 * math.pi]]), np.array([[0.0]]))
+    return sum(np.vecdot(f(_place(d, near, zero_end, zero + 0.5 * math.pi, y)), w[0]) / y
+               for zero_end in (zero, zero + math.pi))
+
+
+@given(a=st.floats(min_value=-0.9, max_value=4.5),
+       y=st.floats(min_value=0.3, max_value=10.0),
+       name=st.sampled_from(sorted(_SMOOTH)))
+@example(a=-0.9, y=0.3, name="bump")
+@example(a=4.5, y=10.0, name="cos_exp")
+@settings(max_examples=25, deadline=None)
+def test_whole_lobe_estimate_bounds_its_error(a, y, name):
+    # on every whole lobe in (0, 12], the null-rule estimate bounds how far
+    # G16 lies from the fine rule, but for rounding: 1e-14 of the lobe's
+    # mass of |f|, and of |x f'| for the nodes, each within an ulp of x,
+    # which dominates where cos e^{-x/3} changes sign inside a lobe
+    f, df = _SMOOTH[name]
+    t_max = np.array([12.0 * y])
+    owner, k = _lobes(0.0, t_max)
+    zero = k[(k + 1) * math.pi <= t_max[owner]] * math.pi
+    ys = np.full(len(zero), y)
+    value, error = _lobe_sums(f, a, zero, ys)
+    exact = _fine_lobe_sums(f, a, zero, ys)
+    rounding = _fine_lobe_sums(lambda x: np.abs(f(x)) + np.abs(x * df(x)), a, zero, ys)
+    assert len(zero) and np.all(np.abs(value - exact) <= error + 1e-14 * rounding)
 
 
 @pytest.mark.parametrize("a", [0.0, 1.5, -0.5, -0.9])
@@ -149,7 +193,7 @@ def test_tanh_sinh_mass_at_every_step(a):
 def test_place_writes_both_halves_as_a_where_would():
     # the near nodes are a prefix of every row, so slicing places each node
     # exactly as choosing between the two full candidate arrays did; a rule
-    # of one row is shared by every piece, as the Gauss pair (all near) is
+    # of one row is shared by every piece, as the Gauss rule (all near) is
     rng = np.random.default_rng(5)
     zero_end = rng.uniform(0.0, 50.0, 6)
     other_end = zero_end + np.where(rng.random(6) < 0.5, 1.3, -1.3)
@@ -175,7 +219,7 @@ def test_piece_sums_do_not_depend_on_the_chunk(step):
         owner, k = _lobes(0.0, t_max)
         whole = (k + 1) * math.pi <= t_max[owner]
         zero, scale = k[whole] * math.pi, 0.5 * (owner[whole] + 1.0)
-        assert len(zero) > 5 * quad._CHUNK_NODES // sum(_GAUSS_N)
+        assert len(zero) > 5 * quad._CHUNK_NODES // _GAUSS_N
         sums = lambda few: _lobe_sums(f3, -0.5, zero[few], scale[few])
     else:
         pieces, owner = _pieces(0.0, t_max)
@@ -266,8 +310,8 @@ class TestKernelSplit:
     @pytest.mark.parametrize("y", [1.0, 2.5])
     def test_kink_inside_an_interior_lobe_falls_back(self, a, y):
         # the kink of |x - c| e^{-x} lies inside an interior half-lobe, as the
-        # kinks of a sampled f's linear interpolant do; |G16 - G10| exceeds
-        # the piece's share of the tolerance, so the piece must go on to
+        # kinks of a sampled f's linear interpolant do; the Gauss estimate
+        # exceeds the piece's share of the tolerance, so the piece must go on to
         # tanh-sinh, whose halving reaches about 1e-6 on a kink
         c = 1.2345
         kink = lambda x: np.abs(x - c) * np.exp(-x)
@@ -289,12 +333,14 @@ class TestKernelSplit:
         with pytest.raises(NonConvergence, match="integrate_kernel_split"):
             integrate_kernel_split(lambda x: (np.asarray(x) < 1.2345).astype(float), 1.5, 1.0, spec)
 
-    @pytest.mark.parametrize("a, y, c", [(1.5, 1.0, 2.9), (1.5, 2.5, 5.0)])
+    @pytest.mark.parametrize("a, y, c", [(1.5, 1.5, 4.155), (1.5, 2.5, 5.0)])
     def test_kinked_whole_lobe_is_split(self, a, y, c, monkeypatch):
-        # the lobe holding the kink of |x - c| e^{-x} has |G16 - G10| within
+        # the lobe holding the kink of |x - c| e^{-x} has an estimate within
         # the share the y's own tolerance 1e-6 would give it, but not within
         # the share at quadrature precision, so it is split into its halves
-        # before the first round instead of being kept with a kinked value
+        # before the first round instead of being kept with a kinked value.
+        # A kink inside the lobe mostly shows far above that share; these
+        # lie just past the rule's first node from the lobe's far zero
         kink = lambda x: np.abs(x - c) * np.exp(-x)
         spec = QuadSpec(rel_tol=1e-6, tail_cut=6.0)
         t_max = np.array([6.0 * y])
@@ -343,7 +389,7 @@ class TestArrayY:
         assert np.array_equal(integrate_kernel_split(kink, 1.5, ys, spec), single)
 
     def test_rule_cache_misses_per_step_not_per_y(self):
-        # the whole lobes of every y share one Gauss pair and the half-lobes
+        # the whole lobes of every y share one Gauss rule and the half-lobes
         # another, each built once per a; every piece that takes tanh-sinh
         # gets its rule row by row from _rules, outside the cache
         _gauss_pair.cache_clear()
@@ -371,6 +417,27 @@ class TestArrayY:
         integrate_kernel_split(lambda x: seen.append(np.size(x)) or f3(x), -0.9,
                                0.05 * np.arange(1, 401))
         assert sum(seen) <= 1.1e6
+
+    def test_null_rules_cut_them_by_a_third(self):
+        # 16 evaluations per whole lobe where G16 and G10 took 26: the pair
+        # took 1,028,888 on this curve
+        seen = []
+        integrate_kernel_split(lambda x: seen.append(np.size(x)) or f3(x), -0.9,
+                               0.05 * np.arange(1, 401))
+        assert sum(seen) <= 0.7e6
+
+    @pytest.mark.parametrize("budget", [1, 97, 5000])
+    def test_values_do_not_depend_on_the_lobe_budget(self, budget, monkeypatch):
+        # every y keeps its own pieces, sums and stopping rule, so a curve gets
+        # the same bits in blocks of one y (a budget of 1) as in blocks of
+        # many; the forward_invert curves, on both kernels
+        ys = 0.05 * np.arange(1, 401)
+        cases = [(f, a, kernel) for f, a in ((f1, 1.5), (f2, -0.5), (f3, -0.9))
+                 for kernel in ("sine", "cosine")]
+        default = [integrate_kernel_split(f, a, ys, kernel=kernel) for f, a, kernel in cases]
+        monkeypatch.setattr(quad, "_LOBE_BLOCK", budget)
+        for (f, a, kernel), expect in zip(cases, default):
+            assert np.array_equal(integrate_kernel_split(f, a, ys, kernel=kernel), expect)
 
     def test_rejects_bad_y_in_an_array(self):
         with pytest.raises(ValueError, match="got 0.0"):
