@@ -1,8 +1,9 @@
 """Oscillatory sums sum_j W_j exp(i sign omega L_j), one per kind of grid.
 
 `_osc_sum` is the dense sum: any nodes L_j, any omegas, one cosine and one
-sine matrix product per chunk of omegas.  It serves the non-uniform nodes:
-mu's ln j and the sphere's tanh-sinh nodes.  Uniform nodes L_j = u0 + j du
+sine matrix product per chunk of omegas.  It serves mu's non-uniform nodes
+ln j, and the tanh-sinh nodes of the circle kernel's quadrature reference,
+which only the tests call.  Uniform nodes L_j = u0 + j du
 take one of two sums, and `_uniform_sum` alone picks between them:
 
 - at a UniformGrid of omegas, `_chirp_sum` forms the sum as one chirp-z
@@ -70,13 +71,12 @@ def _chirp_sum(weights: np.ndarray, u0: float, du: float, om0: float, dom: float
     n = len(weights)
     size = 1 << (n + count - 2).bit_length()
     beta = sign * dom * du / (4.0 * math.pi)
-    j = np.arange(n, dtype=np.int64)
-    k = np.arange(count, dtype=np.int64)
     m = np.arange(1 - n, count, dtype=np.int64)
-    x = weights * np.exp(1j * sign * om0 * du * j) * _turns(beta, j * j)
-    chirp = np.conj(_turns(beta, m * m))
-    conv = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(chirp, size))[n - 1 : n - 1 + count]
-    return np.exp(1j * sign * u0 * (om0 + dom * k)) * _turns(beta, k * k) * conv
+    # m runs over -j and k, so the j^2 and k^2 chirps are entries of the m^2 one
+    turns = _turns(beta, m * m)
+    x = weights * np.exp(1j * sign * om0 * du * np.arange(n)) * turns[n - 1 :: -1]
+    conv = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(np.conj(turns), size))[n - 1 : n - 1 + count]
+    return np.exp(1j * sign * u0 * (om0 + dom * np.arange(count))) * turns[n - 1 :] * conv
 
 
 def _blocked_sum(weights: np.ndarray, u0: float, du: float, omegas: np.ndarray,

@@ -1,11 +1,12 @@
 """Two-dimensional circular |cos|^a transform, Fourier coefficients, inversion.
 
 The transform is the periodic convolution of a density on [-pi, pi) with
-|cos|^a.  Its action on the density's low harmonics is computed by quadrature
-(kernel Fourier coefficients from the zero-aware tanh-sinh rule); harmonics
-above the quadrature band are completed with the closed-form coefficients,
-which keeps the convolution-theorem cross-check on the low band a genuine
-comparison of two independent routes.
+|cos|^a.  The kernel's Fourier coefficient at harmonic n is 2 pi ctilde_{n/2}
+for even n and 0 for odd n, in closed form from the Gauss hypergeometric
+theorem, so the transform is the density's FFT times that multiplier.
+`_kernel_coeffs_quad` computes the same coefficients by quadrature; no
+program code calls it, and the tests use it as the independent route of the
+convolution-theorem checks.
 """
 
 from __future__ import annotations
@@ -91,7 +92,9 @@ def _kernel_coeffs_quad(alpha_value: float, n_keep: int) -> np.ndarray:
 
     Computed by the tanh-sinh lobe rule with step halving until the embedded
     coarse rule agrees to 1e-9.  True values are 2 pi ctilde_{n/2} for even n
-    and 0 for odd n; this routine never uses that closed form.
+    and 0 for odd n; this routine never uses that closed form.  It is the
+    tests' reference for `k_sphere_grid`, which uses the closed form alone.
+    It stays here because the benchmark's tracer wraps it by this name.
     """
     n = np.arange(0, n_keep + 1)
     # the four half-lobes of [-pi/2, 3pi/2): each one's zero and crest
@@ -111,31 +114,21 @@ def _kernel_coeffs_quad(alpha_value: float, n_keep: int) -> np.ndarray:
 
 
 def _kernel_coeffs_full(alpha: Alpha, m: int) -> np.ndarray:
-    """khat(|n|) on the fft layout of an M-point grid (quadrature low band,
-    closed form above it)."""
-    n_keep = min(64, m // 4)
-    k_low = _kernel_coeffs_quad(alpha.value, n_keep)
-    half = m // 2
-    ct = cosine_coeffs(alpha, half // 2 + 1).coeffs
+    """khat(|n|) = 2 pi ctilde_{|n|/2} at even n, 0 at odd n, on the fft
+    layout of an M-point grid."""
+    # the Nyquist order m/2 needs ctilde up to m // 4; a table's count must be
+    # >= 1, so it takes one more (m = 2 has m // 4 = 0)
+    ct = cosine_coeffs(alpha, m // 4 + 1).coeffs
     idx = np.abs(np.fft.fftfreq(m, d=1.0 / m).astype(int))
-    khat = np.zeros(m, dtype=complex)
-    low = idx <= n_keep
-    khat[low] = k_low[idx[low]]
-    high_even = (~low) & (idx % 2 == 0)
-    khat[high_even] = 2.0 * math.pi * ct[idx[high_even] // 2]
-    # Nyquist order m/2 appears once in fft layout; it is even and handled above.
-    return khat
-
-
-def _transform_coeffs(f: PeriodicDensity, alpha) -> np.ndarray:
-    """fhat * khat on the fft layout of the density's grid."""
-    fhat = _fft_coeffs(np.real(f.values.values))
-    return fhat * _kernel_coeffs_full(as_alpha(alpha), f.grid.count)
+    return np.where(idx % 2 == 0, 2.0 * math.pi * ct[idx // 2], 0.0)
 
 
 def k_sphere_grid(f: PeriodicDensity, alpha) -> SampledFunction:
-    """Circular transform sampled on the density's own grid."""
-    return SampledFunction(f.grid, _synth_on_grid(_transform_coeffs(f, alpha)))
+    """Circular transform sampled on the density's own grid: fhat * khat,
+    synthesized."""
+    fhat = _fft_coeffs(np.real(f.values.values))
+    khat = _kernel_coeffs_full(as_alpha(alpha), f.grid.count)
+    return SampledFunction(f.grid, _synth_on_grid(fhat * khat))
 
 
 def invert_sphere(kf: SampledFunction, alpha, maxn: int) -> PeriodicDensity:

@@ -2,8 +2,9 @@
 Fourier transforms (from `alphasine.examples`), the closed forms of their
 |sin|^2 transforms, the closed-form partial sums of the sine coefficients,
 the dense form of the triangular system, the codifference of a process
-with a given spectral density, and the Fourier coefficients of samples on
-the circle."""
+with a given spectral density, the Fourier coefficients of samples on
+the circle, and the circle transform with the kernel's low harmonics from
+quadrature."""
 
 import math
 
@@ -15,8 +16,8 @@ from alphasine.forward import t_sine
 from alphasine.grid import SampledFunction, UniformGrid, call_vec
 from alphasine.quad import QuadSpec, integrate
 from alphasine.sas import SasParams
-from alphasine.specfun import CoefficientTable, lambda_alpha
-from alphasine.sphere import _fft_coeffs
+from alphasine.specfun import Alpha, CoefficientTable, as_alpha, cosine_coeffs, lambda_alpha
+from alphasine.sphere import PeriodicDensity, _fft_coeffs, _kernel_coeffs_quad, _synth_on_grid
 
 
 def t2_f1(y):
@@ -123,3 +124,35 @@ def circle_fourier_coeffs(u: SampledFunction, maxn: int) -> np.ndarray:
     n + maxn.  Spectrally accurate for smooth u."""
     pos = _fft_coeffs(np.real(u.values))[: maxn + 1]
     return np.concatenate((np.conj(pos[1:][::-1]), pos))
+
+
+def _kernel_coeffs_full(alpha: Alpha, m: int) -> np.ndarray:
+    """khat(|n|) on the fft layout of an M-point grid (quadrature low band,
+    closed form above it)."""
+    n_keep = min(64, m // 4)
+    k_low = _kernel_coeffs_quad(alpha.value, n_keep)
+    half = m // 2
+    ct = cosine_coeffs(alpha, half // 2 + 1).coeffs
+    idx = np.abs(np.fft.fftfreq(m, d=1.0 / m).astype(int))
+    khat = np.zeros(m, dtype=complex)
+    low = idx <= n_keep
+    khat[low] = k_low[idx[low]]
+    high_even = (~low) & (idx % 2 == 0)
+    khat[high_even] = 2.0 * math.pi * ct[idx[high_even] // 2]
+    # Nyquist order m/2 appears once in fft layout; it is even and handled above.
+    return khat
+
+
+def _transform_coeffs(f: PeriodicDensity, alpha) -> np.ndarray:
+    """fhat * khat on the fft layout of the density's grid."""
+    fhat = _fft_coeffs(np.real(f.values.values))
+    return fhat * _kernel_coeffs_full(as_alpha(alpha), f.grid.count)
+
+
+def k_sphere_grid_quad(f: PeriodicDensity, alpha) -> SampledFunction:
+    """The circle transform on the density's own grid, with the kernel's
+    harmonics n <= 64 from the quadrature `sphere._kernel_coeffs_quad` and
+    the closed form 2 pi ctilde_{n/2} above them.  `sphere.k_sphere_grid`
+    takes the closed form at every n, so the convolution-theorem checks
+    build K f here to compare two independent routes."""
+    return SampledFunction(f.grid, _synth_on_grid(_transform_coeffs(f, alpha)))

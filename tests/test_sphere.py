@@ -11,7 +11,7 @@ from alphasine.grid import SampledFunction, UniformGrid
 from alphasine.specfun import cosine_coeffs, sin_power_integral
 from alphasine.sphere import PeriodicDensity, circle_grid, invert_sphere, k_sphere_grid
 
-from conftest import circle_fourier_coeffs
+from conftest import circle_fourier_coeffs, k_sphere_grid_quad
 
 DENSITIES = {
     "shifted_sine": shifted_sine_density(1.0),
@@ -53,15 +53,30 @@ class TestPeriodicDensity:
 class TestKSphere:
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.5, 2.0])
     def test_uniform_density(self, alpha):
-        uni = watson_density(0.0, 0.0)
-        kf = k_sphere_grid(uni, alpha)
-        assert np.allclose(kf.values, sin_power_integral(alpha) / math.pi, rtol=1e-12, atol=0.0)
+        # m = 2 has Nyquist order 1, whose kernel coefficient table still
+        # needs a count >= 1
+        for m in (2, 4, 512):
+            grid = UniformGrid(-math.pi, 2.0 * math.pi / m, m)
+            uni = PeriodicDensity(SampledFunction(grid, np.full(m, 1.0 / (2.0 * math.pi))))
+            kf = k_sphere_grid(uni, alpha)
+            expect = sin_power_integral(alpha) / math.pi
+            assert np.allclose(kf.values, expect, rtol=1e-12, atol=0.0), m
+
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.3, 1.5, 2.0, 3.3, 4.9])
+    @pytest.mark.parametrize("name", list(DENSITIES))
+    def test_matches_quadrature_reference(self, alpha, name):
+        f = DENSITIES[name]
+        ref = k_sphere_grid_quad(f, alpha).values
+        gap = np.max(np.abs(k_sphere_grid(f, alpha).values - ref))
+        assert gap <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5, 5.0])
     @pytest.mark.parametrize("name", ["watson", "vonmises4"])
     def test_convolution_theorem(self, alpha, name):
+        # K f from the quadrature reference: k_sphere_grid is built from
+        # the closed form this test compares with
         f = DENSITIES[name]
-        kf = k_sphere_grid(f, alpha)
+        kf = k_sphere_grid_quad(f, alpha)
         hk = circle_fourier_coeffs(kf, 22)
         fh = circle_fourier_coeffs(f.values, 22)
         ct = cosine_coeffs(alpha, 11).coeffs
