@@ -131,13 +131,15 @@ def mu_table(cfg: DirectConfig) -> SampledFunction:
     return SampledFunction(cfg.mu_grid, _mu_table_cached(cfg))
 
 
-def _h_integrand(g: SampledFunction, cfg: DirectConfig):
-    """The H integrand on a uniform u = ln(y) grid, trapezoid weights folded
-    in: returns (u, du, weights).
+def _h_values(g: SampledFunction, cfg: DirectConfig, at) -> np.ndarray:
+    """H g at each omega = ln x of `at`: a UniformGrid (one chirp-z
+    transform) or an array (the blocked sum).
 
-    g(1/y) is constant for y below 1/x_last (constant extrapolation), so the
-    grid starts at u = -ln(x_last); `_h_tail` adds the region below in closed
-    form.
+    In u = ln(y) the integrand is e^{(p - i omega) u} g(e^{-u}), p = (c-1)/2,
+    summed by the trapezoid rule on a uniform u grid.  g(1/y) is its last
+    sample for y below 1/x_last (constant extrapolation), so the grid starts
+    at u = -ln(x_last) and the integral over u below it is
+    g_last e^{(p - i omega) u_0} / (p - i omega) in closed form.
     """
     p = 0.5 * (cfg.weight_exponent - 1.0)
     u_const = -math.log(g.grid.last)
@@ -147,22 +149,11 @@ def _h_integrand(g: SampledFunction, cfg: DirectConfig):
     u = u_const + du * np.arange(n)
     trap = np.full(n, du)
     trap[0] = trap[-1] = 0.5 * du
-    return u, du, np.exp(p * u) * np.real(g.eval(np.exp(-u))) * trap
-
-
-def _h_tail(g: SampledFunction, cfg: DirectConfig, u_const: float, omegas: np.ndarray) -> np.ndarray:
-    """The H integral over u < u_const, where g(1/y) is its last sample."""
-    p = 0.5 * (cfg.weight_exponent - 1.0)
-    g_last = float(np.real(g.values[-1]))
-    return g_last * np.exp((p - 1j * omegas) * u_const) / (p - 1j * omegas)
-
-
-def _h_values(g: SampledFunction, cfg: DirectConfig, at) -> np.ndarray:
-    """H g at each omega = ln x of `at`: a UniformGrid (one chirp-z
-    transform) or an array (the blocked sum)."""
-    u, du, weights = _h_integrand(g, cfg)
+    weights = np.exp(p * u) * np.real(g.eval(np.exp(-u))) * trap
     omegas = at.points() if isinstance(at, UniformGrid) else at
-    return _uniform_sum(weights, u[0], du, at, -1.0) + _h_tail(g, cfg, u[0], omegas)
+    g_last = float(np.real(g.values[-1]))
+    return (_uniform_sum(weights, u[0], du, at, -1.0)
+            + g_last * np.exp((p - 1j * omegas) * u[0]) / (p - 1j * omegas))
 
 
 def h_forward(g: SampledFunction, x, cfg: DirectConfig):

@@ -21,7 +21,7 @@ from .errors import CoefficientUnderflow, EvenIntegerAlpha, NonConvergence
 from .grid import SampledFunction, UniformGrid
 from .oscsum import _osc_sum
 from .quad import _place, _rules
-from .specfun import Alpha, as_alpha, cosine_coeffs
+from .specfun import as_alpha, cosine_coeffs
 
 MASS_TOL = 1e-8
 PI_PERIODIC_TOL = 1e-8
@@ -113,21 +113,17 @@ def _kernel_coeffs_quad(alpha_value: float, n_keep: int) -> np.ndarray:
     raise NonConvergence("circle kernel coefficients did not converge")
 
 
-def _kernel_coeffs_full(alpha: Alpha, m: int) -> np.ndarray:
-    """khat(|n|) = 2 pi ctilde_{|n|/2} at even n, 0 at odd n, on the fft
-    layout of an M-point grid."""
-    # the Nyquist order m/2 needs ctilde up to m // 4; a table's count must be
-    # >= 1, so it takes one more (m = 2 has m // 4 = 0)
-    ct = cosine_coeffs(alpha, m // 4 + 1).coeffs
-    idx = np.abs(np.fft.fftfreq(m, d=1.0 / m).astype(int))
-    return np.where(idx % 2 == 0, 2.0 * math.pi * ct[idx // 2], 0.0)
-
-
 def k_sphere_grid(f: PeriodicDensity, alpha) -> SampledFunction:
     """Circular transform sampled on the density's own grid: fhat * khat,
-    synthesized."""
+    synthesized, with the kernel multiplier khat(n) = 2 pi ctilde_{|n|/2} at
+    even n and 0 at odd n on the fft layout."""
     fhat = _fft_coeffs(np.real(f.values.values))
-    khat = _kernel_coeffs_full(as_alpha(alpha), f.grid.count)
+    m = f.grid.count
+    # the Nyquist order m/2 needs ctilde up to m // 4; a table's count must be
+    # >= 1, so it takes one more (m = 2 has m // 4 = 0)
+    ct = cosine_coeffs(as_alpha(alpha), m // 4 + 1).coeffs
+    idx = np.abs(np.fft.fftfreq(m, d=1.0 / m).astype(int))
+    khat = np.where(idx % 2 == 0, 2.0 * math.pi * ct[idx // 2], 0.0)
     return SampledFunction(f.grid, _synth_on_grid(fhat * khat))
 
 

@@ -18,15 +18,17 @@ from alphasine.cli import (
     gaussian_noise,
     main,
     parse_args,
+    parse_grid,
     read_config,
     read_csv,
     sampled_from_csv,
 )
+from alphasine.direct_inv import DirectConfig, invert_direct
 from alphasine.errors import NonConvergence
 from alphasine.examples import watson_density
 from alphasine.sphere import k_sphere_grid
 
-from conftest import t2_f1
+from conftest import f1, t2_f1
 from noise_oracle import gaussian_noise_per_draw
 
 
@@ -143,6 +145,37 @@ class TestInvert:
         assert header == ["x", "value", "truth"]
         err_l2 = np.linalg.norm(data[:, 1] - data[:, 2]) / np.linalg.norm(data[:, 2])
         assert err_l2 <= 1e-4
+
+    def test_direct_readme_pipeline(self, capsys, tmp_path):
+        g2 = tmp_path / "g2.csv"
+        ys = np.linspace(0.0, 20.0, 20001)
+        write_samples(g2, ys, t2_f1(ys), header="y,value")
+        truth = tmp_path / "truth.csv"
+        xs = np.linspace(0.2, 3.0, 281)
+        write_samples(truth, xs, f1(xs))
+        out_path = tmp_path / "rec2.csv"
+        rc, _, err = run(capsys, "invert", "--method", "direct", "--in", str(g2),
+                         "--alpha", "2", "--epsilon", "0.025", "--grid", "0.2:3:281",
+                         "--truth", str(truth), "--out", str(out_path))
+        assert rc == 0
+        lines = out_path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "# alphasine invert alpha=2.0 c=3.0 epsilon=0.025 method=direct"
+        assert lines[1].startswith("# l2_error = ") and float(lines[1].split("=")[1]) <= 1e-3
+        assert err == lines[1][2:] + "\n"
+        header, data = read_csv(str(out_path))
+        assert header == ["x", "value", "truth"] and data.shape == (281, 3)
+        rec = invert_direct(sampled_from_csv(str(g2)), DirectConfig(alpha=2.0, epsilon=0.025),
+                            parse_grid("0.2:3:281"))
+        assert np.array_equal(data[:, 1], rec.values)
+
+    def test_f0_without_tail_samples_has_nan_flatness(self, capsys, t2f1_csv):
+        # --f0 spares the tail estimate of F f(0); with R at the last abscissa
+        # no sample lies beyond it, so the tail-flatness measure is undefined
+        rc, out, err = run(capsys, "invert", "--method", "fourier", "--in", t2f1_csv,
+                           "--alpha", "2", "--r", "20", "--f0", "1.7724538509055159",
+                           "--grid", "0:3:7")
+        assert rc == 0 and err == "tail_flatness = nan\n"
+        assert out.splitlines()[1] == "# tail_flatness = nan"
 
     @pytest.mark.parametrize("xs", [np.linspace(3.0, 0.0, 301), [0.0, 1.0, 1.0, 2.0]],
                              ids=["reversed", "repeated"])
@@ -438,6 +471,23 @@ class TestConfigAndErrors:
         monkeypatch.setattr(cli_mod, "t_sine", boom)
         rc, _, err = run(capsys, "forward", "--f", "f1", "--alpha", "2", "--grid", "1:2:2")
         assert rc == 3 and "forced" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["forward", "--f", "f1", "--alpha", "2", "--grid", "0:5"],
+         "grid must be start:stop:count, got '0:5'"),
+        (["forward", "--f", "f1", "--alpha", "2", "--grid", "5:0:10"],
+         "bad grid specification '5:0:10'"),
+        (["invert", "--method", "fourier", "--alpha", "2", "--in", "{one_row}"],
+         "{one_row}: need at least two samples"),
+        (["forward", "--alpha", "2", "--in", "{good}", "--method", "series"],
+         "needs a builtin f"),
+    ], ids=["grid-two-fields", "grid-reversed", "one-sample", "series-of-csv"])
+    def test_refusal_names_its_cause(self, capsys, tmp_path, t2f1_csv, argv, message):
+        one_row = tmp_path / "one_row.csv"
+        write_samples(one_row, [0.0], [1.0])
+        names = {"one_row": one_row, "good": t2f1_csv}
+        rc, out, err = run(capsys, *[a.format(**names) for a in argv])
+        assert (rc, out) == (2, "") and message.format(**names) in err
 
     def test_missing_input_file(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "noise", "--in", str(tmp_path / "nope.csv"), "--sigma", "0.1")

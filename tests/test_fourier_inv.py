@@ -125,6 +125,18 @@ class TestSolveXi:
         assert np.max(np.abs(solve_xi(coeffs, eta) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_rhs(t2_f1, 2.0, 0, 10.0, math.sqrt(math.pi)), ValueError,
+     "n must be >= 1, got 0"),
+    (lambda: solve_xi(sine_coeffs(1.5, 4), np.ones(8)), ValueError,
+     "need coefficients up to index 8, got 4"),
+    (lambda: estimate_f0(t2_f1, 2.0, 10.0), TypeError, "estimate_f0 needs a SampledFunction"),
+], ids=["rhs-no-rows", "short-table", "f0-of-callable"])
+def test_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 class TestReconstruct:
     def test_zero_outside_window(self):
         fs = FourierSamples(np.ones(10), 1.0, 5.0)

@@ -1,6 +1,7 @@
 """Sampled-function carrier: interpolation and extrapolation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,11 @@ def test_rejects_nonfinite_values():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             SampledFunction(g, [0.0, bad, 1.0])
+
+
+def test_values_must_match_the_grid():
+    with pytest.raises(ValueError, match=re.escape("expected 3 values, got shape (2,)")):
+        SampledFunction(UniformGrid(0.0, 1.0, 3), [0.0, 1.0])
 
 
 def test_complex_values_allowed():

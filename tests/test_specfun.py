@@ -63,6 +63,10 @@ class TestSineCoeffs:
         for j in (0, 1):
             assert math.isclose(table.coeffs[j], fourier_coefficient_oracle(1.0, j), abs_tol=1e-10)
 
+    def test_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+            sine_coeffs(1.5, 0)
+
     def test_alpha_zero(self):
         assert sine_coeffs(0.0, 2).coeffs.tolist() == [1.0, 0.0, 0.0]
 

@@ -1,6 +1,7 @@
 """Circle transform: convolution theorem, coefficient extraction, inversion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from alphasine.errors import CoefficientUnderflow, EvenIntegerAlpha
 from alphasine.examples import shifted_sine_density, vonmises4_density, watson_density
 from alphasine.grid import SampledFunction, UniformGrid
 from alphasine.specfun import cosine_coeffs, sin_power_integral
-from alphasine.sphere import PeriodicDensity, circle_grid, invert_sphere, k_sphere_grid
+from alphasine.sphere import (
+    PeriodicDensity,
+    _check_circle_grid,
+    circle_grid,
+    invert_sphere,
+    k_sphere_grid,
+)
 
 from conftest import circle_fourier_coeffs, k_sphere_grid_quad
 
@@ -48,6 +55,16 @@ class TestPeriodicDensity:
         bad = UniformGrid(0.0, 2.0 * math.pi / 8, 8)
         with pytest.raises(ValueError):
             PeriodicDensity(SampledFunction(bad, np.full(8, 1.0 / (2.0 * math.pi))))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: circle_grid(3), "grid size must be even and >= 4, got 3"),
+        (lambda: _check_circle_grid(UniformGrid(-math.pi, 2.0 * math.pi / 7, 7)),
+         "circle grid size must be even"),
+        (lambda: watson_density(0.0, -1.0), "kappa must be >= 0, got -1.0"),
+    ], ids=["odd-size", "odd-grid", "negative-kappa"])
+    def test_refusal_names_its_cause(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 class TestKSphere:
