@@ -16,6 +16,7 @@ from .errors import (
     EvenIntegerAlpha,
     NoTailSamples,
     NonConvergence,
+    ShortSampleRange,
     SingularDiagonal,
 )
 from .forward import k_cosine, t_sine, t_sine_series
@@ -46,7 +47,7 @@ from .sphere import PeriodicDensity, circle_grid, invert_sphere, k_sphere_grid
 __all__ = [
     "DirectConfig", "h2_inverse", "h_forward", "invert_direct", "mu", "mu_table",
     "CoefficientUnderflow", "EvenIntegerAlpha", "NoTailSamples", "NonConvergence",
-    "SingularDiagonal",
+    "ShortSampleRange", "SingularDiagonal",
     "k_cosine", "t_sine", "t_sine_series",
     "FourierSamples", "MollifierKind", "build_rhs", "estimate_f0", "invert_fourier",
     "mollifier_kernel", "solve_xi", "synthesize",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .direct_inv import DirectConfig, invert_direct
-from .errors import NonConvergence
+from .errors import NonConvergence, ShortSampleRange
 from .examples import BUILTINS
 from .forward import SERIES_TERMS, t_sine, t_sine_series
 from .fourier_inv import MollifierKind, invert_fourier
@@ -326,7 +326,10 @@ def cmd_invert(args) -> int:
         params.update(n=args.n, r=args.r, interp=args.interp, mollifier=args.mollifier or "none")
     elif args.method == "direct":
         cfg = DirectConfig(alpha=args.alpha, epsilon=args.epsilon)
-        rec = invert_direct(g, cfg, parse_grid(args.grid))
+        try:
+            rec = invert_direct(g, cfg, parse_grid(args.grid))
+        except ShortSampleRange as exc:
+            raise ShortSampleRange(f"{args.infile}: {exc}") from exc
         params.update(epsilon=args.epsilon, c=cfg.weight_exponent)
     else:
         density = invert_sphere(g, args.alpha, args.n)

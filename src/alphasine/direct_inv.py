@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ShortSampleRange
 from .grid import SampledFunction, UniformGrid, _pointwise
 from .oscsum import _osc_sum, _uniform_sum
 from .specfun import Alpha, _log_gamma, as_alpha, sine_coeffs
@@ -139,11 +140,17 @@ def _h_values(g: SampledFunction, cfg: DirectConfig, at) -> np.ndarray:
     summed by the trapezoid rule on a uniform u grid.  g(1/y) is its last
     sample for y below 1/x_last (constant extrapolation), so the grid starts
     at u = -ln(x_last) and the integral over u below it is
-    g_last e^{(p - i omega) u_0} / (p - i omega) in closed form.
+    g_last e^{(p - i omega) u_0} / (p - i omega) in closed form.  The grid
+    ends at u = 20, so x_last must lie above e^-20 for it to hold two points.
     """
     p = 0.5 * (cfg.weight_exponent - 1.0)
-    u_const = -math.log(g.grid.last)
     u_hi = 20.0
+    x_last = g.grid.last
+    u_const = -math.log(x_last) if x_last > 0.0 else math.inf
+    if not u_const < u_hi:
+        raise ShortSampleRange(
+            f"H g needs samples of g beyond x = e^-{u_hi:g}, so that its u = ln y grid from "
+            f"-ln x_last to {u_hi:g} has two points; the last abscissa is {x_last:.6g}")
     du = 1.0 / 1024.0
     n = int(math.ceil((u_hi - u_const) / du)) + 1
     u = u_const + du * np.arange(n)
@@ -199,6 +206,8 @@ def invert_direct(g: SampledFunction, cfg: DirectConfig, out_grid: UniformGrid) 
     Deterministic for a fixed config; warns when the cutoff set {|mu| > eps}
     is empty or reaches the edge of the tabulation grid.
     """
+    # first, so that g's samples are refused before mu is tabulated
+    hg = _h_values(g, cfg, cfg.mu_grid)
     mu_vals = _mu_table_cached(cfg)
     keep = np.abs(mu_vals) > cfg.epsilon
     if not np.any(keep):
@@ -207,7 +216,6 @@ def invert_direct(g: SampledFunction, cfg: DirectConfig, out_grid: UniformGrid) 
         warnings.warn(
             "|mu| exceeds eps at the tabulation boundary; widen mu_grid", stacklevel=2
         )
-    hg = _h_values(g, cfg, cfg.mu_grid)
     w = np.where(keep, hg / np.where(keep, mu_vals, 1.0), 0.0)
     vals = _pointwise(lambda zs: _h2_values(w, cfg, zs), out_grid.points(), "output grid", "positive")
     return SampledFunction(out_grid, vals)

@@ -13,6 +13,10 @@ class NoTailSamples(ValueError):
     """No samples beyond the cutoff R are available for the constant estimate."""
 
 
+class ShortSampleRange(ValueError):
+    """The samples of g end too near 0 for the direct route's u = ln y grid."""
+
+
 class EvenIntegerAlpha(ValueError):
     """Circle inversion is impossible for alpha in {0, 2, 4, ...}."""
 

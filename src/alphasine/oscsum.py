@@ -7,8 +7,11 @@ which only the tests call.  Uniform nodes L_j = u0 + j du
 take one of two sums, and `_uniform_sum` alone picks between them:
 
 - at a UniformGrid of omegas, `_chirp_sum` forms the sum as one chirp-z
-  transform (Bluestein, three FFTs); `_turns` gives its chirps with whole
-  turns dropped exactly, so phases of many turns keep their digits;
+  transform (Bluestein); `_turns` gives its chirps with whole turns dropped
+  exactly, so phases of many turns keep their digits.  Everything that
+  depends only on the two grids (chirps, filter FFT, phase factors) is a
+  read-only plan from `_chirp_plan`, cached per grid pair, so a repeated
+  call costs two FFTs;
 - at scattered omegas, `_blocked_sum` splits j = a B + b with B about
   sqrt(N), so each term is a giant-step phase (a) times a baby-step phase
   (b).  That is one batched complex matrix product and a row sum, with
@@ -22,6 +25,7 @@ Both chunked sums keep their phase tables within `_TABLE_ENTRIES` entries.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,24 +63,51 @@ def _turns(beta: float, sq: np.ndarray) -> np.ndarray:
     return np.exp(2j * math.pi * ((head - np.round(head)) + (beta - hi) * sq))
 
 
-def _chirp_sum(weights: np.ndarray, u0: float, du: float, om0: float, dom: float,
-               count: int, sign: float) -> np.ndarray:
-    """sum_j W_j exp(i sign (om0 + k dom)(u0 + j du)) for k < count.
+@lru_cache(maxsize=4)
+def _chirp_plan(n: int, u0: float, du: float, om0: float, dom: float, count: int, sign: float):
+    """The grid-dependent part of `_chirp_sum`, built once per pair of grids.
 
-    Both grids are uniform, so this is a chirp-z transform: Bluestein's
-    kj = (k^2 + j^2 - (k - j)^2) / 2 makes it one linear convolution, taken
-    with three FFTs.  Its chirps come from `_turns`, so their large phases
-    cost no digits.
+    Keyed on (n, u0, du, om0, dom, count, sign), it holds the FFT size, the
+    input chirp exp(i sign om0 du j), the reversed j^2 chirp (a view of the
+    m^2 table from `_turns`, not a copy), the FFT of the conjugate m^2 chirp
+    (the filter) and the output factor exp(i sign u0 (om0 + k dom)) times
+    the k^2 chirp.  That is 32 (n + count) bytes plus 16 per FFT point,
+    1.5 MB on the mu grid; the cache keeps at most four plans.
+    Every array is read-only, since every later call shares it.
     """
-    n = len(weights)
     size = 1 << (n + count - 2).bit_length()
     beta = sign * dom * du / (4.0 * math.pi)
     m = np.arange(1 - n, count, dtype=np.int64)
     # m runs over -j and k, so the j^2 and k^2 chirps are entries of the m^2 one
     turns = _turns(beta, m * m)
-    x = weights * np.exp(1j * sign * om0 * du * np.arange(n)) * turns[n - 1 :: -1]
-    conv = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(np.conj(turns), size))[n - 1 : n - 1 + count]
-    return np.exp(1j * sign * u0 * (om0 + dom * np.arange(count))) * turns[n - 1 :] * conv
+    turns.setflags(write=False)
+    chirp_in = np.exp(1j * sign * om0 * du * np.arange(n))
+    filt = np.fft.fft(np.conj(turns), size)
+    chirp_out = np.exp(1j * sign * u0 * (om0 + dom * np.arange(count))) * turns[n - 1 :]
+    for arr in (chirp_in, filt, chirp_out):
+        arr.setflags(write=False)
+    return size, chirp_in, turns[n - 1 :: -1], filt, chirp_out
+
+
+def _chirp_sum(weights: np.ndarray, u0: float, du: float, om0: float, dom: float,
+               count: int, sign: float) -> np.ndarray:
+    """sum_j W_j exp(i sign (om0 + k dom)(u0 + j du)) for k < count.
+
+    Both grids are uniform, so this is a chirp-z transform: Bluestein's
+    kj = (k^2 + j^2 - (k - j)^2) / 2 makes it one linear convolution.  The
+    chirps and the filter's FFT come from the cached `_chirp_plan`, so a
+    call takes one FFT of the chirped weights and one inverse FFT.  Their
+    large phases cost no digits, because `_turns` drops whole turns.
+    """
+    n = len(weights)
+    size, chirp_in, chirp_rev, filt, chirp_out = _chirp_plan(n, u0, du, om0, dom, count, sign)
+    # in place, so that a call holds one FFT-sized buffer beside the plan
+    x = weights * chirp_in
+    x *= chirp_rev
+    spec = np.fft.fft(x, size)
+    spec *= filt
+    conv = np.fft.ifft(spec, out=spec)[n - 1 : n - 1 + count]
+    return chirp_out * conv
 
 
 def _blocked_sum(weights: np.ndarray, u0: float, du: float, omegas: np.ndarray,

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import alphasine.cli as cli_mod
+from alphasine import oscsum
 from alphasine.cli import (
     _method_first,
     _read_csv_rows,
@@ -153,11 +154,19 @@ class TestInvert:
         truth = tmp_path / "truth.csv"
         xs = np.linspace(0.2, 3.0, 281)
         write_samples(truth, xs, f1(xs))
-        out_path = tmp_path / "rec2.csv"
-        rc, _, err = run(capsys, "invert", "--method", "direct", "--in", str(g2),
-                         "--alpha", "2", "--epsilon", "0.025", "--grid", "0.2:3:281",
-                         "--truth", str(truth), "--out", str(out_path))
-        assert rc == 0
+        # the first run builds the chirp-z plan of the mu grid, the second
+        # takes it from the cache; the two files must not differ by a byte
+        oscsum._chirp_plan.cache_clear()
+        outs = []
+        for name in ("rec2_cold.csv", "rec2_warm.csv"):
+            outs.append(tmp_path / name)
+            rc, _, err = run(capsys, "invert", "--method", "direct", "--in", str(g2),
+                             "--alpha", "2", "--epsilon", "0.025", "--grid", "0.2:3:281",
+                             "--truth", str(truth), "--out", str(outs[-1]))
+            assert rc == 0
+        assert oscsum._chirp_plan.cache_info().hits >= 1
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        out_path = outs[1]
         lines = out_path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "# alphasine invert alpha=2.0 c=3.0 epsilon=0.025 method=direct"
         assert lines[1].startswith("# l2_error = ") and float(lines[1].split("=")[1]) <= 1e-3
@@ -488,6 +497,18 @@ class TestConfigAndErrors:
         names = {"one_row": one_row, "good": t2f1_csv}
         rc, out, err = run(capsys, *[a.format(**names) for a in argv])
         assert (rc, out) == (2, "") and message.format(**names) in err
+
+    @pytest.mark.parametrize("xs", [[-2.0, -1.5, -1.0], [0.0, 1e-10, 2e-10]],
+                             ids=["negative", "below-e-20"])
+    def test_direct_refuses_samples_ending_near_zero(self, capsys, tmp_path, xs):
+        # H g's u = ln y grid runs from -ln x_last to 20: it needs x_last > e^-20
+        g = tmp_path / "g.csv"
+        write_samples(g, xs, [1.0, 1.0, 1.0])
+        rc, out, err = run(capsys, "invert", "--method", "direct", "--alpha", "2",
+                           "--in", str(g), "--grid", "0.2:3:5")
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {g}: H g needs samples of g beyond x = e^-20")
+        assert f"the last abscissa is {xs[-1]:.6g}\n" in err
 
     def test_missing_input_file(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "noise", "--in", str(tmp_path / "nope.csv"), "--sigma", "0.1")

@@ -29,6 +29,7 @@ from alphasine.quad import QuadSpec, integrate_kernel_split
 from alphasine.sas import SasParams, g_from_codifference
 from alphasine.specfun import Alpha
 
+from chirp_oracle import _chirp_sum as chirp_sum_oracle
 from conftest import f1, fhat1, sample, t2_f1
 from mu_lobe_oracle import lobe_mu, real_weight_sum
 
@@ -194,6 +195,51 @@ class TestChirpSum:
         eps = np.finfo(float).eps
         bound = 32.0 * eps * max(1.0, np.max(np.abs(om)) * np.max(np.abs(u))) * np.sum(np.abs(weights))
         assert np.max(np.abs(got - ref)) <= bound
+
+    # the shapes of H g on the mu grid and of the Fourier synthesis at
+    # N = 1e4, and grids far longer or shorter than the other
+    @pytest.mark.parametrize("n, count", [(23549, 6145), (10000, 301), (50, 9000), (7, 3),
+                                          (1000, 1000), (3, 5000)])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_cached_plan_matches_oracle(self, n, count, sign):
+        # the oracle rebuilds every chirp per call; the cached sum must agree
+        # byte for byte when it builds the plan and when it reuses it
+        rng = np.random.default_rng(n + count)
+        weights = rng.standard_normal(n) * np.exp(rng.uniform(-5.0, 5.0, n))
+        grids = (-math.log(20.0), 1.0 / 1024.0, -24.0, 48.0 / 6144.0, count, sign)
+        ref = chirp_sum_oracle(weights, *grids)
+        oscsum._chirp_plan.cache_clear()
+        cold = _chirp_sum(weights, *grids)
+        warm = _chirp_sum(weights, *grids)
+        assert oscsum._chirp_plan.cache_info().hits == 1
+        assert cold.tobytes() == ref.tobytes() and warm.tobytes() == ref.tobytes()
+
+    def test_plan_is_read_only(self):
+        size, *arrays = oscsum._chirp_plan(40, 0.5, 0.25, -3.0, 0.125, 30, 1.0)
+        assert size == 128
+        # the reversed j^2 chirp is a view of the m^2 table, not a copy
+        assert arrays[1].base is not None
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_new_weights_on_a_cached_plan(self):
+        rng = np.random.default_rng(5)
+        grids = (0.5, 0.25, -3.0, 0.125, 30, 1.0)
+        first, second = rng.standard_normal(40), rng.standard_normal(40)
+        a = _chirp_sum(first, *grids)
+        b = _chirp_sum(second, *grids)
+        assert not np.array_equal(a, b)
+        assert b.tobytes() == chirp_sum_oracle(second, *grids).tobytes()
+        assert _chirp_sum(first, *grids).tobytes() == a.tobytes()
+
+    def test_cache_stays_within_its_bound(self):
+        oscsum._chirp_plan.cache_clear()
+        maxsize = oscsum._chirp_plan.cache_info().maxsize
+        for k in range(3 * maxsize):
+            _chirp_sum(np.ones(20 + k), 0.0, 0.1, 0.0, 0.2, 10, 1.0)
+            assert oscsum._chirp_plan.cache_info().currsize <= maxsize
+        assert oscsum._chirp_plan.cache_info().currsize == maxsize
 
     def test_h_on_mu_grid_matches_dense_sum(self, cfg):
         # the u grid and weights are those _h_values hands to the uniform sum;
