@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ShortSampleRange
 from .grid import SampledFunction, UniformGrid, _pointwise
 from .oscsum import _osc_sum, _uniform_sum
-from .specfun import Alpha, _log_gamma, as_alpha, sine_coeffs
+from .specfun import Alpha, _exactly_even, _log_gamma, as_alpha, sine_coeffs
 
 _MU_GRID_DEFAULT = UniformGrid(-24.0, 48.0 / 6144.0, 6145)
 # coefficients summed directly in mu; the rest is the Euler-Maclaurin tail
@@ -99,7 +99,7 @@ def _mu_values(a: float, c: float, omegas: np.ndarray) -> np.ndarray:
     mags, at = np.unique(np.abs(omegas), return_inverse=True)
     total = _osc_sum(np.log(j), coeffs[j] * j ** (s - 1.0), mags, -1.0)[at]
     total = np.where(omegas < 0.0, np.conj(total), total)
-    if not Alpha(a).is_even_integer():
+    if not _exactly_even(a):
         k = -math.exp(math.lgamma(a + 1.0) - a * math.log(2.0)) * math.sin(0.5 * math.pi * a) / math.pi
         p = (2.0 + a - s) + 1j * omegas
         b = a * (1.0 + a) * (2.0 + a) / 24.0

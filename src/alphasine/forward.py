@@ -7,7 +7,7 @@ transform of the even extension of f.
 
 from __future__ import annotations
 
-import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +17,18 @@ from .specfun import as_alpha, sine_coeffs
 
 # coefficients summed by t_sine_series unless the caller asks for another count
 SERIES_TERMS = 10_000
+# fhat values taken in one call_vec by t_sine_series: whole rows of y up to
+# 2^16 entries, so each temporary of a chunk holds 512 kB and the few of them
+# fit a 2 MiB L2 cache; larger chunks spill it and run slower
+_SERIES_CHUNK = 1 << 16
+
+
+@lru_cache(maxsize=1)
+def _series_coeffs(alpha_value: float, terms: int) -> np.ndarray:
+    """The read-only table c_0..c_terms of t_sine_series for the last
+    (alpha, terms) asked for.  Only one is kept: each kept table of the
+    default 1e4 terms adds its 80 kB to the process's peak memory."""
+    return sine_coeffs(alpha_value, terms).coeffs
 
 
 def _on_half_line(f, alpha, y, spec, kernel: str, at_zero):
@@ -65,8 +77,15 @@ def t_sine_series(
     fhat_decays: bool = False,
 ):
     """Series form (c_0/2) fhat(0) + sum_j c_j fhat(2jy) at each y > 0 (points
-    as in grid._pointwise); one coefficient table serves every y, and each
-    y's sum is one fsum.
+    as in grid._pointwise).
+
+    The coefficient table of the last (alpha, terms) is cached, so repeated
+    calls at one alpha share it.  fhat is taken in one call on whole rows of
+    y at a time, about 2^16 values a call (one row if terms is larger).  Each
+    y's terms c_j fhat(2jy) form one contiguous row, which numpy sums
+    pairwise: a y gives the same bits alone, in an array or in any chunk,
+    and the rounding error of its sum grows like
+    log2(terms) u sum_j |c_j fhat(2jy)| (Higham 2002, sec. 4.2), not like terms.
 
     fhat must be the Fourier transform of the even extension of f.  For
     -1 < alpha < 0 the coefficient series diverges, so truncation is only
@@ -74,6 +93,7 @@ def t_sine_series(
     with fhat_decays=True, otherwise the call is refused.
     """
     alpha = as_alpha(alpha)
+    terms = int(terms)
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     if alpha.value < 0.0 and not fhat_decays:
@@ -83,13 +103,15 @@ def t_sine_series(
         )
 
     def sums(ys: np.ndarray) -> np.ndarray:
-        c = sine_coeffs(alpha, terms).coeffs
-        j = np.arange(1, terms + 1, dtype=float)
+        c = _series_coeffs(alpha.value, terms)
+        two_j = 2.0 * np.arange(1, terms + 1, dtype=float)
         head = 0.5 * c[0] * float(fhat(0.0))
+        rows = max(1, _SERIES_CHUNK // terms)
         out = np.empty(len(ys))
-        for i, yi in enumerate(ys):
-            vals = np.asarray(call_vec(fhat, 2.0 * j * yi), dtype=float)
-            out[i] = head + math.fsum((c[1:] * vals).tolist())
+        for start in range(0, len(ys), rows):
+            t = np.multiply.outer(ys[start:start + rows], two_j).reshape(-1)
+            vals = np.asarray(call_vec(fhat, t), dtype=float).reshape(-1, terms)
+            out[start:start + rows] = head + np.sum(vals * c[1:], axis=1)
         return out
 
     return _pointwise(sums, y, "y", "positive")

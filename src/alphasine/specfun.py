@@ -7,6 +7,7 @@ or small immutable containers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,12 @@ class Alpha:
 
 def as_alpha(a) -> Alpha:
     return a if isinstance(a, Alpha) else Alpha(float(a))
+
+
+def _exactly_even(a: float) -> bool:
+    """True only for a exactly in {0, 2, 4, ...}, where the cosine expansion
+    of |sin|^a ends after a/2 + 1 terms.  A nearby a keeps its infinite tail."""
+    return a >= 0.0 and a % 2.0 == 0.0
 
 
 @dataclass(frozen=True)
@@ -64,16 +71,20 @@ def sine_coeffs(alpha, count: int) -> CoefficientTable:
 
     c_0 comes from the closed gamma form; the rest follow the ratio recurrence
     c_1 = -c_0 a/(a+2), c_{j+1} = c_j (j - a/2)/(j + 1 + a/2), which avoids
-    gamma evaluations at negative arguments.  For even integer a = 2k the
-    exact binomial branch is taken: c_j = (-1)^j binom(2k, k-j)/4^k for j <= k
-    and 0 beyond.
+    gamma evaluations at negative arguments.  At a exactly 2k the exact
+    binomial branch is taken: c_j = (-1)^j binom(2k, k-j)/4^k for j <= k and
+    0 beyond.  An a merely near 2k takes the recurrence, whose small factor
+    (a in c_1 at k = 0, j - a/2 at j = k >= 1) is exact, so the tail beyond
+    c_k keeps its true small size instead of being snapped to 0.
     """
     alpha = as_alpha(alpha)
     count = int(count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     a = alpha.value
-    if alpha.is_even_integer():
+    # at |a| < 2^-1021 the tail from c_1 = -c_0 a/(a+2) on lies below the
+    # normal floats, where it would hold too few digits to be a table
+    if _exactly_even(a) or abs(a) < 2.0 * sys.float_info.min:
         k = round(a) // 2
         c = np.zeros(count + 1)
         for j in range(0, min(k, count) + 1):

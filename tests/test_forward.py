@@ -1,6 +1,7 @@
 """Forward transforms against closed forms and the series representation."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alphasine import forward
 from alphasine.forward import k_cosine, t_sine, t_sine_series
 from alphasine.quad import QuadSpec, _kernel_pieces, _lobes, integrate
 from alphasine.specfun import sin_power_integral, sine_coeffs
@@ -159,6 +161,8 @@ class TestSeries:
     @example(a=-0.9, y=20.0)
     @example(a=5.0, y=0.3)
     @example(a=1.5, y=2.0)
+    @example(a=1e-12, y=1.0)
+    @example(a=2.0 - 5e-13, y=1.0)
     @settings(max_examples=15, deadline=None)
     def test_matches_series_form(self, a, y):
         # the series form is an independent route: no quadrature, only the
@@ -179,16 +183,44 @@ class TestSeries:
         assert np.isfinite(v)
 
     @pytest.mark.parametrize("fhat, alpha", [(fhat1, 1.5), (fhat2, -0.5), (fhat1, 2.0)])
-    def test_array_of_y_is_one_fsum_per_y(self, fhat, alpha):
-        # the per-y sum of the scalar route, bit for bit, from one coefficient table
+    def test_array_of_y_is_one_fsum_per_y(self, fhat, alpha, monkeypatch):
+        # each y's series against one fsum of the same products: numpy's pairwise
+        # row sum keeps within ceil(log2 J) u of the terms' magnitudes, the head
+        # c_0 fhat(0) / 2 counted among them for the one rounding of its addition
+        n = 1000
         ys = np.array([0.05, 1.0, 7.3, 20.0])
-        c = sine_coeffs(alpha, 1000).coeffs
-        j = np.arange(1, 1001, dtype=float)
-        expect = [0.5 * c[0] * float(fhat(0.0)) + math.fsum((c[1:] * fhat(2.0 * j * y)).tolist())
-                  for y in ys]
-        assert np.array_equal(t_sine_series(fhat, alpha, ys, 1000, fhat_decays=True), expect)
-        assert t_sine_series(fhat, alpha, float(ys[2]), 1000, fhat_decays=True) == expect[2]
+        c = sine_coeffs(alpha, n).coeffs
+        j = np.arange(1, n + 1, dtype=float)
+        head = 0.5 * c[0] * float(fhat(0.0))
+        terms = [c[1:] * fhat(2.0 * j * y) for y in ys]
+        expect = np.array([head + math.fsum(t.tolist()) for t in terms])
+        bound = [math.ceil(math.log2(n)) * 2.0**-53 * (abs(head) + np.sum(np.abs(t)))
+                 for t in terms]
+        got = t_sine_series(fhat, alpha, ys, n, fhat_decays=True)
+        assert np.all(np.abs(got - expect) <= bound)
+        # the same bits alone, in the array, and in chunks of one and of three rows
+        assert t_sine_series(fhat, alpha, float(ys[2]), n, fhat_decays=True) == got[2]
+        for rows in (1, 3):
+            monkeypatch.setattr(forward, "_SERIES_CHUNK", rows * n)
+            assert np.array_equal(t_sine_series(fhat, alpha, ys, n, fhat_decays=True), got)
         assert t_sine_series(fhat, alpha, ys.reshape(2, 2), 10, fhat_decays=True).shape == (2, 2)
+
+    def test_chunk_and_table_cache_bound_memory(self):
+        # 400 y at the default 1e4 terms hold 32 MB in each (y, j) array when
+        # unchunked; in chunks, fhat1's call peaks at a few chunk-sized arrays
+        ys = 0.05 * np.arange(1, 401)
+        t_sine_series(fhat1, 1.5, ys)
+        tracemalloc.start()
+        try:
+            t_sine_series(fhat1, 1.5, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * forward._SERIES_CHUNK < 8 * ys.size * 10**4
+        maxsize = forward._series_coeffs.cache_info().maxsize
+        for a in (0.5, 1.5, 2.5, 3.5, 4.5, 5.5):
+            t_sine_series(fhat1, a, 1.0, 100)
+            assert forward._series_coeffs.cache_info().currsize <= maxsize
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

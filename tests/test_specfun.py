@@ -88,6 +88,14 @@ class TestSineCoeffs:
         assert np.all(c[3:] == 0.0)
         assert c[2] != 0.0
 
+    @pytest.mark.parametrize("alpha", [2.0 - 1e-13, 2.0 + 1e-13])
+    def test_near_even_alpha_keeps_its_tail(self, alpha):
+        # only a = 2 exactly ends the expansion; at 1e-13 from it, c_0 and c_1
+        # stay by the a = 2 table while c_2 is small but not snapped to 0
+        c, even = sine_coeffs(alpha, 5).coeffs, sine_coeffs(2.0, 5).coeffs
+        assert np.all(np.abs(c[:2] - even[:2]) <= 1e-12)
+        assert c[2] != 0.0
+
     @given(alpha=alphas_st)
     @settings(max_examples=40, deadline=None)
     def test_ratio_recurrence(self, alpha):
