@@ -11,17 +11,29 @@ f.  The whole lobes of a curve are laid out as a lattice, each node placed
 from its lobe's zero and y alone.  A lobe is kept only when its estimate
 meets its share of the tolerance at quadrature precision, however loose the
 caller's tolerance; a lobe that fails, as one holding a kink of f does,
-splits into its two half-lobes, between a zero and a crest, which take the
-half-lobe G16 and its null rules for the weight sin(u)^a on [0, pi/2].  Both
-rules are built once per a from the tanh-sinh rule below.
+splits into its two half-lobes, between a zero and a crest.
 
-A half-lobe the Gauss rule cannot settle, and every piece cut at tail_cut,
+Every other piece touches a kernel zero or a crest and takes the Gauss pass
+on 16-point rules: a whole half-lobe takes G16 for sin(u)^a on [0, pi/2]; a
+piece cut at tail_cut takes the Gauss-Jacobi rule GJ(0, a) for the weight
+u^a on [0, 1], built per a from its closed-form recurrence, scaled to the
+piece and with the kernel's smooth factor folded into its weights, or, in a
+falling half, the whole half-lobe less the part past the cut, or
+Gauss-Legendre on the crest's side.  The length of a piece at the cut is
+its distance from the zero, taken from the exact y * tail_cut and pi, so a
+cut within 1e-12 of a zero keeps the digits the weight u^a needs there.
+Which lobes are whole and which halves are cut is decided in floats: a cut
+within rounding of a zero counts as at the zero, so tail_cut = math.pi at
+y = 1 takes the whole lobe [0, pi].
+
+Tanh-sinh is only the fallback: a piece the Gauss pass leaves over its share
 takes a tanh-sinh rule whose nodes are placed from the piece's own ends; a
 node's distance u to the nearer kernel zero comes from the rule, never from
-a difference of large floats, so even a piece far shorter than pi keeps its
-digits.  Weights and kernel powers combine in log space, which keeps the rule
-finite arbitrarily close to a = -1.  Every second tanh-sinh node forms the
-embedded coarse rule whose disagreement drives the halving of its step.
+a difference of large floats.  Weights and kernel powers combine in log
+space, which keeps the rule finite arbitrarily close to a = -1.  Every
+second tanh-sinh node forms the embedded coarse rule whose disagreement
+drives the halving of its step.  Both sin(u)^a rules are built from a fine
+tanh-sinh rule.
 
 A curve, an array of y, is integrated in blocks of consecutive y that
 together hold at most _LOBE_BLOCK lobes; a y with more lobes than that forms
@@ -43,17 +55,19 @@ from .grid import _pointwise, call_vec
 from .specfun import as_alpha
 
 _HALF_PI = 0.5 * math.pi
-# the Gauss rule for the weight sin(u)^a, on a whole lobe or on a half-lobe:
-# G16 is the value, and the sum of its null rules of these degrees on its own
-# nodes the error estimate
+# pi/2 as a head of 32 significant bits, so that m times it is exact for
+# |m| < 2^21, and the rest; sin(fl(pi)) is pi - fl(pi) to double precision
+_HALF_PI_HEAD = math.ldexp(math.floor(math.ldexp(_HALF_PI, 31)), -31)
+_HALF_PI_TAIL = (_HALF_PI - _HALF_PI_HEAD) + 0.5 * math.sin(math.pi)
+# every Gauss rule: G16 is the value, and the sum of its null rules of these
+# degrees on its own nodes the error estimate
 _GAUSS_N = 16
 _NULL_DEGREES = (15, 14)
 # a whole lobe is kept only at quadrature precision: its share of the y's
 # tolerance is taken at this relative tolerance when the caller's is looser
 _LOBE_REL_TOL = 1e-10
-# a piece's step h: inf marks the half-lobe Gauss pass, after which a piece
-# over its share takes tanh-sinh at _H_FIRST, then halves its step down to
-# _H_LAST
+# a piece's step h: inf marks the Gauss pass, after which a piece over its
+# share takes tanh-sinh at _H_FIRST, then halves its step down to _H_LAST
 _GAUSS = math.inf
 _H_FIRST = 0.2
 _H_LAST = _H_FIRST / 2**7
@@ -135,24 +149,43 @@ def _rules(alpha: float, h: float, length: np.ndarray, off: np.ndarray):
     return d, near, np.stack((q, np.where(k % 2 == 0, 2.0 * q, 0.0)))
 
 
+def _golub_welsch(diag: np.ndarray, off: np.ndarray, mu0: float):
+    """Nodes and weight rows of the Gauss rule whose Jacobi matrix has this
+    diagonal and off-diagonal, for a weight of mass mu0: the eigenvalues of
+    the matrix are the nodes and mu0 times the squared first components v_0
+    of its eigenvectors the weights g (Golub & Welsch 1969).  Row r of the
+    eigenvectors is p_r(x) sqrt(g), p_r the weight's orthonormal
+    polynomials, so mu0 v_0 v_r = sqrt(mu0) g p_r(x) sums every polynomial
+    of degree below r to zero but not p_r: the null rule of degree r
+    (Berntsen & Espelid 1991).  The rows are the rule, then the rule less
+    its null rules of degree 15 and 14; for G16 these are exact through
+    degree 14 and 13 and miss u^15 and u^14."""
+    theta, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    g = mu0 * v[0] ** 2
+    return theta, np.stack([g] + [g - mu0 * v[0] * v[r] for r in _NULL_DEGREES])
+
+
+def _frozen(d, w):
+    """The rule (d, near, w) with every node measured from its zero end,
+    read-only."""
+    rule = (d[None, :], np.ones(_GAUSS_N, dtype=bool), w[:, None, :])
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 @lru_cache(maxsize=64)
 def _gauss_pair(alpha: float, span: float):
     """G16 for the weight sin(u)^alpha on [0, span], span pi/2 (a half-lobe,
     singular at u = 0) or pi (a whole lobe, singular at both ends), with two
-    error-estimate partners on its own nodes, as one rule (d, near, w) of 16
-    nodes (see _rules): every node lies its u from the zero end, w[0] is G16
-    and w[1], w[2] are G16 less its null rules of degree 15 and 14, so they
-    are exact through degree 14 and 13 and miss u^15 and u^14.  Read-only.
+    error-estimate partners on its own nodes (see _golub_welsch), as one rule
+    (d, near, w) of 16 nodes (see _rules): every node lies its u from the
+    zero end.  Read-only.
 
     The discretized Stieltjes procedure (Gautschi 1982) takes the recurrence
     of the weight's orthonormal polynomials p_r in x = 2u/span - 1 from a
     fine tanh-sinh rule on [0, pi/2] as the discrete measure, mirrored about
-    the crest for the whole lobe, where the weight is even; the eigenvalues
-    of the 16 x 16 Jacobi matrix are the nodes and mu_0 times the squared
-    first components v_0 of its eigenvectors the weights g (Golub & Welsch
-    1969).  Row r of the eigenvectors is p_r(x) sqrt(g), so mu_0 v_0 v_r =
-    sqrt(mu_0) g p_r(x) sums every polynomial of degree below r to zero but
-    not p_r: the null rule of degree r (Berntsen & Espelid 1991).
+    the crest for the whole lobe, where the weight is even.
     """
     # step 0.1, which the fallback uses too
     d, near, w = _rules(alpha, _H_FIRST / 2, np.array([[_HALF_PI]]), np.array([[0.0]]))
@@ -168,15 +201,36 @@ def _gauss_pair(alpha: float, span: float):
         r = (x - diag[k]) * p - b * p_prev
         b = off[k] = math.sqrt(np.sum(q * r * r))
         p_prev, p = p, r / b
-    jacobi = np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
-    theta, v = np.linalg.eigh(jacobi)
-    g = mu0 * v[0] ** 2
-    d = ((theta + 1.0) * (0.5 * span))[None, :]
-    w = np.stack([g] + [g - mu0 * v[0] * v[r] for r in _NULL_DEGREES])[:, None, :]
-    near = np.ones(_GAUSS_N, dtype=bool)
-    for arr in (d, near, w):
-        arr.setflags(write=False)
-    return d, near, w
+    theta, w = _golub_welsch(diag, off[:-1], mu0)
+    return _frozen((theta + 1.0) * (0.5 * span), w)
+
+
+@lru_cache(maxsize=64)
+def _jacobi_rule(alpha: float):
+    """G16 for the weight u^alpha on [0, 1], the Gauss-Jacobi rule GJ(0,
+    alpha), with its two error-estimate partners on its own nodes (see
+    _golub_welsch), as one rule (d, near, w) of 16 nodes (see _rules): every
+    node lies its u from the zero end.  On [0, L] the rule is the same nodes
+    times L and weights times L^(alpha + 1), exactly.  At alpha = 0 it is
+    Gauss-Legendre.  Read-only.
+
+    The recurrence has a closed form (Gautschi 2004, section 1.5.5): the
+    Jacobi weight (1 - x)^0 (1 + x)^alpha in x = 2u - 1 gives, in u, the
+    diagonal (alpha + 1)/(alpha + 2) at k = 0 and
+    ((k + alpha)(k + alpha + 1) + k(k + 1)) / (b (b + 2)) above, with
+    b = 2k + alpha, and the off-diagonal k (k + alpha) / (b sqrt(b^2 - 1));
+    no entry is a difference of nearly equal numbers.  The mass is
+    1/(alpha + 1); the weights are scaled to it, since the squared first
+    components of the eigenvectors sum to 1 only to about 1e-15."""
+    k = np.arange(1, _GAUSS_N)
+    b = 2 * k + alpha
+    diag = np.concatenate((
+        [(alpha + 1.0) / (alpha + 2.0)],
+        ((k + alpha) * (k + alpha + 1.0) + k * (k + 1.0)) / (b * (b + 2.0))))
+    off = k * (k + alpha) / (b * np.sqrt((b + 1.0) * (b - 1.0)))
+    mu0 = 1.0 / (alpha + 1.0)
+    theta, w = _golub_welsch(diag, off, mu0)
+    return _frozen(theta, w * (mu0 / math.fsum(w[0])))
 
 
 def _place(d, near, zero_end, other_end, scale=1.0):
@@ -207,31 +261,55 @@ def _lobes(phase: float, t_max: np.ndarray):
     return owner, k
 
 
-def _kernel_pieces(phase: float, t_max: np.ndarray, owner: np.ndarray, k: np.ndarray):
+def _two_product(a: np.ndarray, b: float):
+    """a * b as p + e exactly, p the rounded product (Dekker 1971): each
+    factor splits into two halves of 26 bits, whose products are exact."""
+    def split(x):
+        c = 134217729.0 * x  # 2^27 + 1
+        hi = c - (c - x)
+        return hi, x - hi
+
+    p = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = split(a), split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _kernel_pieces(phase: float, t_max: np.ndarray, t_lo: np.ndarray,
+                   owner: np.ndarray, k: np.ndarray):
     """Rows (zero_end, other_end, length, off) covering the lobes k[j] of the
     y owner[j] (see _lobes), cut to (0, t_max[owner[j]]], and the owner of
     each row: the rising (zero to crest) and falling (crest to zero) half of
     each lobe, cut to the interval, with empty pieces dropped.  A length is
-    pi/2 or is measured from 0 or t_max, never between zeros; off is nonzero
-    only where t_max cuts a falling half."""
-    t_max = t_max[owner]
+    pi/2 or is measured from 0 or the cut, never between zeros; off is
+    nonzero only where the cut falls inside a falling half.  Which halves
+    are whole is decided in floats, as for the lobes in _lobe_pass, so a cut
+    within rounding of a zero or crest counts as at it.  The cut is
+    t_max + t_lo exactly, with t_lo the rounding error of t_max, and a
+    length or off at the cut is its distance from the zero or crest."""
+    t_max, t_lo = t_max[owner], t_lo[owner]
     zero = k * math.pi - phase
     crest = k * math.pi + (_HALF_PI - phase)
     next_zero = (k + 1) * math.pi - phase
-    rising = np.column_stack((zero, np.minimum(crest, t_max),
-                              np.where(crest <= t_max, _HALF_PI, t_max - zero),
-                              np.zeros(len(k))))
-    falling = np.column_stack((np.minimum(next_zero, t_max), crest,
-                               np.where(next_zero <= t_max, _HALF_PI, t_max - crest),
-                               np.maximum(next_zero - t_max, 0.0)))
-    rows = np.stack((rising, falling), axis=1).reshape(-1, 4)
+    whole = next_zero <= t_max
+    # the cut's distances past the zero, crest and next zero of lobe k, which
+    # lie at m pi/2 for m = 2k, 2k + 1 and 2k + 2 (one less for the cosine):
+    # m * _HALF_PI_HEAD is exact for |m| < 2^21, and so is its difference
+    # from a t_max near it, so a cut within 1e-12 of a zero keeps the digits
+    # of its distance, which the weight v^a near a = -1 depends on
+    m = 2 * k - round(phase / _HALF_PI) + np.arange(3)[:, None]
+    past = (t_max - m * _HALF_PI_HEAD) + (t_lo - m * _HALF_PI_TAIL)
+    rows = np.empty((len(k), 2, 4))
+    rows[:, 0, 0] = zero
+    rows[:, 0, 1] = np.minimum(crest, t_max)
+    rows[:, 0, 2] = np.where(crest <= t_max, _HALF_PI, past[0])
+    rows[:, 0, 3] = 0.0
+    rows[:, 1, 0] = np.minimum(next_zero, t_max)
+    rows[:, 1, 1] = crest
+    rows[:, 1, 2] = np.where(whole, _HALF_PI, past[1])
+    rows[:, 1, 3] = np.where(whole, 0.0, np.maximum(-past[2], 0.0))
+    rows = rows.reshape(-1, 4)
     keep = (rows[:, 2] > 0.0) & (rows[:, 0] >= 0.0)
     return rows[keep], np.repeat(owner, 2)[keep]
-
-
-def _interior(pieces: np.ndarray) -> np.ndarray:
-    """Which rows of a piece table are whole half-lobes: length pi/2, off 0."""
-    return (pieces[:, 2] == _HALF_PI) & (pieces[:, 3] == 0.0)
 
 
 def _rule_sums(f, x: np.ndarray, w: np.ndarray, scale: np.ndarray):
@@ -239,7 +317,7 @@ def _rule_sums(f, x: np.ndarray, w: np.ndarray, scale: np.ndarray):
     weights w (see _rules), where the integrand at node t of row i is
     f(t) / scale[i]: the value is the sum under w[0] and the error the sum
     of its distances to the sums under the partners w[1:], one for
-    tanh-sinh and two for a Gauss rule (see _gauss_pair).  np.vecdot sums
+    tanh-sinh and two for a Gauss rule (see _golub_welsch).  np.vecdot sums
     each row on its own, so a row's sums do not depend on the rows evaluated
     with it."""
     fx = np.asarray(call_vec(f, x.ravel()), dtype=float).reshape(x.shape)
@@ -262,24 +340,80 @@ def _lobe_sums(f, alpha: float, zero: np.ndarray, y: np.ndarray):
     return value, error
 
 
+def _gauss_piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray):
+    """Value and error estimate of each piece by a 16-point Gauss rule,
+    where the integrand at node t is f(t / scale) / scale.  Each rule row
+    runs from a start, over a span, towards the piece.
+
+    - A whole half-lobe, of span pi/2, takes G16 for sin(v)^a
+      (_gauss_pair).  GJ(0, a) with the smooth factor folded in would be as
+      accurate, but its null rules see that factor's terms of degree 14 and
+      15, about 1e-11 of the mass at a = -0.9 or 4.9, and would send smooth
+      half-lobes to the fallback.
+    - A rising half cut at t_max takes GJ(0, a) (_jacobi_rule) on
+      [0, length] from its zero, which holds the weight v^a exactly; the
+      smooth factor (sin v / v)^a is folded into the row's weights,
+      v = length u the node's distance to the zero.
+    - A falling half cut at t_max within pi/4 of its zero, off from it, is
+      the whole half-lobe from that zero less the part [0, off] past the
+      cut, both on GJ(0, a), so f is evaluated up to off <= pi/4 past t_max.
+    - A falling half cut farther from its zero lies on the crest's side,
+      where the kernel cos(d)^a is smooth, d the distance to the crest, and
+      takes Gauss-Legendre, GJ(0, 0), on [0, length] from the crest.  Its
+      part past the cut would hold most of a difference rule's mass.
+
+    A piece's value and error sum those of its rows.  Rows go in chunks of
+    at most _CHUNK_NODES nodes."""
+    n = len(pieces)
+    zero_end, other_end, length, off = pieces.T
+    toward = np.sign(other_end - zero_end)
+    crest = off > 0.5 * _HALF_PI
+    difference = (off > 0.0) & ~crest
+    less = np.flatnonzero(difference)
+    owner = np.concatenate((np.arange(n), less))
+    start = np.where(crest, other_end, zero_end - toward * off)[owner]
+    end = np.where(crest, zero_end, other_end)[owner]
+    # a subtracted part has a negative span, which flips its weights' sign
+    span = np.concatenate((np.where(difference, _HALF_PI, length), -off[less]))
+    crest = np.concatenate((crest, np.zeros(len(less), dtype=bool)))
+    y = scale[owner]
+    half_lobe = _gauss_pair(alpha, _HALF_PI)
+    (u_a, near, w_a), (u_0, _, w_0) = _jacobi_rule(alpha), _jacobi_rule(0.0)
+    value, error = np.empty((2, len(owner)))
+    for half in (True, False):
+        rows = np.flatnonzero((span == _HALF_PI) == half)
+        for lo in range(0, len(rows), _CHUNK_NODES // _GAUSS_N):
+            at = rows[lo:lo + _CHUNK_NODES // _GAUSS_N]
+            if half:
+                d, _, w = half_lobe
+            else:
+                c = crest[at, None]
+                u = np.where(c, u_0, u_a)
+                d = np.abs(span[at, None]) * u
+                kernel = np.where(c, np.cos(d), np.sin(d) / u) ** alpha
+                w = np.where(c, w_0, w_a) * (span[at, None] * kernel)
+            value[at], error[at] = _rule_sums(f, _place(d, near, start[at], end[at], y[at]), w, y[at])
+    return np.bincount(owner, value, n), np.bincount(owner, error, n)
+
+
 def _piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray, h: np.ndarray):
     """Value and error estimate of each piece at its step h, where the
-    integrand at node t is f(t / scale) / scale.  Interior half-lobes at
-    h = _GAUSS take the half-lobe Gauss rule; every piece at a tanh-sinh
-    step, an interior half-lobe the Gauss rule left open or a cut tail
-    piece, gets its rule row by row from _rules.  Either rule (d, near, w)
-    gives the value and the error through _rule_sums.  Nodes are placed and
-    f evaluated in chunks of at most _CHUNK_NODES."""
+    integrand at node t is f(t / scale) / scale.  Pieces at h = _GAUSS take
+    the Gauss pass (_gauss_piece_sums); a piece at a tanh-sinh step, one the
+    Gauss pass left open, gets its rule row by row from _rules, and its
+    value and error through _rule_sums.  Nodes are placed and f evaluated
+    in chunks of at most _CHUNK_NODES."""
     value, error = np.empty((2, len(h)))
     for step in np.unique(h):
         rows = np.flatnonzero(h == step)
-        n = _GAUSS_N if step == _GAUSS else 2 * _kmax(alpha, step) + 1
-        per_chunk = max(1, _CHUNK_NODES // n)
+        if step == _GAUSS:
+            value[rows], error[rows] = _gauss_piece_sums(f, alpha, pieces[rows], scale[rows])
+            continue
+        per_chunk = max(1, _CHUNK_NODES // (2 * _kmax(alpha, step) + 1))
         for lo in range(0, len(rows), per_chunk):
             sel = rows[lo:lo + per_chunk]
             p, y = pieces[sel], scale[sel]
-            d, near, w = (_gauss_pair(alpha, _HALF_PI) if step == _GAUSS
-                          else _rules(alpha, step, p[:, 2:3], p[:, 3:4]))
+            d, near, w = _rules(alpha, step, p[:, 2:3], p[:, 3:4])
             value[sel], error[sel] = _rule_sums(f, _place(d, near, p[:, 0], p[:, 1], y), w, y)
     return value, error
 
@@ -291,10 +425,10 @@ def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
     failed) with the y each belongs to, and each y's count of pieces in the
     half-lobe split.  Every per-lobe array is freed on return, before the
     rounds."""
-    n, t_max = len(ys), ys * spec.tail_cut
+    n, (t_max, t_lo) = len(ys), _two_product(ys, spec.tail_cut)
     owner, k = _lobes(phase, t_max)
     whole = (k * math.pi - phase >= 0.0) & ((k + 1) * math.pi - phase <= t_max[owner])
-    pieces, piece_owner = _kernel_pieces(phase, t_max, owner[~whole], k[~whole])
+    pieces, piece_owner = _kernel_pieces(phase, t_max, t_lo, owner[~whole], k[~whole])
     # only the whole lobes are kept: the lattice pass sets the block's peak
     # memory
     lobe_owner, lobe_k = owner[whole], k[whole]
@@ -308,7 +442,7 @@ def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
     share = (2.0 * min(spec.rel_tol, _LOBE_REL_TOL) / counts
              * np.bincount(lobe_owner, np.abs(lobe_value), n))
     kept = lobe_error <= share[lobe_owner]
-    halves, half_owner = _kernel_pieces(phase, t_max, lobe_owner[~kept], lobe_k[~kept])
+    halves, half_owner = _kernel_pieces(phase, t_max, t_lo, lobe_owner[~kept], lobe_k[~kept])
     kept_sums = [np.bincount(lobe_owner[kept], v[kept], n)
                  for v in (lobe_value, lobe_error, np.abs(lobe_value))]
     return (*kept_sums, np.concatenate((pieces, halves)),
@@ -328,14 +462,15 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
     its two null rules within the share of its two halves of min(rel_tol,
     _LOBE_REL_TOL) times the mass of the y's lobes.  A kept lobe is final.
     A lobe that fails splits into its half-lobes before the first round, so
-    they take the path of every other interior half-lobe: the half-lobe
-    Gauss pass, then tanh-sinh from _H_FIRST.  Cut pieces start at _H_FIRST;
-    a refined piece moves from the Gauss pass to _H_FIRST, or halves its
-    step, down to _H_LAST."""
+    they take the path of every other piece: the Gauss pass
+    (_gauss_piece_sums), cut pieces too, and only for a piece it leaves
+    over its share the tanh-sinh fallback, from _H_FIRST.  A refined piece
+    moves from the Gauss pass to _H_FIRST, or halves its step, down to
+    _H_LAST."""
     n = len(ys)
     kept_total, kept_error, kept_mass, pieces, piece_owner, counts = _lobe_pass(
         f, alpha, ys, phase, spec)
-    h = np.where(_interior(pieces), _GAUSS, _H_FIRST)
+    h = np.full(len(pieces), _GAUSS)
     value, error = _piece_sums(f, alpha, pieces, ys[piece_owner], h)
     # the Gauss pass, then the eight tanh-sinh steps _H_FIRST .. _H_LAST
     for rounds in range(9):
@@ -351,7 +486,8 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
             raise NonConvergence(
                 f"integrate_kernel_split: error {total_err[i]:.3e} above tolerance at y={ys[i]}"
             )
-        bad = open_[piece_owner] & (error > (tol / (2.0 * counts))[piece_owner]) & (h > _H_LAST)
+        # a non-finite estimate, as from f past t_max, counts as over
+        bad = open_[piece_owner] & ~(error <= (tol / (2.0 * counts))[piece_owner]) & (h > _H_LAST)
         h[bad] = np.minimum(0.5 * h[bad], _H_FIRST)
         value[bad], error[bad] = _piece_sums(f, alpha, pieces[bad], ys[piece_owner[bad]], h[bad])
 
@@ -369,12 +505,14 @@ def integrate_kernel_split(
     Splits at the kernel zeros x = k pi / y (shifted by pi/(2y) for the
     cosine), integrates each whole lobe with the 16-point Gauss rule for
     the sin(u)^a weight on [0, pi], each other half-lobe with the one on
-    [0, pi/2] and each piece cut at tail_cut with the tanh-sinh rule, and
-    refines what its error estimate leaves open: a whole lobe by splitting
-    it into half-lobes, a half-lobe over the budget of its y by moving from
-    the Gauss rule to tanh-sinh, then by halving the tanh-sinh step.  A
-    Gauss rule's estimate comes from its null rules of degree 15 and 14 on
-    its own nodes, so it costs no evaluations of f beyond the rule's 16.
+    [0, pi/2] and each piece cut at tail_cut with the Gauss-Jacobi rule
+    GJ(0, a) (a falling half cut within pi/4 of its zero as its whole
+    half-lobe less the part past the cut, so f is evaluated up to pi/(4y)
+    past tail_cut), and refines what its error estimate leaves open: a whole
+    lobe by splitting it into half-lobes, another piece over the budget of
+    its y by falling back to tanh-sinh, then by halving the tanh-sinh step.
+    A Gauss rule's estimate comes from its null rules of degree 15 and 14
+    on its own nodes, so it costs no evaluations of f beyond the rule's 16.
     The y run in blocks of consecutive y holding at most _LOBE_BLOCK lobes
     together, a y with more lobes alone, which bounds the memory a long
     curve takes; no value depends on the block.

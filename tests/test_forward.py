@@ -106,7 +106,7 @@ class TestArrayY:
                                    kernel_split_at(fn, a, y, spec, kernel)):
                         assert abs(value - single) <= 1e-14 * abs(single)
         t_max = 7.0 * CURVE_Y
-        assert np.max(_kernel_pieces(0.0, t_max, *_lobes(0.0, t_max))[0][:, 3]) > 0.0
+        assert np.max(_kernel_pieces(0.0, t_max, np.zeros(len(t_max)), *_lobes(0.0, t_max))[0][:, 3]) > 0.0
 
     def test_zero_inside_an_array(self, quad_spec):
         ys = np.array([0.0, 0.5, 0.0, 2.0])

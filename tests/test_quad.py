@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from alphasine import quad
 from alphasine.errors import NonConvergence
+from alphasine.grid import SampledFunction, UniformGrid
 from alphasine.quad import (_GAUSS, _GAUSS_N, _H_FIRST, _NULL_DEGREES, QuadSpec, _gauss_pair,
-                            _interior, _kernel_pieces, _lobe_sums, _lobes, _piece_sums, _place,
-                            _rules, integrate, integrate_kernel_split)
+                            _jacobi_rule, _kernel_pieces, _lobe_sums, _lobes, _piece_sums,
+                            _place, _rules, integrate, integrate_kernel_split)
 from alphasine.specfun import sin_power_integral
 
 from conftest import F1_MASS, F2_MASS, f1, f2, f3, sample, t2_f1
@@ -73,8 +74,13 @@ def _edge_oracle(a, y, tail_cut, kernel, f=lambda x: mp.exp(-x), kinks=()):
 
 def _pieces(phase, t_max):
     """Every half-lobe piece of each y, as the engine split them before whole
-    lobes took their own pass."""
-    return _kernel_pieces(phase, t_max, *_lobes(phase, t_max))
+    lobes took their own pass, for an exact t_max."""
+    return _kernel_pieces(phase, t_max, np.zeros(len(t_max)), *_lobes(phase, t_max))
+
+
+def _interior(pieces):
+    """Which rows of a piece table are whole half-lobes: length pi/2, off 0."""
+    return (pieces[:, 2] == 0.5 * math.pi) & (pieces[:, 3] == 0.0)
 
 
 def _weighted_moment(a, k, span):
@@ -91,22 +97,13 @@ def _weighted_moment(a, k, span):
         return float(near + mp.quad(lambda u: mp.sin(u) ** a * g(u), [half, mp.pi / 2]))
 
 
-def _check_gauss_pair(a, span):
-    # G16 integrates u^k exactly for k < 32; the mass over the whole lobe is
-    # B(1/2, (a+1)/2) in closed form, half that over a half-lobe.  Each
-    # partner, G16 less its null rule of degree r, integrates u^k exactly for
-    # k < r and misses u^r by far more than rounding (6.5e-10 relative at
-    # least, at a = -0.99 on the whole lobe).  Below a = -0.99 the tanh-sinh
-    # measure the rule is built from loses digits in its log-space weights
-    # (the moments drift to 4e-13 at a = -0.999), as the tanh-sinh rule does
-    moments = [_weighted_moment(a, k, span) for k in range(2 * _GAUSS_N)]
-    with mp.workdps(30):
-        mass = float(mp.beta(0.5, (a + 1) / 2) * span / mp.pi)
-    d, _, rows = _gauss_pair(a, span)
-    u, (w, *partners) = d[0], rows[:, 0]
+def _check_rule(u, w, partners, moments, span):
+    # G16 integrates u^k exactly for k < 32.  Each partner, G16 less its null
+    # rule of degree r, integrates u^k exactly for k < r and misses u^r by
+    # far more than rounding (6.5e-10 relative at least, at a = -0.99 on the
+    # whole lobe)
     assert len(u) == _GAUSS_N and np.all(np.diff(u) > 0.0) and u[0] > 0.0 and u[-1] < span
     assert np.all(w > 0.0)
-    assert math.isclose(math.fsum(w), mass, rel_tol=1e-13)
     for k in range(2 * _GAUSS_N):
         assert math.isclose(np.dot(w, u**k), moments[k], rel_tol=1e-13), k
     assert len(partners) == len(_NULL_DEGREES)
@@ -114,7 +111,6 @@ def _check_gauss_pair(a, span):
         for k in range(r):
             assert math.isclose(np.dot(partner, u**k), moments[k], rel_tol=1e-13), (r, k)
         assert not math.isclose(np.dot(partner, u**r), moments[r], rel_tol=1e-11), r
-    return u
 
 
 @given(a=st.floats(min_value=-0.99, max_value=5.0))
@@ -123,7 +119,29 @@ def _check_gauss_pair(a, span):
 @example(a=1.5)
 @settings(max_examples=6, deadline=None)
 def test_gauss_rule_moments(a):
-    _check_gauss_pair(a, 0.5 * math.pi)
+    # GJ(0, a), scaled to [0, L] by nodes L u and weights L^(a+1) w, against
+    # the exact moments L^(a+k+1)/(a+k+1) of the weight v^a; the rule is
+    # built from its closed-form recurrence, with no tanh-sinh measure
+    d, near, rows = _jacobi_rule(a)
+    assert near.all() and not rows.flags.writeable
+    for length in (0.5 * math.pi, 0.3, 1e-3):
+        with mp.workdps(30):
+            moments = [float(mp.mpf(length) ** (a + k + 1) / (a + k + 1))
+                       for k in range(2 * _GAUSS_N)]
+        w, *partners = length ** (a + 1) * rows[:, 0]
+        _check_rule(length * d[0], w, partners, moments, length)
+
+
+def _check_sine_rule(rule, a, span):
+    # the mass is B(1/2, (a+1)/2) over the whole lobe in closed form, half
+    # that over a half-lobe
+    d, _, rows = rule
+    u, (w, *partners) = d[0], rows[:, 0]
+    with mp.workdps(30):
+        mass = float(mp.beta(0.5, (a + 1) / 2) * span / mp.pi)
+    assert math.isclose(math.fsum(w), mass, rel_tol=1e-13)
+    _check_rule(u, w, partners, [_weighted_moment(a, k, span) for k in range(2 * _GAUSS_N)], span)
+    return u
 
 
 @given(a=st.floats(min_value=-0.99, max_value=5.0))
@@ -133,9 +151,25 @@ def test_gauss_rule_moments(a):
 @example(a=1.5)
 @settings(max_examples=6, deadline=None)
 def test_whole_lobe_rule_moments(a):
-    # the weight is even about the crest, so the rule is too, to rounding
-    u = _check_gauss_pair(a, math.pi)
+    # below a = -0.99 the tanh-sinh measure the rule is built from loses
+    # digits in its log-space weights (the moments drift to 4e-13 at
+    # a = -0.999), as the tanh-sinh rule does.  The weight is even about the
+    # crest, so the rule is too, to rounding
+    u = _check_sine_rule(_gauss_pair(a, math.pi), a, math.pi)
     assert np.max(np.abs(u + u[::-1] - math.pi)) <= 8 * np.finfo(float).eps * math.pi
+
+
+@given(a=st.floats(min_value=-0.99, max_value=5.0))
+@example(a=-0.99)
+@example(a=-0.9)
+@example(a=1.5)
+@example(a=4.9)
+@settings(max_examples=6, deadline=None)
+def test_half_lobe_rule_moments(a):
+    # G16 for sin(v)^a on [0, pi/2]: its null rules sum sin(v)^a's own
+    # powers of v to zero, where GJ(0, a) with (sin v / v)^a folded in left
+    # 1e-11 of the mass
+    _check_sine_rule(_gauss_pair(a, 0.5 * math.pi), a, 0.5 * math.pi)
 
 
 # smooth integrands with their derivatives: a Gaussian bump, an oscillating
@@ -193,13 +227,16 @@ def test_tanh_sinh_mass_at_every_step(a):
 def test_place_writes_both_halves_as_a_where_would():
     # the near nodes are a prefix of every row, so slicing places each node
     # exactly as choosing between the two full candidate arrays did; a rule
-    # of one row is shared by every piece, as the Gauss rule (all near) is
+    # of one row is shared by every piece, as the whole-lobe Gauss rule (all
+    # near) is, and GJ(0, a) scaled to each piece's length gives one row each
     rng = np.random.default_rng(5)
     zero_end = rng.uniform(0.0, 50.0, 6)
     other_end = zero_end + np.where(rng.random(6) < 0.5, 1.3, -1.3)
     shared = _rules(1.5, 0.25, np.array([[1.3]]), np.array([[0.0]]))[:2]
     per_row = _rules(-0.5, 0.25, np.full((6, 1), 1.3), np.full((6, 1), 0.1))[:2]
-    for d, near in (shared, per_row, _gauss_pair(1.5, 0.5 * math.pi)[:2]):
+    u, near = _jacobi_rule(1.5)[:2]
+    jacobi = (rng.uniform(0.1, 1.3, (6, 1)) * u, near)
+    for d, near in (shared, per_row, _gauss_pair(1.5, math.pi)[:2], jacobi):
         assert near[: np.count_nonzero(near)].all()
         for scale in (1.0, rng.uniform(0.05, 20.0, 6)):
             toward = (np.sign(other_end - zero_end) / scale)[:, None] * d
@@ -222,9 +259,9 @@ def test_piece_sums_do_not_depend_on_the_chunk(step):
         assert len(zero) > 5 * quad._CHUNK_NODES // _GAUSS_N
         sums = lambda few: _lobe_sums(f3, -0.5, zero[few], scale[few])
     else:
+        # every piece, cut ones too: on the Gauss pass a falling half cut
+        # near its zero sums two rule rows
         pieces, owner = _pieces(0.0, t_max)
-        if step == _GAUSS:
-            pieces, owner = pieces[_interior(pieces)], owner[_interior(pieces)]
         scale, h = 0.5 * (owner + 1.0), np.full(len(pieces), step)
         assert len(pieces) > 5000
         sums = lambda few: _piece_sums(f3, -0.5, pieces[few], scale[few], h[few])
@@ -232,6 +269,29 @@ def test_piece_sums_do_not_depend_on_the_chunk(step):
     for few in ([3], [1500], [3, 1500, len(whole_call[0]) - 2]):
         for all_rows, alone in zip(whole_call, sums(few)):
             assert np.array_equal(all_rows[few], alone)
+
+
+def _cut_near(kernel, y, delta, crest=False):
+    """A tail_cut with y * tail_cut delta past a kernel zero, 3 pi for the
+    sine and 5 pi/2 for the cosine, or past the crest before it, to the
+    rounding of tail_cut."""
+    with mp.workdps(30):
+        t = (3 if kernel == "sine" else mp.mpf(5) / 2) * mp.pi - (mp.pi / 2 if crest else 0)
+        return float((t + delta) / y)
+
+
+# the cut inside lobes at two y; within 1e-12 and 1e-6 of a zero on either
+# side (a falling half that ends 1e-12 short of its zero, or a rising piece
+# 1e-12 long), and 1e-9 past a crest
+_EDGE_CASES = [
+    *[(y, tail_cut, a, kernel) for kernel in ("sine", "cosine")
+      for a in (-0.99, -0.9, -0.5, 0.5, 1.5, 4.7) for y, tail_cut in ((1.3, 7.0), (0.45, 3.0))],
+    *[pytest.param(1.3, _cut_near(kernel, 1.3, delta, where == "crest"), a, kernel,
+                   id=f"{where}{delta:+.0e}-{a}-{kernel}")
+      for kernel in ("sine", "cosine") for a in (-0.99, -0.9, 1.5, 4.9)
+      for where, delta in (("zero", -1e-12), ("zero", 1e-12), ("zero", -1e-6), ("zero", 1e-6),
+                           ("crest", 1e-9))],
+]
 
 
 class TestKernelSplit:
@@ -282,16 +342,57 @@ class TestKernelSplit:
         val = integrate_kernel_split(lambda x: math.exp(-float(x) ** 2), 2.0, 1.0)
         assert abs(val - float(t2_f1(1.0))) < 1e-6
 
-    @pytest.mark.parametrize("kernel", ["sine", "cosine"])
-    @pytest.mark.parametrize("a", [-0.99, -0.9, -0.5, 0.5, 1.5, 4.7])
-    @pytest.mark.parametrize("y, tail_cut", [(1.3, 7.0), (0.45, 3.0)])
-    def test_edge_pieces_against_mpmath(self, kernel, a, y, tail_cut):
-        # the cosine's first lobe starts half a lobe before 0, and neither cut
-        # is aligned to the lobes, so both ends are pieces with offsets
+    @pytest.mark.parametrize("y, tail_cut, a, kernel", _EDGE_CASES)
+    def test_edge_pieces_against_mpmath(self, y, tail_cut, a, kernel):
+        # the cosine's first lobe starts half a lobe before 0, and no cut is
+        # aligned to the lobes, so both ends are pieces with offsets.  Within
+        # 1e-12 of a zero at a < 0 a cut's distance to it carries the value:
+        # taken from y * tail_cut and 3 pi rounded to floats, it moved the
+        # value by 5e-10 to 1.3e-8 relative
         val = integrate_kernel_split(
             lambda x: np.exp(-x), a, y, QuadSpec(tail_cut=tail_cut), kernel
         )
         assert math.isclose(val, _edge_oracle(a, y, tail_cut, kernel), rel_tol=1e-10)
+
+    @pytest.mark.parametrize("kernel, m", [("sine", 1.0), ("cosine", 1.5)])
+    @pytest.mark.parametrize("a", [-0.99, -0.5])
+    def test_cut_within_rounding_of_a_zero_is_at_it(self, kernel, m, a):
+        # at y = 1, tail_cut = math.pi lies 1.2e-16 short of pi and
+        # 1.5 * math.pi 1.8e-16 short of 3 pi/2: the lobe ending there is
+        # whole, as test_extreme_negative_alpha has it, where the exact cut
+        # would leave out the sliver's (1.2e-16)^(a+1)/(a+1) of kernel mass,
+        # 69 f(pi) at a = -0.99.  The next float past the zero starts a
+        # piece whose length comes from the exact y * tail_cut
+        short = m * math.pi
+        with mp.workdps(30):
+            zero = m * mp.pi
+            assert short < zero
+        for tail_cut, oracle_cut in ((short, zero), (math.nextafter(short, math.inf), None)):
+            val = integrate_kernel_split(lambda x: np.exp(-x), a, 1.0, QuadSpec(tail_cut=tail_cut),
+                                         kernel)
+            exact = _edge_oracle(a, 1.0, tail_cut if oracle_cut is None else oracle_cut, kernel)
+            assert math.isclose(val, exact, rel_tol=1e-10)
+
+    @pytest.mark.parametrize("kernel", ["sine", "cosine"])
+    @pytest.mark.parametrize("a", [-0.99, -0.9, 1.5, 4.9])
+    def test_sampled_input_ending_at_the_cut(self, kernel, a):
+        # two samples, at a zero and at tail_cut, 0.5 short of the next zero:
+        # the falling half there is the whole half-lobe less the part past
+        # the cut, where constant extrapolation kinks the interpolant.  The
+        # Gauss estimate sees the kink, so the piece falls back to
+        # tanh-sinh, which integrates the linear segment up to the cut alone
+        y, zero = 1.3, (2.0 if kernel == "sine" else 1.5) * math.pi
+        start = zero / y
+        samples = SampledFunction(UniformGrid(start, (zero + math.pi - 0.5) / y - start, 2),
+                                  np.array([1.0, 0.25]))
+        tail_cut = samples.grid.last
+
+        def exact(x):
+            return 1.0 + (0.25 - 1.0) * min(max(x - start, 0), tail_cut - start) / (tail_cut - start)
+
+        val = integrate_kernel_split(samples.eval, a, y, QuadSpec(tail_cut=tail_cut), kernel)
+        assert math.isclose(val, _edge_oracle(a, y, tail_cut, kernel, exact, (start,)),
+                            rel_tol=1e-10)
 
     @given(a=st.floats(min_value=-0.99, max_value=5.0),
            y=st.floats(min_value=0.3, max_value=3.0),
@@ -388,15 +489,28 @@ class TestArrayY:
         single = [integrate_kernel_split(kink, 1.5, float(y), spec) for y in ys]
         assert np.array_equal(integrate_kernel_split(kink, 1.5, ys, spec), single)
 
-    def test_rule_cache_misses_per_step_not_per_y(self):
-        # the whole lobes of every y share one Gauss rule and the half-lobes
-        # another, each built once per a; every piece that takes tanh-sinh
-        # gets its rule row by row from _rules, outside the cache
-        _gauss_pair.cache_clear()
+    def test_rule_cache_misses_per_step_not_per_y(self, monkeypatch):
+        # the whole lobes of every y share one Gauss rule and whole
+        # half-lobes another, each built from the same tanh-sinh measure, and
+        # cut pieces take GJ(0, a) and, on a crest's side, GJ(0, 0): each
+        # built once per a.  No rule is built per y: past the two measures,
+        # _rules builds rows only for what the Gauss pass leaves open at
+        # small y, whole half-lobes and the one piece [0, 1.5] of y = 0.05,
+        # 30 long in x
+        for cached in (_gauss_pair, _jacobi_rule):
+            cached.cache_clear()
+        built = []
+        rules = quad._rules
+        monkeypatch.setattr(quad, "_rules", lambda *args: built.append(args[2:]) or rules(*args))
         ys = 0.05 * np.arange(1, 401)
         for _ in range(2):
             integrate_kernel_split(f3, -0.9, ys)
         assert _gauss_pair.cache_info().misses == 2
+        assert _jacobi_rule.cache_info().misses == 2
+        measures, fallback = built[:2], built[2:]
+        assert all(length.shape == (1, 1) for length, _ in measures) and fallback
+        for length, off in fallback:
+            assert np.all((length == 0.5 * math.pi) | (length == 1.5)) and np.all(off == 0.0)
 
     def test_gauss_pass_halves_f_evaluations(self):
         # f3 at a = -0.9 over the forward_invert curve: tanh-sinh alone took
@@ -425,6 +539,15 @@ class TestArrayY:
         integrate_kernel_split(lambda x: seen.append(np.size(x)) or f3(x), -0.9,
                                0.05 * np.arange(1, 401))
         assert sum(seen) <= 0.7e6
+
+    def test_gauss_jacobi_cut_pieces_keep_the_saving(self):
+        # every cut piece on GJ(0, a), 16 or 32 evaluations where tanh-sinh
+        # took 57 at a = -0.9: with cut pieces on tanh-sinh this curve took
+        # 654,836
+        seen = []
+        integrate_kernel_split(lambda x: seen.append(np.size(x)) or f3(x), -0.9,
+                               0.05 * np.arange(1, 401))
+        assert sum(seen) <= 639_887
 
     @pytest.mark.parametrize("budget", [1, 97, 5000])
     def test_values_do_not_depend_on_the_lobe_budget(self, budget, monkeypatch):
