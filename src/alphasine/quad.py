@@ -13,27 +13,20 @@ meets its share of the tolerance at quadrature precision, however loose the
 caller's tolerance; a lobe that fails, as one holding a kink of f does,
 splits into its two half-lobes, between a zero and a crest.
 
-Every other piece touches a kernel zero or a crest and takes the Gauss pass
-on 16-point rules: a whole half-lobe takes G16 for sin(u)^a on [0, pi/2]; a
-piece cut at tail_cut takes the Gauss-Jacobi rule GJ(0, a) for the weight
-u^a on [0, 1], built per a from its closed-form recurrence, scaled to the
-piece and with the kernel's smooth factor folded into its weights, or, in a
-falling half, the whole half-lobe less the part past the cut, or
-Gauss-Legendre on the crest's side.  The length of a piece at the cut is
-its distance from the zero, taken from the exact y * tail_cut and pi, so a
-cut within 1e-12 of a zero keeps the digits the weight u^a needs there.
-Which lobes are whole and which halves are cut is decided in floats: a cut
-within rounding of a zero counts as at the zero, so tail_cut = math.pi at
-y = 1 takes the whole lobe [0, pi].
+Every other piece lies between a zero and a crest and is the interval
+[v0, v1] of distances from its zero; that interval alone picks its 16-point
+Gauss rule, G16 for sin(v)^a on a whole half-lobe, else Gauss-Jacobi or
+Gauss-Legendre (see _gauss_piece_sums).  A piece the pass leaves over its
+share is bisected, as in QUADPACK's QAG, and its halves go back through the
+same rules: lobes and pieces refine the same way, by splitting.  The length
+of a piece at the cut is its distance from the zero, taken from the exact
+y * tail_cut and pi, so a cut within 1e-12 of a zero keeps the digits the
+weight v^a needs there.  Which lobes are whole and which halves are cut is
+decided in floats: a cut within rounding of a zero counts as at the zero,
+so tail_cut = math.pi at y = 1 takes the whole lobe [0, pi].
 
-Tanh-sinh is only the fallback: a piece the Gauss pass leaves over its share
-takes a tanh-sinh rule whose nodes are placed from the piece's own ends; a
-node's distance u to the nearer kernel zero comes from the rule, never from
-a difference of large floats.  Weights and kernel powers combine in log
-space, which keeps the rule finite arbitrarily close to a = -1.  Every
-second tanh-sinh node forms the embedded coarse rule whose disagreement
-drives the halving of its step.  Both sin(u)^a rules are built from a fine
-tanh-sinh rule.
+Tanh-sinh (_rules) integrates no piece: it is the discrete measure the
+sin(u)^a rules are built from, and the sphere's quadrature reference.
 
 A curve, an array of y, is integrated in blocks of consecutive y that
 together hold at most _LOBE_BLOCK lobes; a y with more lobes than that forms
@@ -66,11 +59,11 @@ _NULL_DEGREES = (15, 14)
 # a whole lobe is kept only at quadrature precision: its share of the y's
 # tolerance is taken at this relative tolerance when the caller's is looser
 _LOBE_REL_TOL = 1e-10
-# a piece's step h: inf marks the Gauss pass, after which a piece over its
-# share takes tanh-sinh at _H_FIRST, then halves its step down to _H_LAST
-_GAUSS = math.inf
-_H_FIRST = 0.2
-_H_LAST = _H_FIRST / 2**7
+# a piece over its share is bisected for at most _ROUNDS rounds, to 2^-30 of
+# its length, which cuts a kink's error by 2^-60 but a step's by 2^-30 only;
+# an estimate within _ROUNDING of the piece's |value| is not worth a split
+_ROUNDS = 30
+_ROUNDING = 16 * np.finfo(float).eps
 # lobes of the y refined together, and nodes placed and evaluated at once:
 # these bound the memory of a long curve without changing any value
 _LOBE_BLOCK = 8192
@@ -187,8 +180,7 @@ def _gauss_pair(alpha: float, span: float):
     fine tanh-sinh rule on [0, pi/2] as the discrete measure, mirrored about
     the crest for the whole lobe, where the weight is even.
     """
-    # step 0.1, which the fallback uses too
-    d, near, w = _rules(alpha, _H_FIRST / 2, np.array([[_HALF_PI]]), np.array([[0.0]]))
+    d, near, w = _rules(alpha, 0.1, np.array([[_HALF_PI]]), np.array([[0.0]]))
     q = w[0, 0]
     x = np.where(near, d[0], _HALF_PI - d[0]) / (0.5 * span) - 1.0
     if span > _HALF_PI:
@@ -316,10 +308,9 @@ def _rule_sums(f, x: np.ndarray, w: np.ndarray, scale: np.ndarray):
     """Value and error estimate of each row of nodes x under a rule's
     weights w (see _rules), where the integrand at node t of row i is
     f(t) / scale[i]: the value is the sum under w[0] and the error the sum
-    of its distances to the sums under the partners w[1:], one for
-    tanh-sinh and two for a Gauss rule (see _golub_welsch).  np.vecdot sums
-    each row on its own, so a row's sums do not depend on the rows evaluated
-    with it."""
+    of its distances to the sums under the partners w[1:] (see
+    _golub_welsch).  np.vecdot sums each row on its own, so a row's sums do
+    not depend on the rows evaluated with it."""
     fx = np.asarray(call_vec(f, x.ravel()), dtype=float).reshape(x.shape)
     sums = np.vecdot(fx, w) / scale
     return sums[0], np.sum(np.abs(sums[0] - sums[1:]), axis=0)
@@ -342,80 +333,71 @@ def _lobe_sums(f, alpha: float, zero: np.ndarray, y: np.ndarray):
 
 def _gauss_piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray):
     """Value and error estimate of each piece by a 16-point Gauss rule,
-    where the integrand at node t is f(t / scale) / scale.  Each rule row
-    runs from a start, over a span, towards the piece.
+    where the integrand at node t is f(t / scale) / scale.  A row (zero_end,
+    other_end, length, off) of _kernel_pieces, or a half of one (see
+    _totals), is the interval [v0, v1] = [off, off + length] of distances
+    from its kernel zero, and that interval alone picks the rule:
 
-    - A whole half-lobe, of span pi/2, takes G16 for sin(v)^a
-      (_gauss_pair).  GJ(0, a) with the smooth factor folded in would be as
-      accurate, but its null rules see that factor's terms of degree 14 and
-      15, about 1e-11 of the mass at a = -0.9 or 4.9, and would send smooth
-      half-lobes to the fallback.
-    - A rising half cut at t_max takes GJ(0, a) (_jacobi_rule) on
-      [0, length] from its zero, which holds the weight v^a exactly; the
-      smooth factor (sin v / v)^a is folded into the row's weights,
-      v = length u the node's distance to the zero.
-    - A falling half cut at t_max within pi/4 of its zero, off from it, is
-      the whole half-lobe from that zero less the part [0, off] past the
-      cut, both on GJ(0, a), so f is evaluated up to off <= pi/4 past t_max.
-    - A falling half cut farther from its zero lies on the crest's side,
-      where the kernel cos(d)^a is smooth, d the distance to the crest, and
-      takes Gauss-Legendre, GJ(0, 0), on [0, length] from the crest.  Its
-      part past the cut would hold most of a difference rule's mass.
+    - [0, pi/2], a whole half-lobe, takes G16 for sin(v)^a (_gauss_pair).
+      GJ(0, a) with the smooth factor folded in would be as accurate, but
+      its null rules see that factor's terms of degree 14 and 15, about
+      1e-11 of the mass at a = -0.9 or 4.9, and would split smooth
+      half-lobes.
+    - v0 < length, a piece near its zero, takes GJ(0, a) (_jacobi_rule) on
+      [0, v1] less GJ(0, a) on [0, v0], nothing at v0 = 0, both from the
+      zero: they hold the weight v^a exactly, and the smooth factor
+      (sin v / v)^a is folded into their weights.  A falling half cut
+      within pi/4 of its zero is such a piece, so f is evaluated up to
+      v0 <= pi/4 past t_max.
+    - v0 >= length, a piece at least its length from its zero, takes
+      Gauss-Legendre, GJ(0, 0), on [v0, v1] with the kernel sin(v)^a, which
+      is smooth there.
 
     A piece's value and error sum those of its rows.  Rows go in chunks of
     at most _CHUNK_NODES nodes."""
     n = len(pieces)
-    zero_end, other_end, length, off = pieces.T
+    zero_end, other_end, length, v0 = pieces.T
     toward = np.sign(other_end - zero_end)
-    crest = off > 0.5 * _HALF_PI
-    difference = (off > 0.0) & ~crest
-    less = np.flatnonzero(difference)
+    half_lobe = (v0 == 0.0) & (length == _HALF_PI)
+    jacobi = (v0 < length) & ~half_lobe
+    less = np.flatnonzero(jacobi & (v0 > 0.0))
     owner = np.concatenate((np.arange(n), less))
-    start = np.where(crest, other_end, zero_end - toward * off)[owner]
-    end = np.where(crest, zero_end, other_end)[owner]
-    # a subtracted part has a negative span, which flips its weights' sign
-    span = np.concatenate((np.where(difference, _HALF_PI, length), -off[less]))
-    crest = np.concatenate((crest, np.zeros(len(less), dtype=bool)))
+    # a row's node u lies |span| u past its start and lo + |span| u from the
+    # zero; a subtracted part has a negative span, which flips its weights'
+    # sign
+    span = np.concatenate((np.where(jacobi, v0 + length, length), -v0[less]))
+    half_lobe, jacobi = np.append(half_lobe, np.zeros(len(less), dtype=bool)), jacobi[owner]
+    lo = np.where(jacobi, 0.0, v0[owner])
+    start = zero_end[owner] - toward[owner] * (v0[owner] - lo)
     y = scale[owner]
-    half_lobe = _gauss_pair(alpha, _HALF_PI)
     (u_a, near, w_a), (u_0, _, w_0) = _jacobi_rule(alpha), _jacobi_rule(0.0)
     value, error = np.empty((2, len(owner)))
     for half in (True, False):
-        rows = np.flatnonzero((span == _HALF_PI) == half)
-        for lo in range(0, len(rows), _CHUNK_NODES // _GAUSS_N):
-            at = rows[lo:lo + _CHUNK_NODES // _GAUSS_N]
+        rows = np.flatnonzero(half_lobe == half)
+        for first in range(0, len(rows), _CHUNK_NODES // _GAUSS_N):
+            at = rows[first:first + _CHUNK_NODES // _GAUSS_N]
             if half:
-                d, _, w = half_lobe
+                d, _, w = _gauss_pair(alpha, _HALF_PI)
             else:
-                c = crest[at, None]
-                u = np.where(c, u_0, u_a)
+                j = jacobi[at, None]
+                u = np.where(j, u_a, u_0)
                 d = np.abs(span[at, None]) * u
-                kernel = np.where(c, np.cos(d), np.sin(d) / u) ** alpha
-                w = np.where(c, w_0, w_a) * (span[at, None] * kernel)
-            value[at], error[at] = _rule_sums(f, _place(d, near, start[at], end[at], y[at]), w, y[at])
+                kernel = (np.sin(lo[at, None] + d) / np.where(j, u, 1.0)) ** alpha
+                w = np.where(j, w_a, w_0) * (span[at, None] * kernel)
+            t = _place(d, near, start[at], other_end[owner[at]], y[at])
+            value[at], error[at] = _rule_sums(f, t, w, y[at])
     return np.bincount(owner, value, n), np.bincount(owner, error, n)
 
 
-def _piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray, h: np.ndarray):
-    """Value and error estimate of each piece at its step h, where the
-    integrand at node t is f(t / scale) / scale.  Pieces at h = _GAUSS take
-    the Gauss pass (_gauss_piece_sums); a piece at a tanh-sinh step, one the
-    Gauss pass left open, gets its rule row by row from _rules, and its
-    value and error through _rule_sums.  Nodes are placed and f evaluated
-    in chunks of at most _CHUNK_NODES."""
-    value, error = np.empty((2, len(h)))
-    for step in np.unique(h):
-        rows = np.flatnonzero(h == step)
-        if step == _GAUSS:
-            value[rows], error[rows] = _gauss_piece_sums(f, alpha, pieces[rows], scale[rows])
-            continue
-        per_chunk = max(1, _CHUNK_NODES // (2 * _kmax(alpha, step) + 1))
-        for lo in range(0, len(rows), per_chunk):
-            sel = rows[lo:lo + per_chunk]
-            p, y = pieces[sel], scale[sel]
-            d, near, w = _rules(alpha, step, p[:, 2:3], p[:, 3:4])
-            value[sel], error[sel] = _rule_sums(f, _place(d, near, p[:, 0], p[:, 1], y), w, y)
-    return value, error
+def _bisect(pieces: np.ndarray) -> np.ndarray:
+    """Each row of a piece table (see _kernel_pieces) as two rows of the same
+    form: its half at the zero's side, then its far half."""
+    halves = np.repeat(pieces, 2, axis=0)
+    halves[:, 2] *= 0.5
+    far = halves[1::2]  # a view: the far halves are moved in place
+    far[:, 0] += np.sign(far[:, 1] - far[:, 0]) * far[:, 2]
+    far[:, 3] += far[:, 2]
+    return halves
 
 
 def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
@@ -442,20 +424,21 @@ def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
     share = (2.0 * min(spec.rel_tol, _LOBE_REL_TOL) / counts
              * np.bincount(lobe_owner, np.abs(lobe_value), n))
     kept = lobe_error <= share[lobe_owner]
-    halves, half_owner = _kernel_pieces(phase, t_max, t_lo, lobe_owner[~kept], lobe_k[~kept])
+    if not kept.all():
+        halves, half_owner = _kernel_pieces(phase, t_max, t_lo, lobe_owner[~kept], lobe_k[~kept])
+        pieces, piece_owner = np.concatenate((pieces, halves)), np.append(piece_owner, half_owner)
     kept_sums = [np.bincount(lobe_owner[kept], v[kept], n)
                  for v in (lobe_value, lobe_error, np.abs(lobe_value))]
-    return (*kept_sums, np.concatenate((pieces, halves)),
-            np.concatenate((piece_owner, half_owner)), counts)
+    return (*kept_sums, pieces, piece_owner, counts)
 
 
 def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np.ndarray:
     """The integral at each of ys, refined together.  Each y keeps its own
     stopping rule: a piece is refined while its y has not met its tolerance
-    and its error exceeds the y's share of it.  A y's tolerance is rel_tol
-    times its integrand's L1 mass, the sum of |value| over its lobes and
-    pieces, so a tiny integral, as at small y and large a, keeps its
-    relative digits; abs_tol is a floor.
+    and its error exceeds its share of it.  A y's tolerance is rel_tol times
+    its integrand's L1 mass, the sum of |value| over its lobes and pieces,
+    so a tiny integral, as at small y and large a, keeps its relative
+    digits; abs_tol is a floor.
 
     Every whole lobe inside (0, y tail_cut] first takes the whole-lobe Gauss
     rule (_lobe_pass), and is kept only at quadrature precision: the sum of
@@ -463,33 +446,45 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
     _LOBE_REL_TOL) times the mass of the y's lobes.  A kept lobe is final.
     A lobe that fails splits into its half-lobes before the first round, so
     they take the path of every other piece: the Gauss pass
-    (_gauss_piece_sums), cut pieces too, and only for a piece it leaves
-    over its share the tanh-sinh fallback, from _H_FIRST.  A refined piece
-    moves from the Gauss pass to _H_FIRST, or halves its step, down to
-    _H_LAST."""
+    (_gauss_piece_sums), and, for a piece over its share, bisection at its
+    midpoint, both halves going back through the Gauss pass, for up to
+    _ROUNDS rounds.  A piece of a y split into c pieces in the half-lobe
+    split starts with 1/(2c) of the y's tolerance, and each half gets half
+    its parent's share; a piece whose estimate is within _ROUNDING of its
+    |value| is at rounding level and is not split again."""
     n = len(ys)
     kept_total, kept_error, kept_mass, pieces, piece_owner, counts = _lobe_pass(
         f, alpha, ys, phase, spec)
-    h = np.full(len(pieces), _GAUSS)
-    value, error = _piece_sums(f, alpha, pieces, ys[piece_owner], h)
-    # the Gauss pass, then the eight tanh-sinh steps _H_FIRST .. _H_LAST
-    for rounds in range(9):
+    part = 0.5 / counts[piece_owner]
+    value, error = _gauss_piece_sums(f, alpha, pieces, ys[piece_owner])
+    for rounds in range(_ROUNDS + 1):
         total = kept_total + np.bincount(piece_owner, value, n)
         total_err = kept_error + np.bincount(piece_owner, error, n)
-        mass = kept_mass + np.bincount(piece_owner, np.abs(value), n)
+        # a non-finite value, as from f past t_max, is left out of the mass,
+        # so the y's other pieces keep finite shares while it is refined
+        finite = np.where(np.isfinite(value), np.abs(value), 0.0)
+        mass = kept_mass + np.bincount(piece_owner, finite, n)
         tol = np.maximum(spec.abs_tol, spec.rel_tol * mass)
         open_ = ~(total_err <= tol)
         if not open_.any():
             return total
-        if rounds == 8:
+        share = np.maximum(tol[piece_owner] * part, _ROUNDING * finite)
+        # a non-finite estimate counts as over only where the rule evaluates f
+        # past t_max, a difference of two GJ(0, a) rows; no split mends another
+        past = (0.0 < pieces[:, 3]) & (pieces[:, 3] < pieces[:, 2])
+        bad = open_[piece_owner] & ~(error <= share) & (np.isfinite(error) | past)
+        if rounds == _ROUNDS or not bad.any():
             i = np.flatnonzero(open_)[0]
             raise NonConvergence(
                 f"integrate_kernel_split: error {total_err[i]:.3e} above tolerance at y={ys[i]}"
             )
-        # a non-finite estimate, as from f past t_max, counts as over
-        bad = open_[piece_owner] & ~(error <= (tol / (2.0 * counts))[piece_owner]) & (h > _H_LAST)
-        h[bad] = np.minimum(0.5 * h[bad], _H_FIRST)
-        value[bad], error[bad] = _piece_sums(f, alpha, pieces[bad], ys[piece_owner[bad]], h[bad])
+        halves, half_owner = _bisect(pieces[bad]), np.repeat(piece_owner[bad], 2)
+        sums = _gauss_piece_sums(f, alpha, halves, ys[half_owner])
+        keep = ~bad
+        pieces, piece_owner, part, value, error = (
+            np.concatenate((old[keep], new)) for old, new in (
+                (pieces, halves), (piece_owner, half_owner), (part, np.repeat(0.5 * part[bad], 2)),
+                (value, sums[0]), (error, sums[1])))
 
 
 def integrate_kernel_split(
@@ -506,16 +501,17 @@ def integrate_kernel_split(
     cosine), integrates each whole lobe with the 16-point Gauss rule for
     the sin(u)^a weight on [0, pi], each other half-lobe with the one on
     [0, pi/2] and each piece cut at tail_cut with the Gauss-Jacobi rule
-    GJ(0, a) (a falling half cut within pi/4 of its zero as its whole
-    half-lobe less the part past the cut, so f is evaluated up to pi/(4y)
-    past tail_cut), and refines what its error estimate leaves open: a whole
-    lobe by splitting it into half-lobes, another piece over the budget of
-    its y by falling back to tanh-sinh, then by halving the tanh-sinh step.
-    A Gauss rule's estimate comes from its null rules of degree 15 and 14
-    on its own nodes, so it costs no evaluations of f beyond the rule's 16.
-    The y run in blocks of consecutive y holding at most _LOBE_BLOCK lobes
-    together, a y with more lobes alone, which bounds the memory a long
-    curve takes; no value depends on the block.
+    GJ(0, a), or Gauss-Legendre on a falling half cut more than pi/4 from
+    its zero (one cut nearer is its whole half-lobe less the part past the
+    cut, so f is evaluated up to pi/(4y) past tail_cut), and refines what
+    its error estimate leaves open by splitting: a whole lobe into
+    half-lobes, any other piece over the budget of its y at its midpoint,
+    round by round (see _totals).  A Gauss rule's estimate comes from its
+    null rules of degree 15 and 14 on its own nodes, so it costs no
+    evaluations of f beyond the rule's 16.  The y run in blocks of
+    consecutive y holding at most _LOBE_BLOCK lobes together, a y with more
+    lobes alone, which bounds the memory a long curve takes; no value
+    depends on the block.
     """
     spec = spec or QuadSpec()
     alpha = as_alpha(alpha)

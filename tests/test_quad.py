@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from alphasine import quad
 from alphasine.errors import NonConvergence
 from alphasine.grid import SampledFunction, UniformGrid
-from alphasine.quad import (_GAUSS, _GAUSS_N, _H_FIRST, _NULL_DEGREES, QuadSpec, _gauss_pair,
-                            _jacobi_rule, _kernel_pieces, _lobe_sums, _lobes, _piece_sums,
+from alphasine.quad import (_GAUSS_N, _NULL_DEGREES, QuadSpec, _bisect, _gauss_pair,
+                            _gauss_piece_sums, _jacobi_rule, _kernel_pieces, _lobe_sums, _lobes,
                             _place, _rules, integrate, integrate_kernel_split)
 from alphasine.specfun import sin_power_integral
 
@@ -219,7 +219,7 @@ def test_tanh_sinh_mass_at_every_step(a):
     # s = 16.5 lost 1.3e-15 to 8.1e-15 of it at h <= 0.05
     with mp.workdps(30):
         mass = float(mp.beta(0.5, (a + 1) / 2) / 2)
-    for h in _H_FIRST / 2 ** np.arange(1, 6):
+    for h in 0.2 / 2 ** np.arange(1, 6):
         w = _rules(a, h, np.array([[0.5 * math.pi]]), np.array([[0.0]]))[2]
         assert math.isclose(math.fsum(w[0, 0]), mass, rel_tol=1e-15), h
 
@@ -245,26 +245,29 @@ def test_place_writes_both_halves_as_a_where_would():
             assert np.array_equal(_place(d, near, zero_end, other_end, scale), expect)
 
 
-@pytest.mark.parametrize("step", [_GAUSS, _H_FIRST, "lattice"])
-def test_piece_sums_do_not_depend_on_the_chunk(step):
+@pytest.mark.parametrize("rows", ["pieces", "halves", "lattice"])
+def test_piece_sums_do_not_depend_on_the_chunk(rows):
     # np.vecdot sums each row on its own, so a piece, or a whole lobe on the
     # lattice, gets the same bits alone or among a few as inside a call of
     # thousands of rows, split into many chunks; a matrix product does not
     # (one row of it takes another path)
     t_max = 30.0 * 0.5 * np.arange(1, 41)
-    if step == "lattice":
+    if rows == "lattice":
         owner, k = _lobes(0.0, t_max)
         whole = (k + 1) * math.pi <= t_max[owner]
         zero, scale = k[whole] * math.pi, 0.5 * (owner[whole] + 1.0)
         assert len(zero) > 5 * quad._CHUNK_NODES // _GAUSS_N
         sums = lambda few: _lobe_sums(f3, -0.5, zero[few], scale[few])
     else:
-        # every piece, cut ones too: on the Gauss pass a falling half cut
-        # near its zero sums two rule rows
+        # every piece, cut ones too, or the halves of each as bisection
+        # leaves them: a falling half cut near its zero, and the half of it
+        # at the zero, sum two rule rows
         pieces, owner = _pieces(0.0, t_max)
-        scale, h = 0.5 * (owner + 1.0), np.full(len(pieces), step)
+        if rows == "halves":
+            pieces, owner = _bisect(pieces), np.repeat(owner, 2)
+        scale = 0.5 * (owner + 1.0)
         assert len(pieces) > 5000
-        sums = lambda few: _piece_sums(f3, -0.5, pieces[few], scale[few], h[few])
+        sums = lambda few: _gauss_piece_sums(f3, -0.5, pieces[few], scale[few])
     whole_call = sums(slice(None))
     for few in ([3], [1500], [3, 1500, len(whole_call[0]) - 2]):
         for all_rows, alone in zip(whole_call, sums(few)):
@@ -379,8 +382,8 @@ class TestKernelSplit:
         # two samples, at a zero and at tail_cut, 0.5 short of the next zero:
         # the falling half there is the whole half-lobe less the part past
         # the cut, where constant extrapolation kinks the interpolant.  The
-        # Gauss estimate sees the kink, so the piece falls back to
-        # tanh-sinh, which integrates the linear segment up to the cut alone
+        # Gauss estimate sees the kink, so the piece is bisected until the
+        # halves that hold the kink meet their shares
         y, zero = 1.3, (2.0 if kernel == "sine" else 1.5) * math.pi
         start = zero / y
         samples = SampledFunction(UniformGrid(start, (zero + math.pi - 0.5) / y - start, 2),
@@ -400,8 +403,8 @@ class TestKernelSplit:
            kernel=st.sampled_from(["sine", "cosine"]))
     @settings(max_examples=12, deadline=None)
     def test_random_alpha_against_mpmath(self, a, y, tail_cut, kernel):
-        # interior half-lobes through the Gauss pass (or its fallback where a
-        # lobe is wide against e^{-x}), cut pieces through tanh-sinh
+        # interior half-lobes and cut pieces through the Gauss pass, and
+        # bisection where a lobe is wide against e^{-x}
         val = integrate_kernel_split(
             lambda x: np.exp(-x), a, y, QuadSpec(tail_cut=tail_cut), kernel
         )
@@ -409,11 +412,11 @@ class TestKernelSplit:
 
     @pytest.mark.parametrize("a", [-0.5, 1.5])
     @pytest.mark.parametrize("y", [1.0, 2.5])
-    def test_kink_inside_an_interior_lobe_falls_back(self, a, y):
+    def test_kink_inside_an_interior_lobe_is_bisected(self, a, y):
         # the kink of |x - c| e^{-x} lies inside an interior half-lobe, as the
         # kinks of a sampled f's linear interpolant do; the Gauss estimate
-        # exceeds the piece's share of the tolerance, so the piece must go on to
-        # tanh-sinh, whose halving reaches about 1e-6 on a kink
+        # exceeds the piece's share of the tolerance, so the piece is bisected
+        # until the half that holds the kink meets its own share
         c = 1.2345
         kink = lambda x: np.abs(x - c) * np.exp(-x)
         spec = QuadSpec(rel_tol=1e-6, tail_cut=6.0)
@@ -421,15 +424,44 @@ class TestKernelSplit:
         pieces, _ = _pieces(0.0, np.array([6.0 * y]))
         ends = np.sort(pieces[:, :2], axis=1)
         at = np.flatnonzero(_interior(pieces) & (ends[:, 0] < c * y) & (c * y < ends[:, 1]))
-        _, gauss_err = _piece_sums(kink, a, pieces[at], np.full(len(at), y),
-                                   np.full(len(at), _GAUSS))
+        _, gauss_err = _gauss_piece_sums(kink, a, pieces[at], np.full(len(at), y))
         assert gauss_err[0] > spec.rel_tol * exact / (2 * len(pieces))
         val = integrate_kernel_split(kink, a, y, spec)
         assert math.isclose(val, exact, rel_tol=spec.rel_tol)
 
+    @pytest.mark.parametrize("kernel", ["sine", "cosine"])
+    @pytest.mark.parametrize("a", [-0.99, -0.9])
+    def test_kink_inside_a_falling_cut_near_its_zero(self, kernel, a):
+        # the cut 1e-12 short of a zero: the falling half there is its whole
+        # half-lobe less the part past the cut, and the kink of |x - c| e^{-x}
+        # 0.05 before the zero sends it to bisection; each half at the zero
+        # is again a difference of two GJ(0, a) rows, to its own far end
+        y = 1.3
+        tail_cut = _cut_near(kernel, y, -1e-12)
+        c = tail_cut - 0.05 / y
+        kink = lambda x: np.abs(x - c) * np.exp(-x)
+        val = integrate_kernel_split(kink, a, y, QuadSpec(tail_cut=tail_cut), kernel)
+        exact = _edge_oracle(a, y, tail_cut, kernel, lambda x: abs(x - c) * mp.exp(-x), (c,))
+        assert math.isclose(val, exact, rel_tol=1e-10)
+
+    @pytest.mark.parametrize("kernel", ["sine", "cosine"])
+    def test_f_undefined_past_the_cut(self, kernel):
+        # the falling half cut 1e-6 short of its zero is a difference of two
+        # GJ(0, a) rows, which evaluate f up to the zero; where f is NaN past
+        # the cut, the piece is bisected until its half at the zero no longer
+        # reaches past the cut.  Where f is NaN inside, no split mends it
+        y, a = 1.3, -0.5
+        spec = QuadSpec(tail_cut=_cut_near(kernel, y, -1e-6))
+        undefined_past = lambda x: np.where(x <= spec.tail_cut, np.exp(-x), np.nan)
+        val = integrate_kernel_split(undefined_past, a, y, spec, kernel)
+        assert math.isclose(val, _edge_oracle(a, y, spec.tail_cut, kernel), rel_tol=1e-10)
+        with pytest.raises(NonConvergence, match="error nan above tolerance"):
+            integrate_kernel_split(lambda x: np.full_like(x, np.nan), a, y, spec, kernel)
+
     def test_refinement_exhausted(self):
-        # a step inside a lobe defeats the tanh-sinh rule, so seven halvings
-        # cannot reach a 1e-13 tolerance
+        # a step inside a lobe: each bisection halves both the error of the
+        # piece that holds it and that piece's share, so no number of rounds
+        # reaches a 1e-13 tolerance
         spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-13, tail_cut=4.0)
         with pytest.raises(NonConvergence, match="integrate_kernel_split"):
             integrate_kernel_split(lambda x: (np.asarray(x) < 1.2345).astype(float), 1.5, 1.0, spec)
@@ -452,13 +484,13 @@ class TestKernelSplit:
         share = 2.0 * np.sum(np.abs(value)) / len(_pieces(0.0, t_max)[0])
         assert 1e-10 * share < error[held][0] <= spec.rel_tol * share
         calls = []
-        piece_sums = quad._piece_sums
+        piece_sums = quad._gauss_piece_sums
 
         def recorded(f, alpha, pieces, *rest):
             calls.append(pieces)
             return piece_sums(f, alpha, pieces, *rest)
 
-        monkeypatch.setattr(quad, "_piece_sums", recorded)
+        monkeypatch.setattr(quad, "_gauss_piece_sums", recorded)
         val = integrate_kernel_split(kink, a, y, spec)
         # the first round's pieces hold both halves of the kinked lobe
         ends = np.sort(calls[0][:, :2], axis=1)
@@ -491,12 +523,11 @@ class TestArrayY:
 
     def test_rule_cache_misses_per_step_not_per_y(self, monkeypatch):
         # the whole lobes of every y share one Gauss rule and whole
-        # half-lobes another, each built from the same tanh-sinh measure, and
-        # cut pieces take GJ(0, a) and, on a crest's side, GJ(0, 0): each
-        # built once per a.  No rule is built per y: past the two measures,
-        # _rules builds rows only for what the Gauss pass leaves open at
-        # small y, whole half-lobes and the one piece [0, 1.5] of y = 0.05,
-        # 30 long in x
+        # half-lobes another, each built from a tanh-sinh measure, and every
+        # other piece, bisected halves too, takes GJ(0, a) or GJ(0, 0): each
+        # built once per a.  No rule is built per y, and past the two
+        # measures _rules builds nothing: what the Gauss pass leaves open is
+        # bisected
         for cached in (_gauss_pair, _jacobi_rule):
             cached.cache_clear()
         built = []
@@ -507,10 +538,9 @@ class TestArrayY:
             integrate_kernel_split(f3, -0.9, ys)
         assert _gauss_pair.cache_info().misses == 2
         assert _jacobi_rule.cache_info().misses == 2
-        measures, fallback = built[:2], built[2:]
-        assert all(length.shape == (1, 1) for length, _ in measures) and fallback
-        for length, off in fallback:
-            assert np.all((length == 0.5 * math.pi) | (length == 1.5)) and np.all(off == 0.0)
+        assert len(built) == 2
+        for length, off in built:
+            assert length.shape == (1, 1) and length[0, 0] == 0.5 * math.pi and off[0, 0] == 0.0
 
     def test_gauss_pass_halves_f_evaluations(self):
         # f3 at a = -0.9 over the forward_invert curve: tanh-sinh alone took
@@ -548,6 +578,16 @@ class TestArrayY:
         integrate_kernel_split(lambda x: seen.append(np.size(x)) or f3(x), -0.9,
                                0.05 * np.arange(1, 401))
         assert sum(seen) <= 639_887
+
+    def test_bisection_stops_at_rounding_level(self):
+        # f3 at a = -0.9 over the forward_invert curve at rel_tol 1e-14: a
+        # piece whose estimate is within rounding of its value is not split
+        # again, or this curve takes 23 rounds; with the open pieces on
+        # tanh-sinh it took 714,051 evaluations
+        seen = []
+        integrate_kernel_split(lambda x: seen.append(np.size(x)) or f3(x), -0.9,
+                               0.05 * np.arange(1, 401), QuadSpec(rel_tol=1e-14))
+        assert sum(seen) <= 714_051
 
     @pytest.mark.parametrize("budget", [1, 97, 5000])
     def test_values_do_not_depend_on_the_lobe_budget(self, budget, monkeypatch):
