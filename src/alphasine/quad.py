@@ -1,29 +1,39 @@
 """Numerical integration by kernel-zero-aware lobe rules.
 
 The |sin(xy)|^a and |cos(xy)|^a kernels vanish like |u|^a at their zeros, so
-the integral is split at them.  On a whole lobe between two zeros the kernel
-is the fixed weight sin(u)^a on [0, pi], u the distance to the first zero,
-so both singular ends live in the weight of a Gauss rule (as in QUADPACK's
-QAWS) and f only has to be smooth on the lobe: the 16-point rule G16 gives
-the value, and its null rules of degree 15 and 14, on its own 16 nodes, the
-error estimate (Berntsen & Espelid 1991), so a lobe costs 16 evaluations of
-f.  The whole lobes of a curve are laid out as a lattice, each node placed
-from its lobe's zero and y alone.  A lobe is kept only when its estimate
-meets its share of the tolerance at quadrature precision, however loose the
-caller's tolerance; a lobe that fails, as one holding a kink of f does,
-splits into its two half-lobes, between a zero and a crest.
+the integral is split at them.  On whole lobes the kernel is the fixed
+weight |sin u|^a, u the distance to the first zero, so every singular zero
+lives in the weight of a Gauss rule (as in QUADPACK's QAWS) and f only has
+to be smooth: the 16-point rule G16 gives the value, and its null rules of
+degree 15 and 14, on its own 16 nodes, the error estimate (Berntsen &
+Espelid 1991).  The whole lobes of a y go in panels of _PANEL_LOBES
+consecutive lobes, one 16-point rule for [0, _PANEL_LOBES pi] each, and
+the others alone on the rule for [0, pi]: its last (count mod
+_PANEL_LOBES), and the sine's first, which starts at x = 0.  All are
+laid out as a lattice, each node placed from its zero and y alone.  A
+panel's first node lies far from its end zeros, so f is also evaluated at
+each end zero, once for the two panels that meet there, and compared with
+the rule's interpolant extrapolated to it (the end check, see
+_lobe_sums).  A panel or lobe is kept only when its estimate meets its
+share of the tolerance at quadrature precision, however loose the
+caller's tolerance; a panel that fails, as one holding a kink of f does,
+leaves its lobes to the lobe rule, and a lobe that fails splits into its
+two half-lobes, between a zero and a crest.
 
 Every other piece lies between a zero and a crest and is the interval
 [v0, v1] of distances from its zero; that interval alone picks its 16-point
 Gauss rule, G16 for sin(v)^a on a whole half-lobe, else Gauss-Jacobi or
 Gauss-Legendre (see _gauss_piece_sums).  A piece the pass leaves over its
 share is bisected, as in QUADPACK's QAG, and its halves go back through the
-same rules: lobes and pieces refine the same way, by splitting.  The length
-of a piece at the cut is its distance from the zero, taken from the exact
-y * tail_cut and pi, so a cut within 1e-12 of a zero keeps the digits the
-weight v^a needs there.  Which lobes are whole and which halves are cut is
-decided in floats: a cut within rounding of a zero counts as at the zero,
-so tail_cut = math.pi at y = 1 takes the whole lobe [0, pi].
+same rules: panels, lobes and pieces refine the same way, by splitting.  A
+piece whose rules reach from its zero across the v0 before it splits at
+v0 2^j instead, into pieces that evaluate f inside themselves alone (see
+_split).  The length of a piece at the cut is its distance from the zero,
+taken from the exact y * tail_cut and pi, so a cut within 1e-12 of a zero
+keeps the digits the weight v^a needs there.  Which lobes are whole and
+which halves are cut is decided in floats: a cut within rounding of a zero
+counts as at the zero, so tail_cut = math.pi at y = 1 takes the whole lobe
+[0, pi].
 
 Tanh-sinh (_rules) integrates no piece: it is the discrete measure the
 sin(u)^a rules are built from, and the sphere's quadrature reference.
@@ -68,6 +78,8 @@ _ROUNDING = 16 * np.finfo(float).eps
 # these bound the memory of a long curve without changing any value
 _LOBE_BLOCK = 8192
 _CHUNK_NODES = 8192
+# consecutive whole lobes of a y that share one Gauss rule (see _lobe_sums)
+_PANEL_LOBES = 8
 
 
 @dataclass(frozen=True)
@@ -167,24 +179,39 @@ def _frozen(d, w):
     return rule
 
 
+def _extrapolation(theta: np.ndarray) -> np.ndarray:
+    """Rows of the degree-15 interpolant at the nodes theta in [-1, 1],
+    evaluated at x = -1 and x = 1: the Lagrange basis l_j(x) =
+    prod_(i != j) (x - theta_i) / (theta_j - theta_i)."""
+    other = ~np.eye(len(theta), dtype=bool)
+    gap = np.where(other, theta[:, None] - theta, 1.0)
+    return np.stack([np.prod(np.where(other, x - theta, 1.0) / gap, axis=1) for x in (-1.0, 1.0)])
+
+
 @lru_cache(maxsize=64)
 def _gauss_pair(alpha: float, span: float):
-    """G16 for the weight sin(u)^alpha on [0, span], span pi/2 (a half-lobe,
-    singular at u = 0) or pi (a whole lobe, singular at both ends), with two
-    error-estimate partners on its own nodes (see _golub_welsch), as one rule
-    (d, near, w) of 16 nodes (see _rules): every node lies its u from the
-    zero end.  Read-only.
+    """G16 for the weight |sin u|^alpha on [0, span], span pi/2 (a
+    half-lobe, singular at u = 0), pi (a whole lobe, singular at both ends)
+    or m pi (a panel of m whole lobes, singular at its m + 1 zeros), with
+    two error-estimate partners on its own nodes (see _golub_welsch), as one
+    rule (d, near, w) of 16 nodes (see _rules): every node lies its u from
+    the zero end.  A panel's rule has two more rows, the end check: the
+    degree-15 interpolant at its nodes extrapolated to u = 0 and u = span
+    (see _lobe_sums).  Read-only.
 
     The discretized Stieltjes procedure (Gautschi 1982) takes the recurrence
     of the weight's orthonormal polynomials p_r in x = 2u/span - 1 from a
     fine tanh-sinh rule on [0, pi/2] as the discrete measure, mirrored about
-    the crest for the whole lobe, where the weight is even.
+    the crest for the whole lobe, where the weight is even, and repeated
+    over the lobes of a panel.
     """
     d, near, w = _rules(alpha, 0.1, np.array([[_HALF_PI]]), np.array([[0.0]]))
     q = w[0, 0]
-    x = np.where(near, d[0], _HALF_PI - d[0]) / (0.5 * span) - 1.0
-    if span > _HALF_PI:
-        x, q = np.concatenate((x, -x)), np.concatenate((q, q))
+    lobes = round(span / math.pi)
+    x = np.where(near, d[0], _HALF_PI - d[0]) / (0.5 * min(span, math.pi)) - 1.0
+    if lobes:
+        x, q = np.concatenate((x, -x)), np.tile(q, 2 * lobes)
+        x = np.concatenate([(x + (2 * j + 1 - lobes)) / lobes for j in range(lobes)])
     mu0 = math.fsum(q)
     diag, off = np.empty((2, _GAUSS_N))
     p_prev, p, b = np.zeros_like(x), np.full_like(x, mu0**-0.5), 0.0
@@ -194,6 +221,8 @@ def _gauss_pair(alpha: float, span: float):
         b = off[k] = math.sqrt(np.sum(q * r * r))
         p_prev, p = p, r / b
     theta, w = _golub_welsch(diag, off[:-1], mu0)
+    if lobes > 1:
+        w = np.concatenate((w, _extrapolation(theta)))
     return _frozen((theta + 1.0) * (0.5 * span), w)
 
 
@@ -243,14 +272,18 @@ def _lobe_counts(phase: float, t_max: np.ndarray) -> np.ndarray:
     return np.floor((t_max + phase) / math.pi).astype(int) + 2
 
 
+def _runs(start: np.ndarray, count: np.ndarray):
+    """The integers start[i], ..., start[i] + count[i] - 1 of every i, in
+    order, and the i each belongs to."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, start[owner] + np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+
+
 def _lobes(phase: float, t_max: np.ndarray):
     """The lobes [k pi - phase, (k + 1) pi - phase] of a kernel with zeros at
     k*pi - phase that may meet (0, t_max[i]]: the index i each belongs to,
     and its k."""
-    counts = _lobe_counts(phase, t_max)
-    owner = np.repeat(np.arange(len(t_max)), counts)
-    k = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return owner, k
+    return _runs(np.zeros(len(t_max), dtype=int), _lobe_counts(phase, t_max))
 
 
 def _two_product(a: np.ndarray, b: float):
@@ -308,26 +341,43 @@ def _rule_sums(f, x: np.ndarray, w: np.ndarray, scale: np.ndarray):
     """Value and error estimate of each row of nodes x under a rule's
     weights w (see _rules), where the integrand at node t of row i is
     f(t) / scale[i]: the value is the sum under w[0] and the error the sum
-    of its distances to the sums under the partners w[1:] (see
-    _golub_welsch).  np.vecdot sums each row on its own, so a row's sums do
-    not depend on the rows evaluated with it."""
+    of its distances to the sums under the partners w[1:3] (see
+    _golub_welsch).  The sums under any further rows of w follow, one row
+    each.  np.vecdot sums each row on its own, so a row's sums do not
+    depend on the rows evaluated with it."""
     fx = np.asarray(call_vec(f, x.ravel()), dtype=float).reshape(x.shape)
     sums = np.vecdot(fx, w) / scale
-    return sums[0], np.sum(np.abs(sums[0] - sums[1:]), axis=0)
+    rule, partners, rest = sums[0], sums[1:1 + len(_NULL_DEGREES)], sums[1 + len(_NULL_DEGREES):]
+    return rule, np.sum(np.abs(rule - partners), axis=0), rest
 
 
-def _lobe_sums(f, alpha: float, zero: np.ndarray, y: np.ndarray):
+def _lobe_sums(f, alpha: float, zero: np.ndarray, y: np.ndarray, ends: np.ndarray | None = None):
     """Value and error estimate of the whole lobes [zero[i], zero[i] + pi],
-    where the integrand at t is f(t / y[i]) / y[i], by the whole-lobe Gauss
-    rule laid out as a lattice: node j of lobe i is (zero[i] + u_j) / y[i],
-    from the lobe's zero and y alone, with no piece row.  Lobes go in chunks
-    of at most _CHUNK_NODES nodes."""
-    u, _, w = _gauss_pair(alpha, math.pi)
+    or, given ends, of the panels [zero[i], zero[i] + _PANEL_LOBES pi] of
+    consecutive whole lobes, where the integrand at t is f(t / y[i]) /
+    y[i], by the Gauss rule for |sin u|^a on the lobe or panel laid out as
+    a lattice: node j of row i is (zero[i] + u_j) / y[i], from its zero and
+    y alone, with no piece row.  Rows go in chunks of at most _CHUNK_NODES
+    nodes.
+
+    A kink of f nearer an end zero than the rule's first node u_1 is seen
+    by no node, and the panel's first node lies far from its ends (u_1 =
+    0.33 at a = 1.5, against 0.05 on a lobe).  So a panel is checked at its
+    two end zeros: ends holds the integrand there (f / y at the zeros, two
+    rows), and the distance of each from the rule's degree-15 interpolant,
+    extrapolated to that zero (see _gauss_pair), times the weight's mass
+    u_1^(a+1) / (a+1) between the zero and u_1, adds to the error."""
+    u, _, w = _gauss_pair(alpha, math.pi if ends is None else _PANEL_LOBES * math.pi)
     value, error = np.empty((2, len(zero)))
+    extrapolated = np.empty((len(w) - 1 - len(_NULL_DEGREES), len(zero)))
     per_chunk = _CHUNK_NODES // u.shape[1]
     for lo in range(0, len(zero), per_chunk):
         at = slice(lo, lo + per_chunk)
-        value[at], error[at] = _rule_sums(f, (zero[at, None] + u) / y[at, None], w, y[at])
+        value[at], error[at], extrapolated[:, at] = _rule_sums(
+            f, (zero[at, None] + u) / y[at, None], w, y[at])
+    if ends is not None:
+        band = u[0, 0] ** (alpha + 1.0) / (alpha + 1.0)
+        error += band * np.sum(np.abs(ends - extrapolated), axis=0)
     return value, error
 
 
@@ -385,7 +435,7 @@ def _gauss_piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray):
                 kernel = (np.sin(lo[at, None] + d) / np.where(j, u, 1.0)) ** alpha
                 w = np.where(j, w_a, w_0) * (span[at, None] * kernel)
             t = _place(d, near, start[at], other_end[owner[at]], y[at])
-            value[at], error[at] = _rule_sums(f, t, w, y[at])
+            value[at], error[at], _ = _rule_sums(f, t, w, y[at])
     return np.bincount(owner, value, n), np.bincount(owner, error, n)
 
 
@@ -400,35 +450,97 @@ def _bisect(pieces: np.ndarray) -> np.ndarray:
     return halves
 
 
+def _split(pieces: np.ndarray):
+    """The pieces that refine the rows of a piece table (see _kernel_pieces),
+    and the row each comes from.  A row near its zero but not at it,
+    0 < v0 < length, has rules that reach from the zero across the v0 before
+    its start (see _gauss_piece_sums); it splits at the distances v0 2^j
+    from the zero, j = 1, ..., m - 1, with m the fewest that reach its end,
+    so each piece lies at least its length from the zero, takes
+    Gauss-Legendre and evaluates f inside itself alone.  Every other row is
+    bisected (_bisect).  The halves come first, then the pieces of the rows
+    near their zero; the pieces of a row keep its order."""
+    near = (0.0 < pieces[:, 3]) & (pieces[:, 3] < pieces[:, 2])
+    if not near.any():  # the common case, at half the cost of the general one
+        return _bisect(pieces), np.repeat(np.arange(len(pieces)), 2)
+    zero_end, other_end, length, v0 = pieces[near].T
+    m = np.ceil(np.log2(1.0 + length / v0)).astype(int)
+    m += np.ldexp(v0, m) - v0 < length
+    m -= np.ldexp(v0, m - 1) - v0 >= length
+    row, j = _runs(np.zeros(len(m), dtype=int), m)
+    start = np.ldexp(v0[row], j) - v0[row]
+    end = np.where(j < m[row] - 1, np.ldexp(v0[row], j + 1) - v0[row], length[row])
+    toward = np.sign(other_end - zero_end)[row]
+    geometric = np.column_stack((zero_end[row] + toward * start, other_end[row], end - start,
+                                 np.ldexp(v0[row], j)))
+    halved = np.flatnonzero(~near)
+    return (np.concatenate((_bisect(pieces[halved]), geometric)),
+            np.concatenate((np.repeat(halved, 2), np.flatnonzero(near)[row])))
+
+
 def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
     """The whole-lobe pass of _totals over its block of ys.  Returns the
-    value, error and L1 mass of the kept lobes summed per y, the pieces left
-    for the rounds (every cut piece and both halves of each lobe that
-    failed) with the y each belongs to, and each y's count of pieces in the
-    half-lobe split.  Every per-lobe array is freed on return, before the
-    rounds."""
+    value, error and L1 mass of the kept panels and lobes summed per y, the
+    pieces left for the rounds (every cut piece and both halves of each
+    lobe that failed) with the y each belongs to, and each y's count of
+    pieces in the half-lobe split.
+
+    The whole lobes of a y go in panels of _PANEL_LOBES from the zero
+    pi - phase on, and the others alone: the sine's first lobe, which
+    starts at x = 0, and its last (count mod _PANEL_LOBES).  f is evaluated
+    once at each panel end zero, for both panels that meet there (see
+    _lobe_sums), and never at x = 0.  A panel is kept only when its error
+    meets the share of its 2 _PANEL_LOBES half-lobes, at quadrature
+    precision, of the mass of the y's panels; the lobes of one that fails
+    take the whole-lobe rule, with the lone lobes.  Every per-lobe array is
+    freed on return, before the rounds."""
     n, (t_max, t_lo) = len(ys), _two_product(ys, spec.tail_cut)
     owner, k = _lobes(phase, t_max)
-    whole = (k * math.pi - phase >= 0.0) & ((k + 1) * math.pi - phase <= t_max[owner])
-    pieces, piece_owner = _kernel_pieces(phase, t_max, t_lo, owner[~whole], k[~whole])
-    # only the whole lobes are kept: the lattice pass sets the block's peak
-    # memory
-    lobe_owner, lobe_k = owner[whole], k[whole]
-    del owner, k, whole
+    is_whole = (k * math.pi - phase >= 0.0) & ((k + 1) * math.pi - phase <= t_max[owner])
+    pieces, piece_owner = _kernel_pieces(phase, t_max, t_lo, owner[~is_whole], k[~is_whole])
+    # the whole lobes of a y are k = first, ..., first + whole - 1
+    first, whole = (1 if phase else 0), np.bincount(owner[is_whole], minlength=n)
+    del owner, k, is_whole
     # the pieces every y has in the half-lobe split, two per whole lobe
-    counts = np.bincount(piece_owner, minlength=n) + 2 * np.bincount(lobe_owner, minlength=n)
+    counts = np.bincount(piece_owner, minlength=n) + 2 * whole
     if not counts.all():
         t_cut = ys[counts == 0][0] * spec.tail_cut
         raise ValueError(f"y * tail_cut = {t_cut:.3g} is too small for a kernel piece")
+    tol = min(spec.rel_tol, _LOBE_REL_TOL) / counts
+    # panels start at the zero pi - phase: the sine's first lobe starts at
+    # x = 0, outside (0, t_max], where f may be undefined, so it goes alone
+    head = np.minimum(whole, 1 - first)
+    panels = (whole - head) // _PANEL_LOBES
+    # each y's panel end zeros: one per panel, and one past its last
+    end_owner, j = _runs(np.zeros(n, dtype=int), panels + (panels > 0))
+    end_k = 1 + _PANEL_LOBES * j
+    end_zero, end_y = end_k * math.pi - phase, ys[end_owner]
+    ends = np.asarray(call_vec(f, end_zero / end_y), dtype=float) / end_y
+    at = np.flatnonzero(j < panels[end_owner])  # each panel's start
+    panel_owner = end_owner[at]
+    panel_value, panel_error = _lobe_sums(f, alpha, end_zero[at], ys[panel_owner],
+                                          ends[np.stack((at, at + 1))])
+    share = 2 * _PANEL_LOBES * tol * np.bincount(panel_owner, np.abs(panel_value), n)
+    panel_kept = panel_error <= share[panel_owner]
+    # the lone lobes of each y, before and after its panels, then the lobes
+    # of its failed panels
+    failed = ~panel_kept
+    lone = np.column_stack((np.full(n, first), 1 + _PANEL_LOBES * panels,
+                            head, (whole - head) % _PANEL_LOBES))
+    run, lobe_k = _runs(
+        np.concatenate((lone[:, :2].ravel(), end_k[at][failed])),
+        np.append(lone[:, 2:].ravel(), np.full(np.count_nonzero(failed), _PANEL_LOBES)))
+    lobe_owner = np.append(np.repeat(np.arange(n), 2), panel_owner[failed])[run]
     lobe_value, lobe_error = _lobe_sums(f, alpha, lobe_k * math.pi - phase, ys[lobe_owner])
-    share = (2.0 * min(spec.rel_tol, _LOBE_REL_TOL) / counts
-             * np.bincount(lobe_owner, np.abs(lobe_value), n))
+    kept_panels = [np.bincount(panel_owner[panel_kept], v[panel_kept], n)
+                   for v in (panel_value, panel_error, np.abs(panel_value))]
+    share = 2.0 * tol * (kept_panels[2] + np.bincount(lobe_owner, np.abs(lobe_value), n))
     kept = lobe_error <= share[lobe_owner]
     if not kept.all():
         halves, half_owner = _kernel_pieces(phase, t_max, t_lo, lobe_owner[~kept], lobe_k[~kept])
         pieces, piece_owner = np.concatenate((pieces, halves)), np.append(piece_owner, half_owner)
-    kept_sums = [np.bincount(lobe_owner[kept], v[kept], n)
-                 for v in (lobe_value, lobe_error, np.abs(lobe_value))]
+    kept_sums = [p + np.bincount(lobe_owner[kept], v[kept], n)
+                 for p, v in zip(kept_panels, (lobe_value, lobe_error, np.abs(lobe_value)))]
     return (*kept_sums, pieces, piece_owner, counts)
 
 
@@ -440,23 +552,27 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
     so a tiny integral, as at small y and large a, keeps its relative
     digits; abs_tol is a floor.
 
-    Every whole lobe inside (0, y tail_cut] first takes the whole-lobe Gauss
-    rule (_lobe_pass), and is kept only at quadrature precision: the sum of
-    its two null rules within the share of its two halves of min(rel_tol,
-    _LOBE_REL_TOL) times the mass of the y's lobes.  A kept lobe is final.
-    A lobe that fails splits into its half-lobes before the first round, so
-    they take the path of every other piece: the Gauss pass
-    (_gauss_piece_sums), and, for a piece over its share, bisection at its
-    midpoint, both halves going back through the Gauss pass, for up to
-    _ROUNDS rounds.  A piece of a y split into c pieces in the half-lobe
-    split starts with 1/(2c) of the y's tolerance, and each half gets half
-    its parent's share; a piece whose estimate is within _ROUNDING of its
-    |value| is at rounding level and is not split again."""
+    Every whole lobe inside (0, y tail_cut] first takes a Gauss rule for
+    |sin u|^a (_lobe_pass): in a panel of _PANEL_LOBES lobes, checked at its
+    end zeros, or alone, and is kept only at quadrature precision: the
+    estimate within the share of its halves of min(rel_tol, _LOBE_REL_TOL)
+    times the mass of the y's panels and lobes.  A kept panel or lobe is
+    final; the lobes of a failed panel take the lobe rule alone.  A lobe that
+    fails splits into its half-lobes before the first round, so they take
+    the path of every other piece: the Gauss pass (_gauss_piece_sums), and,
+    for a piece over its share, a split (_split), the new pieces going back
+    through the Gauss pass, for up to _ROUNDS rounds.  A piece of a y split
+    into c pieces in the half-lobe split starts with 1/(2c) of the y's
+    tolerance, and the pieces a piece splits into share its share equally; a
+    piece whose estimate is within _ROUNDING of its |value| is at rounding
+    level and is not split again.  A y that meets its tolerance is final,
+    and its pieces leave the table."""
     n = len(ys)
     kept_total, kept_error, kept_mass, pieces, piece_owner, counts = _lobe_pass(
         f, alpha, ys, phase, spec)
     part = 0.5 / counts[piece_owner]
     value, error = _gauss_piece_sums(f, alpha, pieces, ys[piece_owner])
+    out, live = np.empty(n), np.ones(n, dtype=bool)
     for rounds in range(_ROUNDS + 1):
         total = kept_total + np.bincount(piece_owner, value, n)
         total_err = kept_error + np.bincount(piece_owner, error, n)
@@ -465,9 +581,11 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
         finite = np.where(np.isfinite(value), np.abs(value), 0.0)
         mass = kept_mass + np.bincount(piece_owner, finite, n)
         tol = np.maximum(spec.abs_tol, spec.rel_tol * mass)
-        open_ = ~(total_err <= tol)
+        open_ = live & ~(total_err <= tol)
+        out[live & ~open_] = total[live & ~open_]
+        live = open_
         if not open_.any():
-            return total
+            return out
         share = np.maximum(tol[piece_owner] * part, _ROUNDING * finite)
         # a non-finite estimate counts as over only where the rule evaluates f
         # past t_max, a difference of two GJ(0, a) rows; no split mends another
@@ -478,12 +596,14 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
             raise NonConvergence(
                 f"integrate_kernel_split: error {total_err[i]:.3e} above tolerance at y={ys[i]}"
             )
-        halves, half_owner = _bisect(pieces[bad]), np.repeat(piece_owner[bad], 2)
-        sums = _gauss_piece_sums(f, alpha, halves, ys[half_owner])
-        keep = ~bad
+        new, parent = _split(pieces[bad])
+        new_owner = piece_owner[bad][parent]
+        sums = _gauss_piece_sums(f, alpha, new, ys[new_owner])
+        keep = open_[piece_owner] & ~bad
         pieces, piece_owner, part, value, error = (
-            np.concatenate((old[keep], new)) for old, new in (
-                (pieces, halves), (piece_owner, half_owner), (part, np.repeat(0.5 * part[bad], 2)),
+            np.concatenate((old[keep], add)) for old, add in (
+                (pieces, new), (piece_owner, new_owner),
+                (part, (part[bad] / np.bincount(parent))[parent]),
                 (value, sums[0]), (error, sums[1])))
 
 
@@ -498,20 +618,25 @@ def integrate_kernel_split(
     at each y > 0 (points as in grid._pointwise).
 
     Splits at the kernel zeros x = k pi / y (shifted by pi/(2y) for the
-    cosine), integrates each whole lobe with the 16-point Gauss rule for
-    the sin(u)^a weight on [0, pi], each other half-lobe with the one on
-    [0, pi/2] and each piece cut at tail_cut with the Gauss-Jacobi rule
-    GJ(0, a), or Gauss-Legendre on a falling half cut more than pi/4 from
-    its zero (one cut nearer is its whole half-lobe less the part past the
-    cut, so f is evaluated up to pi/(4y) past tail_cut), and refines what
-    its error estimate leaves open by splitting: a whole lobe into
-    half-lobes, any other piece over the budget of its y at its midpoint,
-    round by round (see _totals).  A Gauss rule's estimate comes from its
-    null rules of degree 15 and 14 on its own nodes, so it costs no
-    evaluations of f beyond the rule's 16.  The y run in blocks of
-    consecutive y holding at most _LOBE_BLOCK lobes together, a y with more
-    lobes alone, which bounds the memory a long curve takes; no value
-    depends on the block.
+    cosine), integrates the whole lobes of each y in panels of _PANEL_LOBES
+    consecutive lobes, each with the 16-point Gauss rule for the |sin u|^a
+    weight on the panel, and the others (its last count mod _PANEL_LOBES,
+    and the sine's first, at x = 0) with the one on [0, pi]; each other
+    half-lobe with the one on [0, pi/2] and each
+    piece cut at tail_cut with the Gauss-Jacobi rule GJ(0, a), or
+    Gauss-Legendre on a falling half cut more than pi/4 from its zero (one
+    cut nearer is its whole half-lobe less the part past the cut, so f is
+    evaluated up to pi/(4y) past tail_cut).  It refines what its error
+    estimate leaves open by splitting: a panel into its lobes, a lobe into
+    half-lobes, any other piece over the budget of its y at its midpoint, or
+    at v0 2^j where its rules reach past it toward its zero, round by round
+    (see _totals).  A Gauss rule's estimate comes from its null rules of
+    degree 15 and 14 on its own nodes, so it costs no evaluations of f
+    beyond the rule's 16; a panel's end check adds one evaluation at each
+    end zero, shared by the panels that meet there (see _lobe_sums).  The y
+    run in blocks of consecutive y holding at most _LOBE_BLOCK lobes
+    together, a y with more lobes alone, which bounds the memory a long
+    curve takes; no value depends on the block.
     """
     spec = spec or QuadSpec()
     alpha = as_alpha(alpha)

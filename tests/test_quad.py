@@ -2,6 +2,7 @@
 rule at a = 0."""
 
 import math
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 from alphasine import quad
 from alphasine.errors import NonConvergence
 from alphasine.grid import SampledFunction, UniformGrid
-from alphasine.quad import (_GAUSS_N, _NULL_DEGREES, QuadSpec, _bisect, _gauss_pair,
+from alphasine.quad import (_GAUSS_N, _NULL_DEGREES, _PANEL_LOBES, QuadSpec, _gauss_pair,
                             _gauss_piece_sums, _jacobi_rule, _kernel_pieces, _lobe_sums, _lobes,
-                            _place, _rules, integrate, integrate_kernel_split)
+                            _place, _rules, _split, integrate, integrate_kernel_split)
 from alphasine.specfun import sin_power_integral
 
 from conftest import F1_MASS, F2_MASS, f1, f2, f3, sample, t2_f1
@@ -83,11 +84,20 @@ def _interior(pieces):
     return (pieces[:, 2] == 0.5 * math.pi) & (pieces[:, 3] == 0.0)
 
 
+@lru_cache(maxsize=None)
 def _weighted_moment(a, k, span):
-    """20-digit integral of sin(u)^a u^k over [0, span], span pi/2 or pi; the
-    whole lobe folds onto [0, pi/2] as u^k + (pi - u)^k.  Below u = 1/2 the
-    substitution u = v^(1/(1+a)) turns u^a du into dv/(1+a), so mpmath sees
-    no singularity; a plain mp.quad misses the mass by 45% at a = -0.99."""
+    """20-digit integral of |sin u|^a u^k over [0, span], span pi/2 or m pi.
+    The whole lobe folds onto [0, pi/2] as u^k + (pi - u)^k.  Below u = 1/2
+    the substitution u = v^(1/(1+a)) turns u^a du into dv/(1+a), so mpmath
+    sees no singularity; a plain mp.quad misses the mass by 45% at
+    a = -0.99.  Lobe j of m lobes is the first shifted by j pi, so its
+    moments are sums of the first lobe's by the binomial theorem, every
+    term positive."""
+    lobes = round(span / math.pi)
+    if lobes > 1:
+        return math.fsum(math.comb(k, i) * (j * math.pi) ** (k - i)
+                         * _weighted_moment(a, i, math.pi)
+                         for j in range(lobes) for i in range(k + 1))
     with mp.workdps(20):
         a = mp.mpf(a)
         e = 1 / (1 + a)
@@ -136,7 +146,7 @@ def _check_sine_rule(rule, a, span):
     # the mass is B(1/2, (a+1)/2) over the whole lobe in closed form, half
     # that over a half-lobe
     d, _, rows = rule
-    u, (w, *partners) = d[0], rows[:, 0]
+    u, (w, *partners) = d[0], rows[:1 + len(_NULL_DEGREES), 0]
     with mp.workdps(30):
         mass = float(mp.beta(0.5, (a + 1) / 2) * span / mp.pi)
     assert math.isclose(math.fsum(w), mass, rel_tol=1e-13)
@@ -170,6 +180,27 @@ def test_half_lobe_rule_moments(a):
     # powers of v to zero, where GJ(0, a) with (sin v / v)^a folded in left
     # 1e-11 of the mass
     _check_sine_rule(_gauss_pair(a, 0.5 * math.pi), a, 0.5 * math.pi)
+
+
+@given(a=st.floats(min_value=-0.99, max_value=5.0))
+@example(a=-0.99)
+@example(a=-0.9)
+@example(a=1.5)
+@example(a=4.9)
+@settings(max_examples=6, deadline=None)
+def test_panel_rule_moments(a):
+    # G16 for |sin u|^a on a panel of whole lobes, [0, m pi]: its mass, its
+    # moments and its partners as for a lobe, and its symmetry about the
+    # panel's middle.  Its end check, the interpolant at its 16 nodes
+    # extrapolated to u = 0 and u = m pi, reproduces every power below 16
+    span = _PANEL_LOBES * math.pi
+    rule = _gauss_pair(a, span)
+    u = _check_sine_rule(rule, a, span)
+    assert np.max(np.abs(u + u[::-1] - span)) <= 16 * np.finfo(float).eps * span
+    start, end = rule[2][1 + len(_NULL_DEGREES):, 0]
+    for k in range(_GAUSS_N):
+        assert abs(np.dot(start, (u / span) ** k) - (k == 0)) <= 1e-12, k
+        assert abs(np.dot(end, (u / span) ** k) - 1.0) <= 1e-12, k
 
 
 # smooth integrands with their derivatives: a Gaussian bump, an oscillating
@@ -213,6 +244,30 @@ def test_whole_lobe_estimate_bounds_its_error(a, y, name):
     assert len(zero) and np.all(np.abs(value - exact) <= error + 1e-14 * rounding)
 
 
+@given(a=st.floats(min_value=-0.9, max_value=4.5),
+       y=st.floats(min_value=1.0, max_value=10.0),
+       name=st.sampled_from(sorted(_SMOOTH)))
+@example(a=-0.9, y=1.0, name="bump")
+@example(a=4.5, y=10.0, name="cos_exp")
+@settings(max_examples=25, deadline=None)
+def test_panel_estimate_bounds_its_error(a, y, name):
+    # as for a whole lobe, on every panel of whole lobes in (0, 30]: the
+    # estimate, null rules and end check together, bounds how far G16 lies
+    # from the fine rule on the panel's lobes, but for rounding
+    f, df = _SMOOTH[name]
+    t_max = np.array([30.0 * y])
+    owner, k = _lobes(0.0, t_max)
+    zero = k[(k % _PANEL_LOBES == 0) & ((k + _PANEL_LOBES) * math.pi <= t_max[owner])] * math.pi
+    ys = np.full(len(zero), y)
+    ends = f(np.stack((zero, zero + _PANEL_LOBES * math.pi)) / ys) / ys
+    value, error = _lobe_sums(f, a, zero, ys, ends)
+    lobes = [zero + j * math.pi for j in range(_PANEL_LOBES)]
+    exact = sum(_fine_lobe_sums(f, a, lobe, ys) for lobe in lobes)
+    rounding = sum(_fine_lobe_sums(lambda x: np.abs(f(x)) + np.abs(x * df(x)), a, lobe, ys)
+                   for lobe in lobes)
+    assert len(zero) and np.all(np.abs(value - exact) <= error + 1e-14 * rounding)
+
+
 @pytest.mark.parametrize("a", [0.0, 1.5, -0.5, -0.9])
 def test_tanh_sinh_mass_at_every_step(a):
     # the sum runs far enough that a finer step drops no mass: ending at
@@ -245,26 +300,34 @@ def test_place_writes_both_halves_as_a_where_would():
             assert np.array_equal(_place(d, near, zero_end, other_end, scale), expect)
 
 
-@pytest.mark.parametrize("rows", ["pieces", "halves", "lattice"])
+@pytest.mark.parametrize("rows", ["pieces", "halves", "lattice", "panels"])
 def test_piece_sums_do_not_depend_on_the_chunk(rows):
-    # np.vecdot sums each row on its own, so a piece, or a whole lobe on the
-    # lattice, gets the same bits alone or among a few as inside a call of
-    # thousands of rows, split into many chunks; a matrix product does not
-    # (one row of it takes another path)
+    # np.vecdot sums each row on its own, so a piece, or a whole lobe or a
+    # panel on the lattice, gets the same bits alone or among a few as
+    # inside a call of thousands of rows, split into many chunks; a matrix
+    # product does not (one row of it takes another path)
     t_max = 30.0 * 0.5 * np.arange(1, 41)
-    if rows == "lattice":
+    if rows == "panels":
+        owner, k = _lobes(0.0, 10.0 * t_max)
+        at = (k % _PANEL_LOBES == 0) & ((k + _PANEL_LOBES) * math.pi <= 10.0 * t_max[owner])
+        zero, scale = k[at] * math.pi, 0.5 * (owner[at] + 1.0)
+        ends = f3(np.stack((zero, zero + _PANEL_LOBES * math.pi)) / scale) / scale
+        assert len(zero) > 5 * quad._CHUNK_NODES // _GAUSS_N
+        sums = lambda few: _lobe_sums(f3, -0.5, zero[few], scale[few], ends[:, few])
+    elif rows == "lattice":
         owner, k = _lobes(0.0, t_max)
         whole = (k + 1) * math.pi <= t_max[owner]
         zero, scale = k[whole] * math.pi, 0.5 * (owner[whole] + 1.0)
         assert len(zero) > 5 * quad._CHUNK_NODES // _GAUSS_N
         sums = lambda few: _lobe_sums(f3, -0.5, zero[few], scale[few])
     else:
-        # every piece, cut ones too, or the halves of each as bisection
-        # leaves them: a falling half cut near its zero, and the half of it
-        # at the zero, sum two rule rows
+        # every piece, cut ones too, or the pieces each splits into: a
+        # falling half cut near its zero sums two rule rows, and splits into
+        # pieces on Gauss-Legendre
         pieces, owner = _pieces(0.0, t_max)
         if rows == "halves":
-            pieces, owner = _bisect(pieces), np.repeat(owner, 2)
+            pieces, parent = _split(pieces)
+            owner = owner[parent]
         scale = 0.5 * (owner + 1.0)
         assert len(pieces) > 5000
         sums = lambda few: _gauss_piece_sums(f3, -0.5, pieces[few], scale[few])
@@ -446,17 +509,37 @@ class TestKernelSplit:
 
     @pytest.mark.parametrize("kernel", ["sine", "cosine"])
     def test_f_undefined_past_the_cut(self, kernel):
-        # the falling half cut 1e-6 short of its zero is a difference of two
-        # GJ(0, a) rows, which evaluate f up to the zero; where f is NaN past
-        # the cut, the piece is bisected until its half at the zero no longer
-        # reaches past the cut.  Where f is NaN inside, no split mends it
+        # the falling half cut 1e-6 to 1e-12 short of its zero is a
+        # difference of two GJ(0, a) rows, which evaluate f up to the zero;
+        # where f is NaN past the cut, the piece splits at v0 2^j into
+        # pieces that no longer reach past the cut.  Bisection at midpoints
+        # needed 34 to 41 rounds there, past the last.  Where f is NaN
+        # inside, no split mends it
         y, a = 1.3, -0.5
-        spec = QuadSpec(tail_cut=_cut_near(kernel, y, -1e-6))
-        undefined_past = lambda x: np.where(x <= spec.tail_cut, np.exp(-x), np.nan)
-        val = integrate_kernel_split(undefined_past, a, y, spec, kernel)
-        assert math.isclose(val, _edge_oracle(a, y, spec.tail_cut, kernel), rel_tol=1e-10)
+        for short in (1e-6, 1e-9, 1e-10, 1e-12):
+            spec = QuadSpec(tail_cut=_cut_near(kernel, y, -short))
+            undefined_past = lambda x: np.where(x <= spec.tail_cut, np.exp(-x), np.nan)
+            val = integrate_kernel_split(undefined_past, a, y, spec, kernel)
+            exact = _edge_oracle(a, y, spec.tail_cut, kernel)
+            assert math.isclose(val, exact, rel_tol=1e-10), short
         with pytest.raises(NonConvergence, match="error nan above tolerance"):
             integrate_kernel_split(lambda x: np.full_like(x, np.nan), a, y, spec, kernel)
+
+    @pytest.mark.parametrize("delta", [0.02, 0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("a", [-0.9, 1.5, 4.5])
+    def test_kink_before_a_panel_end_zero(self, a, delta):
+        # at y = 1 the first panel is [pi, 9 pi] (the sine's first lobe goes
+        # alone); the kink of |x - c| e^{-x/8} lies delta before its end
+        # zero, nearer than the panel rule's first node (0.33 at a = 1.5,
+        # 0.61 at 4.5), so no node of the panel sees it and its null rules
+        # stay at rounding level.  The end check sees it: f at the zero is
+        # off the rule's interpolant extrapolated there.  Without the check
+        # this was 4e-8 to 1.9e-6 off at a = 1.5
+        c = (1 + _PANEL_LOBES) * math.pi - delta
+        kink = lambda x: np.abs(x - c) * np.exp(-x / 8.0)
+        val = integrate_kernel_split(kink, a, 1.0, QuadSpec(tail_cut=40.0))
+        exact = _edge_oracle(a, 1.0, 40.0, "sine", lambda x: abs(x - c) * mp.exp(-x / 8), (c,))
+        assert math.isclose(val, exact, rel_tol=1e-9)
 
     def test_refinement_exhausted(self):
         # a step inside a lobe: each bisection halves both the error of the
@@ -522,12 +605,12 @@ class TestArrayY:
         assert np.array_equal(integrate_kernel_split(kink, 1.5, ys, spec), single)
 
     def test_rule_cache_misses_per_step_not_per_y(self, monkeypatch):
-        # the whole lobes of every y share one Gauss rule and whole
-        # half-lobes another, each built from a tanh-sinh measure, and every
-        # other piece, bisected halves too, takes GJ(0, a) or GJ(0, 0): each
-        # built once per a.  No rule is built per y, and past the two
-        # measures _rules builds nothing: what the Gauss pass leaves open is
-        # bisected
+        # the panels of every y share one Gauss rule, the lone whole lobes
+        # another and whole half-lobes a third, each built from a tanh-sinh
+        # measure, and every other piece, split ones too, takes GJ(0, a) or
+        # GJ(0, 0): each built once per a.  No rule is built per y, and past
+        # the three measures _rules builds nothing: what the Gauss pass
+        # leaves open is split
         for cached in (_gauss_pair, _jacobi_rule):
             cached.cache_clear()
         built = []
@@ -536,9 +619,9 @@ class TestArrayY:
         ys = 0.05 * np.arange(1, 401)
         for _ in range(2):
             integrate_kernel_split(f3, -0.9, ys)
-        assert _gauss_pair.cache_info().misses == 2
+        assert _gauss_pair.cache_info().misses == 3
         assert _jacobi_rule.cache_info().misses == 2
-        assert len(built) == 2
+        assert len(built) == 3
         for length, off in built:
             assert length.shape == (1, 1) and length[0, 0] == 0.5 * math.pi and off[0, 0] == 0.0
 
@@ -588,6 +671,26 @@ class TestArrayY:
         integrate_kernel_split(lambda x: seen.append(np.size(x)) or f3(x), -0.9,
                                0.05 * np.arange(1, 401), QuadSpec(rel_tol=1e-14))
         assert sum(seen) <= 714_051
+
+    def test_panels_cut_the_lattice_evaluations(self):
+        # the whole lobes of a y go in panels of _PANEL_LOBES, 16 nodes and
+        # one shared end zero each, where each lobe took 16 nodes: with a
+        # rule per lobe this curve took 628,464 evaluations
+        seen = []
+        integrate_kernel_split(lambda x: seen.append(np.size(x)) or f3(x), -0.9,
+                               0.05 * np.arange(1, 401))
+        assert sum(seen) <= 179_434
+
+    def test_f_is_not_evaluated_at_the_origin(self):
+        # the integral is over (0, tail_cut]: a panel's end check evaluates f
+        # at its end zeros, so the sine's first lobe, which starts at x = 0,
+        # goes alone, and f singular at 0 is integrated as before
+        seen = []
+        f = lambda x: seen.append(np.min(x)) or np.exp(-x) / np.sqrt(x)
+        val = integrate_kernel_split(f, 1.5, np.array([1.0, 5.0]))
+        assert np.all(np.isfinite(val)) and min(seen) > 0.0
+        scalar_only = lambda x: math.exp(-float(x)) / math.sqrt(float(x))
+        assert integrate_kernel_split(scalar_only, 1.5, 5.0) == val[1]
 
     @pytest.mark.parametrize("budget", [1, 97, 5000])
     def test_values_do_not_depend_on_the_lobe_budget(self, budget, monkeypatch):
