@@ -7,7 +7,7 @@ endpoint value; both containers are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +47,8 @@ class UniformGrid:
 class SampledFunction:
     grid: UniformGrid
     values: np.ndarray
+    # the grid's abscissae, built once and read-only like values
+    xs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.values)
@@ -57,12 +59,10 @@ class SampledFunction:
         if not np.all(np.isfinite(arr)):
             raise ValueError("sample values must be finite")
         arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self.grid.points()
+        xs = self.grid.points()
+        for name, a in (("values", arr), ("xs", xs)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def eval(self, x):
         """Piecewise-linear inside the span, nearest endpoint value outside."""

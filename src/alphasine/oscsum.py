@@ -2,8 +2,8 @@
 
 `_osc_sum` is the dense sum: any nodes L_j, any omegas, one cosine and one
 sine matrix product per chunk of omegas.  It serves mu's non-uniform nodes
-ln j, and the tanh-sinh nodes of the circle kernel's quadrature reference,
-which only the tests call.  Uniform nodes L_j = u0 + j du
+ln j, and the Gauss-Jacobi nodes of the circle kernel's quadrature
+reference, which only the tests call.  Uniform nodes L_j = u0 + j du
 take one of two sums, and `_uniform_sum` alone picks between them:
 
 - at a UniformGrid of omegas, `_chirp_sum` forms the sum as one chirp-z

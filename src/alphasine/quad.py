@@ -35,8 +35,12 @@ which halves are cut is decided in floats: a cut within rounding of a zero
 counts as at the zero, so tail_cut = math.pi at y = 1 takes the whole lobe
 [0, pi].
 
-Tanh-sinh (_rules) integrates no piece: it is the discrete measure the
-sin(u)^a rules are built from, and the sphere's quadrature reference.
+Every rule takes one form, (u, w): each node's distance u from its zero
+end, and the weight rows (see _frozen).  All are Gauss rules of one family:
+GJ(0, a) from its closed-form recurrence (_gauss_jacobi), and the rules for
+|sin u|^a, built from the discrete measure of a _MEASURE_N-point GJ(0, a)
+rule with the smooth factor (sin v / v)^a folded in (_sine_measure), on
+which the sphere's quadrature reference integrates too.
 
 A curve, an array of y, is integrated in blocks of consecutive y that
 together hold at most _LOBE_BLOCK lobes; a y with more lobes than that forms
@@ -80,6 +84,12 @@ _LOBE_BLOCK = 8192
 _CHUNK_NODES = 8192
 # consecutive whole lobes of a y that share one Gauss rule (see _lobe_sums)
 _PANEL_LOBES = 8
+# nodes of the discrete measure the sin(u)^a rules are built from (see
+# _gauss_pair): the Stieltjes procedure integrates p_r^2 x for r <= 16,
+# degree 33, times the smooth factor of _sine_measure, and 64 nodes leave
+# 94 degrees for that factor, whose Chebyshev coefficients on [0, pi/2]
+# fall as 5.8^-k (it is singular at v = pi), far below rounding there
+_MEASURE_N = 64
 
 
 @dataclass(frozen=True)
@@ -94,64 +104,6 @@ class QuadSpec:
             raise ValueError("tolerances must be positive")
         if not (self.tail_cut > 0.0):
             raise ValueError("tail_cut must be positive")
-
-
-def _log_cosh(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
-
-
-def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    return np.where(x >= 0.0, -np.log1p(np.exp(-ax)), x - np.log1p(np.exp(-ax)))
-
-
-def _ln_sin(u: np.ndarray, ln_u: np.ndarray) -> np.ndarray:
-    """log(sin u) for u in (0, pi) given the exact log of u."""
-    out = np.empty_like(u)
-    small = u < 1e-3
-    us = u[small]
-    out[small] = ln_u[small] - us * us / 6.0 - us**4 / 180.0
-    out[~small] = np.log(np.sin(u[~small]))
-    return out
-
-
-def _kmax(alpha: float, h: float) -> int:
-    """Half the node count of the rule at step h: the tanh-sinh sum runs to
-    s = 18.5 (18.5 / (1 + a) for a < 0), where the dropped tail of the
-    weights, about e^{-2s(1+a)}, is below 1e-16 of the mass at every step."""
-    s_req = max(18.5, 18.5 / (1.0 + alpha))
-    return max(6, int(math.ceil(math.asinh(2.0 * s_req / math.pi) / h)))
-
-
-def _rules(alpha: float, h: float, length: np.ndarray, off: np.ndarray):
-    """Tanh-sinh rules on half-lobe pieces, one row per piece: length[i] is
-    the piece's length and off[i] how far its kernel zero lies beyond its zero
-    end (both columns).  A rule does not depend on where the piece sits, nor
-    on which side the zero lies.
-
-    Returns (d, near, w), the form every lobe rule takes.  Node j of row i is
-    d[i, j] from the zero end where near[j], else d[i, j] from the other end.
-    Its distance u to the zero is off plus its distance to the zero end, which
-    for the near nodes comes straight from the rule, never from float
-    subtraction.  w[0] holds the weights times |sin u|^alpha, and w[1] the
-    embedded h' = 2h rule: 2 w[0] on every second node, 0 elsewhere.
-    """
-    kmax = _kmax(alpha, h)
-    k = np.arange(-kmax, kmax + 1)
-    kh = k * h
-    s = _HALF_PI * np.sinh(kh)
-    lnw = math.log(h * _HALF_PI) + _log_cosh(kh) - 2.0 * _log_cosh(s)
-    near = s <= 0.0
-    # each node's distance to the nearer end, in log form exact to the end
-    ln_d = np.log(length) + _log_sigmoid(-2.0 * np.abs(s))
-    d = np.exp(ln_d)
-    u = off + np.where(near, d, length - d)
-    ln_u = np.where(near, ln_d, np.log(length - d))
-    cut = off[:, 0] > 0.0
-    ln_u[cut] = np.log(u[cut])
-    q = np.exp(lnw + np.log(0.5 * length) + alpha * _ln_sin(u, ln_u))
-    return d, near, np.stack((q, np.where(k % 2 == 0, 2.0 * q, 0.0)))
 
 
 def _golub_welsch(diag: np.ndarray, off: np.ndarray, mu0: float):
@@ -170,10 +122,10 @@ def _golub_welsch(diag: np.ndarray, off: np.ndarray, mu0: float):
     return theta, np.stack([g] + [g - mu0 * v[0] * v[r] for r in _NULL_DEGREES])
 
 
-def _frozen(d, w):
-    """The rule (d, near, w) with every node measured from its zero end,
-    read-only."""
-    rule = (d[None, :], np.ones(_GAUSS_N, dtype=bool), w[:, None, :])
+def _frozen(u, w):
+    """The rule (u, w): each node's distance u from its zero end, and its
+    weight rows, read-only."""
+    rule = (u[None, :], w[:, None, :])
     for arr in rule:
         arr.setflags(write=False)
     return rule
@@ -188,27 +140,70 @@ def _extrapolation(theta: np.ndarray) -> np.ndarray:
     return np.stack([np.prod(np.where(other, x - theta, 1.0) / gap, axis=1) for x in (-1.0, 1.0)])
 
 
+def _gauss_jacobi(alpha: float, n: int):
+    """Nodes and weight rows (see _golub_welsch) of the n-point Gauss rule
+    for the weight u^alpha on [0, 1], the Gauss-Jacobi rule GJ(0, alpha).
+    On [0, L] the rule is the same nodes times L and weights times
+    L^(alpha + 1), exactly.  At alpha = 0 it is Gauss-Legendre.
+
+    The recurrence has a closed form (Gautschi 2004, section 1.5.5): the
+    Jacobi weight (1 - x)^0 (1 + x)^alpha in x = 2u - 1 gives, in u, the
+    diagonal (alpha + 1)/(alpha + 2) at k = 0 and
+    ((k + alpha)(k + alpha + 1) + k(k + 1)) / (b (b + 2)) above, with
+    b = 2k + alpha, and the off-diagonal k (k + alpha) / (b sqrt(b^2 - 1));
+    no entry is a difference of nearly equal numbers.  The mass is
+    1/(alpha + 1); the weights are scaled to it, since the squared first
+    components of the eigenvectors sum to 1 only to about 1e-15."""
+    k = np.arange(1, n)
+    b = 2 * k + alpha
+    diag = np.concatenate((
+        [(alpha + 1.0) / (alpha + 2.0)],
+        ((k + alpha) * (k + alpha + 1.0) + k * (k + 1.0)) / (b * (b + 2.0))))
+    off = k * (k + alpha) / (b * np.sqrt((b + 1.0) * (b - 1.0)))
+    mu0 = 1.0 / (alpha + 1.0)
+    theta, w = _golub_welsch(diag, off, mu0)
+    return theta, w * (mu0 / math.fsum(w[0]))
+
+
+@lru_cache(maxsize=64)
+def _jacobi_rule(alpha: float):
+    """G16 for the weight u^alpha on [0, 1], GJ(0, alpha) (see
+    _gauss_jacobi), with its two error-estimate partners on its own nodes,
+    as one rule (u, w) of 16 nodes (see _frozen).  Read-only."""
+    return _frozen(*_gauss_jacobi(alpha, _GAUSS_N))
+
+
+def _sine_measure(alpha: float, n: int):
+    """Nodes v and weights of the n-point rule for the weight sin(v)^alpha
+    on [0, pi/2]: GJ(0, alpha) on [0, pi/2], which holds the singular v^alpha
+    exactly, with the smooth factor (sin v / v)^alpha folded into its
+    weights.  It integrates sin(v)^alpha times a polynomial of degree d as
+    closely as a polynomial of degree 2n - 1 - d matches that factor, whose
+    nearest singularity lies at v = pi."""
+    u, w = _gauss_jacobi(alpha, n)
+    v = _HALF_PI * u
+    return v, w[0] * (_HALF_PI ** (alpha + 1.0) * (np.sin(v) / v) ** alpha)
+
+
 @lru_cache(maxsize=64)
 def _gauss_pair(alpha: float, span: float):
     """G16 for the weight |sin u|^alpha on [0, span], span pi/2 (a
     half-lobe, singular at u = 0), pi (a whole lobe, singular at both ends)
     or m pi (a panel of m whole lobes, singular at its m + 1 zeros), with
     two error-estimate partners on its own nodes (see _golub_welsch), as one
-    rule (d, near, w) of 16 nodes (see _rules): every node lies its u from
-    the zero end.  A panel's rule has two more rows, the end check: the
-    degree-15 interpolant at its nodes extrapolated to u = 0 and u = span
-    (see _lobe_sums).  Read-only.
+    rule (u, w) of 16 nodes (see _frozen).  A panel's rule has two more
+    rows, the end check: the degree-15 interpolant at its nodes
+    extrapolated to u = 0 and u = span (see _lobe_sums).  Read-only.
 
     The discretized Stieltjes procedure (Gautschi 1982) takes the recurrence
-    of the weight's orthonormal polynomials p_r in x = 2u/span - 1 from a
-    fine tanh-sinh rule on [0, pi/2] as the discrete measure, mirrored about
-    the crest for the whole lobe, where the weight is even, and repeated
-    over the lobes of a panel.
+    of the weight's orthonormal polynomials p_r in x = 2u/span - 1 from the
+    _MEASURE_N-point rule for sin(u)^alpha on [0, pi/2] (_sine_measure) as
+    the discrete measure, mirrored about the crest for the whole lobe, where
+    the weight is even, and repeated over the lobes of a panel.
     """
-    d, near, w = _rules(alpha, 0.1, np.array([[_HALF_PI]]), np.array([[0.0]]))
-    q = w[0, 0]
+    v, q = _sine_measure(alpha, _MEASURE_N)
     lobes = round(span / math.pi)
-    x = np.where(near, d[0], _HALF_PI - d[0]) / (0.5 * min(span, math.pi)) - 1.0
+    x = v / (0.5 * min(span, math.pi)) - 1.0
     if lobes:
         x, q = np.concatenate((x, -x)), np.tile(q, 2 * lobes)
         x = np.concatenate([(x + (2 * j + 1 - lobes)) / lobes for j in range(lobes)])
@@ -226,44 +221,10 @@ def _gauss_pair(alpha: float, span: float):
     return _frozen((theta + 1.0) * (0.5 * span), w)
 
 
-@lru_cache(maxsize=64)
-def _jacobi_rule(alpha: float):
-    """G16 for the weight u^alpha on [0, 1], the Gauss-Jacobi rule GJ(0,
-    alpha), with its two error-estimate partners on its own nodes (see
-    _golub_welsch), as one rule (d, near, w) of 16 nodes (see _rules): every
-    node lies its u from the zero end.  On [0, L] the rule is the same nodes
-    times L and weights times L^(alpha + 1), exactly.  At alpha = 0 it is
-    Gauss-Legendre.  Read-only.
-
-    The recurrence has a closed form (Gautschi 2004, section 1.5.5): the
-    Jacobi weight (1 - x)^0 (1 + x)^alpha in x = 2u - 1 gives, in u, the
-    diagonal (alpha + 1)/(alpha + 2) at k = 0 and
-    ((k + alpha)(k + alpha + 1) + k(k + 1)) / (b (b + 2)) above, with
-    b = 2k + alpha, and the off-diagonal k (k + alpha) / (b sqrt(b^2 - 1));
-    no entry is a difference of nearly equal numbers.  The mass is
-    1/(alpha + 1); the weights are scaled to it, since the squared first
-    components of the eigenvectors sum to 1 only to about 1e-15."""
-    k = np.arange(1, _GAUSS_N)
-    b = 2 * k + alpha
-    diag = np.concatenate((
-        [(alpha + 1.0) / (alpha + 2.0)],
-        ((k + alpha) * (k + alpha + 1.0) + k * (k + 1.0)) / (b * (b + 2.0))))
-    off = k * (k + alpha) / (b * np.sqrt((b + 1.0) * (b - 1.0)))
-    mu0 = 1.0 / (alpha + 1.0)
-    theta, w = _golub_welsch(diag, off, mu0)
-    return _frozen(theta, w * (mu0 / math.fsum(w[0])))
-
-
-def _place(d, near, zero_end, other_end, scale=1.0):
+def _place(u, zero_end, other_end, scale=1.0):
     """Nodes of the pieces between zero_end[i] and other_end[i], one row each
-    and divided by scale[i], from their distances d to the ends (see _rules).
-    The near nodes are a prefix of every row, so each half is written in
-    place by slicing."""
-    t = (np.sign(other_end - zero_end) / scale)[:, None] * d
-    cut = np.count_nonzero(near)
-    t[:, :cut] += (zero_end / scale)[:, None]
-    np.subtract((other_end / scale)[:, None], t[:, cut:], out=t[:, cut:])
-    return t
+    and divided by scale[i], from their distances u to the zero end."""
+    return (np.sign(other_end - zero_end) / scale)[:, None] * u + (zero_end / scale)[:, None]
 
 
 def _lobe_counts(phase: float, t_max: np.ndarray) -> np.ndarray:
@@ -339,7 +300,7 @@ def _kernel_pieces(phase: float, t_max: np.ndarray, t_lo: np.ndarray,
 
 def _rule_sums(f, x: np.ndarray, w: np.ndarray, scale: np.ndarray):
     """Value and error estimate of each row of nodes x under a rule's
-    weights w (see _rules), where the integrand at node t of row i is
+    weights w (see _frozen), where the integrand at node t of row i is
     f(t) / scale[i]: the value is the sum under w[0] and the error the sum
     of its distances to the sums under the partners w[1:3] (see
     _golub_welsch).  The sums under any further rows of w follow, one row
@@ -367,7 +328,7 @@ def _lobe_sums(f, alpha: float, zero: np.ndarray, y: np.ndarray, ends: np.ndarra
     rows), and the distance of each from the rule's degree-15 interpolant,
     extrapolated to that zero (see _gauss_pair), times the weight's mass
     u_1^(a+1) / (a+1) between the zero and u_1, adds to the error."""
-    u, _, w = _gauss_pair(alpha, math.pi if ends is None else _PANEL_LOBES * math.pi)
+    u, w = _gauss_pair(alpha, math.pi if ends is None else _PANEL_LOBES * math.pi)
     value, error = np.empty((2, len(zero)))
     extrapolated = np.empty((len(w) - 1 - len(_NULL_DEGREES), len(zero)))
     per_chunk = _CHUNK_NODES // u.shape[1]
@@ -420,21 +381,21 @@ def _gauss_piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray):
     lo = np.where(jacobi, 0.0, v0[owner])
     start = zero_end[owner] - toward[owner] * (v0[owner] - lo)
     y = scale[owner]
-    (u_a, near, w_a), (u_0, _, w_0) = _jacobi_rule(alpha), _jacobi_rule(0.0)
+    (u_a, w_a), (u_0, w_0) = _jacobi_rule(alpha), _jacobi_rule(0.0)
     value, error = np.empty((2, len(owner)))
     for half in (True, False):
         rows = np.flatnonzero(half_lobe == half)
         for first in range(0, len(rows), _CHUNK_NODES // _GAUSS_N):
             at = rows[first:first + _CHUNK_NODES // _GAUSS_N]
             if half:
-                d, _, w = _gauss_pair(alpha, _HALF_PI)
+                d, w = _gauss_pair(alpha, _HALF_PI)
             else:
                 j = jacobi[at, None]
                 u = np.where(j, u_a, u_0)
                 d = np.abs(span[at, None]) * u
                 kernel = (np.sin(lo[at, None] + d) / np.where(j, u, 1.0)) ** alpha
                 w = np.where(j, w_a, w_0) * (span[at, None] * kernel)
-            t = _place(d, near, start[at], other_end[owner[at]], y[at])
+            t = _place(d, start[at], other_end[owner[at]], y[at])
             value[at], error[at], _ = _rule_sums(f, t, w, y[at])
     return np.bincount(owner, value, n), np.bincount(owner, error, n)
 

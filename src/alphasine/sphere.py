@@ -4,7 +4,8 @@ The transform is the periodic convolution of a density on [-pi, pi) with
 |cos|^a.  The kernel's Fourier coefficient at harmonic n is 2 pi ctilde_{n/2}
 for even n and 0 for odd n, in closed form from the Gauss hypergeometric
 theorem, so the transform is the density's FFT times that multiplier.
-`_kernel_coeffs_quad` computes the same coefficients by quadrature; no
+`_kernel_coeffs_quad` computes the same coefficients by quadrature, on the
+Gauss-Jacobi rule the forward transform's lobe rules are built from; no
 program code calls it, and the tests use it as the independent route of the
 convolution-theorem checks.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import CoefficientUnderflow, EvenIntegerAlpha, NonConvergence
 from .grid import SampledFunction, UniformGrid
 from .oscsum import _osc_sum
-from .quad import _place, _rules
+from .quad import _place, _sine_measure
 from .specfun import as_alpha, cosine_coeffs
 
 MASS_TOL = 1e-8
@@ -90,26 +91,26 @@ def _synth_on_grid(coeffs_fft: np.ndarray) -> np.ndarray:
 def _kernel_coeffs_quad(alpha_value: float, n_keep: int) -> np.ndarray:
     """khat_n = integral of |cos t|^a e^{-int} over one period, n = 0..n_keep.
 
-    Computed by the tanh-sinh lobe rule with step halving until the embedded
-    coarse rule agrees to 1e-9.  True values are 2 pi ctilde_{n/2} for even n
-    and 0 for odd n; this routine never uses that closed form.  It is the
-    tests' reference for `k_sphere_grid`, which uses the closed form alone.
-    It stays here because the benchmark's tracer wraps it by this name.
+    Computed on the rule for sin(v)^a on a half-lobe (quad._sine_measure)
+    placed in the period's four half-lobes, its node count doubled from 64
+    until two counts agree to 1e-9.  True values are 2 pi ctilde_{n/2} for
+    even n and 0 for odd n; this routine never uses that closed form.  It is
+    the tests' reference for `k_sphere_grid`, which uses the closed form
+    alone.  It stays here because the benchmark's tracer wraps it by this
+    name.
     """
     n = np.arange(0, n_keep + 1)
     # the four half-lobes of [-pi/2, 3pi/2): each one's zero and crest
     zero_end = np.array([-0.5, 0.5, 0.5, 1.5]) * math.pi
     crest = np.array([0.0, 0.0, 1.0, 1.0]) * math.pi
-    for h in (0.02, 0.01, 0.005, 0.0025, 0.00125):
-        d, near, w = _rules(alpha_value, h, np.array([[0.5 * math.pi]]), np.array([[0.0]]))
-        t = _place(d, near, zero_end, crest)
-        # the fine rule and its embedded coarse rule as two weight columns,
-        # repeated for each half-lobe's row of nodes
-        weights = np.tile(w[:, 0].T, (len(t), 1))
-        fine, coarse = _osc_sum(t.ravel(), weights, n, -1.0).T
-        if np.max(np.abs(fine - coarse)) <= 1e-9:
-            fine.setflags(write=False)
-            return fine
+    last = None
+    for nodes in (64, 128, 256, 512):
+        v, w = _sine_measure(alpha_value, nodes)
+        coeffs = _osc_sum(_place(v, zero_end, crest).ravel(), np.tile(w, 4), n, -1.0)
+        if last is not None and np.max(np.abs(coeffs - last)) <= 1e-9:
+            coeffs.setflags(write=False)
+            return coeffs
+        last = coeffs
     raise NonConvergence("circle kernel coefficients did not converge")
 
 

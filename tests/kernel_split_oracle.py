@@ -4,9 +4,11 @@ forward transform took an array of y, kept as the reference the batched
 
 Each call splits (0, y * tail_cut] into the kernel's half-lobes, groups the
 pieces by (length, offset of the zero, step) with np.unique, builds one
-tanh-sinh rule per group with `quad._rules` and places it at each piece of
-the group with `quad._place`, and refines the pieces over the error budget
-of this one y.  It takes no Gauss pass.
+tanh-sinh rule per group with `_rules` and places it at each piece of the
+group with `_place`, and refines the pieces over the error budget of this
+one y.  It takes no Gauss pass: `_rules` and `_place` are its own tanh-sinh
+rule and two-ended placement, so it shares no rule family with the Gauss
+rules of the engine it checks.
 """
 
 import math
@@ -14,9 +16,79 @@ import math
 import numpy as np
 
 from alphasine.grid import call_vec
-from alphasine.quad import QuadSpec, _place, _rules
+from alphasine.quad import QuadSpec
 
 _HALF_PI = 0.5 * math.pi
+
+
+def _log_cosh(x: np.ndarray) -> np.ndarray:
+    ax = np.abs(x)
+    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
+
+
+def _log_sigmoid(x: np.ndarray) -> np.ndarray:
+    ax = np.abs(x)
+    return np.where(x >= 0.0, -np.log1p(np.exp(-ax)), x - np.log1p(np.exp(-ax)))
+
+
+def _ln_sin(u: np.ndarray, ln_u: np.ndarray) -> np.ndarray:
+    """log(sin u) for u in (0, pi) given the exact log of u."""
+    out = np.empty_like(u)
+    small = u < 1e-3
+    us = u[small]
+    out[small] = ln_u[small] - us * us / 6.0 - us**4 / 180.0
+    out[~small] = np.log(np.sin(u[~small]))
+    return out
+
+
+def _kmax(alpha: float, h: float) -> int:
+    """Half the node count of the rule at step h: the tanh-sinh sum runs to
+    s = 18.5 (18.5 / (1 + a) for a < 0), where the dropped tail of the
+    weights, about e^{-2s(1+a)}, is below 1e-16 of the mass at every step."""
+    s_req = max(18.5, 18.5 / (1.0 + alpha))
+    return max(6, int(math.ceil(math.asinh(2.0 * s_req / math.pi) / h)))
+
+
+def _rules(alpha: float, h: float, length: np.ndarray, off: np.ndarray):
+    """Tanh-sinh rules on half-lobe pieces, one row per piece: length[i] is
+    the piece's length and off[i] how far its kernel zero lies beyond its zero
+    end (both columns).  A rule does not depend on where the piece sits, nor
+    on which side the zero lies.
+
+    Returns (d, near, w).  Node j of row i is
+    d[i, j] from the zero end where near[j], else d[i, j] from the other end.
+    Its distance u to the zero is off plus its distance to the zero end, which
+    for the near nodes comes straight from the rule, never from float
+    subtraction.  w[0] holds the weights times |sin u|^alpha, and w[1] the
+    embedded h' = 2h rule: 2 w[0] on every second node, 0 elsewhere.
+    """
+    kmax = _kmax(alpha, h)
+    k = np.arange(-kmax, kmax + 1)
+    kh = k * h
+    s = _HALF_PI * np.sinh(kh)
+    lnw = math.log(h * _HALF_PI) + _log_cosh(kh) - 2.0 * _log_cosh(s)
+    near = s <= 0.0
+    # each node's distance to the nearer end, in log form exact to the end
+    ln_d = np.log(length) + _log_sigmoid(-2.0 * np.abs(s))
+    d = np.exp(ln_d)
+    u = off + np.where(near, d, length - d)
+    ln_u = np.where(near, ln_d, np.log(length - d))
+    cut = off[:, 0] > 0.0
+    ln_u[cut] = np.log(u[cut])
+    q = np.exp(lnw + np.log(0.5 * length) + alpha * _ln_sin(u, ln_u))
+    return d, near, np.stack((q, np.where(k % 2 == 0, 2.0 * q, 0.0)))
+
+
+def _place(d, near, zero_end, other_end, scale=1.0):
+    """Nodes of the pieces between zero_end[i] and other_end[i], one row each
+    and divided by scale[i], from their distances d to the ends (see _rules).
+    The near nodes are a prefix of every row, so each half is written in
+    place by slicing."""
+    t = (np.sign(other_end - zero_end) / scale)[:, None] * d
+    cut = np.count_nonzero(near)
+    t[:, :cut] += (zero_end / scale)[:, None]
+    np.subtract((other_end / scale)[:, None], t[:, cut:], out=t[:, cut:])
+    return t
 
 
 def _kernel_pieces(phase: float, t_max: float) -> np.ndarray:

@@ -73,3 +73,15 @@ def test_affine_exactness(slope, intercept, x):
     assert math.isclose(
         s.eval(x), slope * x + intercept, rel_tol=1e-12, abs_tol=1e-9
     )
+
+
+def test_abscissae_built_once_and_read_only():
+    # eval reads the abscissae on every call, so they are built with the
+    # samples, not per call, and no caller can change them; eval gives the
+    # bits np.interp gives on the grid's own points
+    g = UniformGrid(0.3, 0.01, 2001)
+    s = SampledFunction(g, np.cos(g.points()))
+    assert s.xs is s.xs and np.array_equal(s.xs, g.points())
+    assert not s.xs.flags.writeable and not s.values.flags.writeable
+    x = np.random.default_rng(2).uniform(0.0, 21.0, 1000)
+    assert np.array_equal(s.eval(x), np.interp(x, g.points(), s.values))

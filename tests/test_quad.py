@@ -15,9 +15,10 @@ from alphasine.errors import NonConvergence
 from alphasine.grid import SampledFunction, UniformGrid
 from alphasine.quad import (_GAUSS_N, _NULL_DEGREES, _PANEL_LOBES, QuadSpec, _gauss_pair,
                             _gauss_piece_sums, _jacobi_rule, _kernel_pieces, _lobe_sums, _lobes,
-                            _place, _rules, _split, integrate, integrate_kernel_split)
+                            _place, _split, integrate, integrate_kernel_split)
 from alphasine.specfun import sin_power_integral
 
+import kernel_split_oracle as oracle
 from conftest import F1_MASS, F2_MASS, f1, f2, f3, sample, t2_f1
 
 
@@ -107,6 +108,54 @@ def _weighted_moment(a, k, span):
         return float(near + mp.quad(lambda u: mp.sin(u) ** a * g(u), [half, mp.pi / 2]))
 
 
+@lru_cache(maxsize=None)
+def _half_lobe_moments(a):
+    """The integrals of sin(s)^a s^i over [0, pi/2], i < 2 _GAUSS_N, as
+    60-digit mpmath numbers, from the series sin(s)^a = s^a exp(a log(sin s
+    / s)): log(sin s / s) has the coefficients (-1)^n 2^(2n-1) B_2n / (n
+    (2n)!) in s^2n, the exponential's follow by the recurrence e_n = (a/n)
+    sum_k k l_k e_(n-k), and each term integrates in closed form.  The
+    series converges as 4^-n at s = pi/2, half its radius pi."""
+    terms = 110
+    with mp.workdps(60):
+        a = mp.mpf(a)
+        log = [0] + [(-1) ** n * mp.mpf(2) ** (2 * n - 1) * mp.bernoulli(2 * n)
+                     / (n * mp.factorial(2 * n)) for n in range(1, terms)]
+        e = [mp.mpf(1)]
+        for n in range(1, terms):
+            e.append(a / n * mp.fsum(k * log[k] * e[n - k] for k in range(1, n + 1)))
+        half = mp.pi / 2
+        return [mp.fsum(c * half ** (a + i + 2 * n + 1) / (a + i + 2 * n + 1)
+                        for n, c in enumerate(e)) for i in range(2 * _GAUSS_N)]
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_moments(a, span):
+    """The integrals of |sin u|^a T_k(2u/span - 1) over [0, span], k <
+    2 _GAUSS_N, span pi/2 or m pi, to 25 digits and more.  On each
+    half-lobe u = zero + side s, s in [0, pi/2], so T_k is a polynomial in
+    s, built by T_(k+1) = 2x T_k - T_(k-1) in 60-digit arithmetic (its
+    coefficients reach 1e24 on the half-lobe) and summed against the
+    half-lobe's moments."""
+    moments = _half_lobe_moments(a)
+    with mp.workdps(60):
+        out = [mp.mpf(0)] * (2 * _GAUSS_N)
+        scale = mp.pi * mp.mpf(span / math.pi)  # span is m pi/2 exactly
+        for j in range(round(span / (0.5 * math.pi))):
+            zero, side = ((j // 2) * mp.pi, 1) if j % 2 == 0 else ((j + 1) // 2 * mp.pi, -1)
+            x0, x1 = 2 * zero / scale - 1, 2 * side / scale  # x = x0 + x1 s
+            prev, t = [], [mp.mpf(1)]  # coefficients of T_(k-1) and T_k in s
+            for k in range(2 * _GAUSS_N):
+                out[k] += mp.fsum(c * m for c, m in zip(t, moments))
+                nxt = [2 * x0 * c for c in t] + [0]
+                for i, c in enumerate(t):
+                    nxt[i + 1] += 2 * x1 * c
+                for i, c in enumerate(prev):
+                    nxt[i] -= c
+                prev, t = t, (nxt if k else [x0, x1])
+        return [float(v) for v in out]
+
+
 def _check_rule(u, w, partners, moments, span):
     # G16 integrates u^k exactly for k < 32.  Each partner, G16 less its null
     # rule of degree r, integrates u^k exactly for k < r and misses u^r by
@@ -131,9 +180,9 @@ def _check_rule(u, w, partners, moments, span):
 def test_gauss_rule_moments(a):
     # GJ(0, a), scaled to [0, L] by nodes L u and weights L^(a+1) w, against
     # the exact moments L^(a+k+1)/(a+k+1) of the weight v^a; the rule is
-    # built from its closed-form recurrence, with no tanh-sinh measure
-    d, near, rows = _jacobi_rule(a)
-    assert near.all() and not rows.flags.writeable
+    # built from its closed-form recurrence
+    d, rows = _jacobi_rule(a)
+    assert not rows.flags.writeable
     for length in (0.5 * math.pi, 0.3, 1e-3):
         with mp.workdps(30):
             moments = [float(mp.mpf(length) ** (a + k + 1) / (a + k + 1))
@@ -144,36 +193,47 @@ def test_gauss_rule_moments(a):
 
 def _check_sine_rule(rule, a, span):
     # the mass is B(1/2, (a+1)/2) over the whole lobe in closed form, half
-    # that over a half-lobe
-    d, _, rows = rule
-    u, (w, *partners) = d[0], rows[:1 + len(_NULL_DEGREES), 0]
+    # that over a half-lobe.  Past the powers of u, G16 integrates |sin u|^a
+    # T_k(2u/span - 1) for k < 32 within 1e-12 of the mass, and each
+    # partner for k below its degree.  T_k is bounded by 1 on the span, so
+    # it weighs every node, where u^k on [0, pi/2] is too ill-conditioned
+    # a basis: a Stieltjes measure too coarse for the rule missed T_31 by
+    # 1.4e-5 to 5.0e-3 of the half-lobe's mass while every u^k met 1e-13
+    u, rows = rule
+    u, (w, *partners) = u[0], rows[:1 + len(_NULL_DEGREES), 0]
     with mp.workdps(30):
         mass = float(mp.beta(0.5, (a + 1) / 2) * span / mp.pi)
     assert math.isclose(math.fsum(w), mass, rel_tol=1e-13)
     _check_rule(u, w, partners, [_weighted_moment(a, k, span) for k in range(2 * _GAUSS_N)], span)
+    chebyshev = np.polynomial.chebyshev.chebvander(2.0 * u / span - 1.0, 2 * _GAUSS_N - 1)
+    exact = np.array(_chebyshev_moments(a, span))
+    for weights, degree in zip((w, *partners), (2 * _GAUSS_N, *_NULL_DEGREES)):
+        gap = np.abs(weights @ chebyshev - exact)[:degree]
+        assert np.all(gap <= 1e-12 * mass), (degree, np.max(gap) / mass)
     return u
 
 
+# the a at which every sin(u)^a rule is checked, from near -1 to near 5
+_SINE_RULE_ALPHAS = (-0.99, -0.9, -0.5, 1.5, 3.0, 4.9)
+
+
+def _at_every_sine_rule_alpha(test):
+    for a in _SINE_RULE_ALPHAS:
+        test = example(a=a)(test)
+    return test
+
+
 @given(a=st.floats(min_value=-0.99, max_value=5.0))
-@example(a=-0.99)
-@example(a=-0.9)
-@example(a=-0.5)
-@example(a=1.5)
+@_at_every_sine_rule_alpha
 @settings(max_examples=6, deadline=None)
 def test_whole_lobe_rule_moments(a):
-    # below a = -0.99 the tanh-sinh measure the rule is built from loses
-    # digits in its log-space weights (the moments drift to 4e-13 at
-    # a = -0.999), as the tanh-sinh rule does.  The weight is even about the
-    # crest, so the rule is too, to rounding
+    # the weight is even about the crest, so the rule is too, to rounding
     u = _check_sine_rule(_gauss_pair(a, math.pi), a, math.pi)
     assert np.max(np.abs(u + u[::-1] - math.pi)) <= 8 * np.finfo(float).eps * math.pi
 
 
 @given(a=st.floats(min_value=-0.99, max_value=5.0))
-@example(a=-0.99)
-@example(a=-0.9)
-@example(a=1.5)
-@example(a=4.9)
+@_at_every_sine_rule_alpha
 @settings(max_examples=6, deadline=None)
 def test_half_lobe_rule_moments(a):
     # G16 for sin(v)^a on [0, pi/2]: its null rules sum sin(v)^a's own
@@ -183,10 +243,7 @@ def test_half_lobe_rule_moments(a):
 
 
 @given(a=st.floats(min_value=-0.99, max_value=5.0))
-@example(a=-0.99)
-@example(a=-0.9)
-@example(a=1.5)
-@example(a=4.9)
+@_at_every_sine_rule_alpha
 @settings(max_examples=6, deadline=None)
 def test_panel_rule_moments(a):
     # G16 for |sin u|^a on a panel of whole lobes, [0, m pi]: its mass, its
@@ -197,7 +254,7 @@ def test_panel_rule_moments(a):
     rule = _gauss_pair(a, span)
     u = _check_sine_rule(rule, a, span)
     assert np.max(np.abs(u + u[::-1] - span)) <= 16 * np.finfo(float).eps * span
-    start, end = rule[2][1 + len(_NULL_DEGREES):, 0]
+    start, end = rule[1][1 + len(_NULL_DEGREES):, 0]
     for k in range(_GAUSS_N):
         assert abs(np.dot(start, (u / span) ** k) - (k == 0)) <= 1e-12, k
         assert abs(np.dot(end, (u / span) ** k) - 1.0) <= 1e-12, k
@@ -216,9 +273,9 @@ _SMOOTH = {
 
 def _fine_lobe_sums(f, a, zero, y):
     """Integral of |sin(xy)|^a f(x) over each whole lobe [zero, zero + pi]/y
-    by tanh-sinh at step 0.0125 on its two half-lobes."""
-    d, near, w = _rules(a, 0.0125, np.array([[0.5 * math.pi]]), np.array([[0.0]]))
-    return sum(np.vecdot(f(_place(d, near, zero_end, zero + 0.5 * math.pi, y)), w[0]) / y
+    by the oracle's tanh-sinh rule at step 0.0125 on its two half-lobes."""
+    d, near, w = oracle._rules(a, 0.0125, np.array([[0.5 * math.pi]]), np.array([[0.0]]))
+    return sum(np.vecdot(f(oracle._place(d, near, zero_end, zero + 0.5 * math.pi, y)), w[0]) / y
                for zero_end in (zero, zero + math.pi))
 
 
@@ -270,34 +327,53 @@ def test_panel_estimate_bounds_its_error(a, y, name):
 
 @pytest.mark.parametrize("a", [0.0, 1.5, -0.5, -0.9])
 def test_tanh_sinh_mass_at_every_step(a):
-    # the sum runs far enough that a finer step drops no mass: ending at
-    # s = 16.5 lost 1.3e-15 to 8.1e-15 of it at h <= 0.05
+    # the oracle's rule: the sum runs far enough that a finer step drops no
+    # mass: ending at s = 16.5 lost 1.3e-15 to 8.1e-15 of it at h <= 0.05
     with mp.workdps(30):
         mass = float(mp.beta(0.5, (a + 1) / 2) / 2)
     for h in 0.2 / 2 ** np.arange(1, 6):
-        w = _rules(a, h, np.array([[0.5 * math.pi]]), np.array([[0.0]]))[2]
+        w = oracle._rules(a, h, np.array([[0.5 * math.pi]]), np.array([[0.0]]))[2]
         assert math.isclose(math.fsum(w[0, 0]), mass, rel_tol=1e-15), h
 
 
-def test_place_writes_both_halves_as_a_where_would():
-    # the near nodes are a prefix of every row, so slicing places each node
-    # exactly as choosing between the two full candidate arrays did; a rule
-    # of one row is shared by every piece, as the whole-lobe Gauss rule (all
-    # near) is, and GJ(0, a) scaled to each piece's length gives one row each
+def _place_cases():
     rng = np.random.default_rng(5)
     zero_end = rng.uniform(0.0, 50.0, 6)
     other_end = zero_end + np.where(rng.random(6) < 0.5, 1.3, -1.3)
-    shared = _rules(1.5, 0.25, np.array([[1.3]]), np.array([[0.0]]))[:2]
-    per_row = _rules(-0.5, 0.25, np.full((6, 1), 1.3), np.full((6, 1), 0.1))[:2]
-    u, near = _jacobi_rule(1.5)[:2]
-    jacobi = (rng.uniform(0.1, 1.3, (6, 1)) * u, near)
-    for d, near in (shared, per_row, _gauss_pair(1.5, math.pi)[:2], jacobi):
-        assert near[: np.count_nonzero(near)].all()
-        for scale in (1.0, rng.uniform(0.05, 20.0, 6)):
+    return rng, zero_end, other_end, (1.0, rng.uniform(0.05, 20.0, 6))
+
+
+def test_place_writes_both_halves_as_a_where_would():
+    # every rule of quad measures each node from its zero end, so _place is
+    # the zero-end half of the oracle's two-ended placement, and gives its
+    # bits with every node near: a rule of one row shared by every piece,
+    # as the whole-lobe Gauss rule is, and GJ(0, a) scaled to each piece's
+    # length, one row each
+    rng, zero_end, other_end, scales = _place_cases()
+    jacobi = rng.uniform(0.1, 1.3, (6, 1)) * _jacobi_rule(1.5)[0]
+    for u in (_gauss_pair(1.5, math.pi)[0], jacobi):
+        near = np.ones(u.shape[1], dtype=bool)
+        for scale in scales:
+            expect = oracle._place(u, near, zero_end, other_end, scale)
+            assert np.array_equal(_place(u, zero_end, other_end, scale), expect)
+
+
+def test_oracle_place_writes_both_halves_as_a_where_would():
+    # the oracle's tanh-sinh rule measures its near nodes from the zero end
+    # and the others from the far end; the near nodes are a prefix of every
+    # row, so slicing places each node exactly as choosing between the two
+    # full candidate arrays does, for a rule of one row shared by every
+    # piece and for one row per piece
+    rng, zero_end, other_end, scales = _place_cases()
+    shared = oracle._rules(1.5, 0.25, np.array([[1.3]]), np.array([[0.0]]))[:2]
+    per_row = oracle._rules(-0.5, 0.25, np.full((6, 1), 1.3), np.full((6, 1), 0.1))[:2]
+    for d, near in (shared, per_row):
+        assert near[: np.count_nonzero(near)].all() and not near.all()
+        for scale in scales:
             toward = (np.sign(other_end - zero_end) / scale)[:, None] * d
             expect = np.where(near, (zero_end / scale)[:, None] + toward,
                               (other_end / scale)[:, None] - toward)
-            assert np.array_equal(_place(d, near, zero_end, other_end, scale), expect)
+            assert np.array_equal(oracle._place(d, near, zero_end, other_end, scale), expect)
 
 
 @pytest.mark.parametrize("rows", ["pieces", "halves", "lattice", "panels"])
@@ -604,26 +680,20 @@ class TestArrayY:
         single = [integrate_kernel_split(kink, 1.5, float(y), spec) for y in ys]
         assert np.array_equal(integrate_kernel_split(kink, 1.5, ys, spec), single)
 
-    def test_rule_cache_misses_per_step_not_per_y(self, monkeypatch):
+    def test_rule_cache_misses_per_step_not_per_y(self):
         # the panels of every y share one Gauss rule, the lone whole lobes
-        # another and whole half-lobes a third, each built from a tanh-sinh
+        # another and whole half-lobes a third, each built from the GJ(0, a)
         # measure, and every other piece, split ones too, takes GJ(0, a) or
-        # GJ(0, 0): each built once per a.  No rule is built per y, and past
-        # the three measures _rules builds nothing: what the Gauss pass
-        # leaves open is split
+        # GJ(0, 0): each built once per a.  No rule is built per y, what the
+        # Gauss pass leaves open is split, and quad has no tanh-sinh rule
         for cached in (_gauss_pair, _jacobi_rule):
             cached.cache_clear()
-        built = []
-        rules = quad._rules
-        monkeypatch.setattr(quad, "_rules", lambda *args: built.append(args[2:]) or rules(*args))
         ys = 0.05 * np.arange(1, 401)
         for _ in range(2):
             integrate_kernel_split(f3, -0.9, ys)
         assert _gauss_pair.cache_info().misses == 3
         assert _jacobi_rule.cache_info().misses == 2
-        assert len(built) == 3
-        for length, off in built:
-            assert length.shape == (1, 1) and length[0, 0] == 0.5 * math.pi and off[0, 0] == 0.0
+        assert not hasattr(quad, "_rules")
 
     def test_gauss_pass_halves_f_evaluations(self):
         # f3 at a = -0.9 over the forward_invert curve: tanh-sinh alone took

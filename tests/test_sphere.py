@@ -13,6 +13,7 @@ from alphasine.specfun import cosine_coeffs, sin_power_integral
 from alphasine.sphere import (
     PeriodicDensity,
     _check_circle_grid,
+    _kernel_coeffs_quad,
     circle_grid,
     invert_sphere,
     k_sphere_grid,
@@ -86,6 +87,18 @@ class TestKSphere:
         ref = k_sphere_grid_quad(f, alpha).values
         gap = np.max(np.abs(k_sphere_grid(f, alpha).values - ref))
         assert gap <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.5, 1.5, 3.3, 4.9])
+    def test_quadrature_coefficients_match_the_closed_form(self, alpha):
+        # the quadrature reference, on the Gauss-Jacobi measure of the lobe
+        # rules, against 2 pi ctilde_{n/2} at even n and 0 at odd n, for
+        # every harmonic the reference serves
+        khat = _kernel_coeffs_quad(alpha, 64)
+        ct = cosine_coeffs(alpha, 33).coeffs
+        exact = np.zeros(65)
+        exact[::2] = 2.0 * math.pi * ct[:33]
+        assert not khat.flags.writeable
+        assert np.max(np.abs(khat - exact)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5, 5.0])
     @pytest.mark.parametrize("name", ["watson", "vonmises4"])
