@@ -6,19 +6,19 @@ weight |sin u|^a, u the distance to the first zero, so every singular zero
 lives in the weight of a Gauss rule (as in QUADPACK's QAWS) and f only has
 to be smooth: the 16-point rule G16 gives the value, and its null rules of
 degree 15 and 14, on its own 16 nodes, the error estimate (Berntsen &
-Espelid 1991).  The whole lobes of a y go in panels of _PANEL_LOBES
-consecutive lobes, one 16-point rule for [0, _PANEL_LOBES pi] each, and
-the others alone on the rule for [0, pi]: its last (count mod
-_PANEL_LOBES), and the sine's first, which starts at x = 0.  All are
-laid out as a lattice, each node placed from its zero and y alone.  A
-panel's first node lies far from its end zeros, so f is also evaluated at
-each end zero, once for the two panels that meet there, and compared with
-the rule's interpolant extrapolated to it (the end check, see
-_lobe_sums).  A panel or lobe is kept only when its estimate meets its
-share of the tolerance at quadrature precision, however loose the
-caller's tolerance; a panel that fails, as one holding a kink of f does,
-leaves its lobes to the lobe rule, and a lobe that fails splits into its
-two half-lobes, between a zero and a crest.
+Espelid 1991).  The whole lobes of a y start as panels of _PANEL_LOBES
+consecutive lobes, the last holding the rest, each on the 16-point rule
+for [0, m pi], m its count of lobes, laid out as a lattice: each node
+placed from its zero and y alone.  A panel's first node lies far from its
+end zeros, so f is also evaluated at each end zero, once for the two
+panels that meet there, and compared with the rule's interpolant
+extrapolated to it (the end check, see _lobe_sums).  A panel is kept only
+when its estimate meets its share of the tolerance at quadrature
+precision, however loose the caller's tolerance; one that fails, as one
+holding a kink of f does, halves at its middle zero, and a lobe that fails
+splits into its two half-lobes, between a zero and a crest.  The sine's
+first lobe starts at x = 0, where f is not evaluated, and takes its
+half-lobes with the cut pieces.
 
 Every other piece lies between a zero and a crest and is the interval
 [v0, v1] of distances from its zero; that interval alone picks its 16-point
@@ -44,9 +44,9 @@ which the sphere's quadrature reference integrates too.
 
 A curve, an array of y, is integrated in blocks of consecutive y that
 together hold at most _LOBE_BLOCK lobes; a y with more lobes than that forms
-a block of its own.  Within a block the whole lobes of every y share one
-lattice pass, the remaining pieces go into one table, and each y keeps its
-own stopping rule, so no value depends on the block.
+a block of its own.  Within a block the panels of every y share each level
+of the halving, the remaining pieces go into one table, and each y keeps
+its own stopping rule, so no value depends on the block.
 """
 
 from __future__ import annotations
@@ -79,8 +79,12 @@ _LOBE_REL_TOL = 1e-10
 _ROUNDS = 30
 _ROUNDING = 16 * np.finfo(float).eps
 # lobes of the y refined together, and nodes placed and evaluated at once:
-# these bound the memory of a long curve without changing any value
-_LOBE_BLOCK = 8192
+# these bound the memory of a long curve without changing any value.  A
+# block keeps arrays per panel and per piece, not per lobe: at peak 23 bytes
+# a lobe on a smooth f, 530 on the kinks of 2001 linear samples.  It pays
+# the bookkeeping of each panel level and round once, so one block holds a
+# curve of 400 y up to y tail_cut = 600 (38,892 lobes)
+_LOBE_BLOCK = 65536
 _CHUNK_NODES = 8192
 # consecutive whole lobes of a y that share one Gauss rule (see _lobe_sums)
 _PANEL_LOBES = 8
@@ -188,17 +192,17 @@ def _sine_measure(alpha: float, n: int):
 @lru_cache(maxsize=64)
 def _gauss_pair(alpha: float, span: float):
     """G16 for the weight |sin u|^alpha on [0, span], span pi/2 (a
-    half-lobe, singular at u = 0), pi (a whole lobe, singular at both ends)
-    or m pi (a panel of m whole lobes, singular at its m + 1 zeros), with
-    two error-estimate partners on its own nodes (see _golub_welsch), as one
-    rule (u, w) of 16 nodes (see _frozen).  A panel's rule has two more
-    rows, the end check: the degree-15 interpolant at its nodes
-    extrapolated to u = 0 and u = span (see _lobe_sums).  Read-only.
+    half-lobe, singular at u = 0) or m pi (a panel of m whole lobes,
+    singular at its m + 1 zeros), with two error-estimate partners on its
+    own nodes (see _golub_welsch) and the two rows of the end check, the
+    degree-15 interpolant at its nodes extrapolated to u = 0 and u = span
+    (see _lobe_sums), as one rule (u, w) of 16 nodes (see _frozen).
+    Read-only.
 
     The discretized Stieltjes procedure (Gautschi 1982) takes the recurrence
     of the weight's orthonormal polynomials p_r in x = 2u/span - 1 from the
     _MEASURE_N-point rule for sin(u)^alpha on [0, pi/2] (_sine_measure) as
-    the discrete measure, mirrored about the crest for the whole lobe, where
+    the discrete measure, mirrored about the crest for a whole lobe, where
     the weight is even, and repeated over the lobes of a panel.
     """
     v, q = _sine_measure(alpha, _MEASURE_N)
@@ -216,9 +220,7 @@ def _gauss_pair(alpha: float, span: float):
         b = off[k] = math.sqrt(np.sum(q * r * r))
         p_prev, p = p, r / b
     theta, w = _golub_welsch(diag, off[:-1], mu0)
-    if lobes > 1:
-        w = np.concatenate((w, _extrapolation(theta)))
-    return _frozen((theta + 1.0) * (0.5 * span), w)
+    return _frozen((theta + 1.0) * (0.5 * span), np.concatenate((w, _extrapolation(theta))))
 
 
 def _place(u, zero_end, other_end, scale=1.0):
@@ -240,11 +242,15 @@ def _runs(start: np.ndarray, count: np.ndarray):
     return owner, start[owner] + np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
 
 
-def _lobes(phase: float, t_max: np.ndarray):
-    """The lobes [k pi - phase, (k + 1) pi - phase] of a kernel with zeros at
-    k*pi - phase that may meet (0, t_max[i]]: the index i each belongs to,
-    and its k."""
-    return _runs(np.zeros(len(t_max), dtype=int), _lobe_counts(phase, t_max))
+def _whole_lobes(phase: float, t_max: np.ndarray) -> np.ndarray:
+    """How many lobes k = 1, 2, ... of a kernel with zeros at k*pi - phase lie
+    whole inside (0, t_max[i]], for each i.  The last is the last k with
+    (k + 1) pi - phase <= t_max, compared in floats as _kernel_pieces does,
+    and lies within one of _lobe_counts - 3."""
+    k = _lobe_counts(phase, t_max) - 3
+    k += (k + 2) * math.pi - phase <= t_max
+    k -= (k + 1) * math.pi - phase > t_max
+    return np.maximum(k, 0)
 
 
 def _two_product(a: np.ndarray, b: float):
@@ -262,13 +268,14 @@ def _two_product(a: np.ndarray, b: float):
 
 def _kernel_pieces(phase: float, t_max: np.ndarray, t_lo: np.ndarray,
                    owner: np.ndarray, k: np.ndarray):
-    """Rows (zero_end, other_end, length, off) covering the lobes k[j] of the
-    y owner[j] (see _lobes), cut to (0, t_max[owner[j]]], and the owner of
-    each row: the rising (zero to crest) and falling (crest to zero) half of
-    each lobe, cut to the interval, with empty pieces dropped.  A length is
+    """Rows (zero_end, other_end, length, off) covering the lobes [k pi -
+    phase, (k + 1) pi - phase], k = k[j], of the y owner[j], cut to (0,
+    t_max[owner[j]]], and the owner of each row: the rising (zero to crest)
+    and falling (crest to zero) half of each lobe, cut to the interval,
+    with empty pieces dropped.  A length is
     pi/2 or is measured from 0 or the cut, never between zeros; off is
     nonzero only where the cut falls inside a falling half.  Which halves
-    are whole is decided in floats, as for the lobes in _lobe_pass, so a cut
+    are whole is decided in floats, as for the lobes in _whole_lobes, so a cut
     within rounding of a zero or crest counts as at it.  The cut is
     t_max + t_lo exactly, with t_lo the rounding error of t_max, and a
     length or off at the cut is its distance from the zero or crest."""
@@ -312,33 +319,32 @@ def _rule_sums(f, x: np.ndarray, w: np.ndarray, scale: np.ndarray):
     return rule, np.sum(np.abs(rule - partners), axis=0), rest
 
 
-def _lobe_sums(f, alpha: float, zero: np.ndarray, y: np.ndarray, ends: np.ndarray | None = None):
-    """Value and error estimate of the whole lobes [zero[i], zero[i] + pi],
-    or, given ends, of the panels [zero[i], zero[i] + _PANEL_LOBES pi] of
-    consecutive whole lobes, where the integrand at t is f(t / y[i]) /
-    y[i], by the Gauss rule for |sin u|^a on the lobe or panel laid out as
-    a lattice: node j of row i is (zero[i] + u_j) / y[i], from its zero and
-    y alone, with no piece row.  Rows go in chunks of at most _CHUNK_NODES
-    nodes.
+def _lobe_sums(f, alpha: float, zero: np.ndarray, lobes: np.ndarray, y: np.ndarray,
+               ends: np.ndarray):
+    """Value and error estimate of the panels [zero[i], zero[i] + lobes[i]
+    pi] of 1 to _PANEL_LOBES consecutive whole lobes, where the integrand at
+    t is f(t / y[i]) / y[i], by the Gauss rule for |sin u|^a on the panel
+    laid out as a lattice: node j of row i is (zero[i] + u_j) / y[i], from
+    its zero and y alone, with no piece row.  Rows go in chunks of at most
+    _CHUNK_NODES nodes, those of one span together.
 
     A kink of f nearer an end zero than the rule's first node u_1 is seen
-    by no node, and the panel's first node lies far from its ends (u_1 =
-    0.33 at a = 1.5, against 0.05 on a lobe).  So a panel is checked at its
-    two end zeros: ends holds the integrand there (f / y at the zeros, two
-    rows), and the distance of each from the rule's degree-15 interpolant,
-    extrapolated to that zero (see _gauss_pair), times the weight's mass
-    u_1^(a+1) / (a+1) between the zero and u_1, adds to the error."""
-    u, w = _gauss_pair(alpha, math.pi if ends is None else _PANEL_LOBES * math.pi)
+    by no node (u_1 = 0.05 at a = 1.5 on one lobe, 0.33 on eight).  So
+    every panel is checked at its two end zeros: ends holds the integrand
+    there (f / y at the zeros, two rows), and the distance of each from the
+    rule's degree-15 interpolant, extrapolated to that zero (see
+    _gauss_pair), times the weight's mass u_1^(a+1) / (a+1) between the
+    zero and u_1, adds to the error."""
     value, error = np.empty((2, len(zero)))
-    extrapolated = np.empty((len(w) - 1 - len(_NULL_DEGREES), len(zero)))
-    per_chunk = _CHUNK_NODES // u.shape[1]
-    for lo in range(0, len(zero), per_chunk):
-        at = slice(lo, lo + per_chunk)
-        value[at], error[at], extrapolated[:, at] = _rule_sums(
-            f, (zero[at, None] + u) / y[at, None], w, y[at])
-    if ends is not None:
+    for m in np.unique(lobes):
+        u, w = _gauss_pair(alpha, m * math.pi)
         band = u[0, 0] ** (alpha + 1.0) / (alpha + 1.0)
-        error += band * np.sum(np.abs(ends - extrapolated), axis=0)
+        rows = np.flatnonzero(lobes == m)
+        for first in range(0, len(rows), _CHUNK_NODES // _GAUSS_N):
+            at = rows[first:first + _CHUNK_NODES // _GAUSS_N]
+            value[at], error[at], extrapolated = _rule_sums(
+                f, (zero[at, None] + u) / y[at, None], w, y[at])
+            error[at] += band * np.sum(np.abs(ends[:, at] - extrapolated), axis=0)
     return value, error
 
 
@@ -441,68 +447,60 @@ def _split(pieces: np.ndarray):
 
 def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
     """The whole-lobe pass of _totals over its block of ys.  Returns the
-    value, error and L1 mass of the kept panels and lobes summed per y, the
-    pieces left for the rounds (every cut piece and both halves of each
-    lobe that failed) with the y each belongs to, and each y's count of
-    pieces in the half-lobe split.
+    value, error and L1 mass of the kept panels summed per y, the pieces
+    left for the rounds (every cut piece, and both halves of the sine's
+    first lobe and of each lobe that failed) with the y each belongs to, and
+    each y's count of pieces in the half-lobe split.
 
-    The whole lobes of a y go in panels of _PANEL_LOBES from the zero
-    pi - phase on, and the others alone: the sine's first lobe, which
-    starts at x = 0, and its last (count mod _PANEL_LOBES).  f is evaluated
-    once at each panel end zero, for both panels that meet there (see
-    _lobe_sums), and never at x = 0.  A panel is kept only when its error
-    meets the share of its 2 _PANEL_LOBES half-lobes, at quadrature
-    precision, of the mass of the y's panels; the lobes of one that fails
-    take the whole-lobe rule, with the lone lobes.  Every per-lobe array is
-    freed on return, before the rounds."""
+    The whole lobes 1, ..., whole of a y (_whole_lobes) start as panels of
+    _PANEL_LOBES from the zero pi - phase on, the last holding the rest; the
+    sine's first lobe starts at x = 0, outside (0, t_max], where f may be
+    undefined, and goes with the cut pieces.  f is evaluated once at each
+    panel end zero, for both panels that meet there (see _lobe_sums).  A
+    panel of m lobes is kept when its error meets the share of its 2m
+    half-lobes, at quadrature precision, of the mass of the y's kept and
+    current panels.  One that fails halves at its middle zero, into panels
+    of floor(m/2) and ceil(m/2) lobes, at one evaluation of f; a lobe that
+    fails leaves its two half-lobes to the rounds."""
     n, (t_max, t_lo) = len(ys), _two_product(ys, spec.tail_cut)
-    owner, k = _lobes(phase, t_max)
-    is_whole = (k * math.pi - phase >= 0.0) & ((k + 1) * math.pi - phase <= t_max[owner])
-    pieces, piece_owner = _kernel_pieces(phase, t_max, t_lo, owner[~is_whole], k[~is_whole])
-    # the whole lobes of a y are k = first, ..., first + whole - 1
-    first, whole = (1 if phase else 0), np.bincount(owner[is_whole], minlength=n)
-    del owner, k, is_whole
+    count, whole = _lobe_counts(phase, t_max), _whole_lobes(phase, t_max)
+    # the lobes left to pieces: the first, from x = 0 for the sine and across
+    # it for the cosine, and those past the whole ones
+    owner, k = _runs(whole, count - whole)
+    k[k == whole[owner]] = 0
+    pieces, piece_owner = _kernel_pieces(phase, t_max, t_lo, owner, k)
     # the pieces every y has in the half-lobe split, two per whole lobe
     counts = np.bincount(piece_owner, minlength=n) + 2 * whole
     if not counts.all():
         t_cut = ys[counts == 0][0] * spec.tail_cut
         raise ValueError(f"y * tail_cut = {t_cut:.3g} is too small for a kernel piece")
-    tol = min(spec.rel_tol, _LOBE_REL_TOL) / counts
-    # panels start at the zero pi - phase: the sine's first lobe starts at
-    # x = 0, outside (0, t_max], where f may be undefined, so it goes alone
-    head = np.minimum(whole, 1 - first)
-    panels = (whole - head) // _PANEL_LOBES
+    tol = 2.0 * min(spec.rel_tol, _LOBE_REL_TOL) / counts
+
+    def at_zeros(owner, k):
+        return np.asarray(call_vec(f, (k * math.pi - phase) / ys[owner]), dtype=float) / ys[owner]
+
     # each y's panel end zeros: one per panel, and one past its last
-    end_owner, j = _runs(np.zeros(n, dtype=int), panels + (panels > 0))
-    end_k = 1 + _PANEL_LOBES * j
-    end_zero, end_y = end_k * math.pi - phase, ys[end_owner]
-    ends = np.asarray(call_vec(f, end_zero / end_y), dtype=float) / end_y
-    at = np.flatnonzero(j < panels[end_owner])  # each panel's start
-    panel_owner = end_owner[at]
-    panel_value, panel_error = _lobe_sums(f, alpha, end_zero[at], ys[panel_owner],
-                                          ends[np.stack((at, at + 1))])
-    share = 2 * _PANEL_LOBES * tol * np.bincount(panel_owner, np.abs(panel_value), n)
-    panel_kept = panel_error <= share[panel_owner]
-    # the lone lobes of each y, before and after its panels, then the lobes
-    # of its failed panels
-    failed = ~panel_kept
-    lone = np.column_stack((np.full(n, first), 1 + _PANEL_LOBES * panels,
-                            head, (whole - head) % _PANEL_LOBES))
-    run, lobe_k = _runs(
-        np.concatenate((lone[:, :2].ravel(), end_k[at][failed])),
-        np.append(lone[:, 2:].ravel(), np.full(np.count_nonzero(failed), _PANEL_LOBES)))
-    lobe_owner = np.append(np.repeat(np.arange(n), 2), panel_owner[failed])[run]
-    lobe_value, lobe_error = _lobe_sums(f, alpha, lobe_k * math.pi - phase, ys[lobe_owner])
-    kept_panels = [np.bincount(panel_owner[panel_kept], v[panel_kept], n)
-                   for v in (panel_value, panel_error, np.abs(panel_value))]
-    share = 2.0 * tol * (kept_panels[2] + np.bincount(lobe_owner, np.abs(lobe_value), n))
-    kept = lobe_error <= share[lobe_owner]
-    if not kept.all():
-        halves, half_owner = _kernel_pieces(phase, t_max, t_lo, lobe_owner[~kept], lobe_k[~kept])
-        pieces, piece_owner = np.concatenate((pieces, halves)), np.append(piece_owner, half_owner)
-    kept_sums = [p + np.bincount(lobe_owner[kept], v[kept], n)
-                 for p, v in zip(kept_panels, (lobe_value, lobe_error, np.abs(lobe_value)))]
-    return (*kept_sums, pieces, piece_owner, counts)
+    panels = -(-whole // _PANEL_LOBES)
+    owner, j = _runs(np.zeros(n, dtype=int), panels + (panels > 0))
+    k = np.minimum(1 + _PANEL_LOBES * j, 1 + whole[owner])
+    ends = at_zeros(owner, k)
+    at = np.flatnonzero(j < panels[owner])  # each panel's start
+    owner, k, lobes, ends = owner[at], k[at], k[at + 1] - k[at], np.stack((ends[at], ends[at + 1]))
+    kept, failed = np.zeros((3, n)), [np.empty((2, 0), dtype=int)]
+    while len(k):
+        value, error = _lobe_sums(f, alpha, k * math.pi - phase, lobes, ys[owner], ends)
+        ok = error <= lobes * (tol * (kept[2] + np.bincount(owner, np.abs(value), n)))[owner]
+        kept += [np.bincount(owner[ok], v[ok], n) for v in (value, error, np.abs(value))]
+        failed.append(np.stack((owner, k))[:, ~ok & (lobes == 1)])
+        split = ~ok & (lobes > 1)
+        owner, k, lobes, ends = owner[split], k[split], lobes[split], ends[:, split]
+        half = lobes // 2
+        middle = at_zeros(owner, k + half)
+        owner, k, lobes, ends = (np.tile(owner, 2), np.append(k, k + half),
+                                 np.append(half, lobes - half),
+                                 np.stack((np.append(ends[0], middle), np.append(middle, ends[1]))))
+    halves, half_owner = _kernel_pieces(phase, t_max, t_lo, *np.concatenate(failed, axis=1))
+    return (*kept, np.concatenate((pieces, halves)), np.append(piece_owner, half_owner), counts)
 
 
 def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np.ndarray:
@@ -513,12 +511,12 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
     so a tiny integral, as at small y and large a, keeps its relative
     digits; abs_tol is a floor.
 
-    Every whole lobe inside (0, y tail_cut] first takes a Gauss rule for
-    |sin u|^a (_lobe_pass): in a panel of _PANEL_LOBES lobes, checked at its
-    end zeros, or alone, and is kept only at quadrature precision: the
-    estimate within the share of its halves of min(rel_tol, _LOBE_REL_TOL)
-    times the mass of the y's panels and lobes.  A kept panel or lobe is
-    final; the lobes of a failed panel take the lobe rule alone.  A lobe that
+    Every whole lobe inside (0, y tail_cut], the sine's first aside, first
+    takes a Gauss rule for |sin u|^a (_lobe_pass), in a panel of up to
+    _PANEL_LOBES lobes checked at its end zeros, and is kept only at
+    quadrature precision: the estimate within the share of its halves of
+    min(rel_tol, _LOBE_REL_TOL) times the mass of the y's panels.  A kept
+    panel is final; a failed one halves, down to single lobes.  A lobe that
     fails splits into its half-lobes before the first round, so they take
     the path of every other piece: the Gauss pass (_gauss_piece_sums), and,
     for a piece over its share, a split (_split), the new pieces going back
@@ -579,16 +577,15 @@ def integrate_kernel_split(
     at each y > 0 (points as in grid._pointwise).
 
     Splits at the kernel zeros x = k pi / y (shifted by pi/(2y) for the
-    cosine), integrates the whole lobes of each y in panels of _PANEL_LOBES
-    consecutive lobes, each with the 16-point Gauss rule for the |sin u|^a
-    weight on the panel, and the others (its last count mod _PANEL_LOBES,
-    and the sine's first, at x = 0) with the one on [0, pi]; each other
-    half-lobe with the one on [0, pi/2] and each
+    cosine), integrates the whole lobes of each y in panels of up to
+    _PANEL_LOBES consecutive lobes, each with the 16-point Gauss rule for
+    the |sin u|^a weight on the panel; each other half-lobe (the sine's
+    first lobe, from x = 0, goes as two) with the one on [0, pi/2] and each
     piece cut at tail_cut with the Gauss-Jacobi rule GJ(0, a), or
     Gauss-Legendre on a falling half cut more than pi/4 from its zero (one
     cut nearer is its whole half-lobe less the part past the cut, so f is
-    evaluated up to pi/(4y) past tail_cut).  It refines what its error
-    estimate leaves open by splitting: a panel into its lobes, a lobe into
+    evaluated up to pi/(4y) past tail_cut).  It refines what its error estimate leaves open
+    by splitting: a panel into halves at its middle zero, a lobe into
     half-lobes, any other piece over the budget of its y at its midpoint, or
     at v0 2^j where its rules reach past it toward its zero, round by round
     (see _totals).  A Gauss rule's estimate comes from its null rules of

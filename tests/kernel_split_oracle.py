@@ -9,6 +9,10 @@ group with `_place`, and refines the pieces over the error budget of this
 one y.  It takes no Gauss pass: `_rules` and `_place` are its own tanh-sinh
 rule and two-ended placement, so it shares no rule family with the Gauss
 rules of the engine it checks.
+
+`_lobes` enumerates every lobe that may meet (0, t_max], one entry each, as
+the engine did before it counted whole lobes in closed form; the tests take
+it as the reference for that count and to build piece tables.
 """
 
 import math
@@ -16,9 +20,16 @@ import math
 import numpy as np
 
 from alphasine.grid import call_vec
-from alphasine.quad import QuadSpec
+from alphasine.quad import QuadSpec, _lobe_counts, _runs
 
 _HALF_PI = 0.5 * math.pi
+
+
+def _lobes(phase: float, t_max: np.ndarray):
+    """The lobes [k pi - phase, (k + 1) pi - phase] of a kernel with zeros at
+    k*pi - phase that may meet (0, t_max[i]]: the index i each belongs to,
+    and its k."""
+    return _runs(np.zeros(len(t_max), dtype=int), _lobe_counts(phase, t_max))
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:

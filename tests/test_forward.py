@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from alphasine import forward
 from alphasine.forward import k_cosine, t_sine, t_sine_series
-from alphasine.quad import QuadSpec, _kernel_pieces, _lobes, integrate
+from alphasine.quad import QuadSpec, _kernel_pieces, integrate
 from alphasine.specfun import sin_power_integral, sine_coeffs
 
 from conftest import EXAMPLES, F1_MASS, F2_MASS, f1, f2, f3, fhat1, fhat2, t2_f1, t2_f3
-from kernel_split_oracle import kernel_split_at
+from kernel_split_oracle import _lobes, kernel_split_at
 
 # the forward workload's grid 0.05:20:400 and two tiny y, whose only piece is a cut one
 CURVE_Y = np.concatenate((0.05 * np.arange(1, 401), [1e-12, 1e-8]))
