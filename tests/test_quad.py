@@ -735,6 +735,16 @@ class TestKernelSplit:
         assert math.isclose(val, exact, rel_tol=spec.rel_tol)
 
 
+@lru_cache(maxsize=None)
+def _f3_curve_evaluations():
+    # how many times f3 at a = -0.9 is evaluated over the forward_invert
+    # curve at the default spec; one run serves every count test below
+    seen = []
+    integrate_kernel_split(lambda x: seen.append(np.size(x)) or f3(x), -0.9,
+                           0.05 * np.arange(1, 401))
+    return sum(seen)
+
+
 class TestArrayY:
     def test_one_y_that_cannot_converge_is_named(self):
         # the step of f at x = pi sits on a piece end at y = 0.5, 1 and 2
@@ -782,20 +792,34 @@ class TestArrayY:
                                0.05 * np.arange(1, 401), QuadSpec(rel_tol=1e-14))
         assert sum(seen) <= 714_051
 
+    def test_gauss_pass_halves_f_evaluations(self):
+        # tanh-sinh alone took 7,672,895 evaluations of f on this curve; 26
+        # per interior half-lobe need under half
+        assert _f3_curve_evaluations() <= 3.9e6
+
+    def test_whole_lobe_pass_halves_them_again(self):
+        # 26 evaluations per whole lobe where its two half-lobes took 52: the
+        # half-lobe pass took 2,015,884 on this curve
+        assert _f3_curve_evaluations() <= 1.1e6
+
+    def test_null_rules_cut_them_by_a_third(self):
+        # 16 evaluations per whole lobe where G16 and G10 took 26: the pair
+        # took 1,028,888 on this curve
+        assert _f3_curve_evaluations() <= 0.7e6
+
+    def test_gauss_jacobi_cut_pieces_keep_the_saving(self):
+        # every cut piece on GJ(0, a), 16 or 32 evaluations where tanh-sinh
+        # took 57 at a = -0.9: with cut pieces on tanh-sinh this curve took
+        # 654,836
+        assert _f3_curve_evaluations() <= 639_887
+
     def test_panels_cut_the_lattice_evaluations(self):
-        # f3 at a = -0.9 over the forward_invert curve, the count measured
-        # here.  The whole lobes of a y go in panels of up to _PANEL_LOBES,
-        # 16 nodes and one shared end zero each, and a failed panel halves
-        # at one more zero.  On the way here this curve took: 7,672,895
-        # evaluations on tanh-sinh alone; 2,015,884 with 26 per interior
-        # half-lobe on Gauss rules; 1,028,888 with 26 per whole lobe on G16
-        # and G10; 654,836 with 16 per lobe on the null rules; 639,887 with
-        # the cut pieces on GJ(0, a) too; 628,464 with a rule per lobe;
-        # 179,434 with panels of 8 whose failures fell to a lone-lobe rule
-        seen = []
-        integrate_kernel_split(lambda x: seen.append(np.size(x)) or f3(x), -0.9,
-                               0.05 * np.arange(1, 401))
-        assert sum(seen) <= 146_656
+        # the whole lobes of a y go in panels of up to _PANEL_LOBES, 16 nodes
+        # and one shared end zero each, and a failed panel halves at one
+        # more zero.  With a rule per lobe this curve took 628,464
+        # evaluations; with panels of 8 whose failures fell to a lone-lobe
+        # rule, 179,434
+        assert _f3_curve_evaluations() <= 146_656
 
     def test_f_is_not_evaluated_at_the_origin(self):
         # the integral is over (0, tail_cut]: a panel's end check evaluates f
