@@ -6,13 +6,16 @@ weight |sin u|^a, u the distance to the first zero, so every singular zero
 lives in the weight of a Gauss rule (as in QUADPACK's QAWS) and f only has
 to be smooth: the 16-point rule G16 gives the value, and its null rules of
 degree 15 and 14, on its own 16 nodes, the error estimate (Berntsen &
-Espelid 1991).  The whole lobes of a y start as panels of _PANEL_LOBES
-consecutive lobes, the last holding the rest, each on the 16-point rule
-for [0, m pi], m its count of lobes, laid out as a lattice: each node
-placed from its zero and y alone.  A panel's first node lies far from its
-end zeros, so f is also evaluated at each end zero, once for the two
-panels that meet there, and compared with the rule's interpolant
-extrapolated to it (the end check, see _lobe_sums).  A panel is kept only
+Espelid 1991).  The whole lobes of a y start as panels of consecutive
+lobes sized in x, not by the kernel: a power of two up to _PANEL_LOBES
+lobes, no longer than max(_PANEL_X, its distance from the origin), so the
+panels grow away from the origin as the x-scale of a decaying f does, in a
+graded mesh (see _panel_layout).  Each takes the 16-point rule for [0, m
+pi], m its count of lobes, laid out as a lattice: each node placed from
+its zero and y alone.  A panel's first node lies far from its end zeros,
+so f is also evaluated at each end zero, once for the two panels that
+meet there, and compared with the rule's interpolant extrapolated to it
+(the end check, see _lobe_sums).  A panel is kept only
 when its estimate meets its share of the tolerance at quadrature
 precision, however loose the caller's tolerance; one that fails, as one
 holding a kink of f does, halves at its middle zero, and a lobe that fails
@@ -23,7 +26,9 @@ half-lobes with the cut pieces.
 Every other piece lies between a zero and a crest and is the interval
 [v0, v1] of distances from its zero; that interval alone picks its 16-point
 Gauss rule, G16 for sin(v)^a on a whole half-lobe, else Gauss-Jacobi or
-Gauss-Legendre (see _gauss_piece_sums).  A piece the pass leaves over its
+Gauss-Legendre (see _gauss_piece_sums).  Before that pass a piece longer
+in x than a panel there may be is split to that length (_graded_pieces),
+as it would be in the rounds.  A piece the pass leaves over its
 share is bisected, as in QUADPACK's QAG, and its halves go back through the
 same rules: panels, lobes and pieces refine the same way, by splitting.  A
 piece whose rules reach from its zero across the v0 before it splits at
@@ -86,8 +91,11 @@ _ROUNDING = 16 * np.finfo(float).eps
 # curve of 400 y up to y tail_cut = 600 (38,892 lobes)
 _LOBE_BLOCK = 65536
 _CHUNK_NODES = 8192
-# consecutive whole lobes of a y that share one Gauss rule (see _lobe_sums)
-_PANEL_LOBES = 8
+# the most consecutive whole lobes of a y that share one Gauss rule (see
+# _lobe_sums), and the x-length a panel or piece may reach at the origin; past
+# it, the distance of its start from the origin (see _panel_layout)
+_PANEL_LOBES = 64
+_PANEL_X = 2.0
 # nodes of the discrete measure the sin(u)^a rules are built from (see
 # _gauss_pair): the Stieltjes procedure integrates p_r^2 x for r <= 16,
 # degree 33, times the smooth factor of _sine_measure, and 64 nodes leave
@@ -329,10 +337,10 @@ def _lobe_sums(f, alpha: float, zero: np.ndarray, lobes: np.ndarray, y: np.ndarr
     _CHUNK_NODES nodes, those of one span together.
 
     A kink of f nearer an end zero than the rule's first node u_1 is seen
-    by no node (u_1 = 0.05 at a = 1.5 on one lobe, 0.33 on eight).  So
-    every panel is checked at its two end zeros: ends holds the integrand
-    there (f / y at the zeros, two rows), and the distance of each from the
-    rule's degree-15 interpolant, extrapolated to that zero (see
+    by no node (u_1 = 0.05 at a = 1.5 on one lobe, 0.33 on 8, 1.40 on 64).
+    So every panel is checked at its two end zeros: ends holds the
+    integrand there (f / y at the zeros, two rows), and the distance of each
+    from the rule's degree-15 interpolant, extrapolated to that zero (see
     _gauss_pair), times the weight's mass u_1^(a+1) / (a+1) between the
     zero and u_1, adds to the error."""
     value, error = np.empty((2, len(zero)))
@@ -445,6 +453,76 @@ def _split(pieces: np.ndarray):
             np.concatenate((np.repeat(halved, 2), np.flatnonzero(near)[row])))
 
 
+def _panel_layout(phase: float, ys: np.ndarray, whole: np.ndarray):
+    """The first panels of the whole lobes 1, ..., whole[i] of each ys[i], as
+    rows (owner, k, lobes) in order of owner and k: the lobes k, ..., k +
+    lobes - 1 of ys[owner], and after each y's last panel a row of no lobes
+    at its last zero.  A panel whose first zero lies at x_start = (k pi -
+    phase) / y holds m lobes, the largest power of two with m pi / y <=
+    max(_PANEL_X, x_start), at most _PANEL_LOBES and at most the lobes left,
+    and one where no m fits.  So the panels grow with their distance from
+    the origin, as the x-scale of a decaying f does, and a y's layout
+    depends on that y and its lobes alone, not on the others.
+
+    The sizes at most double from one panel to the next until the cap or
+    the lobes left bind, a few passes over the ys; from there on a y's
+    panels are the runs of _PANEL_LOBES its lobes left hold, then the binary
+    digits of the rest, largest first, each taken in closed form.
+
+    The layout bets on f's scale growing with x.  Against panels of 8 that
+    halve, the forward curves of the bench's f1, f2 and f3 (400 y) take
+    0.82-0.86 of the time and one y at 1e4 a quarter; an f with structure
+    far from the origin fails the large panels there and pays for their
+    halving: 1.10-1.17 of the time for cos(3x) e^(-x/8), cos(10x) e^(-x/8)
+    and e^(-(x-15)^2) (in process, 2 vCPU)."""
+    k, left = np.ones(len(ys), dtype=int), whole.copy()
+    rows, live = [], np.flatnonzero(left > 0)
+    # the x-length of a panel of each power of two up to the cap, per y
+    sizes = 1 << np.arange(_PANEL_LOBES.bit_length())
+    lengths = (sizes * math.pi) / ys[:, None]
+    while len(live):
+        bound = np.maximum(_PANEL_X, (k[live] * math.pi - phase) / ys[live])
+        m = sizes[np.maximum(np.count_nonzero(lengths[live] <= bound[:, None], axis=1) - 1, 0)]
+        grow = (m < _PANEL_LOBES) & (2 * m <= left[live])
+        live, m = live[grow], m[grow]
+        rows.append((live, k[live], m))
+        k[live] += m
+        left[live] -= m
+    runs, rest = np.divmod(left, _PANEL_LOBES)
+    owner, j = _runs(np.zeros(len(ys), dtype=int), runs)
+    rows.append((owner, k[owner] + _PANEL_LOBES * j, np.full(len(owner), _PANEL_LOBES)))
+    # the binary digits of the rest, largest first
+    digits = rest[:, None] & sizes[-2::-1]
+    starts = (k + _PANEL_LOBES * runs)[:, None] + np.cumsum(digits, axis=1) - digits
+    owner, j = np.nonzero(digits)
+    rows.append((owner, starts[owner, j], digits[owner, j]))
+    owner = np.flatnonzero(whole)
+    rows.append((owner, whole[owner] + 1, np.zeros(len(owner), dtype=int)))
+    owner, k, lobes = (np.concatenate(c) for c in zip(*rows))
+    order = np.argsort(owner, kind="stable")  # each y's rows came in order of k
+    return owner[order], k[order], lobes[order]
+
+
+def _graded_pieces(pieces: np.ndarray, owner: np.ndarray, part: np.ndarray, ys: np.ndarray):
+    """The piece table (see _kernel_pieces) with each row's owner and share
+    of its y's tolerance, its rows longer in x than max(_PANEL_X, x_near),
+    x_near their end nearer the origin, split (_split) until none is, as
+    panels are laid out (see _panel_layout).  The pieces a row splits into
+    share its share equally.  Only the long rows go back through the split,
+    and the short ones are joined once at the end."""
+    out = []
+    while True:
+        zero_end, other_end, length = pieces[:, :3].T
+        near = np.minimum(zero_end, zero_end + np.sign(other_end - zero_end) * length)
+        long = length > np.maximum(_PANEL_X * ys[owner], near)
+        if not long.any():
+            break
+        out.append((pieces[~long], owner[~long], part[~long]))
+        pieces, parent = _split(pieces[long])
+        owner, part = owner[long][parent], (part[long] / np.bincount(parent))[parent]
+    return (np.concatenate(c) for c in zip(*out, (pieces, owner, part)))
+
+
 def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
     """The whole-lobe pass of _totals over its block of ys.  Returns the
     value, error and L1 mass of the kept panels summed per y, the pieces
@@ -453,15 +531,16 @@ def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
     each y's count of pieces in the half-lobe split.
 
     The whole lobes 1, ..., whole of a y (_whole_lobes) start as panels of
-    _PANEL_LOBES from the zero pi - phase on, the last holding the rest; the
-    sine's first lobe starts at x = 0, outside (0, t_max], where f may be
-    undefined, and goes with the cut pieces.  f is evaluated once at each
-    panel end zero, for both panels that meet there (see _lobe_sums).  A
-    panel of m lobes is kept when its error meets the share of its 2m
-    half-lobes, at quadrature precision, of the mass of the y's kept and
-    current panels.  One that fails halves at its middle zero, into panels
-    of floor(m/2) and ceil(m/2) lobes, at one evaluation of f; a lobe that
-    fails leaves its two half-lobes to the rounds."""
+    a power of two up to _PANEL_LOBES lobes from the zero pi - phase on,
+    sized in x (_panel_layout); the sine's first lobe starts at x = 0,
+    outside (0, t_max], where f may be undefined, and goes with the cut
+    pieces.  f is evaluated once at each panel end zero, for both panels
+    that meet there (see _lobe_sums).  A panel of m lobes is kept when its
+    error meets the share of its 2m half-lobes, at quadrature precision, of
+    the mass of the y's kept and current panels.  One that fails halves at
+    its middle zero, into panels of floor(m/2) and ceil(m/2) lobes, at one
+    evaluation of f; a lobe that fails leaves its two half-lobes to the
+    rounds."""
     n, (t_max, t_lo) = len(ys), _two_product(ys, spec.tail_cut)
     count, whole = _lobe_counts(phase, t_max), _whole_lobes(phase, t_max)
     # the lobes left to pieces: the first, from x = 0 for the sine and across
@@ -480,12 +559,10 @@ def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
         return np.asarray(call_vec(f, (k * math.pi - phase) / ys[owner]), dtype=float) / ys[owner]
 
     # each y's panel end zeros: one per panel, and one past its last
-    panels = -(-whole // _PANEL_LOBES)
-    owner, j = _runs(np.zeros(n, dtype=int), panels + (panels > 0))
-    k = np.minimum(1 + _PANEL_LOBES * j, 1 + whole[owner])
+    owner, k, lobes = _panel_layout(phase, ys, whole)
     ends = at_zeros(owner, k)
-    at = np.flatnonzero(j < panels[owner])  # each panel's start
-    owner, k, lobes, ends = owner[at], k[at], k[at + 1] - k[at], np.stack((ends[at], ends[at + 1]))
+    at = np.flatnonzero(lobes)  # each panel's start
+    owner, k, lobes, ends = owner[at], k[at], lobes[at], np.stack((ends[at], ends[at + 1]))
     kept, failed = np.zeros((3, n)), [np.empty((2, 0), dtype=int)]
     while len(k):
         value, error = _lobe_sums(f, alpha, k * math.pi - phase, lobes, ys[owner], ends)
@@ -512,15 +589,17 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
     digits; abs_tol is a floor.
 
     Every whole lobe inside (0, y tail_cut], the sine's first aside, first
-    takes a Gauss rule for |sin u|^a (_lobe_pass), in a panel of up to
-    _PANEL_LOBES lobes checked at its end zeros, and is kept only at
-    quadrature precision: the estimate within the share of its halves of
-    min(rel_tol, _LOBE_REL_TOL) times the mass of the y's panels.  A kept
-    panel is final; a failed one halves, down to single lobes.  A lobe that
-    fails splits into its half-lobes before the first round, so they take
-    the path of every other piece: the Gauss pass (_gauss_piece_sums), and,
-    for a piece over its share, a split (_split), the new pieces going back
-    through the Gauss pass, for up to _ROUNDS rounds.  A piece of a y split
+    takes a Gauss rule for |sin u|^a (_lobe_pass), in a panel sized in x of
+    up to _PANEL_LOBES lobes (_panel_layout), checked at its end zeros, and
+    is kept only at quadrature precision: the estimate within the share of
+    its halves of min(rel_tol, _LOBE_REL_TOL) times the mass of the y's
+    panels.  A kept panel is final; a failed one halves, down to single
+    lobes.  A lobe that fails splits into its half-lobes before the first
+    round, so they take the path of every other piece: first a split to the
+    lengths panels may reach there (_graded_pieces), then the Gauss pass
+    (_gauss_piece_sums), and, for a piece over its share, a split (_split),
+    the new pieces going back through the Gauss pass, for up to _ROUNDS
+    rounds.  A piece of a y split
     into c pieces in the half-lobe split starts with 1/(2c) of the y's
     tolerance, and the pieces a piece splits into share its share equally; a
     piece whose estimate is within _ROUNDING of its |value| is at rounding
@@ -529,7 +608,7 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
     n = len(ys)
     kept_total, kept_error, kept_mass, pieces, piece_owner, counts = _lobe_pass(
         f, alpha, ys, phase, spec)
-    part = 0.5 / counts[piece_owner]
+    pieces, piece_owner, part = _graded_pieces(pieces, piece_owner, 0.5 / counts[piece_owner], ys)
     value, error = _gauss_piece_sums(f, alpha, pieces, ys[piece_owner])
     out, live = np.empty(n), np.ones(n, dtype=bool)
     for rounds in range(_ROUNDS + 1):
@@ -577,15 +656,18 @@ def integrate_kernel_split(
     at each y > 0 (points as in grid._pointwise).
 
     Splits at the kernel zeros x = k pi / y (shifted by pi/(2y) for the
-    cosine), integrates the whole lobes of each y in panels of up to
-    _PANEL_LOBES consecutive lobes, each with the 16-point Gauss rule for
-    the |sin u|^a weight on the panel; each other half-lobe (the sine's
-    first lobe, from x = 0, goes as two) with the one on [0, pi/2] and each
-    piece cut at tail_cut with the Gauss-Jacobi rule GJ(0, a), or
-    Gauss-Legendre on a falling half cut more than pi/4 from its zero (one
-    cut nearer is its whole half-lobe less the part past the cut, so f is
-    evaluated up to pi/(4y) past tail_cut).  It refines what its error estimate leaves open
-    by splitting: a panel into halves at its middle zero, a lobe into
+    cosine), integrates the whole lobes of each y in panels of a power of
+    two up to _PANEL_LOBES consecutive lobes, no longer in x than
+    max(_PANEL_X, their distance from the origin) unless one lobe (see
+    _panel_layout), each with the 16-point Gauss rule for the |sin u|^a
+    weight on the panel; each other half-lobe (the sine's first lobe, from
+    x = 0, goes as two) with the one on [0, pi/2] and each piece cut at
+    tail_cut with the Gauss-Jacobi rule GJ(0, a), or Gauss-Legendre on a
+    falling half cut more than pi/4 from its zero (one cut nearer is its
+    whole half-lobe less the part past the cut, so f is evaluated up to
+    pi/(4y) past tail_cut), each first split to the length a panel may
+    reach there.  It refines what its error estimate leaves open by
+    splitting: a panel into halves at its middle zero, a lobe into
     half-lobes, any other piece over the budget of its y at its midpoint, or
     at v0 2^j where its rules reach past it toward its zero, round by round
     (see _totals).  A Gauss rule's estimate comes from its null rules of

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from alphasine import quad
 from alphasine.errors import NonConvergence
 from alphasine.grid import SampledFunction, UniformGrid
-from alphasine.quad import (_GAUSS_N, _NULL_DEGREES, _PANEL_LOBES, QuadSpec, _gauss_pair,
-                            _gauss_piece_sums, _jacobi_rule, _kernel_pieces, _lobe_sums,
-                            _place, _split, _whole_lobes, integrate, integrate_kernel_split)
+from alphasine.quad import (_GAUSS_N, _NULL_DEGREES, _PANEL_LOBES, _PANEL_X, QuadSpec,
+                            _gauss_pair, _gauss_piece_sums, _jacobi_rule, _kernel_pieces,
+                            _lobe_sums, _panel_layout, _place, _split, _whole_lobes, integrate,
+                            integrate_kernel_split)
 from alphasine.specfun import sin_power_integral
 
 import kernel_split_oracle as oracle
@@ -227,6 +228,10 @@ def _check_end_rows(rule, span):
         assert abs(np.dot(end, (u / span) ** k) - 1.0) <= 1e-12, k
 
 
+# every panel size, the powers of two from one lobe up to the cap
+_PANEL_SIZES = [1 << e for e in range(_PANEL_LOBES.bit_length())]
+
+
 # the a at which every sin(u)^a rule is checked, from near -1 to near 5
 _SINE_RULE_ALPHAS = (-0.99, -0.9, -0.5, 1.5, 3.0, 4.9)
 
@@ -264,10 +269,11 @@ def test_half_lobe_rule_moments(a):
 @settings(max_examples=6, deadline=None)
 def test_panel_rule_moments(a):
     # G16 for |sin u|^a on a panel of m whole lobes, [0, m pi], at every
-    # panel size above one: its mass, its moments and its partners as for a
-    # lobe (the Chebyshev moments at the largest size alone), its symmetry
-    # about the panel's middle, and its end check
-    for m in range(2, _PANEL_LOBES + 1):
+    # panel size above one, the powers of two up to the cap: its mass, its
+    # moments and its partners as for a lobe (the Chebyshev moments at the
+    # largest size alone), its symmetry about the panel's middle, and its end
+    # check
+    for m in _PANEL_SIZES[1:]:
         span = m * math.pi
         rule = _gauss_pair(a, span)
         u = _check_sine_rule(rule, a, span, chebyshev=m == _PANEL_LOBES)
@@ -321,17 +327,20 @@ def test_whole_lobe_estimate_bounds_its_error(a, y, name):
 @given(a=st.floats(min_value=-0.9, max_value=4.5),
        y=st.floats(min_value=1.0, max_value=10.0),
        name=st.sampled_from(sorted(_SMOOTH)),
-       m=st.integers(min_value=2, max_value=_PANEL_LOBES))
+       m=st.sampled_from(_PANEL_SIZES[1:]))
 @example(a=-0.9, y=1.0, name="bump", m=_PANEL_LOBES)
 @example(a=4.5, y=10.0, name="cos_exp", m=_PANEL_LOBES)
-@example(a=4.5, y=10.0, name="rational", m=3)
+@example(a=4.5, y=10.0, name="rational", m=8)
+@example(a=-0.9, y=3.0, name="rational", m=32)
 @settings(max_examples=25, deadline=None)
 def test_panel_estimate_bounds_its_error(a, y, name, m):
-    # as for a whole lobe, on every panel of m whole lobes in (0, 30]: the
-    # estimate, null rules and end check together, bounds how far G16 lies
-    # from the fine rule on the panel's lobes, but for rounding
+    # as for a whole lobe, on every panel of m whole lobes in (0, 30], or in
+    # the first three panels' span where that is longer, as it is for the
+    # large panels at small y: the estimate, null rules and end check
+    # together, bounds how far G16 lies from the fine rule on the panel's
+    # lobes, but for rounding
     f, df = _SMOOTH[name]
-    t_max = np.array([30.0 * y])
+    t_max = np.array([max(30.0 * y, 3 * m * math.pi)])
     owner, k = _lobes(0.0, t_max)
     zero = k[(k % m == 0) & ((k + m) * math.pi <= t_max[owner])] * math.pi
     ys = np.full(len(zero), y)
@@ -404,16 +413,17 @@ def test_piece_sums_do_not_depend_on_the_chunk(rows):
     t_max = 30.0 * 0.5 * np.arange(1, 41)
     if rows in ("lattice", "panels"):
         # a panel starts at every whole lobe: of one lobe on the lattice, of
-        # 1 to _PANEL_LOBES lobes in turn among the panels, where the sizes
-        # come mixed and the panels of each size span several chunks
+        # each size, 1 to _PANEL_LOBES lobes, in turn among the panels, where
+        # the sizes come mixed and the panels of each size span several chunks
         if rows == "panels":
             t_max = 10.0 * t_max
         owner, k = _lobes(0.0, t_max)
-        lobes = 1 + np.arange(len(k)) % _PANEL_LOBES if rows == "panels" else np.ones_like(k)
+        sizes = np.array(_PANEL_SIZES)
+        lobes = sizes[np.arange(len(k)) % len(sizes)] if rows == "panels" else np.ones_like(k)
         at = (k + lobes) * math.pi <= t_max[owner]
         zero, lobes, scale = k[at] * math.pi, lobes[at], 0.5 * (owner[at] + 1.0)
         ends = f3(np.stack((zero, zero + lobes * math.pi)) / scale) / scale
-        assert np.bincount(lobes)[1:].min() > 5 * quad._CHUNK_NODES // _GAUSS_N
+        assert np.bincount(lobes)[np.unique(lobes)].min() > 5 * quad._CHUNK_NODES // _GAUSS_N
         sums = lambda few: _lobe_sums(f3, -0.5, zero[few], lobes[few], scale[few], ends[:, few])
     else:
         # every piece, cut ones too, or the pieces each splits into: a
@@ -452,6 +462,67 @@ def test_whole_lobe_count_matches_the_per_lobe_decision(kernel):
         whole = (k >= 1) & (k * math.pi - phase >= 0.0) & ((k + 1) * math.pi - phase <= t[owner])
         expect[lo:lo + 400] = np.bincount(owner[whole], minlength=len(t))
     assert np.array_equal(_whole_lobes(phase, t_max), expect)
+
+
+@given(ys=st.lists(st.floats(min_value=0.01, max_value=2000.0), min_size=1, max_size=5),
+       tail_cut=st.floats(min_value=0.5, max_value=200.0),
+       kernel=st.sampled_from(["sine", "cosine"]))
+@example(ys=[20.0], tail_cut=30.0, kernel="sine")
+@example(ys=[0.05, 1.0, 400.0], tail_cut=30.0, kernel="cosine")
+@settings(max_examples=60, deadline=None)
+def test_panel_layout_tiles_the_whole_lobes(ys, tail_cut, kernel):
+    # each y's first panels tile its whole lobes 1, ..., whole once and in
+    # order, each a power of two up to the cap, and one lobe or no longer in
+    # x than max(_PANEL_X, x_start), x_start its first zero; each is the
+    # largest such size the lobes left allow, and a row of no lobes marks
+    # the y's last zero
+    phase = 0.0 if kernel == "sine" else 0.5 * math.pi
+    ys = np.array(ys)
+    whole = _whole_lobes(phase, ys * tail_cut)
+    owner, k, lobes = _panel_layout(phase, ys, whole)
+    assert np.all(np.diff(owner) >= 0)
+    for i, y in enumerate(ys):
+        start, m = k[owner == i], lobes[owner == i]
+        if not whole[i]:
+            assert len(m) == 0
+            continue
+        assert start[0] == 1 and np.array_equal(start[1:], start[:-1] + m[:-1])
+        assert m[-1] == 0 and start[-1] == whole[i] + 1
+        start, m = start[:-1], m[:-1]
+        assert np.all((m > 0) & ((m & (m - 1)) == 0) & (m <= _PANEL_LOBES))
+        bound = np.maximum(_PANEL_X, (start * math.pi - phase) / y)
+        assert np.all((m == 1) | (m * math.pi / y <= bound))
+        larger = 2 * m
+        assert np.all((larger > _PANEL_LOBES) | (larger * math.pi / y > bound)
+                      | (larger > whole[i] + 1 - start))
+
+
+@given(ys=st.lists(st.floats(min_value=0.02, max_value=3.0), min_size=1, max_size=4),
+       tail_cut=st.floats(min_value=0.5, max_value=100.0),
+       kernel=st.sampled_from(["sine", "cosine"]))
+@example(ys=[0.05], tail_cut=30.0, kernel="sine")
+@example(ys=[0.34736809249105166], tail_cut=5.0, kernel="sine")
+@settings(max_examples=40, deadline=None)
+def test_graded_pieces_are_no_longer_than_a_panel_there(ys, tail_cut, kernel):
+    # every half-lobe piece, cut ones too, split until none is longer in x
+    # than max(_PANEL_X, x_near), x_near its end nearer the origin; the split
+    # keeps each y's length and shares of the tolerance
+    phase = 0.0 if kernel == "sine" else 0.5 * math.pi
+    ys = np.array(ys)
+    pieces, owner = _pieces(phase, ys * tail_cut)
+    part = np.random.default_rng(7).uniform(0.5, 1.0, len(owner))
+    graded, graded_owner, graded_part = quad._graded_pieces(pieces, owner, part, ys)
+    zero_end, other_end, length = graded[:, :3].T
+    far = zero_end + np.sign(other_end - zero_end) * length
+    # compared in u = x y, as the split decides it: a far half of a bisected
+    # piece is exactly as long as its distance from the origin
+    assert np.all(length <= np.maximum(_PANEL_X * ys[graded_owner], np.minimum(zero_end, far)))
+    t_max = ys[graded_owner] * tail_cut
+    assert np.all(np.minimum(zero_end, far) >= 0.0)
+    assert np.all(np.maximum(zero_end, far) <= t_max * (1 + 1e-15))
+    for got, expect in ((graded[:, 2], pieces[:, 2]), (graded_part, part)):
+        assert np.allclose(np.bincount(graded_owner, got, len(ys)),
+                           np.bincount(owner, expect, len(ys)), rtol=1e-14, atol=0.0)
 
 
 def _cut_near(kernel, y, delta, crest=False):
@@ -645,23 +716,46 @@ class TestKernelSplit:
     @pytest.mark.parametrize("delta", [0.02, 0.1, 0.2, 0.3])
     @pytest.mark.parametrize("a", [-0.9, 1.5, 4.5])
     def test_kink_before_a_panel_end_zero(self, a, delta):
-        # at y = 1 the first panel is [pi, 9 pi] (the sine's first lobe goes
-        # alone); the kink of |x - c| e^{-x/8} lies delta before its end
-        # zero, nearer than the panel rule's first node (0.33 at a = 1.5,
-        # 0.61 at 4.5), so no node of the panel sees it and its null rules
-        # stay at rounding level.  The end check sees it: f at the zero is
-        # off the rule's interpolant extrapolated there.  Without the check
-        # this was 4e-8 to 1.9e-6 off at a = 1.5
-        c = (1 + _PANEL_LOBES) * math.pi - delta
+        # at y = 2 and tail_cut 40 the panel [8 pi, 16 pi] holds 8 lobes; the
+        # kink of |x - c| e^{-x/8} lies delta before its end zero, nearer
+        # than the panel rule's first node (0.33 at a = 1.5, 0.61 at 4.5), so
+        # no node of the panel sees it and its null rules stay at rounding
+        # level.  The end check sees it: f at the zero is off the rule's
+        # interpolant extrapolated there.  Without the check the same kink
+        # before the end of the panel [pi, 9 pi] at y = 1 was 4e-8 to 1.9e-6
+        # off at a = 1.5
+        y = 2.0
+        _, k, lobes = _panel_layout(0.0, np.array([y]), _whole_lobes(0.0, np.array([40.0 * y])))
+        assert (k[lobes == 8] == [8, 16]).all()
+        c = (16 * math.pi - delta) / y
         kink = lambda x: np.abs(x - c) * np.exp(-x / 8.0)
-        val = integrate_kernel_split(kink, a, 1.0, QuadSpec(tail_cut=40.0))
-        exact = _edge_oracle(a, 1.0, 40.0, "sine", lambda x: abs(x - c) * mp.exp(-x / 8), (c,))
+        val = integrate_kernel_split(kink, a, y, QuadSpec(tail_cut=40.0))
+        exact = _edge_oracle(a, y, 40.0, "sine", lambda x: abs(x - c) * mp.exp(-x / 8), (c,))
         assert math.isclose(val, exact, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("a", [1.5, 4.5])
+    def test_kinks_inside_the_ends_of_the_largest_panel(self, a):
+        # at y = 20 and tail_cut 30 the panel [65 pi, 129 pi] holds the cap,
+        # 64 lobes, whose rule's first node lies 1.40 from its ends at
+        # a = 1.5 and 1.57 at 4.5; the kinks of sum_c |x - c| e^{-x/8} lie
+        # 0.02, 0.3 and 1.0 inside both end zeros, where only the end check
+        # sees them.  Without the check on this panel the value is kept
+        # above 1e-10 off, by the two farther kinks at either end
+        y, deltas = 20.0, np.array([0.02, 0.3, 1.0])
+        _, k, lobes = _panel_layout(0.0, np.array([y]), _whole_lobes(0.0, np.array([30.0 * y])))
+        assert k[lobes == _PANEL_LOBES].tolist() == [65]
+        assert deltas.max() < _gauss_pair(a, _PANEL_LOBES * math.pi)[0][0, 0]
+        cs = tuple(np.concatenate((65 * math.pi + deltas, 129 * math.pi - deltas)) / y)
+        kinks = lambda x: sum(np.abs(x - c) for c in cs) * np.exp(-x / 8.0)
+        val = integrate_kernel_split(kinks, a, y, QuadSpec(tail_cut=30.0))
+        exact = _edge_oracle(a, y, 30.0, "sine",
+                             lambda x: sum(abs(x - c) for c in cs) * mp.exp(-x / 8), cs)
+        assert math.isclose(val, exact, rel_tol=1e-10)
 
     def test_kink_just_past_a_panel_start_zero(self):
         # the kink of |x - c| e^{-x} lies u = 0.0498 past the zero pi, where
-        # the one panel of the y's 7 whole lobes starts, nearer than any
-        # node of a lobe rule (0.065 at this a).  The end check sees it, and
+        # the first panel of the y's 7 whole lobes, of 2 lobes, starts,
+        # nearer than any node of a lobe rule (0.065 at this a).  The end check sees it, and
         # the panel halves down to the lobe that holds it, whose half-lobes
         # the rounds refine; as a lone lobe without the check it was kept
         # 5.2e-8 off
@@ -767,8 +861,8 @@ class TestArrayY:
         assert np.array_equal(integrate_kernel_split(kink, 1.5, ys, spec), single)
 
     def test_rule_cache_misses_per_step_not_per_y(self):
-        # the panels of each size, 1 to _PANEL_LOBES lobes, share one Gauss
-        # rule over every y, and whole half-lobes another, each built from
+        # the panels of each size, the powers of two from 1 to _PANEL_LOBES
+        # lobes, share one Gauss rule over every y, and whole half-lobes another, each built from
         # the GJ(0, a) measure; every other piece, split ones too, takes
         # GJ(0, a) or GJ(0, 0): each built once per a.  This curve halves
         # panels down to every size.  No rule is built per y, what the Gauss
@@ -778,7 +872,7 @@ class TestArrayY:
         ys = 0.05 * np.arange(1, 401)
         for _ in range(2):
             integrate_kernel_split(f3, -0.9, ys)
-        assert _gauss_pair.cache_info().misses == _PANEL_LOBES + 1
+        assert _gauss_pair.cache_info().misses == len(_PANEL_SIZES) + 1
         assert _jacobi_rule.cache_info().misses == 2
         assert not hasattr(quad, "_rules")
 
@@ -786,11 +880,12 @@ class TestArrayY:
         # f3 at a = -0.9 over the forward_invert curve at rel_tol 1e-14: a
         # piece whose estimate is within rounding of its value is not split
         # again, or this curve takes 23 rounds; with the open pieces on
-        # tanh-sinh it took 714,051 evaluations
+        # tanh-sinh it took 714,051 evaluations, with panels of 8 that halve
+        # 252,598, and with panels and pieces sized to x 240,981
         seen = []
         integrate_kernel_split(lambda x: seen.append(np.size(x)) or f3(x), -0.9,
                                0.05 * np.arange(1, 401), QuadSpec(rel_tol=1e-14))
-        assert sum(seen) <= 714_051
+        assert sum(seen) <= 240_981
 
     def test_gauss_pass_halves_f_evaluations(self):
         # tanh-sinh alone took 7,672,895 evaluations of f on this curve; 26
@@ -814,12 +909,14 @@ class TestArrayY:
         assert _f3_curve_evaluations() <= 639_887
 
     def test_panels_cut_the_lattice_evaluations(self):
-        # the whole lobes of a y go in panels of up to _PANEL_LOBES, 16 nodes
-        # and one shared end zero each, and a failed panel halves at one
-        # more zero.  With a rule per lobe this curve took 628,464
-        # evaluations; with panels of 8 whose failures fell to a lone-lobe
-        # rule, 179,434
-        assert _f3_curve_evaluations() <= 146_656
+        # the whole lobes of a y go in panels of 16 nodes and one shared end
+        # zero each, and a failed panel halves at one more zero.  With a rule
+        # per lobe this curve took 628,464 evaluations; with panels of 8
+        # whose failures fell to a lone-lobe rule, 179,434; with panels of 8
+        # that halve, 146,656.  Panels sized to x, growing with their
+        # distance from the origin up to _PANEL_LOBES lobes, and pieces
+        # pre-split to the same lengths, need fewer
+        assert _f3_curve_evaluations() <= 109_196
 
     def test_f_is_not_evaluated_at_the_origin(self):
         # the integral is over (0, tail_cut]: a panel's end check evaluates f
