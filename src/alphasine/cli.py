@@ -284,7 +284,7 @@ def cmd_forward(args) -> int:
         spec = QuadSpec(abs_tol=1e-6, rel_tol=1e-6,
                         tail_cut=min(args.tail_cut, samples.grid.last))
     params = {"alpha": args.alpha, "f": name, "method": args.method, "grid": args.grid,
-              "tail_cut": args.tail_cut}
+              "tail_cut": spec.tail_cut}
     if args.method == "quad":
         if args.terms is not None:
             raise ValueError("--terms applies to --method series only")

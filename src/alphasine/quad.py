@@ -15,22 +15,25 @@ pi], m its count of lobes, laid out as a lattice: each node placed from
 its zero and y alone.  A panel's first node lies far from its end zeros,
 so f is also evaluated at each end zero, once for the two panels that
 meet there, and compared with the rule's interpolant extrapolated to it
-(the end check, see _lobe_sums).  A panel is kept only
-when its estimate meets its share of the tolerance at quadrature
-precision, however loose the caller's tolerance; one that fails, as one
-holding a kink of f does, halves at its middle zero, and a lobe that fails
-splits into its two half-lobes, between a zero and a crest.  The sine's
-first lobe starts at x = 0, where f is not evaluated, and takes its
+(the end check, see _lobe_sums).  A panel is kept only when its estimate
+meets its share of the tolerance at quadrature precision, however loose
+the caller's tolerance; one of m lobes that fails, as one holding a kink of
+f does, halves at its middle zero into two panels of m/2, and a lobe that
+fails splits into its two half-lobes, between a zero and a crest.  The
+sine's first lobe starts at x = 0, where f is not evaluated, and takes its
 half-lobes with the cut pieces.
 
-Every other piece lies between a zero and a crest and is the interval
-[v0, v1] of distances from its zero; that interval alone picks its 16-point
-Gauss rule, G16 for sin(v)^a on a whole half-lobe, else Gauss-Jacobi or
-Gauss-Legendre (see _gauss_piece_sums).  Before that pass a piece longer
-in x than a panel there may be is split to that length (_graded_pieces),
-as it would be in the rounds.  A piece the pass leaves over its
-share is bisected, as in QUADPACK's QAG, and its halves go back through the
-same rules: panels, lobes and pieces refine the same way, by splitting.  A
+Every other piece lies between a zero and a crest, a row (zero_end,
+toward, length, off) of a piece table: it runs length from zero_end in the
+direction toward = +1 or -1, with its kernel zero off beyond zero_end, so
+it is the interval [v0, v1] = [off, off + length] of distances from its
+zero; that interval alone picks its 16-point Gauss rule, G16 for sin(v)^a
+on a whole half-lobe, else Gauss-Jacobi or Gauss-Legendre (see
+_gauss_piece_sums).  Before that pass a piece longer in x than a panel
+there may be is split to that length (_graded_pieces), as it would be in
+the rounds.  A piece the pass leaves over its share is bisected, as in
+QUADPACK's QAG, and its halves go back through the same rules: panels,
+lobes and pieces refine the same way, by splitting.  A
 piece whose rules reach from its zero across the v0 before it splits at
 v0 2^j instead, into pieces that evaluate f inside themselves alone (see
 _split).  The length of a piece at the cut is its distance from the zero,
@@ -231,10 +234,11 @@ def _gauss_pair(alpha: float, span: float):
     return _frozen((theta + 1.0) * (0.5 * span), np.concatenate((w, _extrapolation(theta))))
 
 
-def _place(u, zero_end, other_end, scale=1.0):
-    """Nodes of the pieces between zero_end[i] and other_end[i], one row each
-    and divided by scale[i], from their distances u to the zero end."""
-    return (np.sign(other_end - zero_end) / scale)[:, None] * u + (zero_end / scale)[:, None]
+def _place(u, zero_end, toward, scale=1.0):
+    """Nodes of the pieces that run from zero_end[i] in the direction
+    toward[i] = +1 or -1, one row each and divided by scale[i], from their
+    distances u to the zero end."""
+    return (toward / scale)[:, None] * u + (zero_end / scale)[:, None]
 
 
 def _lobe_counts(phase: float, t_max: np.ndarray) -> np.ndarray:
@@ -276,13 +280,15 @@ def _two_product(a: np.ndarray, b: float):
 
 def _kernel_pieces(phase: float, t_max: np.ndarray, t_lo: np.ndarray,
                    owner: np.ndarray, k: np.ndarray):
-    """Rows (zero_end, other_end, length, off) covering the lobes [k pi -
+    """Rows (zero_end, toward, length, off) covering the lobes [k pi -
     phase, (k + 1) pi - phase], k = k[j], of the y owner[j], cut to (0,
     t_max[owner[j]]], and the owner of each row: the rising (zero to crest)
     and falling (crest to zero) half of each lobe, cut to the interval,
-    with empty pieces dropped.  A length is
-    pi/2 or is measured from 0 or the cut, never between zeros; off is
-    nonzero only where the cut falls inside a falling half.  Which halves
+    with empty pieces dropped.  A piece runs length from zero_end in the
+    direction toward, +1 on a rising half and -1 on a falling one, and its
+    kernel zero lies off beyond zero_end.  A length is pi/2 or is measured
+    from 0 or the cut, never between zeros; off is nonzero only where the
+    cut falls inside a falling half.  Which halves
     are whole is decided in floats, as for the lobes in _whole_lobes, so a cut
     within rounding of a zero or crest counts as at it.  The cut is
     t_max + t_lo exactly, with t_lo the rounding error of t_max, and a
@@ -300,12 +306,11 @@ def _kernel_pieces(phase: float, t_max: np.ndarray, t_lo: np.ndarray,
     m = 2 * k - round(phase / _HALF_PI) + np.arange(3)[:, None]
     past = (t_max - m * _HALF_PI_HEAD) + (t_lo - m * _HALF_PI_TAIL)
     rows = np.empty((len(k), 2, 4))
+    rows[:, :, 1] = (1.0, -1.0)
     rows[:, 0, 0] = zero
-    rows[:, 0, 1] = np.minimum(crest, t_max)
     rows[:, 0, 2] = np.where(crest <= t_max, _HALF_PI, past[0])
     rows[:, 0, 3] = 0.0
     rows[:, 1, 0] = np.minimum(next_zero, t_max)
-    rows[:, 1, 1] = crest
     rows[:, 1, 2] = np.where(whole, _HALF_PI, past[1])
     rows[:, 1, 3] = np.where(whole, 0.0, np.maximum(-past[2], 0.0))
     rows = rows.reshape(-1, 4)
@@ -359,8 +364,8 @@ def _lobe_sums(f, alpha: float, zero: np.ndarray, lobes: np.ndarray, y: np.ndarr
 def _gauss_piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray):
     """Value and error estimate of each piece by a 16-point Gauss rule,
     where the integrand at node t is f(t / scale) / scale.  A row (zero_end,
-    other_end, length, off) of _kernel_pieces, or a half of one (see
-    _totals), is the interval [v0, v1] = [off, off + length] of distances
+    toward, length, off) of _kernel_pieces, or a piece split from one (see
+    _split), is the interval [v0, v1] = [off, off + length] of distances
     from its kernel zero, and that interval alone picks the rule:
 
     - [0, pi/2], a whole half-lobe, takes G16 for sin(v)^a (_gauss_pair).
@@ -381,8 +386,7 @@ def _gauss_piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray):
     A piece's value and error sum those of its rows.  Rows go in chunks of
     at most _CHUNK_NODES nodes."""
     n = len(pieces)
-    zero_end, other_end, length, v0 = pieces.T
-    toward = np.sign(other_end - zero_end)
+    zero_end, toward, length, v0 = pieces.T
     half_lobe = (v0 == 0.0) & (length == _HALF_PI)
     jacobi = (v0 < length) & ~half_lobe
     less = np.flatnonzero(jacobi & (v0 > 0.0))
@@ -409,48 +413,52 @@ def _gauss_piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray):
                 d = np.abs(span[at, None]) * u
                 kernel = (np.sin(lo[at, None] + d) / np.where(j, u, 1.0)) ** alpha
                 w = np.where(j, w_a, w_0) * (span[at, None] * kernel)
-            t = _place(d, start[at], other_end[owner[at]], y[at])
+            t = _place(d, start[at], toward[owner[at]], y[at])
             value[at], error[at], _ = _rule_sums(f, t, w, y[at])
     return np.bincount(owner, value, n), np.bincount(owner, error, n)
 
 
 def _bisect(pieces: np.ndarray) -> np.ndarray:
     """Each row of a piece table (see _kernel_pieces) as two rows of the same
-    form: its half at the zero's side, then its far half."""
+    form: its half at the zero's side, then its far half, whose zero_end and
+    off move half its length on."""
     halves = np.repeat(pieces, 2, axis=0)
     halves[:, 2] *= 0.5
     far = halves[1::2]  # a view: the far halves are moved in place
-    far[:, 0] += np.sign(far[:, 1] - far[:, 0]) * far[:, 2]
+    far[:, 0] += far[:, 1] * far[:, 2]
     far[:, 3] += far[:, 2]
     return halves
 
 
-def _split(pieces: np.ndarray):
-    """The pieces that refine the rows of a piece table (see _kernel_pieces),
-    and the row each comes from.  A row near its zero but not at it,
-    0 < v0 < length, has rules that reach from the zero across the v0 before
-    its start (see _gauss_piece_sums); it splits at the distances v0 2^j
-    from the zero, j = 1, ..., m - 1, with m the fewest that reach its end,
-    so each piece lies at least its length from the zero, takes
-    Gauss-Legendre and evaluates f inside itself alone.  Every other row is
-    bisected (_bisect).  The halves come first, then the pieces of the rows
-    near their zero; the pieces of a row keep its order."""
+def _split(pieces: np.ndarray, owner: np.ndarray, part: np.ndarray):
+    """The pieces that refine the rows of a piece table (see _kernel_pieces)
+    of owners owner and shares part of their y's tolerance, with the owner
+    and share of each: the pieces of a row share its share equally.  A row
+    near its zero but not at it, 0 < v0 < length, has rules that reach from
+    the zero across the v0 before its start (see _gauss_piece_sums); it
+    splits at the distances v0 2^j from the zero, j = 1, ..., m - 1, with m
+    the fewest that reach its end, so each piece lies at least its length
+    from the zero, takes Gauss-Legendre and evaluates f inside itself alone.
+    Every other row is bisected (_bisect).  The halves come first, then the
+    pieces of the rows near their zero; the pieces of a row keep its
+    order."""
     near = (0.0 < pieces[:, 3]) & (pieces[:, 3] < pieces[:, 2])
     if not near.any():  # the common case, at half the cost of the general one
-        return _bisect(pieces), np.repeat(np.arange(len(pieces)), 2)
-    zero_end, other_end, length, v0 = pieces[near].T
-    m = np.ceil(np.log2(1.0 + length / v0)).astype(int)
-    m += np.ldexp(v0, m) - v0 < length
-    m -= np.ldexp(v0, m - 1) - v0 >= length
-    row, j = _runs(np.zeros(len(m), dtype=int), m)
-    start = np.ldexp(v0[row], j) - v0[row]
-    end = np.where(j < m[row] - 1, np.ldexp(v0[row], j + 1) - v0[row], length[row])
-    toward = np.sign(other_end - zero_end)[row]
-    geometric = np.column_stack((zero_end[row] + toward * start, other_end[row], end - start,
-                                 np.ldexp(v0[row], j)))
-    halved = np.flatnonzero(~near)
-    return (np.concatenate((_bisect(pieces[halved]), geometric)),
-            np.concatenate((np.repeat(halved, 2), np.flatnonzero(near)[row])))
+        new, parent = _bisect(pieces), np.repeat(np.arange(len(pieces)), 2)
+    else:
+        zero_end, toward, length, v0 = pieces[near].T
+        m = np.ceil(np.log2(1.0 + length / v0)).astype(int)
+        m += np.ldexp(v0, m) - v0 < length
+        m -= np.ldexp(v0, m - 1) - v0 >= length
+        row, j = _runs(np.zeros(len(m), dtype=int), m)
+        start = np.ldexp(v0[row], j) - v0[row]
+        end = np.where(j < m[row] - 1, np.ldexp(v0[row], j + 1) - v0[row], length[row])
+        geometric = np.column_stack((zero_end[row] + toward[row] * start, toward[row],
+                                     end - start, np.ldexp(v0[row], j)))
+        halved = np.flatnonzero(~near)
+        new = np.concatenate((_bisect(pieces[halved]), geometric))
+        parent = np.concatenate((np.repeat(halved, 2), np.flatnonzero(near)[row]))
+    return new, owner[parent], (part / np.bincount(parent))[parent]
 
 
 def _panel_layout(phase: float, ys: np.ndarray, whole: np.ndarray):
@@ -462,64 +470,49 @@ def _panel_layout(phase: float, ys: np.ndarray, whole: np.ndarray):
     max(_PANEL_X, x_start), at most _PANEL_LOBES and at most the lobes left,
     and one where no m fits.  So the panels grow with their distance from
     the origin, as the x-scale of a decaying f does, and a y's layout
-    depends on that y and its lobes alone, not on the others.
+    depends on that y and its lobes alone; it bets on f's scale growing with
+    x, and an f with structure far from the origin fails the large panels
+    there and pays for their halving.
 
-    The sizes at most double from one panel to the next until the cap or
-    the lobes left bind, a few passes over the ys; from there on a y's
-    panels are the runs of _PANEL_LOBES its lobes left hold, then the binary
-    digits of the rest, largest first, each taken in closed form.
-
-    The layout bets on f's scale growing with x.  Against panels of 8 that
-    halve, the forward curves of the bench's f1, f2 and f3 (400 y) take
-    0.82-0.86 of the time and one y at 1e4 a quarter; an f with structure
-    far from the origin fails the large panels there and pays for their
-    halving: 1.10-1.17 of the time for cos(3x) e^(-x/8), cos(10x) e^(-x/8)
-    and e^(-(x-15)^2) (in process, 2 vCPU)."""
-    k, left = np.ones(len(ys), dtype=int), whole.copy()
-    rows, live = [], np.flatnonzero(left > 0)
-    # the x-length of a panel of each power of two up to the cap, per y
+    In closed form: the first panel holds m0 lobes, the largest power of two
+    up to the cap with m0 pi / y <= _PANEL_X, else 1.  Past it x_start
+    admits exactly the largest power of two at most k - phase/pi, so the
+    sizes run m1, 2 m1, 4 m1, ..., with m1 = 2 for the sine at m0 = 1, else
+    m0, each taken while below the cap and while it fits in the lobes left;
+    the rest is runs of _PANEL_LOBES, then the binary digits of what
+    remains, largest first.  (A size that fits but not twice is the largest
+    binary digit of the lobes left, so taking it there or as a digit gives
+    the same panels.)"""
     sizes = 1 << np.arange(_PANEL_LOBES.bit_length())
-    lengths = (sizes * math.pi) / ys[:, None]
-    while len(live):
-        bound = np.maximum(_PANEL_X, (k[live] * math.pi - phase) / ys[live])
-        m = sizes[np.maximum(np.count_nonzero(lengths[live] <= bound[:, None], axis=1) - 1, 0)]
-        grow = (m < _PANEL_LOBES) & (2 * m <= left[live])
-        live, m = live[grow], m[grow]
-        rows.append((live, k[live], m))
-        k[live] += m
-        left[live] -= m
-    runs, rest = np.divmod(left, _PANEL_LOBES)
-    owner, j = _runs(np.zeros(len(ys), dtype=int), runs)
-    rows.append((owner, k[owner] + _PANEL_LOBES * j, np.full(len(owner), _PANEL_LOBES)))
-    # the binary digits of the rest, largest first
-    digits = rest[:, None] & sizes[-2::-1]
-    starts = (k + _PANEL_LOBES * runs)[:, None] + np.cumsum(digits, axis=1) - digits
-    owner, j = np.nonzero(digits)
-    rows.append((owner, starts[owner, j], digits[owner, j]))
-    owner = np.flatnonzero(whole)
-    rows.append((owner, whole[owner] + 1, np.zeros(len(owner), dtype=int)))
-    owner, k, lobes = (np.concatenate(c) for c in zip(*rows))
-    order = np.argsort(owner, kind="stable")  # each y's rows came in order of k
-    return owner[order], k[order], lobes[order]
+    fits = np.count_nonzero((sizes * math.pi) / ys[:, None] <= _PANEL_X, axis=1)
+    m0 = sizes[np.maximum(fits - 1, 0)]
+    m1 = np.where((m0 == 1) & (phase == 0.0), 2, m0)
+    # each y's table of sizes, and how many panels of each it takes
+    grow = np.column_stack((m0, m1[:, None] << np.arange(len(sizes) - 1)))
+    taken = (grow < _PANEL_LOBES) & (np.cumsum(grow, axis=1) <= whole[:, None])
+    runs, rest = np.divmod(whole - np.sum(grow * taken, axis=1), _PANEL_LOBES)
+    size = np.column_stack((grow, np.tile(np.append(sizes[::-1], 0), (len(ys), 1))))
+    count = np.column_stack((taken, runs, (rest[:, None] & sizes[-2::-1]) > 0, whole > 0))
+    lobes = np.repeat(size.ravel(), count.ravel())
+    owner = np.repeat(np.arange(len(ys)), np.sum(count, axis=1))
+    return owner, 1 + np.cumsum(lobes) - lobes - (np.cumsum(whole) - whole)[owner], lobes
 
 
 def _graded_pieces(pieces: np.ndarray, owner: np.ndarray, part: np.ndarray, ys: np.ndarray):
     """The piece table (see _kernel_pieces) with each row's owner and share
     of its y's tolerance, its rows longer in x than max(_PANEL_X, x_near),
     x_near their end nearer the origin, split (_split) until none is, as
-    panels are laid out (see _panel_layout).  The pieces a row splits into
-    share its share equally.  Only the long rows go back through the split,
-    and the short ones are joined once at the end."""
+    panels are laid out (see _panel_layout).  Only the long rows go back
+    through the split, and the short ones are joined once at the end."""
     out = []
     while True:
-        zero_end, other_end, length = pieces[:, :3].T
-        near = np.minimum(zero_end, zero_end + np.sign(other_end - zero_end) * length)
+        zero_end, toward, length = pieces[:, :3].T
+        near = np.minimum(zero_end, zero_end + toward * length)
         long = length > np.maximum(_PANEL_X * ys[owner], near)
         if not long.any():
             break
         out.append((pieces[~long], owner[~long], part[~long]))
-        pieces, parent = _split(pieces[long])
-        owner, part = owner[long][parent], (part[long] / np.bincount(parent))[parent]
+        pieces, owner, part = _split(pieces[long], owner[long], part[long])
     return (np.concatenate(c) for c in zip(*out, (pieces, owner, part)))
 
 
@@ -527,8 +520,9 @@ def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
     """The whole-lobe pass of _totals over its block of ys.  Returns the
     value, error and L1 mass of the kept panels summed per y, the pieces
     left for the rounds (every cut piece, and both halves of the sine's
-    first lobe and of each lobe that failed) with the y each belongs to, and
-    each y's count of pieces in the half-lobe split.
+    first lobe and of each lobe that failed), as rows (zero_end, toward,
+    length, off) of _kernel_pieces, with the y each belongs to, and each y's
+    count of pieces in the half-lobe split.
 
     The whole lobes 1, ..., whole of a y (_whole_lobes) start as panels of
     a power of two up to _PANEL_LOBES lobes from the zero pi - phase on,
@@ -538,9 +532,8 @@ def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
     that meet there (see _lobe_sums).  A panel of m lobes is kept when its
     error meets the share of its 2m half-lobes, at quadrature precision, of
     the mass of the y's kept and current panels.  One that fails halves at
-    its middle zero, into panels of floor(m/2) and ceil(m/2) lobes, at one
-    evaluation of f; a lobe that fails leaves its two half-lobes to the
-    rounds."""
+    its middle zero into two panels of m/2 lobes, at one evaluation of f;
+    a lobe that fails leaves its two half-lobes to the rounds."""
     n, (t_max, t_lo) = len(ys), _two_product(ys, spec.tail_cut)
     count, whole = _lobe_counts(phase, t_max), _whole_lobes(phase, t_max)
     # the lobes left to pieces: the first, from x = 0 for the sine and across
@@ -570,11 +563,9 @@ def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
         kept += [np.bincount(owner[ok], v[ok], n) for v in (value, error, np.abs(value))]
         failed.append(np.stack((owner, k))[:, ~ok & (lobes == 1)])
         split = ~ok & (lobes > 1)
-        owner, k, lobes, ends = owner[split], k[split], lobes[split], ends[:, split]
-        half = lobes // 2
-        middle = at_zeros(owner, k + half)
-        owner, k, lobes, ends = (np.tile(owner, 2), np.append(k, k + half),
-                                 np.append(half, lobes - half),
+        owner, k, lobes, ends = owner[split], k[split], lobes[split] // 2, ends[:, split]
+        middle = at_zeros(owner, k + lobes)
+        owner, k, lobes, ends = (np.tile(owner, 2), np.append(k, k + lobes), np.tile(lobes, 2),
                                  np.stack((np.append(ends[0], middle), np.append(middle, ends[1]))))
     halves, half_owner = _kernel_pieces(phase, t_max, t_lo, *np.concatenate(failed, axis=1))
     return (*kept, np.concatenate((pieces, halves)), np.append(piece_owner, half_owner), counts)
@@ -593,17 +584,18 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
     up to _PANEL_LOBES lobes (_panel_layout), checked at its end zeros, and
     is kept only at quadrature precision: the estimate within the share of
     its halves of min(rel_tol, _LOBE_REL_TOL) times the mass of the y's
-    panels.  A kept panel is final; a failed one halves, down to single
-    lobes.  A lobe that fails splits into its half-lobes before the first
-    round, so they take the path of every other piece: first a split to the
-    lengths panels may reach there (_graded_pieces), then the Gauss pass
-    (_gauss_piece_sums), and, for a piece over its share, a split (_split),
-    the new pieces going back through the Gauss pass, for up to _ROUNDS
-    rounds.  A piece of a y split
-    into c pieces in the half-lobe split starts with 1/(2c) of the y's
-    tolerance, and the pieces a piece splits into share its share equally; a
-    piece whose estimate is within _ROUNDING of its |value| is at rounding
-    level and is not split again.  A y that meets its tolerance is final,
+    panels.  A kept panel is final; a failed one of m lobes halves into two
+    of m/2, down to single lobes.  A lobe that fails splits into its
+    half-lobes before the first round, so they take the path of every other
+    piece, a row (zero_end, toward, length, off) of the piece table: first a
+    split to the lengths panels may reach there (_graded_pieces), then the
+    Gauss pass (_gauss_piece_sums), and, for a piece over its share, a split
+    (_split), the new pieces going back through the Gauss pass, for up to
+    _ROUNDS rounds.  A piece of a y split into c pieces in the half-lobe
+    split starts with 1/(2c) of the y's tolerance, and the pieces a piece
+    splits into share its share equally (_split hands each its owner and
+    share); a piece whose estimate is within _ROUNDING of its |value| is at
+    rounding level and is not split again.  A y that meets its tolerance is final,
     and its pieces leave the table."""
     n = len(ys)
     kept_total, kept_error, kept_mass, pieces, piece_owner, counts = _lobe_pass(
@@ -634,14 +626,12 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
             raise NonConvergence(
                 f"integrate_kernel_split: error {total_err[i]:.3e} above tolerance at y={ys[i]}"
             )
-        new, parent = _split(pieces[bad])
-        new_owner = piece_owner[bad][parent]
+        new, new_owner, new_part = _split(pieces[bad], piece_owner[bad], part[bad])
         sums = _gauss_piece_sums(f, alpha, new, ys[new_owner])
         keep = open_[piece_owner] & ~bad
         pieces, piece_owner, part, value, error = (
             np.concatenate((old[keep], add)) for old, add in (
-                (pieces, new), (piece_owner, new_owner),
-                (part, (part[bad] / np.bincount(parent))[parent]),
+                (pieces, new), (piece_owner, new_owner), (part, new_part),
                 (value, sums[0]), (error, sums[1])))
 
 
@@ -667,10 +657,10 @@ def integrate_kernel_split(
     whole half-lobe less the part past the cut, so f is evaluated up to
     pi/(4y) past tail_cut), each first split to the length a panel may
     reach there.  It refines what its error estimate leaves open by
-    splitting: a panel into halves at its middle zero, a lobe into
-    half-lobes, any other piece over the budget of its y at its midpoint, or
-    at v0 2^j where its rules reach past it toward its zero, round by round
-    (see _totals).  A Gauss rule's estimate comes from its null rules of
+    splitting: a panel of m lobes into two of m/2 at its middle zero, a lobe
+    into half-lobes, any other piece over the budget of its y at its
+    midpoint, or at v0 2^j where its rules reach past it toward its zero,
+    round by round (see _totals).  A Gauss rule's estimate comes from its null rules of
     degree 15 and 14 on its own nodes, so it costs no evaluations of f
     beyond the rule's 16; a panel's end check adds one evaluation at each
     end zero, shared by the panels that meet there (see _lobe_sums).  The y

@@ -100,13 +100,13 @@ def _kernel_coeffs_quad(alpha_value: float, n_keep: int) -> np.ndarray:
     name.
     """
     n = np.arange(0, n_keep + 1)
-    # the four half-lobes of [-pi/2, 3pi/2): each one's zero and crest
+    # the four half-lobes of [-pi/2, 3pi/2): each one's zero and direction
     zero_end = np.array([-0.5, 0.5, 0.5, 1.5]) * math.pi
-    crest = np.array([0.0, 0.0, 1.0, 1.0]) * math.pi
+    toward = np.array([1.0, -1.0, 1.0, -1.0])
     last = None
     for nodes in (64, 128, 256, 512):
         v, w = _sine_measure(alpha_value, nodes)
-        coeffs = _osc_sum(_place(v, zero_end, crest).ravel(), np.tile(w, 4), n, -1.0)
+        coeffs = _osc_sum(_place(v, zero_end, toward).ravel(), np.tile(w, 4), n, -1.0)
         if last is not None and np.max(np.abs(coeffs - last)) <= 1e-9:
             coeffs.setflags(write=False)
             return coeffs

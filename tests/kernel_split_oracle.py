@@ -13,6 +13,9 @@ rules of the engine it checks.
 `_lobes` enumerates every lobe that may meet (0, t_max], one entry each, as
 the engine did before it counted whole lobes in closed form; the tests take
 it as the reference for that count and to build piece tables.
+`_panel_layout` grows each y's panels pass by pass, as the engine did before
+it laid them out in closed form; the tests take it as the reference for
+that layout.
 """
 
 import math
@@ -20,7 +23,7 @@ import math
 import numpy as np
 
 from alphasine.grid import call_vec
-from alphasine.quad import QuadSpec, _lobe_counts, _runs
+from alphasine.quad import _PANEL_LOBES, _PANEL_X, QuadSpec, _lobe_counts, _runs
 
 _HALF_PI = 0.5 * math.pi
 
@@ -30,6 +33,40 @@ def _lobes(phase: float, t_max: np.ndarray):
     k*pi - phase that may meet (0, t_max[i]]: the index i each belongs to,
     and its k."""
     return _runs(np.zeros(len(t_max), dtype=int), _lobe_counts(phase, t_max))
+
+
+def _panel_layout(phase: float, ys: np.ndarray, whole: np.ndarray):
+    """The first panels of the whole lobes of each ys[i], as rows (owner, k,
+    lobes) in the form of `quad._panel_layout`: each panel the largest
+    power of two with m pi / y <= max(_PANEL_X, x_start), at most
+    _PANEL_LOBES, found pass by pass while the sizes grow, then the runs of
+    _PANEL_LOBES and the binary digits of the rest."""
+    k, left = np.ones(len(ys), dtype=int), whole.copy()
+    rows, live = [], np.flatnonzero(left > 0)
+    # the x-length of a panel of each power of two up to the cap, per y
+    sizes = 1 << np.arange(_PANEL_LOBES.bit_length())
+    lengths = (sizes * math.pi) / ys[:, None]
+    while len(live):
+        bound = np.maximum(_PANEL_X, (k[live] * math.pi - phase) / ys[live])
+        m = sizes[np.maximum(np.count_nonzero(lengths[live] <= bound[:, None], axis=1) - 1, 0)]
+        grow = (m < _PANEL_LOBES) & (2 * m <= left[live])
+        live, m = live[grow], m[grow]
+        rows.append((live, k[live], m))
+        k[live] += m
+        left[live] -= m
+    runs, rest = np.divmod(left, _PANEL_LOBES)
+    owner, j = _runs(np.zeros(len(ys), dtype=int), runs)
+    rows.append((owner, k[owner] + _PANEL_LOBES * j, np.full(len(owner), _PANEL_LOBES)))
+    # the binary digits of the rest, largest first
+    digits = rest[:, None] & sizes[-2::-1]
+    starts = (k + _PANEL_LOBES * runs)[:, None] + np.cumsum(digits, axis=1) - digits
+    owner, j = np.nonzero(digits)
+    rows.append((owner, starts[owner, j], digits[owner, j]))
+    owner = np.flatnonzero(whole)
+    rows.append((owner, whole[owner] + 1, np.zeros(len(owner), dtype=int)))
+    owner, k, lobes = (np.concatenate(c) for c in zip(*rows))
+    order = np.argsort(owner, kind="stable")  # each y's rows came in order of k
+    return owner[order], k[order], lobes[order]
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:

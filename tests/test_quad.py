@@ -7,7 +7,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alphasine import quad
@@ -80,6 +80,14 @@ def _pieces(phase, t_max):
     """Every half-lobe piece of each y, as the engine split them before whole
     lobes took their own pass, for an exact t_max."""
     return _kernel_pieces(phase, t_max, np.zeros(len(t_max)), *_lobes(phase, t_max))
+
+
+def _ends(pieces):
+    """Each row's two ends, from a piece table's rows (zero_end, toward,
+    length, off): its zero end, and the end length past it toward the
+    crest."""
+    zero_end, toward, length = pieces[:, :3].T
+    return zero_end, zero_end + toward * length
 
 
 def _interior(pieces):
@@ -325,24 +333,30 @@ def test_whole_lobe_estimate_bounds_its_error(a, y, name):
 
 
 @given(a=st.floats(min_value=-0.9, max_value=4.5),
-       y=st.floats(min_value=1.0, max_value=10.0),
+       y=st.floats(min_value=1.0, max_value=20.0),
        name=st.sampled_from(sorted(_SMOOTH)),
        m=st.sampled_from(_PANEL_SIZES[1:]))
-@example(a=-0.9, y=1.0, name="bump", m=_PANEL_LOBES)
-@example(a=4.5, y=10.0, name="cos_exp", m=_PANEL_LOBES)
+@example(a=-0.9, y=20.0, name="rational", m=_PANEL_LOBES)
+@example(a=4.5, y=20.0, name="cos_exp", m=_PANEL_LOBES)
 @example(a=4.5, y=10.0, name="rational", m=8)
-@example(a=-0.9, y=3.0, name="rational", m=32)
+@example(a=-0.9, y=7.0, name="rational", m=32)
+@example(a=2.0, y=9.828125, name="bump", m=2)
 @settings(max_examples=25, deadline=None)
 def test_panel_estimate_bounds_its_error(a, y, name, m):
-    # as for a whole lobe, on every panel of m whole lobes in (0, 30], or in
-    # the first three panels' span where that is longer, as it is for the
-    # large panels at small y: the estimate, null rules and end check
-    # together, bounds how far G16 lies from the fine rule on the panel's
-    # lobes, but for rounding
+    # as for a whole lobe, on every panel of m whole lobes in (0, 30] that
+    # the layout may build, one no longer in x than max(_PANEL_X, x_start)
+    # (see test_panel_layout_tiles_the_whole_lobes; a failed panel only
+    # halves): the estimate, null rules and end check together, bounds how
+    # far G16 lies from the fine rule on the panel's lobes, but for rounding.
+    # Where f underflows, rounding is counted in subnormal spacings: bump at
+    # 88 pi/9.828125 has 2.47e-323 against the fine rule's 1.98e-323, with
+    # estimate 0
     f, df = _SMOOTH[name]
-    t_max = np.array([max(30.0 * y, 3 * m * math.pi)])
+    t_max = np.array([30.0 * y])
     owner, k = _lobes(0.0, t_max)
     zero = k[(k % m == 0) & ((k + m) * math.pi <= t_max[owner])] * math.pi
+    zero = zero[(m * math.pi) / y <= np.maximum(_PANEL_X, zero / y)]
+    assume(len(zero))
     ys = np.full(len(zero), y)
     ends = f(np.stack((zero, zero + m * math.pi)) / ys) / ys
     value, error = _lobe_sums(f, a, zero, np.full(len(zero), m), ys, ends)
@@ -350,7 +364,8 @@ def test_panel_estimate_bounds_its_error(a, y, name, m):
     exact = sum(_fine_lobe_sums(f, a, lobe, ys) for lobe in lobes)
     rounding = sum(_fine_lobe_sums(lambda x: np.abs(f(x)) + np.abs(x * df(x)), a, lobe, ys)
                    for lobe in lobes)
-    assert len(zero) and np.all(np.abs(value - exact) <= error + 1e-14 * rounding)
+    floor = _GAUSS_N * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(value - exact) <= error + np.maximum(1e-14 * rounding, floor))
 
 
 @pytest.mark.parametrize("a", [0.0, 1.5, -0.5, -0.9])
@@ -378,12 +393,13 @@ def test_place_writes_both_halves_as_a_where_would():
     # as the whole-lobe Gauss rule is, and GJ(0, a) scaled to each piece's
     # length, one row each
     rng, zero_end, other_end, scales = _place_cases()
+    toward = np.sign(other_end - zero_end)
     jacobi = rng.uniform(0.1, 1.3, (6, 1)) * _jacobi_rule(1.5)[0]
     for u in (_gauss_pair(1.5, math.pi)[0], jacobi):
         near = np.ones(u.shape[1], dtype=bool)
         for scale in scales:
             expect = oracle._place(u, near, zero_end, other_end, scale)
-            assert np.array_equal(_place(u, zero_end, other_end, scale), expect)
+            assert np.array_equal(_place(u, zero_end, toward, scale), expect)
 
 
 def test_oracle_place_writes_both_halves_as_a_where_would():
@@ -431,8 +447,7 @@ def test_piece_sums_do_not_depend_on_the_chunk(rows):
         # pieces on Gauss-Legendre
         pieces, owner = _pieces(0.0, t_max)
         if rows == "halves":
-            pieces, parent = _split(pieces)
-            owner = owner[parent]
+            pieces, owner, _ = _split(pieces, owner, np.ones(len(owner)))
         scale = 0.5 * (owner + 1.0)
         assert len(pieces) > 5000
         sums = lambda few: _gauss_piece_sums(f3, -0.5, pieces[few], scale[few])
@@ -497,6 +512,35 @@ def test_panel_layout_tiles_the_whole_lobes(ys, tail_cut, kernel):
                       | (larger > whole[i] + 1 - start))
 
 
+def _panel_tie(m, side):
+    """The y at which a panel of m lobes is exactly _PANEL_X long in x,
+    (m pi) / y = _PANEL_X, or the float one ulp below or above it."""
+    y = (m * math.pi) / _PANEL_X
+    return math.nextafter(y, side * math.inf) if side else y
+
+
+@given(ys=st.lists(st.one_of(st.floats(min_value=0.01, max_value=2000.0),
+                             st.builds(_panel_tie, st.sampled_from(_PANEL_SIZES),
+                                       st.sampled_from([-1, 0, 1]))),
+                   min_size=1, max_size=5),
+       tail_cut=st.floats(min_value=1e-3, max_value=150.0),
+       kernel=st.sampled_from(["sine", "cosine"]))
+@example(ys=[_panel_tie(1, 0), _panel_tie(2, -1), _panel_tie(64, 1)], tail_cut=150.0,
+         kernel="sine")
+@example(ys=[_panel_tie(1, 1), _panel_tie(8, 0), _panel_tie(64, -1)], tail_cut=150.0,
+         kernel="cosine")
+@settings(max_examples=200, deadline=None)
+def test_panel_layout_matches_the_growth_loop(ys, tail_cut, kernel):
+    # the closed-form layout gives the rows, in order, of the reference that
+    # grows each y's panels pass by pass, at random y and where the first
+    # panel's size is decided on a tie with _PANEL_X or one ulp from it
+    phase = 0.0 if kernel == "sine" else 0.5 * math.pi
+    ys = np.array(ys)
+    whole = _whole_lobes(phase, ys * tail_cut)
+    for got, expect in zip(_panel_layout(phase, ys, whole), oracle._panel_layout(phase, ys, whole)):
+        assert np.array_equal(got, expect)
+
+
 @given(ys=st.lists(st.floats(min_value=0.02, max_value=3.0), min_size=1, max_size=4),
        tail_cut=st.floats(min_value=0.5, max_value=100.0),
        kernel=st.sampled_from(["sine", "cosine"]))
@@ -512,8 +556,8 @@ def test_graded_pieces_are_no_longer_than_a_panel_there(ys, tail_cut, kernel):
     pieces, owner = _pieces(phase, ys * tail_cut)
     part = np.random.default_rng(7).uniform(0.5, 1.0, len(owner))
     graded, graded_owner, graded_part = quad._graded_pieces(pieces, owner, part, ys)
-    zero_end, other_end, length = graded[:, :3].T
-    far = zero_end + np.sign(other_end - zero_end) * length
+    zero_end, far = _ends(graded)
+    length = graded[:, 2]
     # compared in u = x y, as the split decides it: a far half of a bisected
     # piece is exactly as long as its distance from the origin
     assert np.all(length <= np.maximum(_PANEL_X * ys[graded_owner], np.minimum(zero_end, far)))
@@ -673,7 +717,7 @@ class TestKernelSplit:
         spec = QuadSpec(rel_tol=1e-6, tail_cut=6.0)
         exact = _edge_oracle(a, y, 6.0, "sine", lambda x: abs(x - c) * mp.exp(-x), (c,))
         pieces, _ = _pieces(0.0, np.array([6.0 * y]))
-        ends = np.sort(pieces[:, :2], axis=1)
+        ends = np.sort(np.column_stack(_ends(pieces)), axis=1)
         at = np.flatnonzero(_interior(pieces) & (ends[:, 0] < c * y) & (c * y < ends[:, 1]))
         _, gauss_err = _gauss_piece_sums(kink, a, pieces[at], np.full(len(at), y))
         assert gauss_err[0] > spec.rel_tol * exact / (2 * len(pieces))
@@ -822,7 +866,7 @@ class TestKernelSplit:
         monkeypatch.setattr(quad, "_gauss_piece_sums", recorded)
         val = integrate_kernel_split(kink, a, y, spec)
         # the first round's pieces hold both halves of the kinked lobe
-        ends = np.sort(calls[0][:, :2], axis=1)
+        ends = np.sort(np.column_stack(_ends(calls[0])), axis=1)
         lo, hi = zero[held][0], zero[held][0] + math.pi
         assert np.count_nonzero(_interior(calls[0]) & (lo <= ends[:, 0]) & (ends[:, 1] <= hi)) == 2
         exact = _edge_oracle(a, y, 6.0, "sine", lambda x: (1 + abs(x - c) / 100) * mp.exp(-x), (c,))
@@ -830,12 +874,11 @@ class TestKernelSplit:
 
 
 @lru_cache(maxsize=None)
-def _f3_curve_evaluations():
-    # how many times f3 at a = -0.9 is evaluated over the forward_invert
-    # curve at the default spec; one run serves every count test below
+def _curve_evaluations(f, a):
+    # how many times f is evaluated over a forward_invert curve at the
+    # default spec; one run serves every count test below
     seen = []
-    integrate_kernel_split(lambda x: seen.append(np.size(x)) or f3(x), -0.9,
-                           0.05 * np.arange(1, 401))
+    integrate_kernel_split(lambda x: seen.append(np.size(x)) or f(x), a, 0.05 * np.arange(1, 401))
     return sum(seen)
 
 
@@ -890,23 +933,23 @@ class TestArrayY:
     def test_gauss_pass_halves_f_evaluations(self):
         # tanh-sinh alone took 7,672,895 evaluations of f on this curve; 26
         # per interior half-lobe need under half
-        assert _f3_curve_evaluations() <= 3.9e6
+        assert _curve_evaluations(f3, -0.9) <= 3.9e6
 
     def test_whole_lobe_pass_halves_them_again(self):
         # 26 evaluations per whole lobe where its two half-lobes took 52: the
         # half-lobe pass took 2,015,884 on this curve
-        assert _f3_curve_evaluations() <= 1.1e6
+        assert _curve_evaluations(f3, -0.9) <= 1.1e6
 
     def test_null_rules_cut_them_by_a_third(self):
         # 16 evaluations per whole lobe where G16 and G10 took 26: the pair
         # took 1,028,888 on this curve
-        assert _f3_curve_evaluations() <= 0.7e6
+        assert _curve_evaluations(f3, -0.9) <= 0.7e6
 
     def test_gauss_jacobi_cut_pieces_keep_the_saving(self):
         # every cut piece on GJ(0, a), 16 or 32 evaluations where tanh-sinh
         # took 57 at a = -0.9: with cut pieces on tanh-sinh this curve took
         # 654,836
-        assert _f3_curve_evaluations() <= 639_887
+        assert _curve_evaluations(f3, -0.9) <= 639_887
 
     def test_panels_cut_the_lattice_evaluations(self):
         # the whole lobes of a y go in panels of 16 nodes and one shared end
@@ -916,7 +959,14 @@ class TestArrayY:
         # that halve, 146,656.  Panels sized to x, growing with their
         # distance from the origin up to _PANEL_LOBES lobes, and pieces
         # pre-split to the same lengths, need fewer
-        assert _f3_curve_evaluations() <= 109_196
+        assert _curve_evaluations(f3, -0.9) <= 109_196
+
+    @pytest.mark.parametrize("f, a, count", [(f1, 1.5, 107_822), (f2, -0.5, 88_827)],
+                             ids=["f1", "f2"])
+    def test_every_workload_curve_holds_its_evaluations(self, f, a, count):
+        # the other two forward_invert curves, beside f3's above: panels and
+        # pieces sized to x took these counts
+        assert _curve_evaluations(f, a) <= count
 
     def test_f_is_not_evaluated_at_the_origin(self):
         # the integral is over (0, tail_cut]: a panel's end check evaluates f
