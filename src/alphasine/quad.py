@@ -8,9 +8,9 @@ to be smooth: the 16-point rule G16 gives the value, and its null rules of
 degree 15 and 14, on its own 16 nodes, the error estimate (Berntsen &
 Espelid 1991).  The whole lobes of a y start as panels of consecutive
 lobes sized in x, not by the kernel: a power of two up to _PANEL_LOBES
-lobes, no longer than max(_PANEL_X, its distance from the origin), so the
-panels grow away from the origin as the x-scale of a decaying f does, in a
-graded mesh (see _panel_layout).  Each takes the 16-point rule for [0, m
+lobes, no longer than its distance from the origin, clipped to [_PANEL_X,
+_PANEL_X_MAX], so the panels grow away from the origin as the x-scale of a
+decaying f does, in a graded mesh (see _panel_layout).  Each takes the 16-point rule for [0, m
 pi], m its count of lobes, laid out as a lattice: each node placed from
 its zero and y alone.  A panel's first node lies far from its end zeros,
 so f is also evaluated at each end zero, once for the two panels that
@@ -95,10 +95,14 @@ _ROUNDING = 16 * np.finfo(float).eps
 _LOBE_BLOCK = 65536
 _CHUNK_NODES = 8192
 # the most consecutive whole lobes of a y that share one Gauss rule (see
-# _lobe_sums), and the x-length a panel or piece may reach at the origin; past
-# it, the distance of its start from the origin (see _panel_layout)
+# _lobe_sums), and the x-length a panel or piece may reach: _PANEL_X at the
+# origin, past it the distance of its start from the origin, and never more
+# than _PANEL_X_MAX, past which an f whose scale stops growing, as that of
+# cos(x) e^{-x/3} does, aliases on a panel's 16 nodes and its estimate can
+# fall below its error (see _panel_layout)
 _PANEL_LOBES = 64
 _PANEL_X = 2.0
+_PANEL_X_MAX = 64.0
 # nodes of the discrete measure the sin(u)^a rules are built from (see
 # _gauss_pair): the Stieltjes procedure integrates p_r^2 x for r <= 16,
 # degree 33, times the smooth factor of _sine_measure, and 64 nodes leave
@@ -467,31 +471,33 @@ def _panel_layout(phase: float, ys: np.ndarray, whole: np.ndarray):
     lobes - 1 of ys[owner], and after each y's last panel a row of no lobes
     at its last zero.  A panel whose first zero lies at x_start = (k pi -
     phase) / y holds m lobes, the largest power of two with m pi / y <=
-    max(_PANEL_X, x_start), at most _PANEL_LOBES and at most the lobes left,
-    and one where no m fits.  So the panels grow with their distance from
-    the origin, as the x-scale of a decaying f does, and a y's layout
-    depends on that y and its lobes alone; it bets on f's scale growing with
-    x, and an f with structure far from the origin fails the large panels
-    there and pays for their halving.
+    x_start clipped to [_PANEL_X, _PANEL_X_MAX], at most _PANEL_LOBES and at
+    most the lobes left, and one where no m fits.  So the panels grow with
+    their distance from the origin, as the x-scale of a decaying f does, and
+    a y's layout depends on that y and its lobes alone; it bets on f's scale
+    growing with x up to _PANEL_X_MAX, and an f with structure far from the
+    origin fails the large panels there and pays for their halving.
 
     In closed form: the first panel holds m0 lobes, the largest power of two
-    up to the cap with m0 pi / y <= _PANEL_X, else 1.  Past it x_start
-    admits exactly the largest power of two at most k - phase/pi, so the
-    sizes run m1, 2 m1, 4 m1, ..., with m1 = 2 for the sine at m0 = 1, else
-    m0, each taken while below the cap and while it fits in the lobes left;
-    the rest is runs of _PANEL_LOBES, then the binary digits of what
-    remains, largest first.  (A size that fits but not twice is the largest
-    binary digit of the lobes left, so taking it there or as a digit gives
-    the same panels.)"""
+    up to the cap with m0 pi / y <= _PANEL_X, else 1, and the cap is the
+    largest power of two up to _PANEL_LOBES with cap pi / y <= _PANEL_X_MAX,
+    else 1.  Past the first panel x_start admits exactly the largest power
+    of two at most k - phase/pi, so the sizes run m1, 2 m1, 4 m1, ..., with
+    m1 = 2 for the sine at m0 = 1, else m0, each taken while below the cap
+    and while it fits in the lobes left; the rest is runs of the cap, then
+    the binary digits of what remains, largest first.  (A size that fits
+    but not twice is the largest binary digit of the lobes left, so taking
+    it there or as a digit gives the same panels.)"""
     sizes = 1 << np.arange(_PANEL_LOBES.bit_length())
-    fits = np.count_nonzero((sizes * math.pi) / ys[:, None] <= _PANEL_X, axis=1)
-    m0 = sizes[np.maximum(fits - 1, 0)]
+    lengths = (sizes * math.pi) / ys[:, None]
+    m0, cap = (sizes[np.maximum(np.count_nonzero(lengths <= x, axis=1) - 1, 0)]
+               for x in (_PANEL_X, _PANEL_X_MAX))
     m1 = np.where((m0 == 1) & (phase == 0.0), 2, m0)
     # each y's table of sizes, and how many panels of each it takes
     grow = np.column_stack((m0, m1[:, None] << np.arange(len(sizes) - 1)))
-    taken = (grow < _PANEL_LOBES) & (np.cumsum(grow, axis=1) <= whole[:, None])
-    runs, rest = np.divmod(whole - np.sum(grow * taken, axis=1), _PANEL_LOBES)
-    size = np.column_stack((grow, np.tile(np.append(sizes[::-1], 0), (len(ys), 1))))
+    taken = (grow < cap[:, None]) & (np.cumsum(grow, axis=1) <= whole[:, None])
+    runs, rest = np.divmod(whole - np.sum(grow * taken, axis=1), cap)
+    size = np.column_stack((grow, cap, np.tile(np.append(sizes[-2::-1], 0), (len(ys), 1))))
     count = np.column_stack((taken, runs, (rest[:, None] & sizes[-2::-1]) > 0, whole > 0))
     lobes = np.repeat(size.ravel(), count.ravel())
     owner = np.repeat(np.arange(len(ys)), np.sum(count, axis=1))
@@ -500,15 +506,15 @@ def _panel_layout(phase: float, ys: np.ndarray, whole: np.ndarray):
 
 def _graded_pieces(pieces: np.ndarray, owner: np.ndarray, part: np.ndarray, ys: np.ndarray):
     """The piece table (see _kernel_pieces) with each row's owner and share
-    of its y's tolerance, its rows longer in x than max(_PANEL_X, x_near),
-    x_near their end nearer the origin, split (_split) until none is, as
-    panels are laid out (see _panel_layout).  Only the long rows go back
+    of its y's tolerance, its rows longer in x than x_near, their end
+    nearer the origin, clipped to [_PANEL_X, _PANEL_X_MAX], split (_split)
+    until none is, as panels are laid out (see _panel_layout).  Only the long rows go back
     through the split, and the short ones are joined once at the end."""
     out = []
     while True:
         zero_end, toward, length = pieces[:, :3].T
         near = np.minimum(zero_end, zero_end + toward * length)
-        long = length > np.maximum(_PANEL_X * ys[owner], near)
+        long = length > np.clip(near, _PANEL_X * ys[owner], _PANEL_X_MAX * ys[owner])
         if not long.any():
             break
         out.append((pieces[~long], owner[~long], part[~long]))
@@ -647,9 +653,9 @@ def integrate_kernel_split(
 
     Splits at the kernel zeros x = k pi / y (shifted by pi/(2y) for the
     cosine), integrates the whole lobes of each y in panels of a power of
-    two up to _PANEL_LOBES consecutive lobes, no longer in x than
-    max(_PANEL_X, their distance from the origin) unless one lobe (see
-    _panel_layout), each with the 16-point Gauss rule for the |sin u|^a
+    two up to _PANEL_LOBES consecutive lobes, no longer in x than their
+    distance from the origin clipped to [_PANEL_X, _PANEL_X_MAX] unless one
+    lobe (see _panel_layout), each with the 16-point Gauss rule for the |sin u|^a
     weight on the panel; each other half-lobe (the sine's first lobe, from
     x = 0, goes as two) with the one on [0, pi/2] and each piece cut at
     tail_cut with the Gauss-Jacobi rule GJ(0, a), or Gauss-Legendre on a

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from alphasine.grid import call_vec
-from alphasine.quad import _PANEL_LOBES, _PANEL_X, QuadSpec, _lobe_counts, _runs
+from alphasine.quad import _PANEL_LOBES, _PANEL_X, _PANEL_X_MAX, QuadSpec, _lobe_counts, _runs
 
 _HALF_PI = 0.5 * math.pi
 
@@ -38,8 +38,9 @@ def _lobes(phase: float, t_max: np.ndarray):
 def _panel_layout(phase: float, ys: np.ndarray, whole: np.ndarray):
     """The first panels of the whole lobes of each ys[i], as rows (owner, k,
     lobes) in the form of `quad._panel_layout`: each panel the largest
-    power of two with m pi / y <= max(_PANEL_X, x_start), at most
-    _PANEL_LOBES, found pass by pass while the sizes grow, then the runs of
+    power of two with m pi / y <= x_start clipped to [_PANEL_X,
+    _PANEL_X_MAX], at most _PANEL_LOBES, found pass by pass while it is
+    below _PANEL_LOBES and fits twice in the lobes left, then the runs of
     _PANEL_LOBES and the binary digits of the rest."""
     k, left = np.ones(len(ys), dtype=int), whole.copy()
     rows, live = [], np.flatnonzero(left > 0)
@@ -47,7 +48,7 @@ def _panel_layout(phase: float, ys: np.ndarray, whole: np.ndarray):
     sizes = 1 << np.arange(_PANEL_LOBES.bit_length())
     lengths = (sizes * math.pi) / ys[:, None]
     while len(live):
-        bound = np.maximum(_PANEL_X, (k[live] * math.pi - phase) / ys[live])
+        bound = np.clip((k[live] * math.pi - phase) / ys[live], _PANEL_X, _PANEL_X_MAX)
         m = sizes[np.maximum(np.count_nonzero(lengths[live] <= bound[:, None], axis=1) - 1, 0)]
         grow = (m < _PANEL_LOBES) & (2 * m <= left[live])
         live, m = live[grow], m[grow]

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from alphasine import quad
 from alphasine.errors import NonConvergence
 from alphasine.grid import SampledFunction, UniformGrid
-from alphasine.quad import (_GAUSS_N, _NULL_DEGREES, _PANEL_LOBES, _PANEL_X, QuadSpec,
-                            _gauss_pair, _gauss_piece_sums, _jacobi_rule, _kernel_pieces,
+from alphasine.quad import (_GAUSS_N, _NULL_DEGREES, _PANEL_LOBES, _PANEL_X, _PANEL_X_MAX,
+                            QuadSpec, _gauss_pair, _gauss_piece_sums, _jacobi_rule, _kernel_pieces,
                             _lobe_sums, _panel_layout, _place, _split, _whole_lobes, integrate,
                             integrate_kernel_split)
 from alphasine.specfun import sin_power_integral
@@ -332,40 +332,66 @@ def test_whole_lobe_estimate_bounds_its_error(a, y, name):
     assert len(zero) and np.all(np.abs(value - exact) <= error + 1e-14 * rounding)
 
 
+def _panel_gaps(name, a, y, zero, lobes):
+    """How far G16 lies from the fine rule on the panels [zero, zero +
+    lobes pi] of y, and what the panel's estimate allows: the estimate, null
+    rules and end check together, and rounding, 1e-14 of the panel's mass of
+    |f| and |x f'| (see test_whole_lobe_estimate_bounds_its_error), counted
+    in subnormal spacings where f underflows."""
+    f, df = _SMOOTH[name]
+    ys = np.full(len(zero), y)
+    ends = f(np.stack((zero, zero + lobes * math.pi)) / ys) / ys
+    value, error = _lobe_sums(f, a, zero, lobes, ys, ends)
+    exact, rounding = np.zeros((2, len(zero)))
+    for j in range(max(lobes)):
+        inside = j < lobes
+        lobe = zero[inside] + j * math.pi
+        exact[inside] += _fine_lobe_sums(f, a, lobe, ys[inside])
+        rounding[inside] += _fine_lobe_sums(lambda x: np.abs(f(x)) + np.abs(x * df(x)), a,
+                                            lobe, ys[inside])
+    floor = _GAUSS_N * np.finfo(float).smallest_subnormal
+    return np.abs(value - exact), error + np.maximum(1e-14 * rounding, floor)
+
+
 @given(a=st.floats(min_value=-0.9, max_value=4.5),
-       y=st.floats(min_value=1.0, max_value=20.0),
+       y=st.floats(min_value=1.0, max_value=10.0),
        name=st.sampled_from(sorted(_SMOOTH)),
        m=st.sampled_from(_PANEL_SIZES[1:]))
-@example(a=-0.9, y=20.0, name="rational", m=_PANEL_LOBES)
-@example(a=4.5, y=20.0, name="cos_exp", m=_PANEL_LOBES)
+@example(a=-0.9, y=3.2, name="cos_exp", m=_PANEL_LOBES)
+@example(a=4.5, y=10.0, name="cos_exp", m=_PANEL_LOBES)
 @example(a=4.5, y=10.0, name="rational", m=8)
-@example(a=-0.9, y=7.0, name="rational", m=32)
+@example(a=-0.9, y=3.0, name="rational", m=32)
 @example(a=2.0, y=9.828125, name="bump", m=2)
 @settings(max_examples=25, deadline=None)
 def test_panel_estimate_bounds_its_error(a, y, name, m):
-    # as for a whole lobe, on every panel of m whole lobes in (0, 30] that
-    # the layout may build, one no longer in x than max(_PANEL_X, x_start)
-    # (see test_panel_layout_tiles_the_whole_lobes; a failed panel only
-    # halves): the estimate, null rules and end check together, bounds how
-    # far G16 lies from the fine rule on the panel's lobes, but for rounding.
-    # Where f underflows, rounding is counted in subnormal spacings: bump at
-    # 88 pi/9.828125 has 2.47e-323 against the fine rule's 1.98e-323, with
-    # estimate 0
-    f, df = _SMOOTH[name]
-    t_max = np.array([30.0 * y])
+    # as for a whole lobe, on every panel of m whole lobes in (0, 30], or in
+    # the first three panels' span where that is longer, as it is for the
+    # large panels at small y, that the layout may build: one no longer in x
+    # than x_start clipped to [_PANEL_X, _PANEL_X_MAX] (see
+    # test_panel_layout_tiles_the_whole_lobes; a failed panel only halves).
+    # Bump at 88 pi/9.828125 underflows: 2.47e-323 against the fine rule's
+    # 1.98e-323, with estimate 0
+    t_max = np.array([max(30.0 * y, 3 * m * math.pi)])
     owner, k = _lobes(0.0, t_max)
     zero = k[(k % m == 0) & ((k + m) * math.pi <= t_max[owner])] * math.pi
-    zero = zero[(m * math.pi) / y <= np.maximum(_PANEL_X, zero / y)]
+    zero = zero[(m * math.pi) / y <= np.clip(zero / y, _PANEL_X, _PANEL_X_MAX)]
     assume(len(zero))
-    ys = np.full(len(zero), y)
-    ends = f(np.stack((zero, zero + m * math.pi)) / ys) / ys
-    value, error = _lobe_sums(f, a, zero, np.full(len(zero), m), ys, ends)
-    lobes = [zero + j * math.pi for j in range(m)]
-    exact = sum(_fine_lobe_sums(f, a, lobe, ys) for lobe in lobes)
-    rounding = sum(_fine_lobe_sums(lambda x: np.abs(f(x)) + np.abs(x * df(x)), a, lobe, ys)
-                   for lobe in lobes)
-    floor = _GAUSS_N * np.finfo(float).smallest_subnormal
-    assert np.all(np.abs(value - exact) <= error + np.maximum(1e-14 * rounding, floor))
+    gap, allowed = _panel_gaps(name, a, y, zero, np.full(len(zero), m))
+    assert np.all(gap <= allowed)
+
+
+@pytest.mark.parametrize("a, y", [(0.0, 1.0), (-0.9, 1.35)])
+def test_far_panels_resolve_a_fixed_scale(a, y):
+    # cos(x) e^{-x/3} keeps its scale however far out: on every first panel
+    # the layout builds for it out to tail_cut 420 the estimate bounds the
+    # error.  Panels no longer than x_start in x, of 64 lobes from 64 pi and
+    # 32 from 32 pi, fell short by up to 2.3 times at these y
+    whole = _whole_lobes(0.0, np.array([420.0 * y]))
+    _, k, lobes = _panel_layout(0.0, np.array([y]), whole)
+    zero, lobes = k[:-1] * math.pi, lobes[:-1]
+    assert np.max(lobes * math.pi / y) <= _PANEL_X_MAX
+    gap, allowed = _panel_gaps("cos_exp", a, y, zero, lobes)
+    assert np.all(gap <= allowed)
 
 
 @pytest.mark.parametrize("a", [0.0, 1.5, -0.5, -0.9])
@@ -480,17 +506,18 @@ def test_whole_lobe_count_matches_the_per_lobe_decision(kernel):
 
 
 @given(ys=st.lists(st.floats(min_value=0.01, max_value=2000.0), min_size=1, max_size=5),
-       tail_cut=st.floats(min_value=0.5, max_value=200.0),
+       tail_cut=st.floats(min_value=0.5, max_value=1000.0),
        kernel=st.sampled_from(["sine", "cosine"]))
 @example(ys=[20.0], tail_cut=30.0, kernel="sine")
+@example(ys=[0.3, 1.0], tail_cut=500.0, kernel="sine")
 @example(ys=[0.05, 1.0, 400.0], tail_cut=30.0, kernel="cosine")
 @settings(max_examples=60, deadline=None)
 def test_panel_layout_tiles_the_whole_lobes(ys, tail_cut, kernel):
     # each y's first panels tile its whole lobes 1, ..., whole once and in
     # order, each a power of two up to the cap, and one lobe or no longer in
-    # x than max(_PANEL_X, x_start), x_start its first zero; each is the
-    # largest such size the lobes left allow, and a row of no lobes marks
-    # the y's last zero
+    # x than x_start, its first zero, clipped to [_PANEL_X, _PANEL_X_MAX];
+    # each is the largest such size the lobes left allow, and a row of no
+    # lobes marks the y's last zero
     phase = 0.0 if kernel == "sine" else 0.5 * math.pi
     ys = np.array(ys)
     whole = _whole_lobes(phase, ys * tail_cut)
@@ -505,23 +532,24 @@ def test_panel_layout_tiles_the_whole_lobes(ys, tail_cut, kernel):
         assert m[-1] == 0 and start[-1] == whole[i] + 1
         start, m = start[:-1], m[:-1]
         assert np.all((m > 0) & ((m & (m - 1)) == 0) & (m <= _PANEL_LOBES))
-        bound = np.maximum(_PANEL_X, (start * math.pi - phase) / y)
+        bound = np.clip((start * math.pi - phase) / y, _PANEL_X, _PANEL_X_MAX)
         assert np.all((m == 1) | (m * math.pi / y <= bound))
         larger = 2 * m
         assert np.all((larger > _PANEL_LOBES) | (larger * math.pi / y > bound)
                       | (larger > whole[i] + 1 - start))
 
 
-def _panel_tie(m, side):
-    """The y at which a panel of m lobes is exactly _PANEL_X long in x,
-    (m pi) / y = _PANEL_X, or the float one ulp below or above it."""
-    y = (m * math.pi) / _PANEL_X
+def _panel_tie(m, side, length=_PANEL_X):
+    """The y at which a panel of m lobes is exactly length long in x, (m
+    pi) / y = length, or the float one ulp below or above it."""
+    y = (m * math.pi) / length
     return math.nextafter(y, side * math.inf) if side else y
 
 
 @given(ys=st.lists(st.one_of(st.floats(min_value=0.01, max_value=2000.0),
                              st.builds(_panel_tie, st.sampled_from(_PANEL_SIZES),
-                                       st.sampled_from([-1, 0, 1]))),
+                                       st.sampled_from([-1, 0, 1]),
+                                       st.sampled_from([_PANEL_X, _PANEL_X_MAX]))),
                    min_size=1, max_size=5),
        tail_cut=st.floats(min_value=1e-3, max_value=150.0),
        kernel=st.sampled_from(["sine", "cosine"]))
@@ -529,11 +557,14 @@ def _panel_tie(m, side):
          kernel="sine")
 @example(ys=[_panel_tie(1, 1), _panel_tie(8, 0), _panel_tie(64, -1)], tail_cut=150.0,
          kernel="cosine")
+@example(ys=[_panel_tie(1, 1, _PANEL_X_MAX), _panel_tie(16, 0, _PANEL_X_MAX),
+             _panel_tie(32, -1, _PANEL_X_MAX)], tail_cut=150.0, kernel="sine")
 @settings(max_examples=200, deadline=None)
 def test_panel_layout_matches_the_growth_loop(ys, tail_cut, kernel):
     # the closed-form layout gives the rows, in order, of the reference that
     # grows each y's panels pass by pass, at random y and where the first
-    # panel's size is decided on a tie with _PANEL_X or one ulp from it
+    # panel's size or the cap is decided on a tie with _PANEL_X or
+    # _PANEL_X_MAX or one ulp from it
     phase = 0.0 if kernel == "sine" else 0.5 * math.pi
     ys = np.array(ys)
     whole = _whole_lobes(phase, ys * tail_cut)
@@ -542,15 +573,17 @@ def test_panel_layout_matches_the_growth_loop(ys, tail_cut, kernel):
 
 
 @given(ys=st.lists(st.floats(min_value=0.02, max_value=3.0), min_size=1, max_size=4),
-       tail_cut=st.floats(min_value=0.5, max_value=100.0),
+       tail_cut=st.floats(min_value=0.5, max_value=200.0),
        kernel=st.sampled_from(["sine", "cosine"]))
 @example(ys=[0.05], tail_cut=30.0, kernel="sine")
+@example(ys=[0.02], tail_cut=160.0, kernel="sine")
 @example(ys=[0.34736809249105166], tail_cut=5.0, kernel="sine")
 @settings(max_examples=40, deadline=None)
 def test_graded_pieces_are_no_longer_than_a_panel_there(ys, tail_cut, kernel):
     # every half-lobe piece, cut ones too, split until none is longer in x
-    # than max(_PANEL_X, x_near), x_near its end nearer the origin; the split
-    # keeps each y's length and shares of the tolerance
+    # than x_near, its end nearer the origin, clipped to [_PANEL_X,
+    # _PANEL_X_MAX]; the split keeps each y's length and shares of the
+    # tolerance
     phase = 0.0 if kernel == "sine" else 0.5 * math.pi
     ys = np.array(ys)
     pieces, owner = _pieces(phase, ys * tail_cut)
@@ -560,8 +593,9 @@ def test_graded_pieces_are_no_longer_than_a_panel_there(ys, tail_cut, kernel):
     length = graded[:, 2]
     # compared in u = x y, as the split decides it: a far half of a bisected
     # piece is exactly as long as its distance from the origin
-    assert np.all(length <= np.maximum(_PANEL_X * ys[graded_owner], np.minimum(zero_end, far)))
-    t_max = ys[graded_owner] * tail_cut
+    y = ys[graded_owner]
+    assert np.all(length <= np.clip(np.minimum(zero_end, far), _PANEL_X * y, _PANEL_X_MAX * y))
+    t_max = y * tail_cut
     assert np.all(np.minimum(zero_end, far) >= 0.0)
     assert np.all(np.maximum(zero_end, far) <= t_max * (1 + 1e-15))
     for got, expect in ((graded[:, 2], pieces[:, 2]), (graded_part, part)):
