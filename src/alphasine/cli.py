@@ -177,7 +177,7 @@ def sampled_from_csv(path: str) -> SampledFunction:
     step = float(np.median(steps))
     if np.max(np.abs(steps - step)) > 1e-8 * max(1.0, abs(step)):
         raise ValueError(f"{path}: abscissae are not uniformly spaced")
-    return SampledFunction(UniformGrid(float(x[0]), step, len(x)), data[:, 1])
+    return SampledFunction(UniformGrid.from_span(float(x[0]), float(x[-1]), len(x)), data[:, 1])
 
 
 def parse_grid(text: str) -> UniformGrid:
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--in", dest="infile", help="input CSV of samples of f")
     p.add_argument("--method", choices=["quad", "series"], default="quad", help="route")
     p.add_argument("--grid", default="0:20:401", help="start:stop:count for the y samples")
-    p.add_argument("--tail-cut", dest="tail_cut", type=float, default=30.0,
+    p.add_argument("--tail-cut", dest="tail_cut", type=float, default=QuadSpec.tail_cut,
                    help="upper end of the x integral")
     p.add_argument("--terms", type=int,
                    help=f"series terms, {SERIES_TERMS} if not given; --method series only")
@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0:5:501", help="start:stop:count for the output")
 
     p = method("direct", "direct route in log coordinates, a > 1")
-    p.add_argument("--epsilon", type=float, default=0.025, help="cutoff of |mu|")
+    p.add_argument("--epsilon", type=float, default=DirectConfig.epsilon, help="cutoff of |mu|")
     p.add_argument("--grid", default="0.2:3:281", help="start:stop:count for the output")
 
     p = method("sphere", "circle densities")

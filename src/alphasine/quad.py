@@ -1,60 +1,95 @@
-"""Numerical integration by kernel-zero-aware lobe rules.
+"""Integrals of |sin(xy)|^a f(x) and |cos(xy)|^a f(x) over (0, tail_cut],
+split at the kernel's zeros.  This docstring is the one account of the
+algorithm; the functions below state their contracts.
 
-The |sin(xy)|^a and |cos(xy)|^a kernels vanish like |u|^a at their zeros, so
-the integral is split at them.  On whole lobes the kernel is the fixed
-weight |sin u|^a, u the distance to the first zero, so every singular zero
-lives in the weight of a Gauss rule (as in QUADPACK's QAWS) and f only has
-to be smooth: the 16-point rule G16 gives the value, and its null rules of
-degree 15 and 14, on its own 16 nodes, the error estimate (Berntsen &
-Espelid 1991).  The whole lobes of a y start as panels of consecutive
-lobes sized in x, not by the kernel: a power of two up to _PANEL_LOBES
-lobes, no longer than its distance from the origin, clipped to [_PANEL_X,
-_PANEL_X_MAX], so the panels grow away from the origin as the x-scale of a
-decaying f does, in a graded mesh (see _panel_layout).  Each takes the 16-point rule for [0, m
-pi], m its count of lobes, laid out as a lattice: each node placed from
-its zero and y alone.  A panel's first node lies far from its end zeros,
-so f is also evaluated at each end zero, once for the two panels that
-meet there, and compared with the rule's interpolant extrapolated to it
-(the end check, see _lobe_sums).  A panel is kept only when its estimate
-meets its share of the tolerance at quadrature precision, however loose
-the caller's tolerance; one of m lobes that fails, as one holding a kink of
-f does, halves at its middle zero into two panels of m/2, and a lobe that
-fails splits into its two half-lobes, between a zero and a crest.  The
-sine's first lobe starts at x = 0, where f is not evaluated, and takes its
-half-lobes with the cut pieces.
+In t = xy the zeros lie at k pi - phase, phase 0 for the sine and pi/2 for
+the cosine, and on the lobe between two of them the kernel is |sin u|^a, u
+the distance from its first zero.  So each singular zero sits in the weight
+of a Gauss rule, as in QUADPACK's QAWS, and f only has to be smooth.
 
-Every other piece lies between a zero and a crest, a row (zero_end,
-toward, length, off) of a piece table: it runs length from zero_end in the
-direction toward = +1 or -1, with its kernel zero off beyond zero_end, so
-it is the interval [v0, v1] = [off, off + length] of distances from its
-zero; that interval alone picks its 16-point Gauss rule, G16 for sin(v)^a
-on a whole half-lobe, else Gauss-Jacobi or Gauss-Legendre (see
-_gauss_piece_sums).  Before that pass a piece longer in x than a panel
-there may be is split to that length (_graded_pieces), as it would be in
-the rounds.  A piece the pass leaves over its share is bisected, as in
-QUADPACK's QAG, and its halves go back through the same rules: panels,
-lobes and pieces refine the same way, by splitting.  A
-piece whose rules reach from its zero across the v0 before it splits at
-v0 2^j instead, into pieces that evaluate f inside themselves alone (see
-_split).  The length of a piece at the cut is its distance from the zero,
-taken from the exact y * tail_cut and pi, so a cut within 1e-12 of a zero
-keeps the digits the weight v^a needs there.  Which lobes are whole and
-which halves are cut is decided in floats: a cut within rounding of a zero
-counts as at the zero, so tail_cut = math.pi at y = 1 takes the whole lobe
-[0, pi].
+Rules.  Every rule is a 16-point Gauss rule, G16, in one form (u, w): each
+node's distance u from its zero end, and weight rows, the rule and then G16
+less its null rules of degree 15 and 14 on the same nodes.  The estimate is
+the sum of the rule's distances to those two rows (Berntsen & Espelid
+1991), at no evaluation of f beyond the 16.  All rules are of one family:
+GJ(0, a), for u^a on [0, 1], from its closed-form recurrence, and the rules
+for |sin u|^a on [0, pi/2] (a half-lobe) and on [0, m pi] (a panel of m
+whole lobes), from the Stieltjes procedure on the _MEASURE_N-point GJ(0, a)
+rule with the smooth factor (sin v / v)^a folded into its weights.
 
-Every rule takes one form, (u, w): each node's distance u from its zero
-end, and the weight rows (see _frozen).  All are Gauss rules of one family:
-GJ(0, a) from its closed-form recurrence (_gauss_jacobi), and the rules for
-|sin u|^a, built from the discrete measure of a _MEASURE_N-point GJ(0, a)
-rule with the smooth factor (sin v / v)^a folded in (_sine_measure), on
-which the sphere's quadrature reference integrates too.
+Panels.  The lobes of a y that lie whole in (0, y tail_cut], the sine's
+first aside, are laid out as panels of m consecutive lobes, m a power of
+two up to _PANEL_LOBES, sized in x and not by the kernel: a panel whose
+first zero lies at x_start holds the largest m with m pi / y <= x_start
+clipped to [_PANEL_X, _PANEL_X_MAX] that fits in the lobes left, or one
+lobe where none does.  So panels grow with their distance from the origin,
+as the x-scale of a decaying f does, in a graded mesh that depends on y
+alone; an f with structure far from the origin pays for halving the large
+panels there.  A panel takes the rule for [0, m pi] on a lattice: its node
+j is (k pi - phase + u_j) / y, from its first zero k and y alone.
 
-A curve, an array of y, is integrated in blocks of consecutive y that
-together hold at most _LOBE_BLOCK lobes; a y with more lobes than that forms
-a block of its own.  Within a block the panels of every y share each level
-of the halving, the remaining pieces go into one table, and each y keeps
-its own stopping rule, so no value depends on the block.
+End check.  A panel's first node u_1 lies far from its end zeros (0.05 at
+a = 1.5 on one lobe, 0.33 on 8, 1.40 on 64), and a kink of f nearer a zero
+is seen by no node.  So f is also evaluated at each end zero, once for the
+two panels that meet there, and its distance from the rule's degree-15
+interpolant extrapolated to the zero adds to the estimate, weighted by the
+kernel's mass u_1^(a+1) / (a+1) between the zero and u_1: the mass the
+nodes do not see, which also keeps the extrapolation's rounding (weights of
+total size up to 2137 on one lobe at a = 4.5) within 2e-18 of the lobe's.
+
+Halving.  A panel of m lobes is kept when its estimate meets the share of
+its 2m half-lobes of min(rel_tol, _LOBE_REL_TOL) times the mass of its y's
+kept and current panels.  One that fails halves at its middle zero into two
+panels of m/2, at one more evaluation of f, and a lobe that fails, as one
+holding a kink does, leaves its two half-lobes to the pieces.  The sine's
+first lobe starts at x = 0, where f is not evaluated, and goes there as two
+half-lobes too.
+
+Pieces.  Every other part of (0, y tail_cut] lies between a zero and a
+crest: a row (zero_end, toward, length, off) of a piece table, which runs
+length from zero_end in the direction toward = +1 or -1 and has its kernel
+zero off beyond zero_end.  It is the interval [v0, v1] = [off, off + length]
+of distances from its zero, and that alone picks its rule:
+
+- [0, pi/2], a whole half-lobe, takes the rule for sin(v)^a there.  GJ(0, a)
+  with the smooth factor folded in would be as accurate, but its null rules
+  see that factor's terms of degree 14 and 15, about 1e-11 of the mass at
+  a = -0.9 or 4.9, and would split smooth half-lobes.
+- v0 < length, near its zero, takes GJ(0, a) on [0, v1] less GJ(0, a) on
+  [0, v0] (none at v0 = 0), both from the zero, with (sin v / v)^a folded
+  into their weights.  Where 0 < v0 < length (_reaches_outside) these
+  evaluate f between the zero and the piece: a falling half cut within
+  pi/4 of its zero is such a piece, so f is evaluated up to pi/(4y) past
+  tail_cut, which spares splitting every such cut.
+- v0 >= length takes Gauss-Legendre, GJ(0, 0), on [v0, v1] with the kernel
+  sin(v)^a, smooth there.
+
+A piece at the cut has its length and off from the zero or crest to y
+tail_cut, taken as the exact sum _two_product gives less m pi/2 in a head
+and a tail, so a cut within 1e-12 of a zero keeps the digits that v^a needs
+there near a = -1.  Which lobes and halves are whole is decided in floats,
+so a cut within rounding of a zero counts as at it: tail_cut = math.pi at
+y = 1 takes the whole lobe [0, pi].  Before their first pass, pieces longer
+in x than a panel may be there are split to that length, as in the rounds.
+
+Refinement.  Each y stops on its own tolerance, max(abs_tol, rel_tol times
+its integrand's L1 mass), the sum of |value| over its panels and pieces, so
+a transform as small as y^a at small y keeps its relative digits.  A piece
+of a y with c pieces in the half-lobe split starts with 1/(2c) of the
+tolerance, and the pieces a piece splits into share its share equally.
+Round by round, while its y is open, a piece over its share is split: at
+its midpoint, as in QUADPACK's QAG, or, where 0 < v0 < length, at the
+distances v0 2^j from its zero into the fewest pieces that each lie at
+least their length from it, take Gauss-Legendre and evaluate f inside
+themselves alone.  A piece whose estimate is within _ROUNDING of its
+|value| is not split again; a y still open after _ROUNDS rounds raises
+NonConvergence.
+
+Blocks.  A curve runs in blocks of consecutive y that hold at most
+_LOBE_BLOCK lobes together, a y with more alone.  Within a block the panels
+of every y share each level of the halving and the pieces one table, and
+every row is summed on its own (np.vecdot), so no value depends on the
+block or on the chunk a row is evaluated in.
 """
 
 from __future__ import annotations
@@ -74,40 +109,34 @@ _HALF_PI = 0.5 * math.pi
 # |m| < 2^21, and the rest; sin(fl(pi)) is pi - fl(pi) to double precision
 _HALF_PI_HEAD = math.ldexp(math.floor(math.ldexp(_HALF_PI, 31)), -31)
 _HALF_PI_TAIL = (_HALF_PI - _HALF_PI_HEAD) + 0.5 * math.sin(math.pi)
-# every Gauss rule: G16 is the value, and the sum of its null rules of these
-# degrees on its own nodes the error estimate
 _GAUSS_N = 16
 _NULL_DEGREES = (15, 14)
-# a whole lobe is kept only at quadrature precision: its share of the y's
-# tolerance is taken at this relative tolerance when the caller's is looser
+# a panel's share is taken at this relative tolerance when the caller's is
+# looser: at the CLI's 1e-6 for sampled input, kinked panels would pass with
+# an error their estimate understates
 _LOBE_REL_TOL = 1e-10
 # a piece over its share is bisected for at most _ROUNDS rounds, to 2^-30 of
 # its length, which cuts a kink's error by 2^-60 but a step's by 2^-30 only;
 # an estimate within _ROUNDING of the piece's |value| is not worth a split
 _ROUNDS = 30
 _ROUNDING = 16 * np.finfo(float).eps
-# lobes of the y refined together, and nodes placed and evaluated at once:
 # these bound the memory of a long curve without changing any value.  A
 # block keeps arrays per panel and per piece, not per lobe: at peak 23 bytes
 # a lobe on a smooth f, 530 on the kinks of 2001 linear samples.  It pays
-# the bookkeeping of each panel level and round once, so one block holds a
-# curve of 400 y up to y tail_cut = 600 (38,892 lobes)
+# the bookkeeping of each halving level and round once, so one block holds
+# a curve of 400 y up to y tail_cut = 600 (38,892 lobes)
 _LOBE_BLOCK = 65536
 _CHUNK_NODES = 8192
-# the most consecutive whole lobes of a y that share one Gauss rule (see
-# _lobe_sums), and the x-length a panel or piece may reach: _PANEL_X at the
-# origin, past it the distance of its start from the origin, and never more
-# than _PANEL_X_MAX, past which an f whose scale stops growing, as that of
+# past _PANEL_X_MAX in x an f whose scale stops growing, as that of
 # cos(x) e^{-x/3} does, aliases on a panel's 16 nodes and its estimate can
-# fall below its error (see _panel_layout)
+# fall below its error, so no panel or piece grows longer
 _PANEL_LOBES = 64
 _PANEL_X = 2.0
 _PANEL_X_MAX = 64.0
-# nodes of the discrete measure the sin(u)^a rules are built from (see
-# _gauss_pair): the Stieltjes procedure integrates p_r^2 x for r <= 16,
-# degree 33, times the smooth factor of _sine_measure, and 64 nodes leave
-# 94 degrees for that factor, whose Chebyshev coefficients on [0, pi/2]
-# fall as 5.8^-k (it is singular at v = pi), far below rounding there
+# the Stieltjes procedure integrates p_r^2 x for r <= 16, degree 33, times
+# the smooth factor of _sine_measure, and 64 nodes leave 94 degrees for that
+# factor, whose Chebyshev coefficients on [0, pi/2] fall as 5.8^-k (it is
+# singular at v = pi), far below rounding there
 _MEASURE_N = 64
 
 
@@ -127,15 +156,11 @@ class QuadSpec:
 
 def _golub_welsch(diag: np.ndarray, off: np.ndarray, mu0: float):
     """Nodes and weight rows of the Gauss rule whose Jacobi matrix has this
-    diagonal and off-diagonal, for a weight of mass mu0: the eigenvalues of
-    the matrix are the nodes and mu0 times the squared first components v_0
-    of its eigenvectors the weights g (Golub & Welsch 1969).  Row r of the
-    eigenvectors is p_r(x) sqrt(g), p_r the weight's orthonormal
-    polynomials, so mu0 v_0 v_r = sqrt(mu0) g p_r(x) sums every polynomial
-    of degree below r to zero but not p_r: the null rule of degree r
-    (Berntsen & Espelid 1991).  The rows are the rule, then the rule less
-    its null rules of degree 15 and 14; for G16 these are exact through
-    degree 14 and 13 and miss u^15 and u^14."""
+    diagonal and off-diagonal, for a weight of mass mu0 (Golub & Welsch
+    1969): the rule, then the rule less each null rule of _NULL_DEGREES.
+    Row r of the eigenvectors v is p_r(x) sqrt(g), so mu0 v_0 v_r sums every
+    polynomial of degree below r to zero but not p_r: the null rule of
+    degree r (Berntsen & Espelid 1991)."""
     theta, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     g = mu0 * v[0] ** 2
     return theta, np.stack([g] + [g - mu0 * v[0] * v[r] for r in _NULL_DEGREES])
@@ -160,18 +185,12 @@ def _extrapolation(theta: np.ndarray) -> np.ndarray:
 
 
 def _gauss_jacobi(alpha: float, n: int):
-    """Nodes and weight rows (see _golub_welsch) of the n-point Gauss rule
-    for the weight u^alpha on [0, 1], the Gauss-Jacobi rule GJ(0, alpha).
-    On [0, L] the rule is the same nodes times L and weights times
-    L^(alpha + 1), exactly.  At alpha = 0 it is Gauss-Legendre.
-
-    The recurrence has a closed form (Gautschi 2004, section 1.5.5): the
-    Jacobi weight (1 - x)^0 (1 + x)^alpha in x = 2u - 1 gives, in u, the
-    diagonal (alpha + 1)/(alpha + 2) at k = 0 and
-    ((k + alpha)(k + alpha + 1) + k(k + 1)) / (b (b + 2)) above, with
-    b = 2k + alpha, and the off-diagonal k (k + alpha) / (b sqrt(b^2 - 1));
-    no entry is a difference of nearly equal numbers.  The mass is
-    1/(alpha + 1); the weights are scaled to it, since the squared first
+    """Nodes and weight rows (see _golub_welsch) of the n-point rule
+    GJ(0, alpha) for the weight u^alpha on [0, 1]; on [0, L] its nodes scale
+    by L and its weights by L^(alpha + 1), exactly.  Its recurrence is the
+    Jacobi weight's closed form (Gautschi 2004, section 1.5.5) in u = (x +
+    1)/2, in which no entry is a difference of nearly equal numbers.  The
+    weights are scaled to the mass 1/(alpha + 1), since the squared first
     components of the eigenvectors sum to 1 only to about 1e-15."""
     k = np.arange(1, n)
     b = 2 * k + alpha
@@ -186,19 +205,14 @@ def _gauss_jacobi(alpha: float, n: int):
 
 @lru_cache(maxsize=64)
 def _jacobi_rule(alpha: float):
-    """G16 for the weight u^alpha on [0, 1], GJ(0, alpha) (see
-    _gauss_jacobi), with its two error-estimate partners on its own nodes,
-    as one rule (u, w) of 16 nodes (see _frozen).  Read-only."""
+    """G16 for u^alpha on [0, 1], GJ(0, alpha), as a read-only rule (u, w)."""
     return _frozen(*_gauss_jacobi(alpha, _GAUSS_N))
 
 
 def _sine_measure(alpha: float, n: int):
-    """Nodes v and weights of the n-point rule for the weight sin(v)^alpha
-    on [0, pi/2]: GJ(0, alpha) on [0, pi/2], which holds the singular v^alpha
-    exactly, with the smooth factor (sin v / v)^alpha folded into its
-    weights.  It integrates sin(v)^alpha times a polynomial of degree d as
-    closely as a polynomial of degree 2n - 1 - d matches that factor, whose
-    nearest singularity lies at v = pi."""
+    """Nodes v and weights of the n-point rule for sin(v)^alpha on [0,
+    pi/2]: GJ(0, alpha) there, which holds v^alpha exactly, with the smooth
+    factor (sin v / v)^alpha folded into its weights."""
     u, w = _gauss_jacobi(alpha, n)
     v = _HALF_PI * u
     return v, w[0] * (_HALF_PI ** (alpha + 1.0) * (np.sin(v) / v) ** alpha)
@@ -206,20 +220,12 @@ def _sine_measure(alpha: float, n: int):
 
 @lru_cache(maxsize=64)
 def _gauss_pair(alpha: float, span: float):
-    """G16 for the weight |sin u|^alpha on [0, span], span pi/2 (a
-    half-lobe, singular at u = 0) or m pi (a panel of m whole lobes,
-    singular at its m + 1 zeros), with two error-estimate partners on its
-    own nodes (see _golub_welsch) and the two rows of the end check, the
-    degree-15 interpolant at its nodes extrapolated to u = 0 and u = span
-    (see _lobe_sums), as one rule (u, w) of 16 nodes (see _frozen).
-    Read-only.
-
-    The discretized Stieltjes procedure (Gautschi 1982) takes the recurrence
-    of the weight's orthonormal polynomials p_r in x = 2u/span - 1 from the
-    _MEASURE_N-point rule for sin(u)^alpha on [0, pi/2] (_sine_measure) as
-    the discrete measure, mirrored about the crest for a whole lobe, where
-    the weight is even, and repeated over the lobes of a panel.
-    """
+    """G16 for |sin u|^alpha on [0, span], span pi/2 or m pi, as a read-only
+    rule (u, w) whose last two rows extrapolate the degree-15 interpolant at
+    its nodes to u = 0 and u = span.  Its recurrence comes from the
+    discretized Stieltjes procedure (Gautschi 1982) on _sine_measure,
+    mirrored about the crest for a whole lobe and repeated over the lobes of
+    a panel."""
     v, q = _sine_measure(alpha, _MEASURE_N)
     lobes = round(span / math.pi)
     x = v / (0.5 * min(span, math.pi)) - 1.0
@@ -284,29 +290,18 @@ def _two_product(a: np.ndarray, b: float):
 
 def _kernel_pieces(phase: float, t_max: np.ndarray, t_lo: np.ndarray,
                    owner: np.ndarray, k: np.ndarray):
-    """Rows (zero_end, toward, length, off) covering the lobes [k pi -
-    phase, (k + 1) pi - phase], k = k[j], of the y owner[j], cut to (0,
-    t_max[owner[j]]], and the owner of each row: the rising (zero to crest)
-    and falling (crest to zero) half of each lobe, cut to the interval,
-    with empty pieces dropped.  A piece runs length from zero_end in the
-    direction toward, +1 on a rising half and -1 on a falling one, and its
-    kernel zero lies off beyond zero_end.  A length is pi/2 or is measured
-    from 0 or the cut, never between zeros; off is nonzero only where the
-    cut falls inside a falling half.  Which halves
-    are whole is decided in floats, as for the lobes in _whole_lobes, so a cut
-    within rounding of a zero or crest counts as at it.  The cut is
-    t_max + t_lo exactly, with t_lo the rounding error of t_max, and a
-    length or off at the cut is its distance from the zero or crest."""
+    """Rows (zero_end, toward, length, off) of the rising and falling halves
+    of the lobes [k pi - phase, (k + 1) pi - phase], k = k[j], of the y
+    owner[j], cut to (0, t_max + t_lo], t_lo the rounding error of t_max,
+    empty ones dropped, and the owner of each row.  A length is pi/2 or is
+    measured from 0 or the cut, never between zeros."""
     t_max, t_lo = t_max[owner], t_lo[owner]
     zero = k * math.pi - phase
     crest = k * math.pi + (_HALF_PI - phase)
     next_zero = (k + 1) * math.pi - phase
     whole = next_zero <= t_max
-    # the cut's distances past the zero, crest and next zero of lobe k, which
-    # lie at m pi/2 for m = 2k, 2k + 1 and 2k + 2 (one less for the cosine):
-    # m * _HALF_PI_HEAD is exact for |m| < 2^21, and so is its difference
-    # from a t_max near it, so a cut within 1e-12 of a zero keeps the digits
-    # of its distance, which the weight v^a near a = -1 depends on
+    # the cut's distances past the zero, crest and next zero of lobe k, at
+    # m pi/2 for m = 2k, 2k + 1 and 2k + 2 (one less for the cosine)
     m = 2 * k - round(phase / _HALF_PI) + np.arange(3)[:, None]
     past = (t_max - m * _HALF_PI_HEAD) + (t_lo - m * _HALF_PI_TAIL)
     rows = np.empty((len(k), 2, 4))
@@ -322,14 +317,17 @@ def _kernel_pieces(phase: float, t_max: np.ndarray, t_lo: np.ndarray,
     return rows[keep], np.repeat(owner, 2)[keep]
 
 
+def _reaches_outside(pieces: np.ndarray) -> np.ndarray:
+    """Whether each piece row has its zero 0 < off < length beyond its
+    start, so that its GJ(0, a) rules evaluate f between the zero and the
+    piece."""
+    return (0.0 < pieces[:, 3]) & (pieces[:, 3] < pieces[:, 2])
+
+
 def _rule_sums(f, x: np.ndarray, w: np.ndarray, scale: np.ndarray):
-    """Value and error estimate of each row of nodes x under a rule's
-    weights w (see _frozen), where the integrand at node t of row i is
-    f(t) / scale[i]: the value is the sum under w[0] and the error the sum
-    of its distances to the sums under the partners w[1:3] (see
-    _golub_welsch).  The sums under any further rows of w follow, one row
-    each.  np.vecdot sums each row on its own, so a row's sums do not
-    depend on the rows evaluated with it."""
+    """Value, error estimate and the sums under any further weight rows of
+    each row of nodes x under the rule's weights w, the integrand at node t
+    of row i being f(t) / scale[i].  Each row is summed on its own."""
     fx = np.asarray(call_vec(f, x.ravel()), dtype=float).reshape(x.shape)
     sums = np.vecdot(fx, w) / scale
     rule, partners, rest = sums[0], sums[1:1 + len(_NULL_DEGREES)], sums[1 + len(_NULL_DEGREES):]
@@ -338,20 +336,9 @@ def _rule_sums(f, x: np.ndarray, w: np.ndarray, scale: np.ndarray):
 
 def _lobe_sums(f, alpha: float, zero: np.ndarray, lobes: np.ndarray, y: np.ndarray,
                ends: np.ndarray):
-    """Value and error estimate of the panels [zero[i], zero[i] + lobes[i]
-    pi] of 1 to _PANEL_LOBES consecutive whole lobes, where the integrand at
-    t is f(t / y[i]) / y[i], by the Gauss rule for |sin u|^a on the panel
-    laid out as a lattice: node j of row i is (zero[i] + u_j) / y[i], from
-    its zero and y alone, with no piece row.  Rows go in chunks of at most
-    _CHUNK_NODES nodes, those of one span together.
-
-    A kink of f nearer an end zero than the rule's first node u_1 is seen
-    by no node (u_1 = 0.05 at a = 1.5 on one lobe, 0.33 on 8, 1.40 on 64).
-    So every panel is checked at its two end zeros: ends holds the
-    integrand there (f / y at the zeros, two rows), and the distance of each
-    from the rule's degree-15 interpolant, extrapolated to that zero (see
-    _gauss_pair), times the weight's mass u_1^(a+1) / (a+1) between the
-    zero and u_1, adds to the error."""
+    """Value and error estimate, end check included, of the panels [zero[i],
+    zero[i] + lobes[i] pi] in t, the integrand at t being f(t / y[i]) /
+    y[i], and ends[:, i] that integrand at the panel's two end zeros."""
     value, error = np.empty((2, len(zero)))
     for m in np.unique(lobes):
         u, w = _gauss_pair(alpha, m * math.pi)
@@ -366,34 +353,14 @@ def _lobe_sums(f, alpha: float, zero: np.ndarray, lobes: np.ndarray, y: np.ndarr
 
 
 def _gauss_piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray):
-    """Value and error estimate of each piece by a 16-point Gauss rule,
-    where the integrand at node t is f(t / scale) / scale.  A row (zero_end,
-    toward, length, off) of _kernel_pieces, or a piece split from one (see
-    _split), is the interval [v0, v1] = [off, off + length] of distances
-    from its kernel zero, and that interval alone picks the rule:
-
-    - [0, pi/2], a whole half-lobe, takes G16 for sin(v)^a (_gauss_pair).
-      GJ(0, a) with the smooth factor folded in would be as accurate, but
-      its null rules see that factor's terms of degree 14 and 15, about
-      1e-11 of the mass at a = -0.9 or 4.9, and would split smooth
-      half-lobes.
-    - v0 < length, a piece near its zero, takes GJ(0, a) (_jacobi_rule) on
-      [0, v1] less GJ(0, a) on [0, v0], nothing at v0 = 0, both from the
-      zero: they hold the weight v^a exactly, and the smooth factor
-      (sin v / v)^a is folded into their weights.  A falling half cut
-      within pi/4 of its zero is such a piece, so f is evaluated up to
-      v0 <= pi/4 past t_max.
-    - v0 >= length, a piece at least its length from its zero, takes
-      Gauss-Legendre, GJ(0, 0), on [v0, v1] with the kernel sin(v)^a, which
-      is smooth there.
-
-    A piece's value and error sum those of its rows.  Rows go in chunks of
-    at most _CHUNK_NODES nodes."""
+    """Value and error estimate of each piece row, the integrand at t being
+    f(t / scale) / scale, on the rule its interval [off, off + length]
+    picks."""
     n = len(pieces)
     zero_end, toward, length, v0 = pieces.T
     half_lobe = (v0 == 0.0) & (length == _HALF_PI)
     jacobi = (v0 < length) & ~half_lobe
-    less = np.flatnonzero(jacobi & (v0 > 0.0))
+    less = np.flatnonzero(_reaches_outside(pieces))
     owner = np.concatenate((np.arange(n), less))
     # a row's node u lies |span| u past its start and lo + |span| u from the
     # zero; a subtracted part has a negative span, which flips its weights'
@@ -423,9 +390,8 @@ def _gauss_piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray):
 
 
 def _bisect(pieces: np.ndarray) -> np.ndarray:
-    """Each row of a piece table (see _kernel_pieces) as two rows of the same
-    form: its half at the zero's side, then its far half, whose zero_end and
-    off move half its length on."""
+    """Each piece row as two rows: its half at the zero's side, then its far
+    half, whose zero_end and off move half its length on."""
     halves = np.repeat(pieces, 2, axis=0)
     halves[:, 2] *= 0.5
     far = halves[1::2]  # a view: the far halves are moved in place
@@ -435,18 +401,13 @@ def _bisect(pieces: np.ndarray) -> np.ndarray:
 
 
 def _split(pieces: np.ndarray, owner: np.ndarray, part: np.ndarray):
-    """The pieces that refine the rows of a piece table (see _kernel_pieces)
-    of owners owner and shares part of their y's tolerance, with the owner
-    and share of each: the pieces of a row share its share equally.  A row
-    near its zero but not at it, 0 < v0 < length, has rules that reach from
-    the zero across the v0 before its start (see _gauss_piece_sums); it
-    splits at the distances v0 2^j from the zero, j = 1, ..., m - 1, with m
-    the fewest that reach its end, so each piece lies at least its length
-    from the zero, takes Gauss-Legendre and evaluates f inside itself alone.
-    Every other row is bisected (_bisect).  The halves come first, then the
-    pieces of the rows near their zero; the pieces of a row keep its
-    order."""
-    near = (0.0 < pieces[:, 3]) & (pieces[:, 3] < pieces[:, 2])
+    """The pieces that refine the piece rows of owners owner and shares part
+    of their y's tolerance, with the owner and share of each; the pieces of
+    a row share its share equally and keep its order.  A row that
+    _reaches_outside splits at the distances v0 2^j from its zero, j = 1,
+    ..., m - 1, into the fewest pieces that each lie at least their length
+    from it; every other row is bisected (_bisect).  The halves come first."""
+    near = _reaches_outside(pieces)
     if not near.any():  # the common case, at half the cost of the general one
         new, parent = _bisect(pieces), np.repeat(np.arange(len(pieces)), 2)
     else:
@@ -455,10 +416,12 @@ def _split(pieces: np.ndarray, owner: np.ndarray, part: np.ndarray):
         m += np.ldexp(v0, m) - v0 < length
         m -= np.ldexp(v0, m - 1) - v0 >= length
         row, j = _runs(np.zeros(len(m), dtype=int), m)
-        start = np.ldexp(v0[row], j) - v0[row]
-        end = np.where(j < m[row] - 1, np.ldexp(v0[row], j + 1) - v0[row], length[row])
+        off = np.ldexp(v0[row], j)
+        start = off - v0[row]
+        # v0 2^j long, the last cut to the row's end, and never longer than
+        # off, which a difference of the rounded ends may be
         geometric = np.column_stack((zero_end[row] + toward[row] * start, toward[row],
-                                     end - start, np.ldexp(v0[row], j)))
+                                     np.minimum(off, length[row] - start), off))
         halved = np.flatnonzero(~near)
         new = np.concatenate((_bisect(pieces[halved]), geometric))
         parent = np.concatenate((np.repeat(halved, 2), np.flatnonzero(near)[row]))
@@ -467,27 +430,19 @@ def _split(pieces: np.ndarray, owner: np.ndarray, part: np.ndarray):
 
 def _panel_layout(phase: float, ys: np.ndarray, whole: np.ndarray):
     """The first panels of the whole lobes 1, ..., whole[i] of each ys[i], as
-    rows (owner, k, lobes) in order of owner and k: the lobes k, ..., k +
-    lobes - 1 of ys[owner], and after each y's last panel a row of no lobes
-    at its last zero.  A panel whose first zero lies at x_start = (k pi -
-    phase) / y holds m lobes, the largest power of two with m pi / y <=
-    x_start clipped to [_PANEL_X, _PANEL_X_MAX], at most _PANEL_LOBES and at
-    most the lobes left, and one where no m fits.  So the panels grow with
-    their distance from the origin, as the x-scale of a decaying f does, and
-    a y's layout depends on that y and its lobes alone; it bets on f's scale
-    growing with x up to _PANEL_X_MAX, and an f with structure far from the
-    origin fails the large panels there and pays for their halving.
+    rows (owner, k, lobes) in order of owner and k, each the lobes k, ..., k
+    + lobes - 1 of ys[owner], and after each y's last panel a row of no lobes
+    at its last zero.
 
-    In closed form: the first panel holds m0 lobes, the largest power of two
-    up to the cap with m0 pi / y <= _PANEL_X, else 1, and the cap is the
-    largest power of two up to _PANEL_LOBES with cap pi / y <= _PANEL_X_MAX,
-    else 1.  Past the first panel x_start admits exactly the largest power
-    of two at most k - phase/pi, so the sizes run m1, 2 m1, 4 m1, ..., with
-    m1 = 2 for the sine at m0 = 1, else m0, each taken while below the cap
-    and while it fits in the lobes left; the rest is runs of the cap, then
-    the binary digits of what remains, largest first.  (A size that fits
-    but not twice is the largest binary digit of the lobes left, so taking
-    it there or as a digit gives the same panels.)"""
+    In closed form: the first panel holds m0 lobes and none more than cap,
+    the largest powers of two up to _PANEL_LOBES with m pi / y <= _PANEL_X
+    and <= _PANEL_X_MAX, else 1.  Past the first panel x_start admits
+    exactly the largest power of two at most k - phase/pi, so the sizes run
+    m1, 2 m1, 4 m1, ..., m1 = 2 for the sine at m0 = 1, else m0, each taken
+    while below the cap and while it fits in the lobes left; the rest is
+    runs of the cap, then the binary digits of what remains, largest first.
+    (A size that fits but not twice is the largest binary digit of the
+    lobes left, so either way gives the same panels.)"""
     sizes = 1 << np.arange(_PANEL_LOBES.bit_length())
     lengths = (sizes * math.pi) / ys[:, None]
     m0, cap = (sizes[np.maximum(np.count_nonzero(lengths <= x, axis=1) - 1, 0)]
@@ -505,11 +460,9 @@ def _panel_layout(phase: float, ys: np.ndarray, whole: np.ndarray):
 
 
 def _graded_pieces(pieces: np.ndarray, owner: np.ndarray, part: np.ndarray, ys: np.ndarray):
-    """The piece table (see _kernel_pieces) with each row's owner and share
-    of its y's tolerance, its rows longer in x than x_near, their end
-    nearer the origin, clipped to [_PANEL_X, _PANEL_X_MAX], split (_split)
-    until none is, as panels are laid out (see _panel_layout).  Only the long rows go back
-    through the split, and the short ones are joined once at the end."""
+    """The piece rows of owners owner and shares part, each split (_split)
+    until none is longer in x than its end nearer the origin clipped to
+    [_PANEL_X, _PANEL_X_MAX], with the owner and share of each."""
     out = []
     while True:
         zero_end, toward, length = pieces[:, :3].T
@@ -523,23 +476,10 @@ def _graded_pieces(pieces: np.ndarray, owner: np.ndarray, part: np.ndarray, ys: 
 
 
 def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
-    """The whole-lobe pass of _totals over its block of ys.  Returns the
-    value, error and L1 mass of the kept panels summed per y, the pieces
-    left for the rounds (every cut piece, and both halves of the sine's
-    first lobe and of each lobe that failed), as rows (zero_end, toward,
-    length, off) of _kernel_pieces, with the y each belongs to, and each y's
-    count of pieces in the half-lobe split.
-
-    The whole lobes 1, ..., whole of a y (_whole_lobes) start as panels of
-    a power of two up to _PANEL_LOBES lobes from the zero pi - phase on,
-    sized in x (_panel_layout); the sine's first lobe starts at x = 0,
-    outside (0, t_max], where f may be undefined, and goes with the cut
-    pieces.  f is evaluated once at each panel end zero, for both panels
-    that meet there (see _lobe_sums).  A panel of m lobes is kept when its
-    error meets the share of its 2m half-lobes, at quadrature precision, of
-    the mass of the y's kept and current panels.  One that fails halves at
-    its middle zero into two panels of m/2 lobes, at one evaluation of f;
-    a lobe that fails leaves its two half-lobes to the rounds."""
+    """The panels of a block of ys: the value, error and L1 mass of the kept
+    panels summed per y, the piece rows left (the cut pieces, and the halves
+    of the sine's first lobe and of each lobe that failed) with the y each
+    belongs to, and each y's count of pieces in the half-lobe split."""
     n, (t_max, t_lo) = len(ys), _two_product(ys, spec.tail_cut)
     count, whole = _lobe_counts(phase, t_max), _whole_lobes(phase, t_max)
     # the lobes left to pieces: the first, from x = 0 for the sine and across
@@ -547,7 +487,6 @@ def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
     owner, k = _runs(whole, count - whole)
     k[k == whole[owner]] = 0
     pieces, piece_owner = _kernel_pieces(phase, t_max, t_lo, owner, k)
-    # the pieces every y has in the half-lobe split, two per whole lobe
     counts = np.bincount(piece_owner, minlength=n) + 2 * whole
     if not counts.all():
         t_cut = ys[counts == 0][0] * spec.tail_cut
@@ -578,31 +517,10 @@ def _lobe_pass(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec):
 
 
 def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np.ndarray:
-    """The integral at each of ys, refined together.  Each y keeps its own
-    stopping rule: a piece is refined while its y has not met its tolerance
-    and its error exceeds its share of it.  A y's tolerance is rel_tol times
-    its integrand's L1 mass, the sum of |value| over its lobes and pieces,
-    so a tiny integral, as at small y and large a, keeps its relative
-    digits; abs_tol is a floor.
-
-    Every whole lobe inside (0, y tail_cut], the sine's first aside, first
-    takes a Gauss rule for |sin u|^a (_lobe_pass), in a panel sized in x of
-    up to _PANEL_LOBES lobes (_panel_layout), checked at its end zeros, and
-    is kept only at quadrature precision: the estimate within the share of
-    its halves of min(rel_tol, _LOBE_REL_TOL) times the mass of the y's
-    panels.  A kept panel is final; a failed one of m lobes halves into two
-    of m/2, down to single lobes.  A lobe that fails splits into its
-    half-lobes before the first round, so they take the path of every other
-    piece, a row (zero_end, toward, length, off) of the piece table: first a
-    split to the lengths panels may reach there (_graded_pieces), then the
-    Gauss pass (_gauss_piece_sums), and, for a piece over its share, a split
-    (_split), the new pieces going back through the Gauss pass, for up to
-    _ROUNDS rounds.  A piece of a y split into c pieces in the half-lobe
-    split starts with 1/(2c) of the y's tolerance, and the pieces a piece
-    splits into share its share equally (_split hands each its owner and
-    share); a piece whose estimate is within _ROUNDING of its |value| is at
-    rounding level and is not split again.  A y that meets its tolerance is final,
-    and its pieces leave the table."""
+    """The integral at each of a block of ys: the panels (_lobe_pass), then
+    the pieces, graded (_graded_pieces) and refined round by round until
+    every y meets its own tolerance.  Raises NonConvergence naming the first
+    y that does not."""
     n = len(ys)
     kept_total, kept_error, kept_mass, pieces, piece_owner, counts = _lobe_pass(
         f, alpha, ys, phase, spec)
@@ -623,10 +541,9 @@ def _totals(f, alpha: float, ys: np.ndarray, phase: float, spec: QuadSpec) -> np
         if not open_.any():
             return out
         share = np.maximum(tol[piece_owner] * part, _ROUNDING * finite)
-        # a non-finite estimate counts as over only where the rule evaluates f
-        # past t_max, a difference of two GJ(0, a) rows; no split mends another
-        past = (0.0 < pieces[:, 3]) & (pieces[:, 3] < pieces[:, 2])
-        bad = open_[piece_owner] & ~(error <= share) & (np.isfinite(error) | past)
+        # a non-finite estimate counts as over only where the rules evaluate f
+        # outside the piece, as past t_max; no split mends another
+        bad = open_[piece_owner] & ~(error <= share) & (np.isfinite(error) | _reaches_outside(pieces))
         if rounds == _ROUNDS or not bad.any():
             i = np.flatnonzero(open_)[0]
             raise NonConvergence(
@@ -651,28 +568,11 @@ def integrate_kernel_split(
     """Integral of |sin(xy)|^a f(x) (or |cos(xy)|^a f(x)) over (0, tail_cut],
     at each y > 0 (points as in grid._pointwise).
 
-    Splits at the kernel zeros x = k pi / y (shifted by pi/(2y) for the
-    cosine), integrates the whole lobes of each y in panels of a power of
-    two up to _PANEL_LOBES consecutive lobes, no longer in x than their
-    distance from the origin clipped to [_PANEL_X, _PANEL_X_MAX] unless one
-    lobe (see _panel_layout), each with the 16-point Gauss rule for the |sin u|^a
-    weight on the panel; each other half-lobe (the sine's first lobe, from
-    x = 0, goes as two) with the one on [0, pi/2] and each piece cut at
-    tail_cut with the Gauss-Jacobi rule GJ(0, a), or Gauss-Legendre on a
-    falling half cut more than pi/4 from its zero (one cut nearer is its
-    whole half-lobe less the part past the cut, so f is evaluated up to
-    pi/(4y) past tail_cut), each first split to the length a panel may
-    reach there.  It refines what its error estimate leaves open by
-    splitting: a panel of m lobes into two of m/2 at its middle zero, a lobe
-    into half-lobes, any other piece over the budget of its y at its
-    midpoint, or at v0 2^j where its rules reach past it toward its zero,
-    round by round (see _totals).  A Gauss rule's estimate comes from its null rules of
-    degree 15 and 14 on its own nodes, so it costs no evaluations of f
-    beyond the rule's 16; a panel's end check adds one evaluation at each
-    end zero, shared by the panels that meet there (see _lobe_sums).  The y
-    run in blocks of consecutive y holding at most _LOBE_BLOCK lobes
-    together, a y with more lobes alone, which bounds the memory a long
-    curve takes; no value depends on the block.
+    f takes an array of x and is evaluated only at 0 < x <= tail_cut +
+    pi/(4y), never at the origin.  Each y stops on its own tolerance,
+    rel_tol times the L1 mass of its integrand, abs_tol a floor; one that
+    does not converge raises NonConvergence.  The module docstring gives
+    the algorithm.
     """
     spec = spec or QuadSpec()
     alpha = as_alpha(alpha)

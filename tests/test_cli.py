@@ -112,14 +112,14 @@ class TestForward:
         assert rc == 0
 
     def test_csv_input_records_the_tail_cut_it_used(self, capsys, tmp_path, t2f1_csv):
-        # the integral of sampled input stops at the last sample, at 20 to
-        # rounding here, below the default tail_cut of 30; the comment line
-        # records that cut, and a rerun with it reproduces the file
+        # the integral of sampled input stops at the last sample, 20 here,
+        # below the default tail_cut of 30; the comment line records that
+        # cut, and a rerun with it reproduces the file
         first, again = tmp_path / "first.csv", tmp_path / "again.csv"
         base = ["forward", "--in", t2f1_csv, "--alpha", "0.5", "--grid", "0.5:1:2"]
         assert run(capsys, *base, "--out", str(first))[0] == 0
         cut = first.read_text().splitlines()[0].split("tail_cut=")[1].split()[0]
-        assert cut == repr(sampled_from_csv(t2f1_csv).grid.last) and abs(float(cut) - 20.0) < 1e-12
+        assert cut == repr(sampled_from_csv(t2f1_csv).grid.last) and float(cut) == 20.0
         assert run(capsys, *base, "--tail-cut", cut, "--out", str(again))[0] == 0
         assert again.read_text() == first.read_text()
 

@@ -603,6 +603,45 @@ def test_graded_pieces_are_no_longer_than_a_panel_there(ys, tail_cut, kernel):
                            np.bincount(owner, expect, len(ys)), rtol=1e-14, atol=0.0)
 
 
+@given(v0=st.floats(min_value=1e-13, max_value=2.0),
+       ratio=st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
+       j=st.integers(min_value=2, max_value=40),
+       tie=st.sampled_from([None, -1, 0, 1]),
+       zero_end=st.floats(min_value=0.0, max_value=100.0),
+       toward=st.sampled_from([1.0, -1.0]))
+@example(v0=0.1, ratio=2.0, j=2, tie=0, zero_end=7.0, toward=-1.0)
+@example(v0=1e-12, ratio=2.0, j=40, tie=1, zero_end=7.0, toward=-1.0)
+@example(v0=0.3, ratio=2.0, j=5, tie=-1, zero_end=7.0, toward=1.0)
+@settings(max_examples=200, deadline=None)
+def test_split_near_its_zero_tiles_the_row(v0, ratio, j, tie, zero_end, toward):
+    # a row whose zero lies 0 < off < length beyond its start splits at the
+    # distances v0 2^j from the zero; each piece must lie at least its length
+    # from the zero, exactly, or it takes the GJ(0, a) difference rule again
+    # and reaches back across the cut it was split to avoid.  Lengths drawn
+    # at v0 2^j - v0 and one ulp either side, and at random
+    if tie is None:
+        length = v0 * ratio
+    else:
+        length = math.ldexp(v0, j) - v0
+        length = {-1: math.nextafter(length, 0.0), 0: length, 1: math.nextafter(length, math.inf)}[tie]
+    row = np.array([[zero_end, toward, length, v0]])
+    pieces, owner, part = _split(row, np.array([3]), np.array([0.25]))
+    starts, lengths, offs = pieces[:, 0], pieces[:, 2], pieces[:, 3]
+    m = len(pieces)
+    assert np.all(pieces[:, 1] == toward) and np.all(owner == 3)
+    assert np.all(offs >= lengths) and np.all(lengths > 0.0)
+    # the fewest: m - 1 pieces v0 2^j long would end short of the row's end
+    assert math.ldexp(v0, m - 1) - v0 < length
+    # in order from the row's start, each with the row's zero, to rounding
+    rounding = 8 * np.finfo(float).eps * (zero_end + v0 + length)
+    ends = starts + toward * lengths
+    assert starts[0] == zero_end
+    assert np.all(np.abs(starts[1:] - ends[:-1]) <= rounding)
+    assert abs(ends[-1] - (zero_end + toward * length)) <= rounding
+    assert np.all(np.abs((starts - toward * offs) - (zero_end - toward * v0)) <= rounding)
+    assert math.isclose(np.sum(part), 0.25, rel_tol=1e-14)
+
+
 def _cut_near(kernel, y, delta, crest=False):
     """A tail_cut with y * tail_cut delta past a kernel zero, 3 pi for the
     sine and 5 pi/2 for the cosine, or past the crest before it, to the
@@ -610,6 +649,26 @@ def _cut_near(kernel, y, delta, crest=False):
     with mp.workdps(30):
         t = (3 if kernel == "sine" else mp.mpf(5) / 2) * mp.pi - (mp.pi / 2 if crest else 0)
         return float((t + delta) / y)
+
+
+@given(a=st.floats(min_value=-0.99, max_value=5.0),
+       y=st.floats(min_value=0.05, max_value=20.0),
+       tail_cut=st.floats(min_value=0.2, max_value=40.0),
+       kernel=st.sampled_from(["sine", "cosine"]))
+@example(a=-0.5, y=1.3, tail_cut=_cut_near("sine", 1.3, -1e-9), kernel="sine")
+@example(a=1.5, y=1.3, tail_cut=_cut_near("cosine", 1.3, -1e-6), kernel="cosine")
+@example(a=-0.9, y=0.2, tail_cut=7.0, kernel="cosine")
+@settings(max_examples=40, deadline=None)
+def test_f_is_evaluated_within_reach_of_the_cut(a, y, tail_cut, kernel):
+    # f is evaluated only at 0 < x <= tail_cut + pi/(4y): a falling half cut
+    # within pi/4 of its zero is its whole half-lobe less the part past the
+    # cut, and nothing else reaches past tail_cut or to the origin
+    seen = []
+    f = lambda x: seen.append(np.asarray(x)) or np.exp(-x)
+    integrate_kernel_split(f, a, y, QuadSpec(tail_cut=tail_cut), kernel)
+    x = np.concatenate(seen)
+    assert x.min() > 0.0
+    assert x.max() <= (tail_cut + math.pi / (4 * y)) * (1 + 8 * np.finfo(float).eps)
 
 
 # the cut inside lobes at two y; within 1e-12 and 1e-6 of a zero on either
@@ -774,20 +833,34 @@ class TestKernelSplit:
         assert math.isclose(val, exact, rel_tol=1e-10)
 
     @pytest.mark.parametrize("kernel", ["sine", "cosine"])
-    def test_f_undefined_past_the_cut(self, kernel):
+    def test_f_undefined_past_the_cut(self, kernel, monkeypatch):
         # the falling half cut 1e-6 to 1e-12 short of its zero is a
         # difference of two GJ(0, a) rows, which evaluate f up to the zero;
         # where f is NaN past the cut, the piece splits at v0 2^j into
-        # pieces that no longer reach past the cut.  Bisection at midpoints
-        # needed 34 to 41 rounds there, past the last.  Where f is NaN
-        # inside, no split mends it
-        y, a = 1.3, -0.5
-        for short in (1e-6, 1e-9, 1e-10, 1e-12):
-            spec = QuadSpec(tail_cut=_cut_near(kernel, y, -short))
-            undefined_past = lambda x: np.where(x <= spec.tail_cut, np.exp(-x), np.nan)
-            val = integrate_kernel_split(undefined_past, a, y, spec, kernel)
-            exact = _edge_oracle(a, y, spec.tail_cut, kernel)
-            assert math.isclose(val, exact, rel_tol=1e-10), short
+        # pieces that no longer reach past the cut, so only the first pass
+        # over the pieces evaluates f there.  Bisection at midpoints needed
+        # 34 to 41 rounds there, past the last.  Where f is NaN inside, no
+        # split mends it
+        passes = []
+        piece_sums = quad._gauss_piece_sums
+        monkeypatch.setattr(quad, "_gauss_piece_sums",
+                            lambda *args: passes.append(len(passes)) or piece_sums(*args))
+        y = 1.3
+        for a in (-0.5, 1.5, -0.9):
+            for short in (1e-6, 1e-9, 1e-10, 1e-12):
+                spec = QuadSpec(tail_cut=_cut_near(kernel, y, -short))
+                past = set()
+
+                def undefined_past(x):
+                    if np.any(x > spec.tail_cut):
+                        past.add(len(passes))
+                    return np.where(x <= spec.tail_cut, np.exp(-x), np.nan)
+
+                passes.clear()
+                val = integrate_kernel_split(undefined_past, a, y, spec, kernel)
+                assert past == {1}, (a, short)
+                exact = _edge_oracle(a, y, spec.tail_cut, kernel)
+                assert math.isclose(val, exact, rel_tol=1e-10), (a, short)
         with pytest.raises(NonConvergence, match="error nan above tolerance"):
             integrate_kernel_split(lambda x: np.full_like(x, np.nan), a, y, spec, kernel)
 
