@@ -15,7 +15,6 @@ import io
 import math
 import sys
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -101,71 +100,61 @@ def read_csv(path: str) -> tuple[list[str], np.ndarray]:
 
 def _content_lines(path: str):
     """(number, line) of each line of a UTF-8 text file that is neither blank
-    nor a '#' comment, stripped.  A line that is not UTF-8 is refused, by
-    number, when the pass reaches it."""
-    # a byte that is not UTF-8 comes through as a lone surrogate
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ValueError(f"{path}, line {number}: not UTF-8 text ({exc})") from None
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield number, line
+    nor a '#' comment, stripped.  Lines end at \\n, \\r\\n or \\r.  A line that
+    is not UTF-8 is refused, by number, when the pass reaches it."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # each line is decoded with its ending: a character it cuts short is then
+    # an invalid continuation byte, not an unexpected end of data
+    for number, line in enumerate(raw.splitlines(keepends=True), 1):
+        try:
+            line = line.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}, line {number}: not UTF-8 text ({exc})") from None
+        if line and not line.startswith("#"):
+            yield number, line
 
 
 def _read_csv_rows(path: str) -> tuple[list[str], np.ndarray]:
-    """read_csv row by row: every input float() reads, and every error.
+    """read_csv line by line: every input float() reads, and every error.
 
-    One pass keeps the header and the rows before the first ragged one, with
-    their line numbers, and refuses a line that is not UTF-8 as it reaches
-    it; then all their fields are parsed at once.  The error raised after the
-    pass is the first of: a field float() refuses, the ragged row, no data
-    rows, a value that is not finite; each names the first line at fault."""
+    One pass over the content lines: the first is the header, of at least two
+    columns, and each later one a row of the header's width whose fields
+    float() reads.  The first fault in file order is raised and names its
+    line: a line that is not UTF-8, a one-column header, a ragged row, a
+    field float() refuses.  After the pass come, in this order, no data rows
+    and a value that is not finite, which names the first line holding one."""
     header: list[str] | None = None
-    rows: list[str] = []
     numbers: list[int] = []
-    ragged = None
+    values: list[float] = []
     for number, line in _content_lines(path):
+        fields = line.split(",")
         if header is None:
-            header = [c.strip() for c in line.split(",")]
+            header = [c.strip() for c in fields]
             if len(header) < 2:
                 raise ValueError(f"{path}, line {number}: need at least two columns")
-        elif line.count(",") != len(header) - 1:
-            ragged = (f"{path}, line {number}: {line.count(',') + 1} fields, "
-                      f"the header has {len(header)}")
-            break
-        else:
-            rows.append(line)
-            numbers.append(number)
-    fields = ",".join(rows).split(",") if rows else []
-    try:
-        values = list(map(float, fields))
-    except ValueError:
-        for i, field in enumerate(fields):
-            try:
-                float(field)
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {numbers[i // len(header)]}: {exc}") from None
-    if ragged is not None:
-        raise ValueError(ragged)
-    if not rows:
+            continue
+        if len(fields) != len(header):
+            raise ValueError(f"{path}, line {number}: {len(fields)} fields, "
+                             f"the header has {len(header)}")
+        try:
+            values.extend(map(float, fields))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
+        numbers.append(number)
+    if not numbers:
         raise ValueError(f"{path}: no data rows")
-    data = np.array(values).reshape(len(rows), len(header))
-    bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
+    data = np.array(values).reshape(len(numbers), len(header))
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if len(bad):
         raise ValueError(f"{path}, line {numbers[bad[0]]}: value is not finite")
     return header, data
 
 
-def _increasing(path: str, x: np.ndarray) -> np.ndarray:
-    """The steps of the abscissae x read from path, all of them positive."""
-    steps = np.diff(x)
-    if not np.all(steps > 0.0):
+def _increasing(path: str, x: np.ndarray) -> None:
+    """Refuse the abscissae x read from path unless they increase."""
+    if not np.all(np.diff(x) > 0.0):
         raise ValueError(f"{path}: abscissae must increase")
-    return steps
 
 
 def sampled_from_csv(path: str) -> SampledFunction:
@@ -173,11 +162,12 @@ def sampled_from_csv(path: str) -> SampledFunction:
     x = data[:, 0]
     if len(x) < 2:
         raise ValueError(f"{path}: need at least two samples")
-    steps = _increasing(path, x)
-    step = float(np.median(steps))
-    if np.max(np.abs(steps - step)) > 1e-8 * max(1.0, abs(step)):
+    _increasing(path, x)
+    grid = UniformGrid.from_span(float(x[0]), float(x[-1]), len(x))
+    # each abscissa within 1e-8 of a step of its grid point, beyond rounding
+    if np.max(np.abs(x - grid.points())) > 1e-8 * grid.step + 8.0 * np.spacing(np.max(np.abs(x))):
         raise ValueError(f"{path}: abscissae are not uniformly spaced")
-    return SampledFunction(UniformGrid.from_span(float(x[0]), float(x[-1]), len(x)), data[:, 1])
+    return SampledFunction(grid, data[:, 1])
 
 
 def parse_grid(text: str) -> UniformGrid:
@@ -245,18 +235,17 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(_method_first(_expand_config(argv)))
 
 
-@contextmanager
-def _out_stream(args):
+def _emit(args, params: dict, header: list[str], columns: list[np.ndarray], comments=()) -> None:
+    """Write a command's output to --out, or to stdout if it is not given: a
+    '#' line "alphasine COMMAND key=value ..." with params in key order, a '#'
+    line for each comment, then the table."""
+    body = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+    lines = [f"alphasine {args.command} {body}", *comments]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
+            write_csv(fh, lines, header, columns)
     else:
-        yield sys.stdout
-
-
-def _params_comment(cmd: str, pairs: dict) -> str:
-    body = " ".join(f"{k}={v}" for k, v in sorted(pairs.items()))
-    return f"alphasine {cmd} {body}"
+        write_csv(sys.stdout, lines, header, columns)
 
 
 def cmd_coeffs(args) -> int:
@@ -264,8 +253,7 @@ def cmd_coeffs(args) -> int:
     table = coeffs(args.alpha, args.count)
     j = np.arange(args.count + 1, dtype=float)
     params = {"alpha": args.alpha, "count": args.count, "kind": args.kind}
-    with _out_stream(args) as out:
-        write_csv(out, [_params_comment("coeffs", params)], ["j", "c_j"], [j, table.coeffs])
+    _emit(args, params, ["j", "c_j"], [j, table.coeffs])
     return 0
 
 
@@ -297,8 +285,7 @@ def cmd_forward(args) -> int:
         pos = ys > 0.0
         vals[pos] = t_sine_series(fhat, args.alpha, ys[pos], terms, fhat_decays=True)
         vals[~pos] = t_sine(f, args.alpha, ys[~pos], spec)
-    with _out_stream(args) as out:
-        write_csv(out, [_params_comment("forward", params)], ["y", "value"], [ys, vals])
+    _emit(args, params, ["y", "value"], [ys, vals])
     return 0
 
 
@@ -348,8 +335,7 @@ def cmd_invert(args) -> int:
         comments.append(f"l2_error = {err:.6g}")
         columns.append(truth)
         header_row.append("truth")
-    with _out_stream(args) as out:
-        write_csv(out, [_params_comment("invert", params)] + comments, header_row, columns)
+    _emit(args, params, header_row, columns, comments)
     for line in comments:
         print(line, file=sys.stderr)
     return 0
@@ -365,8 +351,7 @@ def cmd_noise(args) -> int:
     if args.sigma != 0.0:
         vals = vals + args.sigma * gaussian_noise(args.seed, len(vals))
     params = {"sigma": args.sigma, "seed": args.seed, "in": args.infile}
-    with _out_stream(args) as out:
-        write_csv(out, [_params_comment("noise", params)], ["x", "value"], [data[:, 0], vals])
+    _emit(args, params, ["x", "value"], [data[:, 0], vals])
     return 0
 
 
@@ -380,9 +365,7 @@ def cmd_sas(args) -> int:
     t = data[:, 0] / 2.0
     g_vals = g_from_codifference(data[:, 1], p, t)
     params = {"sigma": args.sigma, "alpha": p.alpha.value, "in": args.infile}
-    with _out_stream(args) as out:
-        write_csv(out, [_params_comment("sas", params), f"f0 = {f0_from_scale(p):.17g}"],
-                  ["t", "g"], [t, g_vals])
+    _emit(args, params, ["t", "g"], [t, g_vals], [f"f0 = {f0_from_scale(p):.17g}"])
     return 0
 
 

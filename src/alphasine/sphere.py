@@ -167,10 +167,8 @@ def invert_sphere(kf: SampledFunction, alpha, maxn: int) -> PeriodicDensity:
     clipped = np.maximum(raw, 0.0)
     step_mass = 2.0 * math.pi / m
     clipped_mass = step_mass * float(np.sum(clipped - raw))
-    total = step_mass * float(np.sum(clipped))
-    if total <= 0.0:
-        raise NonConvergence("reconstructed density clipped to zero everywhere")
-    clipped /= total
+    # raw sums to m fhat(0) = m / (2 pi), so clipping leaves a mass of at least 1
+    clipped /= step_mass * float(np.sum(clipped))
     return PeriodicDensity(
         SampledFunction(circle_grid(m), clipped),
         certified_pi_periodic=True,

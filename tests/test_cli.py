@@ -105,6 +105,13 @@ class TestForward:
         _, qb = read_csv(str(b))
         assert np.max(np.abs(qa[:, 1] - qb[:, 1])) <= 1e-4
 
+    def test_one_point_grid(self, capsys):
+        # start:stop:1 samples y = start alone
+        rc, out, _ = run(capsys, "forward", "--f", "f1", "--alpha", "2", "--grid", "1:2:1")
+        rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+        assert rc == 0 and len(rows) == 1 and float(rows[0][0]) == 1.0
+        assert math.isclose(float(rows[0][1]), float(t2_f1(1.0)), rel_tol=1e-9)
+
     def test_csv_input(self, capsys, tmp_path, t2f1_csv):
         out_path = tmp_path / "fwd.csv"
         rc, _, _ = run(capsys, "forward", "--in", t2f1_csv, "--alpha", "0.5",
@@ -478,10 +485,26 @@ class TestConfigAndErrors:
                        "decode byte 0xff in position 2: invalid start byte)\n")
 
     def test_nonuniform_csv_rejected(self, tmp_path):
+        # below a step of 1e-8 a check of the steps against an absolute 1e-8
+        # passed the last two, and their samples moved onto a grid, by up to 60% of a step
         src = tmp_path / "bad.csv"
-        write_samples(src, [0.0, 1.0, 3.0], [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            sampled_from_csv(str(src))
+        for xs in ([0.0, 1.0, 3.0], [0.0, 1e-9, 5e-9], [0.0, 1e-9, 2e-9, 3.5e-9]):
+            write_samples(src, xs, np.ones(len(xs)))
+            with pytest.raises(ValueError) as exc:
+                sampled_from_csv(str(src))
+            assert str(exc.value) == f"{src}: abscissae are not uniformly spaced"
+
+    @pytest.mark.parametrize("start, stop, count", [(0.0, 1e-9, 11), (1e6, 1e6 + 1.0, 1001),
+                                                    (0.0, 20.0, 2001)])
+    def test_uniform_csv_accepted(self, tmp_path, start, stop, count):
+        # abscissae written at 17 digits sit on their grid up to rounding,
+        # which at 1e6 is more than ten times 1e-8 of a step of 1e-3
+        src = tmp_path / "ok.csv"
+        xs = np.linspace(start, stop, count)
+        write_samples(src, xs, np.ones(count))
+        grid = sampled_from_csv(str(src)).grid
+        assert (grid.start, grid.count) == (start, count)
+        assert np.max(np.abs(grid.points() - xs)) <= 4.0 * np.spacing(stop)
 
     def test_nonconvergence_exit_code(self, capsys, monkeypatch, tmp_path, t2f1_csv):
         import alphasine.cli as cli_mod
@@ -574,12 +597,14 @@ class TestConfigAndErrors:
         (_rows_with(5, "abc", 1400), ", line 6: could not convert string to float: 'abc'"),
         (_rows_with(1300, "abc", 1400), ", line 1301: could not convert string to float: 'abc'"),
         (_rows_with(1400, "abc", 5), ", line 6: 3 fields, the header has 2"),
+        # "\udcff" is written as the byte 0xff, which is not UTF-8
+        ("x,value\n0,abc\n1,2\n2,\udcff3\n", ", line 2: could not convert string to float: 'abc'"),
     ], ids=["width-first", "number-first", "width-before-finite", "short", "empty-field",
             "header-only", "empty", "one-column", "number-then-width-far",
-            "number-then-width-near", "width-then-number-far"])
+            "number-then-width-near", "width-then-number-far", "number-before-not-utf8"])
     def test_csv_error_names_first_fault(self, tmp_path, text, suffix):
         bad = tmp_path / "bad.csv"
-        bad.write_text(text, encoding="utf-8")
+        bad.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(ValueError) as exc:
             read_csv(str(bad))
         assert str(exc.value) == f"{bad}{suffix}"

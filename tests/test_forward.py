@@ -1,5 +1,6 @@
 """Forward transforms against closed forms and the series representation."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -139,9 +140,13 @@ def _f2_kernel_tail(a, y):
 
 class TestSeries:
     def test_alpha_two_exact(self):
-        for y in (0.3, 1.0, 2.0):
-            expect = 0.25 * (fhat1(0.0) - fhat1(2.0 * y))
-            assert math.isclose(t_sine_series(fhat1, 2.0, y, 1), float(expect), rel_tol=1e-14)
+        # at a = 2 the series is c_0/2 fhat(0) + c_1 fhat(2y) = (fhat(0) - fhat(2y)) / 4,
+        # so each fhat meets the independent closed form of its |sin|^2 transform
+        for (_, fhat, t2), y in itertools.product(EXAMPLES.values(), (0.3, 1.0, 2.0)):
+            expect = 0.25 * (fhat(0.0) - fhat(2.0 * y))
+            got = t_sine_series(fhat, 2.0, y, 1)
+            assert math.isclose(got, float(expect), rel_tol=1e-14)
+            assert math.isclose(got, float(t2(y)), rel_tol=1e-13)
 
     def test_alpha_zero_single_term(self):
         assert math.isclose(

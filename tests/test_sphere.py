@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphasine.errors import CoefficientUnderflow, EvenIntegerAlpha
 from alphasine.examples import shifted_sine_density, vonmises4_density, watson_density
@@ -189,6 +191,18 @@ class TestInvertSphere:
         rec = invert_sphere(kf, 1.5, 10)
         assert np.max(np.abs(rec.values.values - 1.0 / (2.0 * math.pi))) <= 1e-12
         assert rec.clipped_mass == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(st.floats(-1e6, 1e6), min_size=64, max_size=64),
+           alpha=st.sampled_from([-0.5, 0.5, 1.5, 3.0]), maxn=st.integers(1, 7))
+    def test_any_transform_inverts_to_unit_mass(self, values, alpha, maxn):
+        # the series synthesized from fhat(0) = 1/(2 pi) sums to M/(2 pi) over the
+        # grid, so clipping at zero leaves a trapezoid mass of at least 1 to divide by
+        kf = SampledFunction(circle_grid(64), np.array(values))
+        rec = invert_sphere(kf, alpha, maxn)
+        assert math.isclose(2.0 * math.pi / 64 * float(np.sum(rec.values.values)), 1.0,
+                            rel_tol=1e-12)
+        assert rec.clipped_mass >= 0.0 and np.all(rec.values.values >= 0.0)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5, 3.0, 5.0])
     def test_round_trip_on_harmonics(self, alpha):
