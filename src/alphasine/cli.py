@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import math
 import sys
 import warnings
 
@@ -24,7 +23,7 @@ from .errors import NonConvergence, ShortSampleRange
 from .examples import BUILTINS
 from .forward import SERIES_TERMS, t_sine, t_sine_series
 from .fourier_inv import MollifierKind, invert_fourier
-from .grid import SampledFunction, UniformGrid
+from .grid import SampledFunction, UniformGrid, _scalar
 from .quad import QuadSpec
 from .sas import SasParams, f0_from_scale, g_from_codifference
 # lambda_alpha is unused here; perfbench traces it under this name
@@ -344,12 +343,11 @@ def cmd_invert(args) -> int:
 def cmd_noise(args) -> int:
     if not 0 <= args.seed < 2**64:
         raise ValueError(f"--seed must be in [0, 2**64), got {args.seed}")
-    if not (math.isfinite(args.sigma) and args.sigma >= 0.0):
-        raise ValueError(f"--sigma must be finite and non-negative, got {args.sigma}")
+    sigma = _scalar(args.sigma, "--sigma", "non-negative")
     _, data = read_csv(args.infile)
     vals = data[:, 1]
-    if args.sigma != 0.0:
-        vals = vals + args.sigma * gaussian_noise(args.seed, len(vals))
+    if sigma != 0.0:
+        vals = vals + sigma * gaussian_noise(args.seed, len(vals))
     params = {"sigma": args.sigma, "seed": args.seed, "in": args.infile}
     _emit(args, params, ["x", "value"], [data[:, 0], vals])
     return 0
@@ -473,8 +471,8 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .grid import SampledFunction, UniformGrid
+from .grid import SampledFunction, UniformGrid, _scalar
 from .sphere import PeriodicDensity, circle_grid
 
 
@@ -66,8 +66,7 @@ def watson_density(mu: float, kappa: float, m: int = 512) -> PeriodicDensity:
     M(1/2, 1, kappa) = e^{kappa/2} I_0(kappa/2); the grid sum supplies the
     normalization.  kappa = 0 gives the uniform density.
     """
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    kappa = _scalar(kappa, "kappa", "non-negative")
     grid = circle_grid(m)
     vals = np.exp(kappa * np.cos(grid.points() - mu) ** 2)
     return _normalized_density(vals, grid, True)

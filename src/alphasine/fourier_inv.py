@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoTailSamples, SingularDiagonal
-from .grid import SampledFunction, UniformGrid, _pointwise, call_vec
+from .grid import SampledFunction, UniformGrid, _pointwise, _scalar, call_vec
 from .oscsum import _uniform_sum
 from .specfun import CoefficientTable, as_alpha, sine_coeffs
 
@@ -44,10 +44,8 @@ class FourierSamples:
         arr = np.array(self.xi, dtype=float)
         if arr.ndim != 1 or len(arr) < 1:
             raise ValueError(f"xi must be a non-empty one-dimensional array, got shape {arr.shape}")
-        if not (0.0 < self.r < math.inf):
-            raise ValueError(f"r must be finite and positive, got {self.r}")
-        if not math.isfinite(self.f0):
-            raise ValueError(f"f0 must be finite, got {self.f0}")
+        object.__setattr__(self, "r", _scalar(self.r, "r", "positive"))
+        object.__setattr__(self, "f0", _scalar(self.f0, "f0"))
         arr.setflags(write=False)
         object.__setattr__(self, "xi", arr)
 
@@ -68,8 +66,7 @@ class MollifierKind:
     def __post_init__(self):
         if self.tag not in ("triangle", "gaussian"):
             raise ValueError(f"unknown mollifier {self.tag!r}")
-        if not (self.gamma > 0.0):
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        object.__setattr__(self, "gamma", _scalar(self.gamma, "gamma", "positive"))
 
 
 def estimate_f0(g, alpha, r: float) -> float:
@@ -221,7 +218,7 @@ def invert_fourier(
     """Full chain: estimate f0, build eta, solve for xi, synthesize f (see
     synthesize for interpolation and mollifier)."""
     alpha = as_alpha(alpha)
-    f0 = estimate_f0(g, alpha, r) if f0_override is None else float(f0_override)
+    f0 = estimate_f0(g, alpha, r) if f0_override is None else _scalar(f0_override, "f0")
     eta = build_rhs(g, alpha, n, r, f0)
     xi = solve_xi(sine_coeffs(alpha, n), eta)
     vals = synthesize(FourierSamples(xi, f0, r), out_grid,

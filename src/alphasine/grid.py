@@ -1,5 +1,5 @@
 """Uniform grids, sampled functions with linear interpolation, and how points
-enter a user's f (call_vec) and a function of a point (_pointwise).
+enter a user's f (call_vec), a function of a point (_pointwise) or a field (_scalar).
 
 Evaluation outside the grid span uses constant extrapolation with the nearest
 endpoint value; both containers are immutable after construction.
@@ -19,14 +19,10 @@ class UniformGrid:
     count: int
 
     def __post_init__(self):
-        if not np.isfinite(self.start):
-            raise ValueError(f"start must be finite, got {self.start}")
-        if not (self.step > 0.0) or not np.isfinite(self.step):
-            raise ValueError(f"step must be positive, got {self.step}")
+        object.__setattr__(self, "start", _scalar(self.start, "start"))
+        object.__setattr__(self, "step", _scalar(self.step, "step", "positive"))
         if int(self.count) < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        object.__setattr__(self, "start", float(self.start))
-        object.__setattr__(self, "step", float(self.step))
         object.__setattr__(self, "count", int(self.count))
 
     @property
@@ -97,3 +93,8 @@ def _pointwise(engine, x, name: str, domain: str = "finite"):
         raise ValueError(f"{name} must be {must}, got {flat[~ok][0]}")
     out = np.asarray(engine(flat)).reshape(xs.shape)
     return out if out.shape else out.item()
+
+
+def _scalar(x, name: str, domain: str = "finite") -> float:
+    """The number x as a Python float, refused as _pointwise refuses a point."""
+    return _pointwise(lambda v: v, x, name, domain)

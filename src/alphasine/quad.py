@@ -101,7 +101,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonConvergence
-from .grid import _pointwise, call_vec
+from .grid import _pointwise, _scalar, call_vec
 from .specfun import as_alpha
 
 _HALF_PI = 0.5 * math.pi
@@ -148,10 +148,8 @@ class QuadSpec:
     tail_cut: float = 30.0
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if not (self.tail_cut > 0.0):
-            raise ValueError("tail_cut must be positive")
+        for name in ("abs_tol", "rel_tol", "tail_cut"):
+            object.__setattr__(self, name, _scalar(getattr(self, name), name, "positive"))
 
 
 def _golub_welsch(diag: np.ndarray, off: np.ndarray, mu0: float):
@@ -253,8 +251,12 @@ def _place(u, zero_end, toward, scale=1.0):
 
 def _lobe_counts(phase: float, t_max: np.ndarray) -> np.ndarray:
     """How many lobes of a kernel with zeros at k*pi - phase may meet
-    (0, t_max[i]], for each i."""
-    return np.floor((t_max + phase) / math.pi).astype(int) + 2
+    (0, t_max[i]], for each i, t_max = y tail_cut; a count past int64 is
+    refused."""
+    lobes = (t_max + phase) / math.pi
+    if not np.all(lobes < 2.0**63):
+        raise ValueError(f"y * tail_cut = {np.max(t_max):.3g} has more lobes than int64 holds")
+    return np.floor(lobes).astype(int) + 2
 
 
 def _runs(start: np.ndarray, count: np.ndarray):

@@ -7,11 +7,12 @@ formulas here convert between known quantities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _pointwise
+from .grid import _pointwise, _scalar
 from .specfun import Alpha, as_alpha, lambda_alpha
 
 
@@ -22,12 +23,14 @@ class SasParams:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_alpha(self.alpha))
-        if not (self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not (0.0 < self.alpha.value < 2.0):
-            raise ValueError(
-                f"stability index must lie in (0, 2), got {self.alpha.value}"
-            )
+        object.__setattr__(self, "sigma", _scalar(self.sigma, "sigma", "positive"))
+        a = self.alpha.value
+        if not (0.0 < a < 2.0):
+            raise ValueError(f"stability index must lie in (0, 2), got {a}")
+        try:
+            math.ldexp(self.sigma**a, 1)  # g and f0 take 2 sigma^a
+        except OverflowError:
+            raise ValueError(f"sigma = {self.sigma} overflows 2 sigma**alpha at alpha = {a}") from None
 
 
 def f0_from_scale(p: SasParams) -> float:

@@ -533,6 +533,45 @@ class TestConfigAndErrors:
         rc, out, err = run(capsys, *[a.format(**names) for a in argv])
         assert (rc, out) == (2, "") and message.format(**names) in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["forward", "--f", "f1", "--alpha", "1.5", "--grid", "1:2:2", "--tail-cut", "inf"],
+         "tail_cut must be finite and positive, got inf"),
+        (["invert", "--method", "fourier", "--alpha", "2", "--in", "{good}",
+          "--mollifier", "triangle", "--gamma", "inf"], "gamma must be finite and positive, got inf"),
+        (["invert", "--method", "fourier", "--alpha", "2", "--in", "{good}", "--f0", "inf"],
+         "f0 must be finite, got inf"),
+        (["sas", "--in", "{tau}", "--sigma", "inf", "--alpha", "1.5"],
+         "sigma must be finite and positive, got inf"),
+        (["forward", "--f", "f1", "--alpha", "1.5", "--grid", "0:inf:5"],
+         "step must be finite and positive, got inf"),
+    ], ids=["tail-cut", "gamma", "f0", "sas-sigma", "grid-step"])
+    def test_infinite_parameter_is_refused_by_name(self, capsys, tmp_path, t2f1_csv, argv,
+                                                   message):
+        # pytest turns a RuntimeWarning into an error, so none is raised first
+        tau = tmp_path / "tau.csv"
+        write_samples(tau, [0.5, 1.0], [1.0, 1.0], header="t,tau")
+        rc, out, err = run(capsys, *[a.format(good=t2f1_csv, tau=tau) for a in argv])
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sas", "--in", "{tau}", "--sigma", "1e300", "--alpha", "1.5"],
+         "sigma = 1e+300 overflows 2 sigma**alpha at alpha = 1.5"),
+        (["invert", "--method", "direct", "--in", "{good}", "--alpha", "200.5"],
+         "math range error"),
+        (["coeffs", "--alpha", "1e300", "--count", "3"], "must not exceed"),
+        # 8 PB of int64 is beyond a 47-bit address space: the allocation
+        # fails at once on any host
+        (["forward", "--f", "f1", "--alpha", "1.5", "--grid", "0:1:1000000000000000"],
+         "Unable to allocate"),
+    ], ids=["sas-sigma", "direct-mu", "coeffs-comb", "forward-grid"])
+    def test_overflow_and_memory_exit_2(self, capsys, tmp_path, t2f1_csv, argv, message):
+        tau = tmp_path / "tau.csv"
+        write_samples(tau, [0.5, 1.0], [1.0, 1.0], header="t,tau")
+        rc, out, err = run(capsys, *[a.format(good=t2f1_csv, tau=tau) for a in argv])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("xs", [[-2.0, -1.5, -1.0], [0.0, 1e-10, 2e-10]],
                              ids=["negative", "below-e-20"])
     def test_direct_refuses_samples_ending_near_zero(self, capsys, tmp_path, xs):

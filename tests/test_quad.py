@@ -729,6 +729,14 @@ class TestKernelSplit:
         with pytest.raises(ValueError):  # y * tail_cut underflows to 0
             integrate_kernel_split(f1, 2.0, 1e-300, QuadSpec(tail_cut=1e-30))
 
+    @pytest.mark.parametrize("kernel", ["sine", "cosine"])
+    def test_lobe_count_past_int64_is_refused(self, kernel):
+        # 2e20 / pi lobes at y = 2 do not fit in int64, where the cast to a
+        # count would warn and give a negative one
+        with pytest.raises(ValueError,
+                           match=r"^y \* tail_cut = 2e\+20 has more lobes than int64 holds$"):
+            integrate_kernel_split(f1, 1.5, [1.0, 2.0], QuadSpec(tail_cut=1e20), kernel)
+
     def test_scalar_only_callable(self):
         val = integrate_kernel_split(lambda x: math.exp(-float(x) ** 2), 2.0, 1.0)
         assert abs(val - float(t2_f1(1.0))) < 1e-6

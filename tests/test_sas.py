@@ -1,6 +1,7 @@
 """Codifference bridge to the sine-kernel transform."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,20 @@ from alphasine.sas import SasParams, f0_from_scale, g_from_codifference
 from alphasine.specfun import Alpha, lambda_alpha
 
 from conftest import F1_MASS, codifference_forward, f1
+
+
+@pytest.mark.parametrize("sigma, alpha", [(1e300, 1.5), (1.7e308, 1.0), (1e154, 1.9999)])
+def test_sigma_whose_power_overflows_is_refused(sigma, alpha):
+    # g and f0 take 2 sigma^a: 1e300^1.5 overflows in **, the others in the doubling
+    message = f"sigma = {sigma} overflows 2 sigma**alpha at alpha = {alpha}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SasParams(sigma, alpha)
+
+
+def test_sigma_below_the_overflow_is_accepted():
+    p = SasParams(1.7e308 / 2.0, 1.0)
+    assert math.isfinite(f0_from_scale(p))
+    assert np.isfinite(g_from_codifference(lambda t: np.zeros_like(t), p, 1.0))
 
 
 def test_params_validation():

@@ -63,7 +63,7 @@ class TestPeriodicDensity:
         (lambda: circle_grid(3), "grid size must be even and >= 4, got 3"),
         (lambda: _check_circle_grid(UniformGrid(-math.pi, 2.0 * math.pi / 7, 7)),
          "circle grid size must be even"),
-        (lambda: watson_density(0.0, -1.0), "kappa must be >= 0, got -1.0"),
+        (lambda: watson_density(0.0, -1.0), "kappa must be finite and non-negative, got -1.0"),
     ], ids=["odd-size", "odd-grid", "negative-kappa"])
     def test_refusal_names_its_cause(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
