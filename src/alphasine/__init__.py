@@ -34,7 +34,6 @@ from .grid import SampledFunction, UniformGrid
 from .quad import QuadSpec, integrate, integrate_kernel_split
 from .sas import SasParams, f0_from_scale, g_from_codifference
 from .specfun import (
-    Alpha,
     CoefficientTable,
     cosine_coeffs,
     lambda_alpha,
@@ -54,7 +53,7 @@ __all__ = [
     "SampledFunction", "UniformGrid",
     "QuadSpec", "integrate", "integrate_kernel_split",
     "SasParams", "f0_from_scale", "g_from_codifference",
-    "Alpha", "CoefficientTable", "cosine_coeffs", "lambda_alpha", "operator_norm_bound",
+    "CoefficientTable", "cosine_coeffs", "lambda_alpha", "operator_norm_bound",
     "sin_power_integral", "sine_coeffs",
     "PeriodicDensity", "circle_grid", "invert_sphere", "k_sphere_grid",
 ]

@@ -362,7 +362,7 @@ def cmd_sas(args) -> int:
     # emit g on the halved abscissae so tau(2t) uses the samples exactly
     t = data[:, 0] / 2.0
     g_vals = g_from_codifference(data[:, 1], p, t)
-    params = {"sigma": args.sigma, "alpha": p.alpha.value, "in": args.infile}
+    params = {"sigma": args.sigma, "alpha": p.alpha, "in": args.infile}
     _emit(args, params, ["t", "g"], [t, g_vals], [f"f0 = {f0_from_scale(p):.17g}"])
     return 0
 

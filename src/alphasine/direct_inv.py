@@ -25,9 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ShortSampleRange
-from .grid import SampledFunction, UniformGrid, _pointwise
+from .grid import SampledFunction, UniformGrid, _pointwise, _scalar
 from .oscsum import _osc_sum, _uniform_sum
-from .specfun import Alpha, _exactly_even, _log_gamma, as_alpha, sine_coeffs
+from .specfun import _exactly_even, _log_gamma, sine_coeffs
 
 _MU_GRID_DEFAULT = UniformGrid(-24.0, 48.0 / 6144.0, 6145)
 # coefficients summed directly in mu; the rest is the Euler-Maclaurin tail
@@ -36,19 +36,15 @@ _MU_TERMS = 400
 
 @dataclass(frozen=True)
 class DirectConfig:
-    alpha: Alpha
+    alpha: float
     epsilon: float = 0.025
     mu_grid: UniformGrid | None = None
     # inert: only keys the mu table cache, which a caller may shift to force a fresh table
     t_cut: float = 0.0
 
     def __post_init__(self):
-        alpha = as_alpha(self.alpha)
-        object.__setattr__(self, "alpha", alpha)
-        if alpha.value <= 1.0:
-            raise ValueError(f"direct inversion requires alpha > 1, got {alpha.value}")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        for name, domain in (("alpha", "(1, inf)"), ("epsilon", "(0, 1)")):
+            object.__setattr__(self, name, _scalar(getattr(self, name), name, domain))
         if self.mu_grid is None:
             object.__setattr__(self, "mu_grid", _MU_GRID_DEFAULT)
 
@@ -59,8 +55,7 @@ class DirectConfig:
         Larger c speeds up the decay of the mu integrand, but exponents above
         3 make the H integral numerically unwieldy.
         """
-        a = self.alpha.value
-        return 2.0 * a - 1.0 if a < 2.0 else 3.0
+        return 2.0 * self.alpha - 1.0 if self.alpha < 2.0 else 3.0
 
     @property
     def s_exponent(self) -> float:
@@ -100,7 +95,10 @@ def _mu_values(a: float, c: float, omegas: np.ndarray) -> np.ndarray:
     total = _osc_sum(np.log(j), coeffs[j] * j ** (s - 1.0), mags, -1.0)[at]
     total = np.where(omegas < 0.0, np.conj(total), total)
     if not _exactly_even(a):
-        k = -math.exp(math.lgamma(a + 1.0) - a * math.log(2.0)) * math.sin(0.5 * math.pi * a) / math.pi
+        try:
+            k = -math.exp(math.lgamma(a + 1.0) - a * math.log(2.0)) * math.sin(0.5 * math.pi * a) / math.pi
+        except OverflowError:
+            raise OverflowError(f"alpha = {a} is too large: Gamma(a+1)/2^a overflows in mu") from None
         p = (2.0 + a - s) + 1j * omegas
         b = a * (1.0 + a) * (2.0 + a) / 24.0
         total += k * (_power_tail(p, _MU_TERMS) + b * _power_tail(p + 2.0, _MU_TERMS))
@@ -111,7 +109,7 @@ def _mu_values(a: float, c: float, omegas: np.ndarray) -> np.ndarray:
 
 def mu(x, cfg: DirectConfig):
     """The multiplier at each x > 0 (points as in grid._pointwise)."""
-    return _pointwise(lambda xs: _mu_values(cfg.alpha.value, cfg.weight_exponent, np.log(xs)),
+    return _pointwise(lambda xs: _mu_values(cfg.alpha, cfg.weight_exponent, np.log(xs)),
                       x, "x", "positive")
 
 
@@ -124,7 +122,7 @@ def _mu_table_values(alpha_value: float, c: float, t_cut: float, grid: UniformGr
 
 def _mu_table_cached(cfg: DirectConfig) -> np.ndarray:
     # keyed on the quantities mu depends on, so changing eps reuses the table
-    return _mu_table_values(cfg.alpha.value, cfg.weight_exponent, cfg.t_cut, cfg.mu_grid)
+    return _mu_table_values(cfg.alpha, cfg.weight_exponent, cfg.t_cut, cfg.mu_grid)
 
 
 def mu_table(cfg: DirectConfig) -> SampledFunction:

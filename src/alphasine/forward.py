@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import _pointwise, call_vec
+from .grid import _pointwise, _scalar, call_vec
 from .quad import QuadSpec, integrate, integrate_kernel_split
 from .specfun import as_alpha, sine_coeffs
 
@@ -24,11 +24,14 @@ _SERIES_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=1)
-def _series_coeffs(alpha_value: float, terms: int) -> np.ndarray:
+def _series_coeffs(alpha_value: float, terms: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only table c_0..c_terms of t_sine_series for the last
-    (alpha, terms) asked for.  Only one is kept: each kept table of the
-    default 1e4 terms adds its 80 kB to the process's peak memory."""
-    return sine_coeffs(alpha_value, terms).coeffs
+    (alpha, terms) asked for, and the factors 2j, j = 1..terms, of fhat's
+    arguments.  Only one pair is kept: at the default 1e4 terms each adds
+    160 kB to the process's peak memory."""
+    two_j = 2.0 * np.arange(1, terms + 1, dtype=float)
+    two_j.setflags(write=False)
+    return sine_coeffs(alpha_value, terms).coeffs, two_j
 
 
 def _on_half_line(f, alpha, y, spec, kernel: str, at_zero):
@@ -52,9 +55,9 @@ def t_sine(f, alpha, y, spec: QuadSpec | None = None):
     alpha = as_alpha(alpha)
 
     def at_zero() -> float:
-        if alpha.value > 0.0:
+        if alpha > 0.0:
             return 0.0
-        if abs(alpha.value) <= 1e-12:
+        if abs(alpha) <= 1e-12:
             # kernel is identically 1
             return integrate(f, spec)
         raise ValueError("t_sine is undefined at y = 0 for -1 < alpha < 0")
@@ -93,18 +96,15 @@ def t_sine_series(
     with fhat_decays=True, otherwise the call is refused.
     """
     alpha = as_alpha(alpha)
-    terms = int(terms)
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    if alpha.value < 0.0 and not fhat_decays:
+    terms = _scalar(terms, "terms", "count")
+    if alpha < 0.0 and not fhat_decays:
         raise ValueError(
             "t_sine_series for -1 < alpha < 0 needs fhat_decays=True "
             "(the coefficient series alone diverges)"
         )
 
     def sums(ys: np.ndarray) -> np.ndarray:
-        c = _series_coeffs(alpha.value, terms)
-        two_j = 2.0 * np.arange(1, terms + 1, dtype=float)
+        c, two_j = _series_coeffs(alpha, terms)
         head = 0.5 * c[0] * float(fhat(0.0))
         rows = max(1, _SERIES_CHUNK // terms)
         out = np.empty(len(ys))

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NoTailSamples, SingularDiagonal
 from .grid import SampledFunction, UniformGrid, _pointwise, _scalar, call_vec
 from .oscsum import _uniform_sum
-from .specfun import CoefficientTable, as_alpha, sine_coeffs
+from .specfun import CoefficientTable, sine_coeffs
 
 # (-1)^k / (2k+3)!, k = 0..7: the series of (u - sin u)/u^3 in u^2, which
 # leaves under 1e-17 of its value untaken for |u| < 1
@@ -75,7 +75,6 @@ def estimate_f0(g, alpha, r: float) -> float:
     When the scale parameter of a stable process is known, sas.f0_from_scale
     gives F f(0) instead.
     """
-    alpha = as_alpha(alpha)
     if not isinstance(g, SampledFunction):
         raise TypeError("estimate_f0 needs a SampledFunction")
     mask = g.xs > r
@@ -87,9 +86,7 @@ def estimate_f0(g, alpha, r: float) -> float:
 
 def build_rhs(g, alpha, n: int, r: float, f0: float) -> np.ndarray:
     """eta_n = g(nR/2N) - (c_0/2) f0 for n = 1..N."""
-    alpha = as_alpha(alpha)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _scalar(n, "n", "count")
     c0 = sine_coeffs(alpha, 1).coeffs[0]
     y = np.arange(1, n + 1) * (r / (2.0 * n))
     return np.real(call_vec(g.eval if isinstance(g, SampledFunction) else g, y)) - 0.5 * c0 * f0
@@ -217,7 +214,6 @@ def invert_fourier(
 ) -> SampledFunction:
     """Full chain: estimate f0, build eta, solve for xi, synthesize f (see
     synthesize for interpolation and mollifier)."""
-    alpha = as_alpha(alpha)
     f0 = estimate_f0(g, alpha, r) if f0_override is None else _scalar(f0_override, "f0")
     eta = build_rhs(g, alpha, n, r, f0)
     xi = solve_xi(sine_coeffs(alpha, n), eta)

@@ -1,5 +1,5 @@
 """Uniform grids, sampled functions with linear interpolation, and how points
-enter a user's f (call_vec), a function of a point (_pointwise) or a field (_scalar).
+enter a user's f (call_vec), a function of a point (_pointwise) or a number (_scalar).
 
 Evaluation outside the grid span uses constant extrapolation with the nearest
 endpoint value; both containers are immutable after construction.
@@ -19,11 +19,8 @@ class UniformGrid:
     count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "start", _scalar(self.start, "start"))
-        object.__setattr__(self, "step", _scalar(self.step, "step", "positive"))
-        if int(self.count) < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        object.__setattr__(self, "count", int(self.count))
+        for name, domain in (("start", "finite"), ("step", "positive"), ("count", "count")):
+            object.__setattr__(self, name, _scalar(getattr(self, name), name, domain))
 
     @property
     def last(self) -> float:
@@ -77,24 +74,43 @@ def call_vec(f, x: np.ndarray) -> np.ndarray:
     return np.array([f(v) for v in x])
 
 
+# each named domain: its test, which NaN and +-inf fail, and refusal words
+_DOMAINS = {
+    "finite": (np.isfinite, "finite"),
+    "non-negative": (lambda v: (v >= 0.0) & (v < np.inf), "finite and non-negative"),
+    "positive": (lambda v: (v > 0.0) & (v < np.inf), "finite and positive"),
+    "count": (lambda v: (v >= 1.0) & (v < np.inf) & (v == np.floor(v)), "an integer >= 1"),
+}
+
+
 def _pointwise(engine, x, name: str, domain: str = "finite"):
     """engine at the points x, taken as a float array and flattened for one
-    engine call.  An entry that is NaN, infinite or outside the domain
-    ("finite", "non-negative" or "positive") is refused, naming the first.  A
-    scalar or 0-d x gives a Python float or complex, other x an array of its shape.
+    engine call.  An entry that is not a number, NaN, infinite or outside the
+    domain (a key of _DOMAINS or an open interval "(lo, hi)") is refused,
+    naming x if it is one number, else the first such entry.  A scalar or
+    0-d x gives a Python float or complex, other x an array of its shape.
     """
-    xs = np.asarray(x, dtype=float)
+    if domain.startswith("("):
+        lo, hi = map(float, domain[1:-1].split(","))
+        inside, must = (lambda v: (v > lo) & (v < hi)), f"finite and in {domain}"
+    else:
+        inside, must = _DOMAINS[domain]
+    try:
+        xs = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        xs = np.array(np.nan)  # refused below, x as given
     flat = xs.reshape(-1)
-    ok = np.isfinite(flat)
-    if domain != "finite":
-        ok &= (flat > 0.0) if domain == "positive" else (flat >= 0.0)
+    ok = inside(flat)
     if not ok.all():
-        must = domain if domain == "finite" else f"finite and {domain}"
-        raise ValueError(f"{name} must be {must}, got {flat[~ok][0]}")
+        raise ValueError(f"{name} must be {must}, got {x if xs.ndim == 0 else flat[~ok][0]}")
     out = np.asarray(engine(flat)).reshape(xs.shape)
     return out if out.shape else out.item()
 
 
-def _scalar(x, name: str, domain: str = "finite") -> float:
-    """The number x as a Python float, refused as _pointwise refuses a point."""
-    return _pointwise(lambda v: v, x, name, domain)
+def _scalar(x, name: str, domain: str = "finite"):
+    """The one number x as a Python float, or an int in the domain "count",
+    refused as _pointwise refuses a point."""
+    v = _pointwise(lambda v: v, x, name, domain)
+    if isinstance(v, np.ndarray):
+        raise ValueError(f"{name} must be one number, got shape {v.shape}")
+    return int(v) if domain == "count" else v

@@ -590,7 +590,7 @@ def integrate_kernel_split(
             # the y from lo on whose lobes fit in the budget, and at least one
             start = ends[lo - 1] if lo else 0
             hi = max(lo + 1, int(np.searchsorted(ends, start + _LOBE_BLOCK, side="right")))
-            out[lo:hi] = _totals(f, alpha.value, ys[lo:hi], phase, spec)
+            out[lo:hi] = _totals(f, alpha, ys[lo:hi], phase, spec)
             lo = hi
         return out
 

@@ -13,20 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import _pointwise, _scalar
-from .specfun import Alpha, as_alpha, lambda_alpha
+from .specfun import lambda_alpha
 
 
 @dataclass(frozen=True)
 class SasParams:
     sigma: float
-    alpha: Alpha
+    alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", as_alpha(self.alpha))
-        object.__setattr__(self, "sigma", _scalar(self.sigma, "sigma", "positive"))
-        a = self.alpha.value
-        if not (0.0 < a < 2.0):
-            raise ValueError(f"stability index must lie in (0, 2), got {a}")
+        for name, domain in (("alpha", "(0, 2)"), ("sigma", "positive")):
+            object.__setattr__(self, name, _scalar(getattr(self, name), name, domain))
+        a = self.alpha
         try:
             math.ldexp(self.sigma**a, 1)  # g and f0 take 2 sigma^a
         except OverflowError:
@@ -35,14 +33,14 @@ class SasParams:
 
 def f0_from_scale(p: SasParams) -> float:
     """Total spectral mass F f(0) = sigma^a / lambda_a."""
-    return p.sigma ** p.alpha.value / lambda_alpha(p.alpha)
+    return p.sigma**p.alpha / lambda_alpha(p.alpha)
 
 
 def g_from_codifference(tau, p: SasParams, t):
     """g(t) = (2 sigma^a - tau(2t)) / (2^{a+1} lambda_a) at each t > 0 (points
     as in grid._pointwise); equals the sine transform of the spectral density
     at t.  tau is the codifference as a callable, or its values at 2t."""
-    a = p.alpha.value
+    a = p.alpha
 
     def g(ts: np.ndarray) -> np.ndarray:
         tau_2t = np.broadcast_to(np.ravel(tau(2.0 * ts) if callable(tau) else tau), ts.shape)

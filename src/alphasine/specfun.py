@@ -12,29 +12,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import _scalar
+
 EVEN_INT_TOL = 1e-12
+# c_0's log is a difference of log-gammas of size a ln a, each rounded to a
+# part in 2^53 of its size; past this a that leaves c_0 under half its digits
+_C0_ALPHA_MAX = 4e6
 
 
-@dataclass(frozen=True)
-class Alpha:
-    """Kernel exponent, restricted to the open interval (-1, inf)."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not math.isfinite(v) or v <= -1.0:
-            raise ValueError(f"alpha must be a finite real > -1, got {self.value}")
-        object.__setattr__(self, "value", v)
-
-    def is_even_integer(self) -> bool:
-        """True exactly for values within 1e-12 of {0, 2, 4, ...}."""
-        k = round(self.value)
-        return k >= 0 and k % 2 == 0 and abs(self.value - k) <= EVEN_INT_TOL
+def as_alpha(a) -> float:
+    """The kernel exponent a as a Python float, refused unless in (-1, inf)."""
+    return _scalar(a, "alpha", "(-1, inf)")
 
 
-def as_alpha(a) -> Alpha:
-    return a if isinstance(a, Alpha) else Alpha(float(a))
+def _near_even(a: float) -> bool:
+    """True for a within 1e-12 of {0, 2, 4, ...}, where the circle route's
+    kernel coefficients vanish or nearly so beyond a/2."""
+    k = round(a)
+    return k >= 0 and k % 2 == 0 and abs(a - k) <= EVEN_INT_TOL
 
 
 def _exactly_even(a: float) -> bool:
@@ -61,8 +56,10 @@ class CoefficientTable:
 
 
 def leading_coefficient(alpha) -> float:
-    """c_0 = Gamma(1+a) / (2^a Gamma(a/2+1)^2)."""
-    a = as_alpha(alpha).value
+    """c_0 = Gamma(1+a) / (2^a Gamma(a/2+1)^2), refused past _C0_ALPHA_MAX."""
+    a = as_alpha(alpha)
+    if a > _C0_ALPHA_MAX:
+        raise ValueError(f"alpha = {a} is too large: c_0 would keep under half its digits")
     return math.exp(math.lgamma(1.0 + a) - a * math.log(2.0) - 2.0 * math.lgamma(0.5 * a + 1.0))
 
 
@@ -73,25 +70,24 @@ def sine_coeffs(alpha, count: int) -> CoefficientTable:
     c_1 = -c_0 a/(a+2), c_{j+1} = c_j (j - a/2)/(j + 1 + a/2), which avoids
     gamma evaluations at negative arguments.  At a exactly 2k the exact
     binomial branch is taken: c_j = (-1)^j binom(2k, k-j)/4^k for j <= k and
-    0 beyond.  An a merely near 2k takes the recurrence, whose small factor
-    (a in c_1 at k = 0, j - a/2 at j = k >= 1) is exact, so the tail beyond
-    c_k keeps its true small size instead of being snapped to 0.
+    0 beyond, up to a = 1022, past which 4^k overflows; a larger 2k takes the
+    recurrence, whose factor j - a/2 is exactly 0 at j = k.  An a merely near
+    2k takes the recurrence, whose small factor (a in c_1 at k = 0, j - a/2
+    at j = k >= 1) is exact, so the tail beyond c_k keeps its true small size
+    instead of being snapped to 0.
     """
-    alpha = as_alpha(alpha)
-    count = int(count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    a = alpha.value
+    a = as_alpha(alpha)
+    count = _scalar(count, "count", "count")
     # at |a| < 2^-1021 the tail from c_1 = -c_0 a/(a+2) on lies below the
     # normal floats, where it would hold too few digits to be a table
-    if _exactly_even(a) or abs(a) < 2.0 * sys.float_info.min:
+    if (_exactly_even(a) and a <= 1022.0) or abs(a) < 2.0 * sys.float_info.min:
         k = round(a) // 2
         c = np.zeros(count + 1)
         for j in range(0, min(k, count) + 1):
             c[j] = (-1) ** j * math.comb(2 * k, k - j) / 4.0**k
         return CoefficientTable(c)
     c = np.empty(count + 1)
-    c[0] = leading_coefficient(alpha)
+    c[0] = leading_coefficient(a)
     c[1] = -c[0] * a / (a + 2.0)
     if count >= 2:
         j = np.arange(1, count, dtype=float)
@@ -108,7 +104,7 @@ def cosine_coeffs(alpha, count: int) -> CoefficientTable:
 
 def sin_power_integral(alpha) -> float:
     """C_a = integral of |sin u|^a over [0, pi] = sqrt(pi) Gamma((1+a)/2) / Gamma(1+a/2)."""
-    a = as_alpha(alpha).value
+    a = as_alpha(alpha)
     return math.exp(0.5 * math.log(math.pi) + math.lgamma(0.5 * (1.0 + a)) - math.lgamma(1.0 + 0.5 * a))
 
 
@@ -158,9 +154,7 @@ def operator_norm_bound(alpha) -> float:
     reduction makes the 3F2 ((a+2)/(-a)) (psi(1+a/2) - psi(1+a)), so the a/(a+2)
     cancels and the bound is C_a (1/pi + 1) + c_0 (1 + psi(1+a/2) - psi(1+a)).
     """
-    a = as_alpha(alpha).value
-    if not (-1.0 < a < 0.0):
-        raise ValueError(f"operator_norm_bound is defined for -1 < alpha < 0, got {a}")
+    a = _scalar(alpha, "alpha", "(-1, 0)")
     c0 = leading_coefficient(a)
     return (sin_power_integral(a) * (1.0 / math.pi + 1.0)
             + c0 * (1.0 + _digamma(1.0 + 0.5 * a) - _digamma(1.0 + a)))

@@ -19,10 +19,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CoefficientUnderflow, EvenIntegerAlpha, NonConvergence
-from .grid import SampledFunction, UniformGrid
+from .grid import SampledFunction, UniformGrid, _scalar
 from .oscsum import _osc_sum
 from .quad import _place, _sine_measure
-from .specfun import as_alpha, cosine_coeffs
+from .specfun import _near_even, as_alpha, cosine_coeffs
 
 MASS_TOL = 1e-8
 PI_PERIODIC_TOL = 1e-8
@@ -122,7 +122,7 @@ def k_sphere_grid(f: PeriodicDensity, alpha) -> SampledFunction:
     m = f.grid.count
     # the Nyquist order m/2 needs ctilde up to m // 4; a table's count must be
     # >= 1, so it takes one more (m = 2 has m // 4 = 0)
-    ct = cosine_coeffs(as_alpha(alpha), m // 4 + 1).coeffs
+    ct = cosine_coeffs(alpha, m // 4 + 1).coeffs
     idx = np.abs(np.fft.fftfreq(m, d=1.0 / m).astype(int))
     khat = np.where(idx % 2 == 0, 2.0 * math.pi * ct[idx // 2], 0.0)
     return SampledFunction(f.grid, _synth_on_grid(fhat * khat))
@@ -138,13 +138,12 @@ def invert_sphere(kf: SampledFunction, alpha, maxn: int) -> PeriodicDensity:
     """
     _check_circle_grid(kf.grid)
     alpha = as_alpha(alpha)
-    if alpha.is_even_integer():
+    if _near_even(alpha):
         raise EvenIntegerAlpha(
-            f"alpha = {alpha.value} is an even integer: the kernel coefficients "
+            f"alpha = {alpha} is an even integer: the kernel coefficients "
             "vanish beyond alpha/2 and the density cannot be reconstructed"
         )
-    if maxn < 1:
-        raise ValueError(f"n must be >= 1, got {maxn}")
+    maxn = _scalar(maxn, "n", "count")
     # the grid check is cheap; the coefficient table takes memory in maxn
     m = kf.grid.count
     if m < 8 * maxn + 4:

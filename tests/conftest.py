@@ -16,7 +16,7 @@ from alphasine.forward import t_sine
 from alphasine.grid import SampledFunction, UniformGrid, call_vec
 from alphasine.quad import QuadSpec, integrate
 from alphasine.sas import SasParams
-from alphasine.specfun import Alpha, CoefficientTable, as_alpha, cosine_coeffs, lambda_alpha
+from alphasine.specfun import CoefficientTable, as_alpha, cosine_coeffs, lambda_alpha
 from alphasine.sphere import PeriodicDensity, _fft_coeffs, _kernel_coeffs_quad, _synth_on_grid
 
 
@@ -109,7 +109,7 @@ def codifference_forward(f, p: SasParams, t: float, spec: QuadSpec | None = None
     extension of f; the scale is recomputed from f as sigma^a = lambda_a
     integral of f over the line."""
     spec = spec or QuadSpec()
-    a = p.alpha.value
+    a = p.alpha
     lam = lambda_alpha(p.alpha)
     sigma_a = lam * 2.0 * integrate(f, spec)
     if t == 0.0:
@@ -126,11 +126,11 @@ def circle_fourier_coeffs(u: SampledFunction, maxn: int) -> np.ndarray:
     return np.concatenate((np.conj(pos[1:][::-1]), pos))
 
 
-def _kernel_coeffs_full(alpha: Alpha, m: int) -> np.ndarray:
+def _kernel_coeffs_full(alpha: float, m: int) -> np.ndarray:
     """khat(|n|) on the fft layout of an M-point grid (quadrature low band,
     closed form above it)."""
     n_keep = min(64, m // 4)
-    k_low = _kernel_coeffs_quad(alpha.value, n_keep)
+    k_low = _kernel_coeffs_quad(alpha, n_keep)
     half = m // 2
     ct = cosine_coeffs(alpha, half // 2 + 1).coeffs
     idx = np.abs(np.fft.fftfreq(m, d=1.0 / m).astype(int))

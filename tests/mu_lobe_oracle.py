@@ -12,16 +12,16 @@ import math
 import numpy as np
 
 from alphasine.oscsum import _osc_sum
-from alphasine.specfun import Alpha, leading_coefficient
+from alphasine.specfun import _near_even, leading_coefficient
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 _PHASE_PER_PANEL = 2.5
 
 
-def _default_t_cut(alpha: Alpha, c: float) -> float:
+def _default_t_cut(alpha: float, c: float) -> float:
     s = 0.5 * (c + 1.0)
-    tol = 1e-7 if alpha.is_even_integer() else 1e-6
+    tol = 1e-7 if _near_even(alpha) else 1e-6
     t = (0.5 / tol) ** (1.0 / s)
     t = min(t, 1e6)
     return math.pi * max(4.0, math.ceil(t / math.pi))
@@ -38,14 +38,14 @@ def _gl_panel_nodes(edges: np.ndarray):
     return nodes.ravel(), weights.ravel()
 
 
-def _lobe_delta_pattern(alpha: Alpha, omega_span: float):
+def _lobe_delta_pattern(alpha: float, omega_span: float):
     """Node offsets and weights within one kernel lobe (0, pi), kernel included.
 
     For fractional a the pattern grades dyadically toward both zeros; panels
     are additionally split so the phase ln(t) omega never sweeps more than a
     few radians per panel (omega_span is the worst case for the lobe batch).
     """
-    if alpha.is_even_integer():
+    if _near_even(alpha):
         base = np.array([0.0, math.pi / 2.0, math.pi])
     else:
         levels = math.pi / 2.0 * 0.5 ** np.arange(6, 0, -1)
@@ -57,14 +57,14 @@ def _lobe_delta_pattern(alpha: Alpha, omega_span: float):
         ]
         base = np.concatenate(refined + [[math.pi]])
     delta, w = _gl_panel_nodes(base)
-    kern = np.abs(np.sin(delta)) ** alpha.value
+    kern = np.abs(np.sin(delta)) ** alpha
     return delta, w * kern
 
 
-def _mu_nodes(alpha: Alpha, c: float, t_cut: float, omega_max: float):
+def _mu_nodes(alpha: float, c: float, t_cut: float, omega_max: float):
     """Phase coordinates ln(t) and real weights so that
     mu(omega) ~ sum W exp(i omega L) + analytic mean tail."""
-    a = alpha.value
+    a = alpha
     s = 0.5 * (c + 1.0)
     coords = []
     weights = []
@@ -97,7 +97,7 @@ def _mu_nodes(alpha: Alpha, c: float, t_cut: float, omega_max: float):
     return np.concatenate(coords), np.concatenate(weights)
 
 
-def _mu_mean_tail(alpha: Alpha, c: float, t_cut: float, omegas: np.ndarray) -> np.ndarray:
+def _mu_mean_tail(alpha: float, c: float, t_cut: float, omegas: np.ndarray) -> np.ndarray:
     s = 0.5 * (c + 1.0)
     c0 = leading_coefficient(alpha)
     return (
@@ -111,7 +111,7 @@ def _mu_mean_tail(alpha: Alpha, c: float, t_cut: float, omegas: np.ndarray) -> n
 def lobe_mu(alpha_value: float, c: float, omegas: np.ndarray) -> np.ndarray:
     """mu at omega = ln x, from the node set of the 8-wide omega bucket that
     covers max |omega|."""
-    alpha = Alpha(alpha_value)
+    alpha = float(alpha_value)
     t_cut = _default_t_cut(alpha, c)
     bucket = max(1, int(math.ceil(np.max(np.abs(omegas)) / 8.0)))
     coords, weights = _mu_nodes(alpha, c, t_cut, 8.0 * bucket)

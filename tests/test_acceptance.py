@@ -23,7 +23,7 @@ from alphasine.fourier_inv import MollifierKind, invert_fourier, solve_xi
 from alphasine.grid import SampledFunction, UniformGrid
 from alphasine.quad import QuadSpec
 from alphasine.sas import SasParams, f0_from_scale, g_from_codifference
-from alphasine.specfun import Alpha, cosine_coeffs, lambda_alpha, sine_coeffs
+from alphasine.specfun import cosine_coeffs, lambda_alpha, sine_coeffs
 from alphasine.sphere import invert_sphere, k_sphere_grid
 
 from conftest import (
@@ -344,11 +344,11 @@ def test_criterion_9_spherical_inversion():
 
 def test_criterion_10_sas_bridge():
     budget, start = 60.0, time.perf_counter()
-    f0_check = abs(f0_from_scale(SasParams(1.0, Alpha(1.0))) - math.pi / 2.0)
-    alpha = Alpha(1.5)
+    f0_check = abs(f0_from_scale(SasParams(1.0, 1.0)) - math.pi / 2.0)
+    alpha = 1.5
     spec = QuadSpec()
     sigma_a = lambda_alpha(alpha) * 2.0 * F1_MASS
-    p = SasParams(sigma_a ** (1.0 / alpha.value), alpha)
+    p = SasParams(sigma_a ** (1.0 / alpha), alpha)
 
     def tau(t):
         return codifference_forward(f1, p, t, spec)

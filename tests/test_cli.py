@@ -75,6 +75,13 @@ class TestCoeffs:
         first = [l for l in out.splitlines() if not l.startswith("#")][1]
         assert math.isclose(float(first.split(",")[1]), 2.0 / math.pi, rel_tol=1e-15)
 
+    def test_even_alpha_past_1022_gives_a_table(self, capsys):
+        # 4.0**512 overflowed the exact branch here; the recurrence takes it
+        rc, out, err = run(capsys, "coeffs", "--alpha", "1024", "--count", "3")
+        rows = [l.split(",") for l in out.splitlines()[2:]]
+        assert (rc, err, len(rows)) == (0, "", 4)
+        assert math.isclose(float(rows[0][1]), math.comb(1024, 512) / 4**512, rel_tol=1e-11)
+
     def test_comment_records_parameters(self, capsys):
         _, out, _ = run(capsys, "coeffs", "--alpha", "0", "--count", "1", "--kind", "cosine")
         assert out.splitlines()[0].startswith("# alphasine coeffs")
@@ -264,7 +271,7 @@ class TestInvert:
         write_samples(src, kf.xs, kf.values)
         rc, out, err = run(capsys, "invert", "--method", "sphere", "--in", str(src),
                            "--alpha", "1.5", "--n", "0")
-        assert (rc, out, err) == (2, "", "error: n must be >= 1, got 0\n")
+        assert (rc, out, err) == (2, "", "error: n must be an integer >= 1, got 0\n")
 
     @pytest.mark.parametrize("xs", [[1.0, 0.5, 0.0], [0.0, 0.0, 0.0]])
     def test_abscissae_must_increase(self, capsys, tmp_path, xs):
@@ -557,13 +564,14 @@ class TestConfigAndErrors:
         (["sas", "--in", "{tau}", "--sigma", "1e300", "--alpha", "1.5"],
          "sigma = 1e+300 overflows 2 sigma**alpha at alpha = 1.5"),
         (["invert", "--method", "direct", "--in", "{good}", "--alpha", "200.5"],
-         "math range error"),
-        (["coeffs", "--alpha", "1e300", "--count", "3"], "must not exceed"),
+         "alpha = 200.5 is too large"),
+        (["coeffs", "--alpha", "1e300", "--count", "3"], "alpha = 1e+300 is too large"),
+        (["coeffs", "--alpha", "1e12", "--count", "3"], "alpha = 1000000000000.0 is too large"),
         # 8 PB of int64 is beyond a 47-bit address space: the allocation
         # fails at once on any host
         (["forward", "--f", "f1", "--alpha", "1.5", "--grid", "0:1:1000000000000000"],
          "Unable to allocate"),
-    ], ids=["sas-sigma", "direct-mu", "coeffs-comb", "forward-grid"])
+    ], ids=["sas-sigma", "direct-mu", "coeffs-comb", "coeffs-1e12", "forward-grid"])
     def test_overflow_and_memory_exit_2(self, capsys, tmp_path, t2f1_csv, argv, message):
         tau = tmp_path / "tau.csv"
         write_samples(tau, [0.5, 1.0], [1.0, 1.0], header="t,tau")

@@ -127,7 +127,7 @@ class TestSolveXi:
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: build_rhs(t2_f1, 2.0, 0, 10.0, math.sqrt(math.pi)), ValueError,
-     "n must be >= 1, got 0"),
+     "n must be an integer >= 1, got 0"),
     (lambda: solve_xi(sine_coeffs(1.5, 4), np.ones(8)), ValueError,
      "need coefficients up to index 8, got 4"),
     (lambda: estimate_f0(t2_f1, 2.0, 10.0), TypeError, "estimate_f0 needs a SampledFunction"),

@@ -8,7 +8,7 @@ import pytest
 
 from alphasine.forward import t_sine
 from alphasine.sas import SasParams, f0_from_scale, g_from_codifference
-from alphasine.specfun import Alpha, lambda_alpha
+from alphasine.specfun import lambda_alpha
 
 from conftest import F1_MASS, codifference_forward, f1
 
@@ -29,18 +29,18 @@ def test_sigma_below_the_overflow_is_accepted():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        SasParams(0.0, Alpha(1.5))
+        SasParams(0.0, 1.5)
     with pytest.raises(ValueError):
-        SasParams(-1.0, Alpha(1.5))
+        SasParams(-1.0, 1.5)
     with pytest.raises(ValueError):
-        SasParams(1.0, Alpha(2.0))
+        SasParams(1.0, 2.0)
     with pytest.raises(ValueError):
-        SasParams(1.0, Alpha(-0.5))
+        SasParams(1.0, -0.5)
 
 
 def test_f0_from_scale_values():
-    assert math.isclose(f0_from_scale(SasParams(1.0, Alpha(1.0))), math.pi / 2.0, rel_tol=1e-13)
-    assert math.isclose(f0_from_scale(SasParams(1.0, Alpha(1.999999))), 2.0, rel_tol=1e-5)
+    assert math.isclose(f0_from_scale(SasParams(1.0, 1.0)), math.pi / 2.0, rel_tol=1e-13)
+    assert math.isclose(f0_from_scale(SasParams(1.0, 1.999999)), 2.0, rel_tol=1e-5)
 
 
 def test_f0_from_scale_is_sigma_power_over_lambda():
@@ -51,7 +51,7 @@ def test_f0_from_scale_is_sigma_power_over_lambda():
 
 
 def test_constant_codifference_gives_zero():
-    p = SasParams(1.4, Alpha(1.2))
+    p = SasParams(1.4, 1.2)
     tau = lambda t: 2.0 * 1.4**1.2
     assert np.all(np.abs(g_from_codifference(tau, p, np.array([0.5, 1.0, 7.0]))) < 1e-14)
     for t in (0.0, np.array([1.0, 0.0])):
@@ -60,21 +60,21 @@ def test_constant_codifference_gives_zero():
 
 
 def test_codifference_at_zero(quad_spec):
-    p = SasParams(1.0, Alpha(1.5))
+    p = SasParams(1.0, 1.5)
     lam = lambda_alpha(1.5)
     sigma_a = lam * 2.0 * F1_MASS
     assert math.isclose(codifference_forward(f1, p, 0.0, quad_spec), 2.0 * sigma_a, rel_tol=1e-12)
 
 
 def test_codifference_bounded_by_plateau(quad_spec):
-    p = SasParams(1.0, Alpha(1.5))
+    p = SasParams(1.0, 1.5)
     tau0 = codifference_forward(f1, p, 0.0, quad_spec)
     for t in (0.2, 1.0, 3.0, 10.0):
         assert codifference_forward(f1, p, t, quad_spec) <= tau0 + 1e-12
 
 
 def test_scaling_linearity(quad_spec):
-    p = SasParams(1.0, Alpha(1.5))
+    p = SasParams(1.0, 1.5)
     tau0_f = codifference_forward(f1, p, 0.0, quad_spec)
     tau_f = codifference_forward(f1, p, 1.3, quad_spec)
     f_scaled = lambda x: 2.0 * f1(x)
@@ -85,10 +85,10 @@ def test_scaling_linearity(quad_spec):
 
 def test_bridge_identity(quad_spec):
     # build tau from f1, then g_from_codifference must reproduce t_sine
-    alpha = Alpha(1.5)
+    alpha = 1.5
     lam = lambda_alpha(alpha)
     sigma_a = lam * 2.0 * F1_MASS
-    p = SasParams(sigma_a ** (1.0 / alpha.value), alpha)
+    p = SasParams(sigma_a ** (1.0 / alpha), alpha)
 
     def tau(t):
         return codifference_forward(f1, p, t, quad_spec)

@@ -1,6 +1,8 @@
 """Coefficients and special functions against quadrature and mpmath oracles."""
 
 import math
+import re
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -11,9 +13,10 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import psi
 
 from alphasine.specfun import (
-    Alpha,
     CoefficientTable,
     _log_gamma,
+    _near_even,
+    as_alpha,
     cosine_coeffs,
     lambda_alpha,
     leading_coefficient,
@@ -30,17 +33,17 @@ alphas_st = st.floats(min_value=-0.95, max_value=12.0, exclude_min=True)
 class TestAlpha:
     def test_rejects_out_of_range(self):
         for bad in (-1.0, -2.0, float("inf"), float("nan")):
-            with pytest.raises(ValueError):
-                Alpha(bad)
+            with pytest.raises(ValueError, match=f"^alpha must be finite and in \\(-1, inf\\), got {bad}$"):
+                as_alpha(bad)
 
     def test_even_integer_detection(self):
-        assert Alpha(0.0).is_even_integer()
-        assert Alpha(2.0).is_even_integer()
-        assert Alpha(10.0).is_even_integer()
-        assert Alpha(2.0 + 1e-13).is_even_integer()
-        assert not Alpha(2.0 + 1e-10).is_even_integer()
-        assert not Alpha(1.0).is_even_integer()
-        assert not Alpha(-0.5).is_even_integer()
+        assert _near_even(0.0)
+        assert _near_even(2.0)
+        assert _near_even(10.0)
+        assert _near_even(2.0 + 1e-13)
+        assert not _near_even(2.0 + 1e-10)
+        assert not _near_even(1.0)
+        assert not _near_even(-0.5)
 
 
 def fourier_coefficient_oracle(alpha: float, j: int) -> float:
@@ -64,7 +67,7 @@ class TestSineCoeffs:
             assert math.isclose(table.coeffs[j], fourier_coefficient_oracle(1.0, j), abs_tol=1e-10)
 
     def test_count_must_be_positive(self):
-        with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="count must be an integer >= 1, got 0"):
             sine_coeffs(1.5, 0)
 
     def test_alpha_zero(self):
@@ -87,6 +90,24 @@ class TestSineCoeffs:
         c = sine_coeffs(4.0, 10).coeffs
         assert np.all(c[3:] == 0.0)
         assert c[2] != 0.0
+
+    @pytest.mark.parametrize("alpha", [1024.0, 1026.0])
+    def test_even_alpha_past_the_binomial_range(self, alpha):
+        # 4^k overflows past a = 1022, so the recurrence builds the table; its
+        # factor j - a/2 is 0 at j = k, and the exact binomials agree
+        k = int(alpha) // 2
+        c = sine_coeffs(alpha, k + 5).coeffs
+        assert np.all(c[k + 1:] == 0.0) and c[k] != 0.0
+        exact = [(-1) ** j * Fraction(math.comb(2 * k, k - j), 4**k) for j in (0, 1, 2, 50, k)]
+        got = c[[0, 1, 2, 50, k]]
+        assert np.allclose(got, [float(e) for e in exact], rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [4e6 + 2.0, 1e12, 1e300])
+    def test_alpha_too_large_for_c0_is_refused(self, alpha):
+        # c_0's log-gamma form keeps under half its digits there (at a = 1e12
+        # it is 0.2% off, at 1e300 it reads 1.0 against 8e-151)
+        with pytest.raises(ValueError, match=re.escape(f"alpha = {alpha} is too large")):
+            sine_coeffs(alpha, 3)
 
     @pytest.mark.parametrize("alpha", [2.0 - 1e-13, 2.0 + 1e-13])
     def test_near_even_alpha_keeps_its_tail(self, alpha):
