@@ -43,22 +43,22 @@ def fhat3(t):
 BUILTINS = {"f1": (f1, fhat1), "f2": (f2, fhat2), "f3": (f3, fhat3)}
 
 
-def _normalized_density(values: np.ndarray, grid: UniformGrid, certified: bool) -> PeriodicDensity:
+def _normalized_density(values: np.ndarray, grid: UniformGrid) -> PeriodicDensity:
     step_mass = 2.0 * math.pi / grid.count
     values = values / (step_mass * float(np.sum(values)))
-    return PeriodicDensity(SampledFunction(grid, values), certified_pi_periodic=certified)
+    return PeriodicDensity(SampledFunction(grid, values), certified_pi_periodic=True)
 
 
 def shifted_sine_density(h: float, m: int = 512) -> PeriodicDensity:
     """|sin(x - h)|/4, renormalized so the grid trapezoid mass is exactly 1."""
-    grid = circle_grid(m)
-    return _normalized_density(np.abs(np.sin(grid.points() - h)) / 4.0, grid, True)
+    h, grid = _scalar(h, "h"), circle_grid(m)
+    return _normalized_density(np.abs(np.sin(grid.points() - h)) / 4.0, grid)
 
 
 def vonmises4_density(h: float, m: int = 512) -> PeriodicDensity:
     """exp(cos(4(x - h))) with numerical normalization."""
-    grid = circle_grid(m)
-    return _normalized_density(np.exp(np.cos(4.0 * (grid.points() - h))), grid, True)
+    h, grid = _scalar(h, "h"), circle_grid(m)
+    return _normalized_density(np.exp(np.cos(4.0 * (grid.points() - h))), grid)
 
 
 def watson_density(mu: float, kappa: float, m: int = 512) -> PeriodicDensity:
@@ -66,7 +66,7 @@ def watson_density(mu: float, kappa: float, m: int = 512) -> PeriodicDensity:
     M(1/2, 1, kappa) = e^{kappa/2} I_0(kappa/2); the grid sum supplies the
     normalization.  kappa = 0 gives the uniform density.
     """
-    kappa = _scalar(kappa, "kappa", "non-negative")
+    mu, kappa = _scalar(mu, "mu"), _scalar(kappa, "kappa", "non-negative")
     grid = circle_grid(m)
     vals = np.exp(kappa * np.cos(grid.points() - mu) ** 2)
-    return _normalized_density(vals, grid, True)
+    return _normalized_density(vals, grid)

@@ -77,6 +77,7 @@ def estimate_f0(g, alpha, r: float) -> float:
     """
     if not isinstance(g, SampledFunction):
         raise TypeError("estimate_f0 needs a SampledFunction")
+    r = _scalar(r, "r", "positive")
     mask = g.xs > r
     if not np.any(mask):
         raise NoTailSamples(f"no samples beyond R = {r}")
@@ -87,6 +88,7 @@ def estimate_f0(g, alpha, r: float) -> float:
 def build_rhs(g, alpha, n: int, r: float, f0: float) -> np.ndarray:
     """eta_n = g(nR/2N) - (c_0/2) f0 for n = 1..N."""
     n = _scalar(n, "n", "count")
+    r, f0 = _scalar(r, "r", "positive"), _scalar(f0, "f0")
     c0 = sine_coeffs(alpha, 1).coeffs[0]
     y = np.arange(1, n + 1) * (r / (2.0 * n))
     return np.real(call_vec(g.eval if isinstance(g, SampledFunction) else g, y)) - 0.5 * c0 * f0
@@ -214,7 +216,7 @@ def invert_fourier(
 ) -> SampledFunction:
     """Full chain: estimate f0, build eta, solve for xi, synthesize f (see
     synthesize for interpolation and mollifier)."""
-    f0 = estimate_f0(g, alpha, r) if f0_override is None else _scalar(f0_override, "f0")
+    f0 = estimate_f0(g, alpha, r) if f0_override is None else f0_override
     eta = build_rhs(g, alpha, n, r, f0)
     xi = solve_xi(sine_coeffs(alpha, n), eta)
     vals = synthesize(FourierSamples(xi, f0, r), out_grid,

@@ -30,6 +30,7 @@ PI_PERIODIC_TOL = 1e-8
 
 def circle_grid(m: int) -> UniformGrid:
     """M equidistant points on [-pi, pi)."""
+    m = _scalar(m, "m", "count")
     if m < 4 or m % 2 != 0:
         raise ValueError(f"grid size must be even and >= 4, got {m}")
     return UniformGrid(-math.pi, 2.0 * math.pi / m, m)

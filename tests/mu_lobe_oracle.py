@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from alphasine.oscsum import _osc_sum
-from alphasine.specfun import _near_even, leading_coefficient
+from alphasine.specfun import _near_even, lambda_alpha
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -99,7 +99,7 @@ def _mu_nodes(alpha: float, c: float, t_cut: float, omega_max: float):
 
 def _mu_mean_tail(alpha: float, c: float, t_cut: float, omegas: np.ndarray) -> np.ndarray:
     s = 0.5 * (c + 1.0)
-    c0 = leading_coefficient(alpha)
+    c0 = lambda_alpha(alpha)
     return (
         c0
         * t_cut ** (1.0 - s)

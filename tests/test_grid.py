@@ -11,15 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphasine.direct_inv import DirectConfig
-from alphasine.examples import watson_density
+from alphasine.examples import shifted_sine_density, vonmises4_density, watson_density
 from alphasine.forward import t_sine, t_sine_series
 from alphasine.fourier_inv import (FourierSamples, MollifierKind, build_rhs, estimate_f0,
                                    invert_fourier)
 from alphasine.grid import SampledFunction, UniformGrid, call_vec
 from alphasine.quad import QuadSpec, integrate_kernel_split
 from alphasine.sas import SasParams
-from alphasine.specfun import cosine_coeffs, leading_coefficient, operator_norm_bound, sine_coeffs
-from alphasine.sphere import invert_sphere, k_sphere_grid
+from alphasine.specfun import cosine_coeffs, lambda_alpha, operator_norm_bound, sine_coeffs
+from alphasine.sphere import circle_grid, invert_sphere, k_sphere_grid
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -122,12 +122,16 @@ _KF = k_sphere_grid(watson_density(0.0, 1.0, m=16), 1.5)
 _ALPHA = "(-1, inf)"
 GATED_CALLS = {
     "watson-kappa": (lambda v: watson_density(0.0, v, m=8), "kappa", "non-negative"),
+    "watson-mu": (lambda v: watson_density(v, 1.0, m=8), "mu", "finite"),
+    "shifted-h": (lambda v: shifted_sine_density(v, m=8), "h", "finite"),
+    "vonmises-h": (lambda v: vonmises4_density(v, m=8), "h", "finite"),
+    "circle-m": (lambda v: circle_grid(v), "m", "count"),
     "invert-f0": (lambda v: invert_fourier(_G, 1.5, 4, 1.0, UniformGrid(0.0, 0.5, 3),
                                            f0_override=v), "f0", "finite"),
     "coeffs-alpha": (lambda v: sine_coeffs(v, 3), "alpha", _ALPHA),
     "coeffs-count": (lambda v: sine_coeffs(1.5, v), "count", "count"),
     "cosine-count": (lambda v: cosine_coeffs(1.5, v), "count", "count"),
-    "c0-alpha": (lambda v: leading_coefficient(v), "alpha", _ALPHA),
+    "c0-alpha": (lambda v: lambda_alpha(v), "alpha", _ALPHA),
     "norm-alpha": (lambda v: operator_norm_bound(v), "alpha", "(-1, 0)"),
     "t_sine-alpha": (lambda v: t_sine(np.exp, v, 1.0), "alpha", _ALPHA),
     "quad-alpha": (lambda v: integrate_kernel_split(np.exp, v, 1.0), "alpha", _ALPHA),
@@ -135,7 +139,10 @@ GATED_CALLS = {
                      _ALPHA),
     "series-terms": (lambda v: t_sine_series(np.exp, 1.5, 1.0, v), "terms", "count"),
     "f0-alpha": (lambda v: estimate_f0(_G, v, 1.0), "alpha", _ALPHA),
+    "f0-r": (lambda v: estimate_f0(_G, 1.5, v), "r", "positive"),
     "rhs-n": (lambda v: build_rhs(_G, 1.5, v, 1.0, 0.0), "n", "count"),
+    "rhs-r": (lambda v: build_rhs(_G, 1.5, 4, v, 0.0), "r", "positive"),
+    "rhs-f0": (lambda v: build_rhs(_G, 1.5, 4, 1.0, v), "f0", "finite"),
     "invert-alpha": (lambda v: invert_fourier(_G, v, 4, 1.0, UniformGrid(0.0, 0.5, 3)),
                      "alpha", _ALPHA),
     "sphere-alpha": (lambda v: k_sphere_grid(watson_density(0.0, 1.0, m=8), v), "alpha", _ALPHA),

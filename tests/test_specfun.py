@@ -19,7 +19,6 @@ from alphasine.specfun import (
     as_alpha,
     cosine_coeffs,
     lambda_alpha,
-    leading_coefficient,
     operator_norm_bound,
     sin_power_integral,
     sine_coeffs,
@@ -244,13 +243,27 @@ class TestIntegralConstants:
                             points=[math.pi / 2, 3 * math.pi / 2], limit=200)
         assert math.isclose(lambda_alpha(alpha), val / (2.0 * math.pi), abs_tol=1e-8)
 
+    def test_lambda_exact_at_even_alpha(self):
+        # c_0 = binom(2k, k) / 4^k, from the exact branch of sine_coeffs
+        assert lambda_alpha(2.0) == 0.5
+        assert lambda_alpha(4.0) == 0.375
+
     @given(alpha=alphas_st)
     @settings(max_examples=30, deadline=None)
     def test_leading_coefficient_is_kernel_mean(self, alpha):
-        # c_0 equals C_a / pi by the Legendre duplication formula
-        assert math.isclose(
-            leading_coefficient(alpha), sin_power_integral(alpha) / math.pi, rel_tol=1e-12
-        )
+        # c_0 = lambda_a = C_a / pi, the Gauss form of c_0 by Legendre's
+        # duplication formula
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            ref = mp.gamma(1 + a) / (2**a * mp.gamma(a / 2 + 1) ** 2)
+            assert abs(lambda_alpha(alpha) / ref - 1) <= 1e-14
+            assert abs(sin_power_integral(alpha) / (mp.pi * ref) - 1) <= 1e-14
+
+    @pytest.mark.parametrize("call, alpha", [(sin_power_integral, 1e12), (lambda_alpha, 1e20)])
+    def test_refused_past_c0_limit(self, call, alpha):
+        message = f"alpha = {alpha} is too large: c_0 would keep under half its digits"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(alpha)
 
 
 class TestHyp2f1Unit:
@@ -258,7 +271,7 @@ class TestHyp2f1Unit:
         # Gauss's theorem: 2F1[-a/4, -a/4 + 1/2; 1; 1] = 2^{a/2} c_0(a)
         for a in (0.5, 1.0, 2.0, 3.0):
             lhs = float(mp.hyp2f1(-a / 4.0, -a / 4.0 + 0.5, 1.0, 1.0))
-            assert math.isclose(lhs, 2.0 ** (a / 2.0) * leading_coefficient(a), rel_tol=1e-12)
+            assert math.isclose(lhs, 2.0 ** (a / 2.0) * lambda_alpha(a), rel_tol=1e-12)
 
 
 class TestComplexLogGamma:
@@ -292,7 +305,7 @@ class TestOperatorNormBound:
         f32 = ((alpha + 2.0) / alpha) * (
             math.log(2.0) + (psi((1.0 + alpha) / 2.0) - psi(1.0 + alpha / 2.0)) / 2.0
         )
-        c0 = leading_coefficient(alpha)
+        c0 = lambda_alpha(alpha)
         ref = sin_power_integral(alpha) * (1.0 / math.pi + 1.0) + c0 * (
             1.0 - alpha / (alpha + 2.0) * f32
         )

@@ -54,6 +54,9 @@ class TestPeriodicDensity:
             PeriodicDensity(SampledFunction(g, vals), certified_pi_periodic=True)
         PeriodicDensity(SampledFunction(g, vals))  # uncertified is fine
 
+    def test_numeric_string_size(self):
+        assert circle_grid("8") == circle_grid(8)
+
     def test_wrong_grid_rejected(self):
         bad = UniformGrid(0.0, 2.0 * math.pi / 8, 8)
         with pytest.raises(ValueError):
@@ -63,8 +66,9 @@ class TestPeriodicDensity:
         (lambda: circle_grid(3), "grid size must be even and >= 4, got 3"),
         (lambda: _check_circle_grid(UniformGrid(-math.pi, 2.0 * math.pi / 7, 7)),
          "circle grid size must be even"),
+        (lambda: circle_grid(np.array([8])), "m must be one number, got shape (1,)"),
         (lambda: watson_density(0.0, -1.0), "kappa must be finite and non-negative, got -1.0"),
-    ], ids=["odd-size", "odd-grid", "negative-kappa"])
+    ], ids=["odd-size", "odd-grid", "array-size", "negative-kappa"])
     def test_refusal_names_its_cause(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
