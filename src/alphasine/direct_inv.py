@@ -32,6 +32,8 @@ from .specfun import _exactly_even, _log_gamma, sine_coeffs
 _MU_GRID_DEFAULT = UniformGrid(-24.0, 48.0 / 6144.0, 6145)
 # coefficients summed directly in mu; the rest is the Euler-Maclaurin tail
 _MU_TERMS = 400
+# up to this a the tail stays below e^-150 of the sum; near a = 2170 it overflows
+_MU_ALPHA_MAX = 2000.0
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,11 @@ def _log_sin(w: np.ndarray) -> np.ndarray:
     return np.where(flip, np.conj(out), out)
 
 
-def _power_tail(p: np.ndarray, n: int) -> np.ndarray:
-    """sum_{j > n} j^{-p} for Re p > 1, by Euler-Maclaurin at n."""
-    return float(n) ** -p * (n / (p - 1.0) - 0.5 + p / (12.0 * n)
-                             - p * (p + 1.0) * (p + 2.0) / (720.0 * n**3))
+def _power_tail(p: np.ndarray, n: int, log_scale: float) -> np.ndarray:
+    """e^log_scale sum_{j > n} j^{-p} for Re p > 1, by Euler-Maclaurin at n,
+    the scale taken into n^{-p}'s exponent so that a huge one stays finite."""
+    return np.exp(log_scale - p * math.log(n)) * (n / (p - 1.0) - 0.5 + p / (12.0 * n)
+                                                   - p * (p + 1.0) * (p + 2.0) / (720.0 * n**3))
 
 
 def _mu_values(a: float, c: float, omegas: np.ndarray) -> np.ndarray:
@@ -82,26 +85,27 @@ def _mu_values(a: float, c: float, omegas: np.ndarray) -> np.ndarray:
 
     The sum takes j <= _MU_TERMS directly (only j <= a/2 at even a).  Beyond,
     c_j = K j^{-1-a} (1 + b / j^2 + O(j^-4)) with K = -Gamma(a+1) sin(pi a/2)
-    / (pi 2^a) and b = a(1+a)(2+a)/24, summed in closed form.  The factors
+    / (pi 2^a) and b = a(1+a)(2+a)/24, summed in closed form; Gamma(a+1)/2^a
+    overflows from a = 196.8 on, so its log joins the exponent of the tail's
+    tiny _MU_TERMS^{-p}, and a past _MU_ALPHA_MAX is refused.  The factors
     Gamma(1-z) and sin(pi z/2) each leave the float range past |omega| = 452,
-    so their product is formed in log space.  The coefficient sum is real
-    at each j, so it is summed once at each |omega| and conjugated for
-    omega < 0.
+    so their product is formed in log space.  The coefficient sum is real at
+    each j, so it is summed once at each |omega| and conjugated for omega < 0.
     """
     s = 0.5 * (c + 1.0)
     coeffs = sine_coeffs(a, _MU_TERMS).coeffs
+    if a > _MU_ALPHA_MAX:
+        raise ValueError(f"alpha = {a} is too large: mu's tail holds up to a = {_MU_ALPHA_MAX:g}")
     j = np.flatnonzero(coeffs[1:]) + 1
     mags, at = np.unique(np.abs(omegas), return_inverse=True)
     total = _osc_sum(np.log(j), coeffs[j] * j ** (s - 1.0), mags, -1.0)[at]
     total = np.where(omegas < 0.0, np.conj(total), total)
     if not _exactly_even(a):
-        try:
-            k = -math.exp(math.lgamma(a + 1.0) - a * math.log(2.0)) * math.sin(0.5 * math.pi * a) / math.pi
-        except OverflowError:
-            raise OverflowError(f"alpha = {a} is too large: Gamma(a+1)/2^a overflows in mu") from None
+        log_k = math.lgamma(a + 1.0) - a * math.log(2.0)
         p = (2.0 + a - s) + 1j * omegas
         b = a * (1.0 + a) * (2.0 + a) / 24.0
-        total += k * (_power_tail(p, _MU_TERMS) + b * _power_tail(p + 2.0, _MU_TERMS))
+        total -= (math.sin(0.5 * math.pi * a) / math.pi) * (
+            _power_tail(p, _MU_TERMS, log_k) + b * _power_tail(p + 2.0, _MU_TERMS, log_k))
     z = (1.0 - s) + 1j * omegas
     log_scale = -z * math.log(2.0) - _log_gamma(1.0 - z) - _log_sin(0.5 * math.pi * z)
     return math.pi * np.exp(log_scale) * total
@@ -113,6 +117,7 @@ def mu(x, cfg: DirectConfig):
                       x, "x", "positive")
 
 
+# keyed on the quantities mu depends on, and t_cut, so changing eps reuses the table
 @lru_cache(maxsize=8)
 def _mu_table_values(alpha_value: float, c: float, t_cut: float, grid: UniformGrid) -> np.ndarray:
     vals = _mu_values(alpha_value, c, grid.points())
@@ -120,14 +125,10 @@ def _mu_table_values(alpha_value: float, c: float, t_cut: float, grid: UniformGr
     return vals
 
 
-def _mu_table_cached(cfg: DirectConfig) -> np.ndarray:
-    # keyed on the quantities mu depends on, so changing eps reuses the table
-    return _mu_table_values(cfg.alpha, cfg.weight_exponent, cfg.t_cut, cfg.mu_grid)
-
-
 def mu_table(cfg: DirectConfig) -> SampledFunction:
     """mu tabulated on the log-uniform grid (abscissae are omega = ln x)."""
-    return SampledFunction(cfg.mu_grid, _mu_table_cached(cfg))
+    return SampledFunction(
+        cfg.mu_grid, _mu_table_values(cfg.alpha, cfg.weight_exponent, cfg.t_cut, cfg.mu_grid))
 
 
 def _h_values(g: SampledFunction, cfg: DirectConfig, at) -> np.ndarray:
@@ -206,7 +207,7 @@ def invert_direct(g: SampledFunction, cfg: DirectConfig, out_grid: UniformGrid) 
     """
     # first, so that g's samples are refused before mu is tabulated
     hg = _h_values(g, cfg, cfg.mu_grid)
-    mu_vals = _mu_table_cached(cfg)
+    mu_vals = _mu_table_values(cfg.alpha, cfg.weight_exponent, cfg.t_cut, cfg.mu_grid)
     keep = np.abs(mu_vals) > cfg.epsilon
     if not np.any(keep):
         warnings.warn("the set {|mu| > eps} is empty: the estimate is identically zero", stacklevel=2)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NoTailSamples, SingularDiagonal
 from .grid import SampledFunction, UniformGrid, _pointwise, _scalar, call_vec
 from .oscsum import _uniform_sum
-from .specfun import CoefficientTable, sine_coeffs
+from .specfun import CoefficientTable, lambda_alpha, sine_coeffs
 
 # (-1)^k / (2k+3)!, k = 0..7: the series of (u - sin u)/u^3 in u^2, which
 # leaves under 1e-17 of its value untaken for |u| < 1
@@ -41,7 +41,7 @@ class FourierSamples:
     r: float
 
     def __post_init__(self):
-        arr = np.array(self.xi, dtype=float)
+        arr = np.array(_pointwise(lambda v: v, self.xi, "xi"), dtype=float)
         if arr.ndim != 1 or len(arr) < 1:
             raise ValueError(f"xi must be a non-empty one-dimensional array, got shape {arr.shape}")
         object.__setattr__(self, "r", _scalar(self.r, "r", "positive"))
@@ -81,7 +81,7 @@ def estimate_f0(g, alpha, r: float) -> float:
     mask = g.xs > r
     if not np.any(mask):
         raise NoTailSamples(f"no samples beyond R = {r}")
-    c0 = sine_coeffs(alpha, 1).coeffs[0]
+    c0 = lambda_alpha(alpha)
     return float(np.mean(2.0 * np.real(g.values[mask]) / c0))
 
 
@@ -89,7 +89,7 @@ def build_rhs(g, alpha, n: int, r: float, f0: float) -> np.ndarray:
     """eta_n = g(nR/2N) - (c_0/2) f0 for n = 1..N."""
     n = _scalar(n, "n", "count")
     r, f0 = _scalar(r, "r", "positive"), _scalar(f0, "f0")
-    c0 = sine_coeffs(alpha, 1).coeffs[0]
+    c0 = lambda_alpha(alpha)
     y = np.arange(1, n + 1) * (r / (2.0 * n))
     return np.real(call_vec(g.eval if isinstance(g, SampledFunction) else g, y)) - 0.5 * c0 * f0
 

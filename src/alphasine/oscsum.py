@@ -2,9 +2,8 @@
 
 `_osc_sum` is the dense sum: any nodes L_j, any omegas, one cosine and one
 sine matrix product per chunk of omegas.  It serves mu's non-uniform nodes
-ln j, and the Gauss-Jacobi nodes of the circle kernel's quadrature
-reference, which only the tests call.  Uniform nodes L_j = u0 + j du
-take one of two sums, and `_uniform_sum` alone picks between them:
+ln j alone.  Uniform nodes L_j = u0 + j du take one of two sums, and
+`_uniform_sum` alone picks between them:
 
 - at a UniformGrid of omegas, `_chirp_sum` forms the sum as one chirp-z
   transform (Bluestein); `_turns` gives its chirps with whole turns dropped
@@ -37,10 +36,9 @@ _TABLE_ENTRIES = 10_000_000
 
 
 def _osc_sum(coords: np.ndarray, weights: np.ndarray, omegas: np.ndarray, sign: float) -> np.ndarray:
-    """sum_j W_j exp(i sign omega L_j) for each omega, chunked for memory.
-    Columns of a two-dimensional W are summed independently."""
+    """sum_j W_j exp(i sign omega L_j) for each omega, chunked for memory."""
     n = len(omegas)
-    out = np.empty((n,) + weights.shape[1:], dtype=complex)
+    out = np.empty(n, dtype=complex)
     chunk = max(1, _TABLE_ENTRIES // max(1, len(coords)))
     for i in range(0, n, chunk):
         phase = np.outer(sign * omegas[i : i + chunk], coords)

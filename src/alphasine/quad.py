@@ -134,9 +134,10 @@ _PANEL_LOBES = 64
 _PANEL_X = 2.0
 _PANEL_X_MAX = 64.0
 # the Stieltjes procedure integrates p_r^2 x for r <= 16, degree 33, times
-# the smooth factor of _sine_measure, and 64 nodes leave 94 degrees for that
-# factor, whose Chebyshev coefficients on [0, pi/2] fall as 5.8^-k (it is
-# singular at v = pi), far below rounding there
+# the smooth factor (sin v / v)^a of _gauss_pair's measure, and 64 nodes
+# leave 94 degrees for that factor, whose Chebyshev coefficients on
+# [0, pi/2] fall as 5.8^-k (it is singular at v = pi), far below rounding
+# there
 _MEASURE_N = 64
 
 
@@ -207,24 +208,18 @@ def _jacobi_rule(alpha: float):
     return _frozen(*_gauss_jacobi(alpha, _GAUSS_N))
 
 
-def _sine_measure(alpha: float, n: int):
-    """Nodes v and weights of the n-point rule for sin(v)^alpha on [0,
-    pi/2]: GJ(0, alpha) there, which holds v^alpha exactly, with the smooth
-    factor (sin v / v)^alpha folded into its weights."""
-    u, w = _gauss_jacobi(alpha, n)
-    v = _HALF_PI * u
-    return v, w[0] * (_HALF_PI ** (alpha + 1.0) * (np.sin(v) / v) ** alpha)
-
-
 @lru_cache(maxsize=64)
 def _gauss_pair(alpha: float, span: float):
     """G16 for |sin u|^alpha on [0, span], span pi/2 or m pi, as a read-only
     rule (u, w) whose last two rows extrapolate the degree-15 interpolant at
     its nodes to u = 0 and u = span.  Its recurrence comes from the
-    discretized Stieltjes procedure (Gautschi 1982) on _sine_measure,
-    mirrored about the crest for a whole lobe and repeated over the lobes of
-    a panel."""
-    v, q = _sine_measure(alpha, _MEASURE_N)
+    discretized Stieltjes procedure (Gautschi 1982) on the _MEASURE_N-point
+    GJ(0, alpha) rule on [0, pi/2] with (sin v / v)^alpha folded into its
+    weights, mirrored about the crest for a whole lobe and repeated over the
+    lobes of a panel."""
+    u, w = _gauss_jacobi(alpha, _MEASURE_N)
+    v = _HALF_PI * u
+    q = w[0] * (_HALF_PI ** (alpha + 1.0) * (np.sin(v) / v) ** alpha)
     lobes = round(span / math.pi)
     x = v / (0.5 * min(span, math.pi)) - 1.0
     if lobes:

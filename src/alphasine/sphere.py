@@ -5,8 +5,8 @@ The transform is the periodic convolution of a density on [-pi, pi) with
 for even n and 0 for odd n, in closed form from the Gauss hypergeometric
 theorem, so the transform is the density's FFT times that multiplier.
 `_kernel_coeffs_quad` computes the same coefficients by quadrature, on the
-Gauss-Jacobi rule the forward transform's lobe rules are built from; no
-program code calls it, and the tests use it as the independent route of the
+forward transform's lobe engine (quad.integrate_kernel_split); no program
+code calls it, and the tests use it as the independent route of the
 convolution-theorem checks.
 """
 
@@ -18,10 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CoefficientUnderflow, EvenIntegerAlpha, NonConvergence
+from .errors import CoefficientUnderflow, EvenIntegerAlpha
 from .grid import SampledFunction, UniformGrid, _scalar
-from .oscsum import _osc_sum
-from .quad import _place, _sine_measure
+from .quad import QuadSpec, integrate_kernel_split
 from .specfun import _near_even, as_alpha, cosine_coeffs
 
 MASS_TOL = 1e-8
@@ -92,27 +91,19 @@ def _synth_on_grid(coeffs_fft: np.ndarray) -> np.ndarray:
 def _kernel_coeffs_quad(alpha_value: float, n_keep: int) -> np.ndarray:
     """khat_n = integral of |cos t|^a e^{-int} over one period, n = 0..n_keep.
 
-    Computed on the rule for sin(v)^a on a half-lobe (quad._sine_measure)
-    placed in the period's four half-lobes, its node count doubled from 64
-    until two counts agree to 1e-9.  True values are 2 pi ctilde_{n/2} for
-    even n and 0 for odd n; this routine never uses that closed form.  It is
-    the tests' reference for `k_sphere_grid`, which uses the closed form
-    alone.  It stays here because the benchmark's tracer wraps it by this
-    name.
+    The kernel is even, so khat_n is twice the integral of |cos t|^a cos(nt)
+    over (0, pi], which the forward transform's lobe quadrature takes at
+    y = 1 and rel_tol 1e-14.  True values are 2 pi ctilde_{n/2} for even n
+    and 0 for odd n; this routine never uses that closed form.  It is the
+    tests' reference for `k_sphere_grid`, which uses the closed form alone.
+    It stays here because the benchmark's tracer wraps it by this name.
     """
-    n = np.arange(0, n_keep + 1)
-    # the four half-lobes of [-pi/2, 3pi/2): each one's zero and direction
-    zero_end = np.array([-0.5, 0.5, 0.5, 1.5]) * math.pi
-    toward = np.array([1.0, -1.0, 1.0, -1.0])
-    last = None
-    for nodes in (64, 128, 256, 512):
-        v, w = _sine_measure(alpha_value, nodes)
-        coeffs = _osc_sum(_place(v, zero_end, toward).ravel(), np.tile(w, 4), n, -1.0)
-        if last is not None and np.max(np.abs(coeffs - last)) <= 1e-9:
-            coeffs.setflags(write=False)
-            return coeffs
-        last = coeffs
-    raise NonConvergence("circle kernel coefficients did not converge")
+    spec = QuadSpec(rel_tol=1e-14, tail_cut=math.pi)
+    coeffs = np.array([2.0 * integrate_kernel_split(lambda t, n=n: np.cos(n * t), alpha_value,
+                                                    1.0, spec, kernel="cosine")
+                       for n in range(n_keep + 1)])
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def k_sphere_grid(f: PeriodicDensity, alpha) -> SampledFunction:

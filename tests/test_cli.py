@@ -563,15 +563,18 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize("argv, message", [
         (["sas", "--in", "{tau}", "--sigma", "1e300", "--alpha", "1.5"],
          "sigma = 1e+300 overflows 2 sigma**alpha at alpha = 1.5"),
-        (["invert", "--method", "direct", "--in", "{good}", "--alpha", "200.5"],
-         "alpha = 200.5 is too large"),
+        (["invert", "--method", "direct", "--in", "{good}", "--alpha", "5e6"],
+         "alpha = 5000000.0 is too large"),
+        (["invert", "--method", "direct", "--in", "{good}", "--alpha", "2500.5"],
+         "alpha = 2500.5 is too large: mu's tail holds up to a = 2000"),
         (["coeffs", "--alpha", "1e300", "--count", "3"], "alpha = 1e+300 is too large"),
         (["coeffs", "--alpha", "1e12", "--count", "3"], "alpha = 1000000000000.0 is too large"),
         # 8 PB of int64 is beyond a 47-bit address space: the allocation
         # fails at once on any host
         (["forward", "--f", "f1", "--alpha", "1.5", "--grid", "0:1:1000000000000000"],
          "Unable to allocate"),
-    ], ids=["sas-sigma", "direct-mu", "coeffs-comb", "coeffs-1e12", "forward-grid"])
+    ], ids=["sas-sigma", "direct-mu", "direct-mu-tail", "coeffs-comb", "coeffs-1e12",
+            "forward-grid"])
     def test_overflow_and_memory_exit_2(self, capsys, tmp_path, t2f1_csv, argv, message):
         tau = tmp_path / "tau.csv"
         write_samples(tau, [0.5, 1.0], [1.0, 1.0], header="t,tau")
@@ -579,6 +582,16 @@ class TestConfigAndErrors:
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert "Traceback" not in err
+
+    def test_direct_runs_where_gamma_over_2_to_the_a_overflows(self, capsys, t2f1_csv):
+        # Gamma(a+1)/2^a leaves the float range from a = 196.8 on; mu's tail
+        # carries its log, and at this a the set {|mu| > eps} reaches the grid edge
+        with pytest.warns(UserWarning, match="tabulation boundary"):
+            rc, out, err = run(capsys, "invert", "--method", "direct", "--in", t2f1_csv,
+                               "--alpha", "200.5", "--grid", "0.2:3:5")
+        assert (rc, err) == (0, "")
+        values = np.array([float(l.split(",")[1]) for l in out.splitlines()[2:]])
+        assert len(values) == 5 and np.all(np.isfinite(values))
 
     @pytest.mark.parametrize("xs", [[-2.0, -1.5, -1.0], [0.0, 1e-10, 2e-10]],
                              ids=["negative", "below-e-20"])

@@ -6,6 +6,7 @@ import math
 import re
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +33,30 @@ from alphasine.specfun import _near_even
 from chirp_oracle import _chirp_sum as chirp_sum_oracle
 from conftest import f1, fhat1, sample, t2_f1
 from mu_lobe_oracle import lobe_mu, real_weight_sum
+
+
+def _mu_mpmath(a: float, omega: float) -> complex:
+    """mu at omega = ln x for a >= 2 (c = 3, z = -1 + i omega) from its series
+    pi 2^-z sum_{j>=1} c_j j^-z / (Gamma(1-z) sin(pi z/2)) at 30 digits: c_j
+    by the ratio recurrence up to j = J = 2(a + |omega|) + 40, and past J the
+    Euler-Maclaurin sum of c_j's closed form K Gamma(j - a/2) / Gamma(j + a/2
+    + 1), with K = -Gamma(a+1) sin(pi a/2) / (pi 2^a)."""
+    with mp.workdps(30):
+        a = mp.mpf(a)
+        z = mp.mpc(-1, omega)
+        k = -mp.gamma(a + 1) * mp.sinpi(a / 2) / (mp.pi * 2**a)
+
+        def term(j):
+            return k * mp.gamma(j - a / 2) / mp.gamma(j + a / 2 + 1) * mp.power(j, -z)
+
+        last = int(2 * (a + abs(omega))) + 40
+        cj = mp.gamma((1 + a) / 2) / (mp.sqrt(mp.pi) * mp.gamma(1 + a / 2))
+        total = mp.mpc(0)
+        for j in range(1, last + 1):
+            cj *= (j - 1 - a / 2) / (j + a / 2)
+            total += cj * mp.power(j, -z)
+        total += mp.sumem(term, [last + 1, mp.inf], integral=mp.quad(term, [last + 1, mp.inf]))
+        return complex(mp.pi * mp.power(2, -z) * total / (mp.gamma(1 - z) * mp.sinpi(z / 2)))
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +157,20 @@ class TestMuClosedForm:
         with mock.patch.object(direct_inv, "_MU_TERMS", 3000):
             longer = direct_inv._mu_values(a, c, om)
         assert np.max(np.abs(longer - vals)) <= 1e-13 * scale
+
+    @settings(max_examples=5, deadline=None)
+    @given(a=st.floats(min_value=2.0, max_value=1000.0, exclude_min=True, exclude_max=True),
+           w=st.floats(min_value=-20.0, max_value=20.0))
+    @example(a=200.5, w=0.7)
+    @example(a=300.5, w=2.0)
+    @example(a=600.5, w=2.0)
+    def test_matches_mpmath_series(self, a, w):
+        # past a = 196.8 Gamma(a+1)/2^a overflows; mu's tail carries its log.
+        # Errors are measured against |mu(1)|, as mu(e^w) nears zero at some w
+        om = np.array([w, 0.0])
+        got = direct_inv._mu_values(a, DirectConfig(alpha=a).weight_exponent, om)
+        ref = np.array([_mu_mpmath(a, v) for v in om])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * abs(ref[1])
 
     @pytest.mark.parametrize("a", [2.0, 2.5])
     def test_finite_far_out(self, a):

@@ -131,7 +131,11 @@ class TestSolveXi:
     (lambda: solve_xi(sine_coeffs(1.5, 4), np.ones(8)), ValueError,
      "need coefficients up to index 8, got 4"),
     (lambda: estimate_f0(t2_f1, 2.0, 10.0), TypeError, "estimate_f0 needs a SampledFunction"),
-], ids=["rhs-no-rows", "short-table", "f0-of-callable"])
+    # a transform that is NaN past y = 1 makes xi NaN, which synthesis would spread
+    (lambda: invert_fourier(lambda y: np.where(y > 1.0, np.nan, 0.0), 2.0, 4, 4.0,
+                            UniformGrid(0.0, 0.5, 3), f0_override=1.0), ValueError,
+     "xi must be finite, got nan"),
+], ids=["rhs-no-rows", "short-table", "f0-of-callable", "nan-transform"])
 def test_refusal_names_its_cause(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()

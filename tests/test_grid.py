@@ -128,6 +128,7 @@ GATED_CALLS = {
     "circle-m": (lambda v: circle_grid(v), "m", "count"),
     "invert-f0": (lambda v: invert_fourier(_G, 1.5, 4, 1.0, UniformGrid(0.0, 0.5, 3),
                                            f0_override=v), "f0", "finite"),
+    "fourier-xi": (lambda v: FourierSamples([1.0, v], 1.0, 1.0), "xi", "finite"),
     "coeffs-alpha": (lambda v: sine_coeffs(v, 3), "alpha", _ALPHA),
     "coeffs-count": (lambda v: sine_coeffs(1.5, v), "count", "count"),
     "cosine-count": (lambda v: cosine_coeffs(1.5, v), "count", "count"),

@@ -94,11 +94,12 @@ class TestKSphere:
         gap = np.max(np.abs(k_sphere_grid(f, alpha).values - ref))
         assert gap <= 1e-14 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.5, 1.5, 3.3, 4.9])
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.5, 1.5, 2.0, 3.3, 4.9])
     def test_quadrature_coefficients_match_the_closed_form(self, alpha):
-        # the quadrature reference, on the Gauss-Jacobi measure of the lobe
-        # rules, against 2 pi ctilde_{n/2} at even n and 0 at odd n, for
-        # every harmonic the reference serves
+        # the quadrature reference, on the forward transform's lobe engine,
+        # against 2 pi ctilde_{n/2} at even n and 0 at odd n, for every
+        # harmonic the reference serves; at a = 2 the closed form ends in
+        # exact zeros from n = 4 on
         khat = _kernel_coeffs_quad(alpha, 64)
         ct = cosine_coeffs(alpha, 33).coeffs
         exact = np.zeros(65)
