@@ -55,12 +55,14 @@ def gaussian_noise(seed: int, count: int) -> np.ndarray:
 
 
 def write_csv(stream, comments: list[str], header: list[str], columns: list[np.ndarray]) -> None:
-    """One write of the whole file.  Values go through .tolist(), because a
-    Python float formats faster than, and exactly as, an np.float64."""
-    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    stream.write("".join([f"# {line}\n" for line in comments] + [",".join(header) + "\n"]
-                         + [row.format(*r) for r in rows]))
+    """One write of the whole file, the table as one %-format of all its
+    values.  The columns are real and are stacked into one array, whose
+    values go through .tolist(), because a Python float formats faster than,
+    and exactly as, an np.float64."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    stream.write("".join([f"# {line}\n" for line in comments] + [",".join(header) + "\n"])
+                 + row * len(table) % tuple(table.ravel().tolist()))
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:

@@ -9,13 +9,25 @@ of a Gauss rule, as in QUADPACK's QAWS, and f only has to be smooth.
 
 Rules.  Every rule is a 16-point Gauss rule, G16, in one form (u, w): each
 node's distance u from its zero end, and weight rows, the rule and then G16
-less its null rules of degree 15 and 14 on the same nodes.  The estimate is
-the sum of the rule's distances to those two rows (Berntsen & Espelid
-1991), at no evaluation of f beyond the 16.  All rules are of one family:
-GJ(0, a), for u^a on [0, 1], from its closed-form recurrence, and the rules
-for |sin u|^a on [0, pi/2] (a half-lobe) and on [0, m pi] (a panel of m
-whole lobes), from the Stieltjes procedure on the _MEASURE_N-point GJ(0, a)
-rule with the smooth factor (sin v / v)^a folded into its weights.
+less its null rules N_r of degree 15 and 14 on the same nodes, and on a
+panel's rule of degree 13 and 12 too.  A piece's estimate is e1 = |N15 f| +
+|N14 f|, the sum of the rule's distances to the first two (Berntsen &
+Espelid 1991), at no evaluation of f beyond the 16; it bounds the error of
+a degree-14 rule, not G16's.  A panel's also reads how fast the null rules
+fall, their asymptotic branch at critical ratio 1: where f is analytic on
+the panel the pairs decay geometrically, by r = e1 / e2 per two degrees
+with e2 = |N13 f| + |N12 f|, and G16's error is about e1 r^8.5, so the
+estimate is e1 min(1, r)^2.  Where they do not decay it stays e1, and at a
+kink they decay slowly if at all, so a kinked panel's estimate stays far
+above quadrature precision, if not always above its error (nor is e1).
+Pieces keep e1: two more rows, which GJ(0, a) and Gauss-Legendre pieces
+weight per piece, would cost more than the failures they spare.
+
+All rules are of one family: GJ(0, a), for u^a on [0, 1], from its
+closed-form recurrence, and the rules for |sin u|^a on [0, pi/2] (a
+half-lobe) and on [0, m pi] (a panel of m whole lobes), from the Stieltjes
+procedure on the _MEASURE_N-point GJ(0, a) rule with the smooth factor
+(sin v / v)^a folded into its weights.
 
 Panels.  The lobes of a y that lie whole in (0, y tail_cut], the sine's
 first aside, are laid out as panels of m consecutive lobes, m a power of
@@ -37,13 +49,13 @@ kernel's mass u_1^(a+1) / (a+1) between the zero and u_1: the mass the
 nodes do not see, which also keeps the extrapolation's rounding (weights of
 total size up to 2137 on one lobe at a = 4.5) within 2e-18 of the lobe's.
 
-Halving.  A panel of m lobes is kept when its estimate meets the share of
-its 2m half-lobes of min(rel_tol, _LOBE_REL_TOL) times the mass of its y's
-kept and current panels.  One that fails halves at its middle zero into two
-panels of m/2, at one more evaluation of f, and a lobe that fails, as one
-holding a kink does, leaves its two half-lobes to the pieces.  The sine's
-first lobe starts at x = 0, where f is not evaluated, and goes there as two
-half-lobes too.
+Halving.  A panel of m lobes is kept when its estimate, the end check
+included, meets the share of its 2m half-lobes of min(rel_tol,
+_LOBE_REL_TOL) times the mass of its y's kept and current panels.  One
+that fails halves at its middle zero into two panels of m/2, at one more
+evaluation of f, and a lobe that fails, as one holding a kink does, leaves
+its two half-lobes to the pieces.  The sine's first lobe starts at x = 0,
+where f is not evaluated, and goes there as two half-lobes too.
 
 Pieces.  Every other part of (0, y tail_cut] lies between a zero and a
 crest: a row (zero_end, toward, length, off) of a piece table, which runs
@@ -111,6 +123,8 @@ _HALF_PI_HEAD = math.ldexp(math.floor(math.ldexp(_HALF_PI, 31)), -31)
 _HALF_PI_TAIL = (_HALF_PI - _HALF_PI_HEAD) + 0.5 * math.sin(math.pi)
 _GAUSS_N = 16
 _NULL_DEGREES = (15, 14)
+# a panel's rule also carries these, to read how fast its null rules decay
+_DECAY_DEGREES = (13, 12)
 # a panel's share is taken at this relative tolerance when the caller's is
 # looser: at the CLI's 1e-6 for sampled input, kinked panels would pass with
 # an error their estimate understates
@@ -153,16 +167,16 @@ class QuadSpec:
             object.__setattr__(self, name, _scalar(getattr(self, name), name, "positive"))
 
 
-def _golub_welsch(diag: np.ndarray, off: np.ndarray, mu0: float):
+def _golub_welsch(diag: np.ndarray, off: np.ndarray, mu0: float, degrees=_NULL_DEGREES):
     """Nodes and weight rows of the Gauss rule whose Jacobi matrix has this
     diagonal and off-diagonal, for a weight of mass mu0 (Golub & Welsch
-    1969): the rule, then the rule less each null rule of _NULL_DEGREES.
+    1969): the rule, then the rule less each null rule of the given degrees.
     Row r of the eigenvectors v is p_r(x) sqrt(g), so mu0 v_0 v_r sums every
     polynomial of degree below r to zero but not p_r: the null rule of
     degree r (Berntsen & Espelid 1991)."""
     theta, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     g = mu0 * v[0] ** 2
-    return theta, np.stack([g] + [g - mu0 * v[0] * v[r] for r in _NULL_DEGREES])
+    return theta, np.stack([g] + [g - mu0 * v[0] * v[r] for r in degrees])
 
 
 def _frozen(u, w):
@@ -211,8 +225,9 @@ def _jacobi_rule(alpha: float):
 @lru_cache(maxsize=64)
 def _gauss_pair(alpha: float, span: float):
     """G16 for |sin u|^alpha on [0, span], span pi/2 or m pi, as a read-only
-    rule (u, w) whose last two rows extrapolate the degree-15 interpolant at
-    its nodes to u = 0 and u = span.  Its recurrence comes from the
+    rule (u, w) whose rows are the rule, its partners of _NULL_DEGREES and
+    _DECAY_DEGREES, and two that extrapolate the degree-15 interpolant at its
+    nodes to u = 0 and u = span.  Its recurrence comes from the
     discretized Stieltjes procedure (Gautschi 1982) on the _MEASURE_N-point
     GJ(0, alpha) rule on [0, pi/2] with (sin v / v)^alpha folded into its
     weights, mirrored about the crest for a whole lobe and repeated over the
@@ -233,7 +248,7 @@ def _gauss_pair(alpha: float, span: float):
         r = (x - diag[k]) * p - b * p_prev
         b = off[k] = math.sqrt(np.sum(q * r * r))
         p_prev, p = p, r / b
-    theta, w = _golub_welsch(diag, off[:-1], mu0)
+    theta, w = _golub_welsch(diag, off[:-1], mu0, _NULL_DEGREES + _DECAY_DEGREES)
     return _frozen((theta + 1.0) * (0.5 * span), np.concatenate((w, _extrapolation(theta))))
 
 
@@ -321,14 +336,18 @@ def _reaches_outside(pieces: np.ndarray) -> np.ndarray:
     return (0.0 < pieces[:, 3]) & (pieces[:, 3] < pieces[:, 2])
 
 
-def _rule_sums(f, x: np.ndarray, w: np.ndarray, scale: np.ndarray):
-    """Value, error estimate and the sums under any further weight rows of
-    each row of nodes x under the rule's weights w, the integrand at node t
-    of row i being f(t) / scale[i].  Each row is summed on its own."""
+def _rule_sums(f, x: np.ndarray, w: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The sums of each row of nodes x under every weight row of w, the
+    integrand at node t of row i being f(t) / scale[i].  Each row is summed
+    on its own."""
     fx = np.asarray(call_vec(f, x.ravel()), dtype=float).reshape(x.shape)
-    sums = np.vecdot(fx, w) / scale
-    rule, partners, rest = sums[0], sums[1:1 + len(_NULL_DEGREES)], sums[1 + len(_NULL_DEGREES):]
-    return rule, np.sum(np.abs(rule - partners), axis=0), rest
+    return np.vecdot(fx, w) / scale
+
+
+def _null_sum(sums: np.ndarray, first: int = 1) -> np.ndarray:
+    """|N_r f| + |N_s f| of two null rules: the rule's sums, row 0, less its
+    partners' in rows first and first + 1."""
+    return np.sum(np.abs(sums[0] - sums[first:first + 2]), axis=0)
 
 
 def _lobe_sums(f, alpha: float, zero: np.ndarray, lobes: np.ndarray, y: np.ndarray,
@@ -336,17 +355,19 @@ def _lobe_sums(f, alpha: float, zero: np.ndarray, lobes: np.ndarray, y: np.ndarr
     """Value and error estimate, end check included, of the panels [zero[i],
     zero[i] + lobes[i] pi] in t, the integrand at t being f(t / y[i]) /
     y[i], and ends[:, i] that integrand at the panel's two end zeros."""
-    value, error = np.empty((2, len(zero)))
+    # the rule, its partners, and its two end rows
+    sums = np.empty((1 + len(_NULL_DEGREES + _DECAY_DEGREES) + 2, len(zero)))
+    band = np.empty(len(zero))
     for m in np.unique(lobes):
         u, w = _gauss_pair(alpha, m * math.pi)
-        band = u[0, 0] ** (alpha + 1.0) / (alpha + 1.0)
         rows = np.flatnonzero(lobes == m)
+        band[rows] = u[0, 0] ** (alpha + 1.0) / (alpha + 1.0)
         for first in range(0, len(rows), _CHUNK_NODES // _GAUSS_N):
             at = rows[first:first + _CHUNK_NODES // _GAUSS_N]
-            value[at], error[at], extrapolated = _rule_sums(
-                f, (zero[at, None] + u) / y[at, None], w, y[at])
-            error[at] += band * np.sum(np.abs(ends[:, at] - extrapolated), axis=0)
-    return value, error
+            sums[:, at] = _rule_sums(f, (zero[at, None] + u) / y[at, None], w, y[at])
+    e1, e2 = _null_sum(sums), _null_sum(sums, 1 + len(_NULL_DEGREES))
+    ratio = np.divide(e1, e2, out=np.ones_like(e1), where=e1 < e2)
+    return sums[0], e1 * ratio**2 + band * np.sum(np.abs(ends - sums[-2:]), axis=0)
 
 
 def _gauss_piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray):
@@ -375,6 +396,7 @@ def _gauss_piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray):
             at = rows[first:first + _CHUNK_NODES // _GAUSS_N]
             if half:
                 d, w = _gauss_pair(alpha, _HALF_PI)
+                w = w[:1 + len(_NULL_DEGREES)]
             else:
                 j = jacobi[at, None]
                 u = np.where(j, u_a, u_0)
@@ -382,7 +404,8 @@ def _gauss_piece_sums(f, alpha: float, pieces: np.ndarray, scale: np.ndarray):
                 kernel = (np.sin(lo[at, None] + d) / np.where(j, u, 1.0)) ** alpha
                 w = np.where(j, w_a, w_0) * (span[at, None] * kernel)
             t = _place(d, start[at], toward[owner[at]], y[at])
-            value[at], error[at], _ = _rule_sums(f, t, w, y[at])
+            sums = _rule_sums(f, t, w, y[at])
+            value[at], error[at] = sums[0], _null_sum(sums)
     return np.bincount(owner, value, n), np.bincount(owner, error, n)
 
 
